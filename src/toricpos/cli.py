@@ -50,6 +50,7 @@ from .workspace import (
     BUILTIN_WORKSPACES,
     Workspace,
     load_workspace,
+    parse_workspace,
     serialize_workspace,
 )
 
@@ -172,6 +173,7 @@ def validate_cmd(workspace_ref: str, timings: bool) -> None:
     def go():
         ws = load_workspace(workspace_ref)
         props = validate(ws.fan)
+        text = serialize_workspace(ws)
         return _report(
             ws,
             "validate",
@@ -184,7 +186,7 @@ def validate_cmd(workspace_ref: str, timings: bool) -> None:
                 "maximal_cones": len(ws.fan.max_cones),
                 "picard_rank": picard_rank(ws.fan),
                 "divisors": sorted(ws.divisors),
-                "roundtrip": serialize_workspace(ws) == serialize_workspace(ws),
+                "roundtrip": serialize_workspace(parse_workspace(text)) == text,
             },
         )
 

@@ -8,7 +8,7 @@ unimodular transforms so callers can build quotient-lattice projections.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vector = tuple[Fraction, ...]
 Matrix = list[list[Fraction]]
@@ -276,8 +276,6 @@ def primitive_vector(vec) -> tuple[tuple[int, ...], int]:
 
 def clear_denominators(values) -> tuple[list[int], int]:
     """Scale rationals to integers: returns (ints, L) with ints = L * values."""
-    fracs = [Fraction(x) for x in values]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    return [int(f * lcm) for f in fracs], lcm
+    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    scale = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (scale // f.denominator) for f in fracs], scale

@@ -5,18 +5,22 @@ A row (u, c) encodes the condition on y:
 * strict row:  <y, u> + c <  0
 * weak row:    <y, u> + c >= 0
 
-The simplex is a textbook two-phase tableau with Bland's rule over
-``Fraction`` entries, so every pivot sequence is deterministic and every
-certificate is exact. Strict feasibility follows the slack-variable
-contract: maximize t subject to the strict rows shifted by t (capped at 1);
-a positive optimum is equivalent to strict feasibility.
+The simplex is a textbook two-phase tableau with Bland's rule. Its rows
+hold integers: each pivot is one multiply-subtract pass and a gcd content
+reduction per row, so no ``Fraction`` arithmetic runs inside the pivot loop.
+The signs and ratios Bland's rule reads are exactly those of the rational
+tableau, so every pivot sequence is deterministic, and results (points,
+values, certificates) are built as exact ``Fraction`` values when read.
+Strict feasibility follows the slack-variable contract: maximize t subject
+to the strict rows shifted by t (capped at 1); a positive optimum is
+equivalent to strict feasibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 from .errors import UnboundedRegion
 from .linalg import clear_denominators
@@ -66,54 +70,68 @@ def polyhedron(dim, strict=(), weak=()) -> Polyhedron:
 # ---------------------------------------------------------------------------
 
 
-def _recompute_objective(rows, rhs, basis, cost, ncols):
-    obj = [Fraction(cost[j]) for j in range(ncols)]
-    val = Fraction(0)
-    for i, bvar in enumerate(basis):
-        cb = cost[bvar]
-        if cb:
-            val += cb * rhs[i]
-            for j in range(ncols):
-                obj[j] -= cb * rows[i][j]
-    return obj, val
+# A tableau row is a list of integers with the rhs in the last slot. A
+# constraint row needs no denominator of its own: its basic column holds a
+# positive entry d, the row stands for itself divided by d, and any positive
+# multiple of it stands for the same equation. An objective row holds the
+# reduced costs, then -value, then its positive denominator. Every pivot keeps
+# the basic entries positive and divides each row by its content, and the
+# signs and ratios Bland's rule reads are those of the rational tableau.
 
 
-def _pivot_step(rows, rhs, basis, obj, col, row):
-    piv = rows[row][col]
-    inv = Fraction(1) / piv
-    rows[row] = [x * inv for x in rows[row]]
-    rhs[row] *= inv
-    for i in range(len(rows)):
-        if i != row and rows[i][col]:
-            f = rows[i][col]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[row])]
-            rhs[i] -= f * rhs[row]
+def _content_free(row):
+    g = gcd(*row)
+    return row if g == 1 else [x // g for x in row]
+
+
+def _price_out(obj, prow, col):
+    """Objective row with column ``col`` eliminated by ``prow`` (prow[col] > 0)."""
     f = obj[col]
-    if f:
-        for j in range(len(obj)):
-            obj[j] -= f * rows[row][j]
-    basis[row] = col
+    if not f:
+        return obj
+    p = prow[col]
+    return _content_free([p * x - f * y for x, y in zip(obj, prow)] + [p * obj[-1]])
 
 
-def _optimize(rows, rhs, basis, obj, ncols, blocked=frozenset()):
-    """Bland's rule loop; returns 'optimal' or 'unbounded'."""
+def _pivot(rows, basis, objs, col, r):
+    """Pivot column ``col`` into the basis at row ``r``, objective rows too."""
+    prow = rows[r]
+    p = prow[col]
+    if p < 0:  # only when driving out an artificial, whose rhs is 0
+        prow = rows[r] = [-x for x in prow]
+        p = -p
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            rows[i] = _content_free([p * x - f * y for x, y in zip(row, prow)])
+    objs[:] = [_price_out(obj, prow, col) for obj in objs]
+    basis[r] = col
+
+
+def _optimize(rows, basis, objs, ncols):
+    """Bland's rule on ``objs[0]``, pivoting every row of ``objs`` along.
+
+    Returns 'optimal' or 'unbounded'.
+    """
+    obj = objs[0]
     while True:
-        enter = next(
-            (j for j in range(ncols) if j not in blocked and obj[j] > 0), None
-        )
+        enter = next((j for j in range(ncols) if obj[j] > 0), None)
         if enter is None:
             return "optimal"
         best = None
-        for i in range(len(rows)):
-            a = rows[i][enter]
+        for i, row in enumerate(rows):
+            a = row[enter]
             if a > 0:
-                ratio = rhs[i] / a
-                key = (ratio, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
+                if best is None:
+                    best, best_a, best_rhs = i, a, row[-1]
+                    continue
+                lhs, rhs = row[-1] * best_a, best_rhs * a  # rhs_i/a vs rhs_best/best_a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best, best_a, best_rhs = i, a, row[-1]
         if best is None:
             return "unbounded"
-        _pivot_step(rows, rhs, basis, obj, enter, best[1])
+        _pivot(rows, basis, objs, enter, best)
+        obj = objs[0]
 
 
 def simplex_max(a_rows, b_vals, cost):
@@ -125,59 +143,52 @@ def simplex_max(a_rows, b_vals, cost):
     m = len(a_rows)
     n = len(cost)
     slack = n + m
-    rows, rhs, basis, art_cols = [], [], [], []
+    rows, art_rows = [], []
     for i in range(m):
-        row = [Fraction(x) for x in a_rows[i]] + [Fraction(0)] * m
-        row[n + i] = Fraction(1)
-        r = Fraction(b_vals[i])
-        if r < 0:
+        ints, scale = clear_denominators(list(a_rows[i]) + [b_vals[i]])
+        row = ints[:n] + [0] * m + ints[n:]
+        row[n + i] = scale
+        if ints[n] < 0:
             row = [-x for x in row]
-            r = -r
+            art_rows.append(i)
         rows.append(row)
-        rhs.append(r)
-    total = slack
-    for i in range(m):
-        if rows[i][n + i] == 1:
-            basis.append(n + i)
-        else:  # slack was negated; add an artificial column
-            for rr in rows:
-                rr.append(Fraction(0))
-            rows[i][total] = Fraction(1)
-            art_cols.append(total)
-            basis.append(total)
-            total += 1
-    if art_cols:
-        cost1 = [Fraction(0)] * total
-        for j in art_cols:
-            cost1[j] = Fraction(-1)
-        obj, val = _recompute_objective(rows, rhs, basis, cost1, total)
-        _optimize(rows, rhs, basis, obj, total)
-        _, val = _recompute_objective(rows, rhs, basis, cost1, total)
-        if val != 0:
+    total = slack + len(art_rows)
+    basis = list(range(n, slack))
+    for row in rows:  # artificial columns go between the slacks and the rhs
+        row[slack:slack] = [0] * len(art_rows)
+    for k, i in enumerate(art_rows):  # a negated row's artificial enters at +scale
+        rows[i][slack + k] = -rows[i][n + i]
+        basis[i] = slack + k
+    ints, scale = clear_denominators(cost)
+    obj = ints + [0] * (total - n) + [0, scale]  # the initial basis costs 0
+    if art_rows:
+        phase1 = [0] * slack + [-1] * len(art_rows) + [0, 1]
+        for i in art_rows:
+            phase1 = _price_out(phase1, rows[i], basis[i])
+        objs = [phase1, obj]
+        _optimize(rows, basis, objs, total)
+        if objs[0][-2] != 0:
             return "infeasible", None, None
+        objs = objs[1:]
         for i in range(len(rows)):  # drive degenerate artificials out
-            if basis[i] in art_cols:
-                col = next(
-                    (j for j in range(slack) if rows[i][j] != 0), None
-                )
+            if basis[i] >= slack:
+                col = next((j for j in range(slack) if rows[i][j] != 0), None)
                 if col is not None:
-                    obj = [Fraction(0)] * total
-                    _pivot_step(rows, rhs, basis, obj, col, i)
-        keep = [i for i in range(len(rows)) if basis[i] not in art_cols]
-        rows = [rows[i][:slack] for i in keep]
-        rhs = [rhs[i] for i in keep]
+                    _pivot(rows, basis, objs, col, i)
+        keep = [i for i in range(len(rows)) if basis[i] < slack]
+        rows = [rows[i][:slack] + rows[i][-1:] for i in keep]
         basis = [basis[i] for i in keep]
-    cost2 = [Fraction(x) for x in cost] + [Fraction(0)] * m
-    obj, _ = _recompute_objective(rows, rhs, basis, cost2, slack)
-    status = _optimize(rows, rhs, basis, obj, slack)
+        obj = objs[0][:slack] + objs[0][-2:]
+    objs = [obj]
+    status = _optimize(rows, basis, objs, slack)
     if status == "unbounded":
         return "unbounded", None, None
     z = [Fraction(0)] * n
-    for i, bvar in enumerate(basis):
+    for row, bvar in zip(rows, basis):
         if bvar < n:
-            z[bvar] = rhs[i]
-    _, value = _recompute_objective(rows, rhs, basis, cost2, slack)
-    return "optimal", z, value
+            z[bvar] = Fraction(row[-1], row[bvar])
+    obj = objs[0]
+    return "optimal", z, Fraction(-obj[-2], obj[-1])
 
 
 def lp_free_max(a_rows, b_vals, cost):

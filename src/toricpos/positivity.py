@@ -353,9 +353,9 @@ def is_qnef(divisor: ToricDivisor, q: int) -> QnefResult:
     """
     fan = divisor.fan
     _require_complete(fan)
+    if not 0 <= q <= fan.rank - 1:
+        raise ToricError(f"q = {q} is outside 0..dim X - 1 = 0..{fan.rank - 1}")
     size = fan.rank - q - 1
-    if size < 0:
-        raise ValueError(f"q = {q} exceeds dim X - 1 = {fan.rank - 1}")
     witness = None
     rows = []
     for tau in fan.cones:
@@ -462,7 +462,7 @@ def decide_qample(
     fan = divisor.fan
     _require_complete(fan)
     if q < 0:
-        raise ValueError("q must be nonnegative")
+        raise ToricError(f"q = {q} must be nonnegative")
     ample = ample if ample is not None else default_ample(fan)
     d = _primitive_integral(divisor)
     index = bad_subsets(fan)

@@ -1,9 +1,10 @@
 """Independent oracles the unit and acceptance suites check against.
 
 These deliberately take the dumb route: filter every integer point of an
-explicit box, or walk every weight of a certified box and classify its sign
-pattern one weight at a time. They share only the exact arithmetic layer
-with the implementations they check.
+explicit box, walk every weight of a certified box and classify its sign
+pattern one weight at a time, or run the simplex on ``Fraction`` rows.
+They share only the exact arithmetic layer with the implementations they
+check.
 """
 
 from fractions import Fraction
@@ -85,3 +86,122 @@ def brute_force_cohomology(fan, coeffs):
         for p in range(n + 1):
             dims[p] += rc[p]
     return tuple(dims)
+
+
+# ---------------------------------------------------------------------------
+# reference simplex: the Fraction tableau the integer simplex must reproduce
+# ---------------------------------------------------------------------------
+
+
+def _recompute_objective(rows, rhs, basis, cost, ncols):
+    obj = [Fraction(cost[j]) for j in range(ncols)]
+    val = Fraction(0)
+    for i, bvar in enumerate(basis):
+        cb = cost[bvar]
+        if cb:
+            val += cb * rhs[i]
+            for j in range(ncols):
+                obj[j] -= cb * rows[i][j]
+    return obj, val
+
+
+def _pivot_step(rows, rhs, basis, obj, col, row):
+    piv = rows[row][col]
+    inv = Fraction(1) / piv
+    rows[row] = [x * inv for x in rows[row]]
+    rhs[row] *= inv
+    for i in range(len(rows)):
+        if i != row and rows[i][col]:
+            f = rows[i][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[row])]
+            rhs[i] -= f * rhs[row]
+    f = obj[col]
+    if f:
+        for j in range(len(obj)):
+            obj[j] -= f * rows[row][j]
+    basis[row] = col
+
+
+def _optimize(rows, rhs, basis, obj, ncols, blocked=frozenset()):
+    """Bland's rule loop; returns 'optimal' or 'unbounded'."""
+    while True:
+        enter = next(
+            (j for j in range(ncols) if j not in blocked and obj[j] > 0), None
+        )
+        if enter is None:
+            return "optimal"
+        best = None
+        for i in range(len(rows)):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rhs[i] / a
+                key = (ratio, basis[i])
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:
+            return "unbounded"
+        _pivot_step(rows, rhs, basis, obj, enter, best[1])
+
+
+def reference_simplex_max(a_rows, b_vals, cost):
+    """Exact two-phase simplex.
+
+    Maximizes cost.z subject to a_rows @ z <= b_vals, z >= 0.
+    Returns (status, z, value) with status in {optimal, unbounded, infeasible}.
+    """
+    m = len(a_rows)
+    n = len(cost)
+    slack = n + m
+    rows, rhs, basis, art_cols = [], [], [], []
+    for i in range(m):
+        row = [Fraction(x) for x in a_rows[i]] + [Fraction(0)] * m
+        row[n + i] = Fraction(1)
+        r = Fraction(b_vals[i])
+        if r < 0:
+            row = [-x for x in row]
+            r = -r
+        rows.append(row)
+        rhs.append(r)
+    total = slack
+    for i in range(m):
+        if rows[i][n + i] == 1:
+            basis.append(n + i)
+        else:  # slack was negated; add an artificial column
+            for rr in rows:
+                rr.append(Fraction(0))
+            rows[i][total] = Fraction(1)
+            art_cols.append(total)
+            basis.append(total)
+            total += 1
+    if art_cols:
+        cost1 = [Fraction(0)] * total
+        for j in art_cols:
+            cost1[j] = Fraction(-1)
+        obj, val = _recompute_objective(rows, rhs, basis, cost1, total)
+        _optimize(rows, rhs, basis, obj, total)
+        _, val = _recompute_objective(rows, rhs, basis, cost1, total)
+        if val != 0:
+            return "infeasible", None, None
+        for i in range(len(rows)):  # drive degenerate artificials out
+            if basis[i] in art_cols:
+                col = next(
+                    (j for j in range(slack) if rows[i][j] != 0), None
+                )
+                if col is not None:
+                    obj = [Fraction(0)] * total
+                    _pivot_step(rows, rhs, basis, obj, col, i)
+        keep = [i for i in range(len(rows)) if basis[i] not in art_cols]
+        rows = [rows[i][:slack] for i in keep]
+        rhs = [rhs[i] for i in keep]
+        basis = [basis[i] for i in keep]
+    cost2 = [Fraction(x) for x in cost] + [Fraction(0)] * m
+    obj, _ = _recompute_objective(rows, rhs, basis, cost2, slack)
+    status = _optimize(rows, rhs, basis, obj, slack)
+    if status == "unbounded":
+        return "unbounded", None, None
+    z = [Fraction(0)] * n
+    for i, bvar in enumerate(basis):
+        if bvar < n:
+            z[bvar] = rhs[i]
+    _, value = _recompute_objective(rows, rhs, basis, cost2, slack)
+    return "optimal", z, value

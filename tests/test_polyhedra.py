@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,10 @@ from toricpos.polyhedra import (
     lp_optimize,
     lp_strict_feasible,
     polyhedron,
+    simplex_max,
 )
 
-from .oracles import box_filter_lattice_points
+from .oracles import box_filter_lattice_points, reference_simplex_max
 
 
 def test_strict_feasible_interval():
@@ -139,3 +141,73 @@ def test_three_dimensional_box_filter_agreement():
 def test_zero_dimensional_polyhedra():
     assert lattice_points(polyhedron(0, weak=[((), 0)])) == [()]
     assert lattice_points(polyhedron(0, strict=[((), 0)])) == []
+
+
+# ---------------------------------------------------------------------------
+# the integer simplex against the Fraction reference: same (status, z, value)
+# ---------------------------------------------------------------------------
+
+rationals = st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6])
+)
+
+
+@st.composite
+def lps(draw):
+    m = draw(st.integers(0, 8))
+    n = draw(st.integers(0, 6))
+    a = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(rationals, min_size=m, max_size=m))
+    c = draw(st.lists(rationals, min_size=n, max_size=n))
+    return a, b, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(lps())
+def test_simplex_matches_fraction_reference(lp):
+    assert simplex_max(*lp) == reference_simplex_max(*lp)
+
+
+def test_simplex_matches_fraction_reference_on_seeded_corpus():
+    rng = random.Random(20260)
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4]))
+
+    statuses = {}
+    for _ in range(2400):
+        m, n = rng.randint(0, 8), rng.randint(0, 6)
+        a = [[entry() for _ in range(n)] for _ in range(m)]
+        b = [rng.choice([0, 0, -1, 1, 2]) if rng.random() < 0.5 else entry() for _ in range(m)]
+        c = [entry() for _ in range(n)]
+        result = simplex_max(a, b, c)
+        assert result == reference_simplex_max(a, b, c), (a, b, c)
+        statuses[result[0]] = statuses.get(result[0], 0) + 1
+    assert set(statuses) == {"optimal", "unbounded", "infeasible"}, statuses
+
+
+@pytest.mark.parametrize(
+    "a, b, z",
+    [
+        # feasibility LPs (zero cost): the answer is the vertex where phase 1
+        # stops, and a tied ratio test picks a different one if it breaks
+        # ties on anything but the smaller basis index
+        ([[0, -1, -1], [1, 0, -2], [0, 2, -1]], [-1, -1, 2], ["0", "5/4", "1/2"]),
+        ([[-2, 2, 2], [0, -2, 1], [0, -2, 0], [-1, 2, -1]], [0, -1, 2, 0], ["1", "2/3", "1/3"]),
+    ],
+)
+def test_simplex_ratio_ties_break_on_the_smaller_basis_index(a, b, z):
+    expected = ("optimal", [Fraction(x) for x in z], Fraction(0))
+    assert reference_simplex_max(a, b, [0, 0, 0]) == expected
+    assert simplex_max(a, b, [0, 0, 0]) == expected
+
+
+def test_simplex_drives_a_degenerate_artificial_out():
+    # phase 1 ends with the artificial of z1 - z2 >= 1 basic at level 0; it
+    # leaves on a negative pivot entry, and the row z1 + z2 <= 1 carries halves
+    a = [[-1, 1], [0, 1], [Fraction(1, 2), Fraction(1, 2)]]
+    b, c = [-1, 1, Fraction(1, 2)], [-1, 0]
+    assert reference_simplex_max(a, b, c) == ("optimal", [Fraction(1), Fraction(0)], Fraction(-1))
+    assert simplex_max(a, b, c) == ("optimal", [Fraction(1), Fraction(0)], Fraction(-1))

@@ -173,6 +173,30 @@ def test_cli_input_error_exit_code():
     assert result.exit_code == 2
     result = run_cli("cohomology", "-w", "totaro-x", "-d", "UNKNOWN")
     assert result.exit_code == 2
+    for args in (
+        ("qnef", "-w", "p2", "-d", "H", "--q", "5"),
+        ("qnef", "-w", "p2", "-d", "H", "--q", "-1"),
+        ("qample", "-w", "p2", "-d", "H", "--q", "-1"),
+    ):
+        result = run_cli(*args)
+        assert result.exit_code == 2, (args, result.output)
+        assert json.loads(result.output)["error"]["kind"] == "input"
+
+
+def test_cli_validate_roundtrip_goes_through_the_parser(monkeypatch):
+    import toricpos.cli
+
+    assert json.loads(run_cli("validate", "-w", "p2").output)["result"]["roundtrip"] is True
+
+    def lossy_parse(text):
+        data = json.loads(text)
+        data["divisors"].pop("H")
+        return parse_workspace(json.dumps(data))
+
+    monkeypatch.setattr(toricpos.cli, "parse_workspace", lossy_parse)
+    result = run_cli("validate", "-w", "p2")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["result"]["roundtrip"] is False
 
 
 def test_cli_replicate_paper_passes_within_a_minute():
