@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Paired before/after benchmark of two toricpos checkouts.
 
-    python scripts/bench_pair.py --base DIR --change DIR --label NAME \\
-        [--workload W ...] [--pairs N]
+    python scripts/bench_pair.py --base DIR --change DIR --label NAME
 
-For each workload, runs ``perfbench/run.py --trace 0`` of the two checkouts
-in N alternating pairs (seeds 71, 72, ...; the first run of a pair switches
-sides every pair, so a slow drift of the machine hits both sides alike),
-then one traced pair (``--trace 1``, seed 71) for the per-layer metrics.
+For every workload in ``BENCHMARK.json``, runs ``perfbench/run.py --trace 0``
+of the two checkouts in ten alternating pairs (seeds 71, 72, ...; the first
+run of a pair switches sides every pair, so a slow drift of the machine hits
+both sides alike), then one traced pair (``--trace 1``, seed 71) for the per-layer metrics.
 Run length, metrics and their better direction come from the base
 checkout's ``BENCHMARK.json``. Writes ``BENCH_<NAME>.json`` in the current
 directory: per metric the median and quartiles of each side, and how many
@@ -24,6 +23,8 @@ import subprocess
 import sys
 
 SEED0 = 71
+PAIRS = 10  # a gain claim needs ten alternating pairs
+
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = [
@@ -48,19 +49,17 @@ def main() -> None:
     parser.add_argument("--base", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--workload", action="append")
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args()
     with open(os.path.join(args.base, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    report = {"label": args.label, "pairs": args.pairs, "seconds": seconds, "workloads": {}}
+    workloads = [w["name"] for w in spec["workloads"]]
+    report = {"label": args.label, "pairs": PAIRS, "seconds": seconds, "workloads": {}}
     for workload in workloads:
         print(workload, flush=True)
         runs = {"base": [], "change": []}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             seed = SEED0 + k
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
             for side in order:
@@ -79,7 +78,7 @@ def main() -> None:
                 "better": direction,
                 "base": summary(base),
                 "change": summary(change),
-                "change_wins": f"{wins}/{args.pairs}",
+                "change_wins": f"{wins}/{PAIRS}",
                 "median_ratio": statistics.median(change) / statistics.median(base),
             }
         traced = {side: run_once(getattr(args, side), workload, SEED0, seconds, 1)

@@ -186,7 +186,7 @@ def validate_cmd(workspace_ref: str, timings: bool) -> None:
                 "maximal_cones": len(ws.fan.max_cones),
                 "picard_rank": picard_rank(ws.fan),
                 "divisors": sorted(ws.divisors),
-                "roundtrip": serialize_workspace(parse_workspace(text)) == text,
+                "roundtrip": serialize_workspace(parse_workspace(text, known_fan=ws.fan)) == text,
             },
         )
 

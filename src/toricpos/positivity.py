@@ -528,6 +528,8 @@ def scan_qample(
     """
     fan = divisor.fan
     _require_complete(fan)
+    if q < 0:
+        raise ToricError(f"q = {q} must be nonnegative")
     ample = ample if ample is not None else default_ample(fan)
     d = _primitive_integral(divisor)
     hits = []

@@ -44,7 +44,13 @@ def _require_fields(obj: dict, allowed: set, where: str) -> None:
         raise WorkspaceError(f"unknown field(s) {sorted(unknown)} in {where}")
 
 
-def parse_workspace(text: str) -> Workspace:
+def parse_workspace(text: str, known_fan: Fan | None = None) -> Workspace:
+    """Parse and validate a workspace.
+
+    ``known_fan`` is a fan already built (and so already checked); when the
+    fan block describes exactly that fan it is reused instead of being built
+    again, which skips the pairwise separation LPs of the fan check.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -65,12 +71,16 @@ def parse_workspace(text: str) -> Workspace:
         if key not in fan_block:
             raise WorkspaceError(f"fan block needs field {key!r}")
     try:
-        fan = Fan(
-            rank=int(fan_block["lattice_rank"]),
-            rays=tuple(tuple(int(x) for x in r) for r in fan_block["rays"]),
-            max_cones=tuple(tuple(int(i) for i in c) for c in fan_block["max_cones"]),
-            name=str(data.get("name", "")),
-        )
+        rank = int(fan_block["lattice_rank"])
+        rays = tuple(tuple(int(x) for x in r) for r in fan_block["rays"])
+        max_cones = tuple(tuple(sorted(int(i) for i in c)) for c in fan_block["max_cones"])
+        name = str(data.get("name", ""))
+        if known_fan is not None and (rank, rays, max_cones, name) == (
+            known_fan.rank, known_fan.rays, known_fan.max_cones, known_fan.name
+        ):
+            fan = known_fan
+        else:
+            fan = Fan(rank=rank, rays=rays, max_cones=max_cones, name=name)
         validate(fan, require_complete=bool(fan_block.get("complete", False)))
     except InvalidFan as exc:
         raise WorkspaceError(f"fan validation failed: {exc}") from exc

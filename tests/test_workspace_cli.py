@@ -32,6 +32,20 @@ def test_roundtrip_is_identity():
         assert serialize_workspace(again) == text
 
 
+def test_parse_reuses_a_known_fan_only_when_the_fan_block_matches():
+    ws = load_workspace("totaro-x")
+    text = serialize_workspace(ws)
+    assert parse_workspace(text, known_fan=ws.fan).fan is ws.fan
+    data = json.loads(text)
+    data["name"] = "renamed"
+    again = parse_workspace(json.dumps(data), known_fan=ws.fan)
+    assert again.fan is not ws.fan and again.fan.name == "renamed"
+    data = json.loads(text)
+    data["fan"]["max_cones"][3] = [0, 3, 5]
+    with pytest.raises(WorkspaceError, match="not simplicial"):
+        parse_workspace(json.dumps(data), known_fan=ws.fan)
+
+
 def test_divisor_vector_length_mismatch_rejected():
     data = json.loads(serialize_workspace(load_workspace("totaro-x")))
     data["divisors"]["bad"] = [1, 2, 3, 4, 5]
@@ -177,6 +191,7 @@ def test_cli_input_error_exit_code():
         ("qnef", "-w", "p2", "-d", "H", "--q", "5"),
         ("qnef", "-w", "p2", "-d", "H", "--q", "-1"),
         ("qample", "-w", "p2", "-d", "H", "--q", "-1"),
+        ("qample", "-w", "p2", "-d", "H", "--q", "-1", "--mode", "scan"),
     ):
         result = run_cli(*args)
         assert result.exit_code == 2, (args, result.output)
@@ -188,15 +203,31 @@ def test_cli_validate_roundtrip_goes_through_the_parser(monkeypatch):
 
     assert json.loads(run_cli("validate", "-w", "p2").output)["result"]["roundtrip"] is True
 
-    def lossy_parse(text):
+    def lossy_parse(text, **kwargs):
         data = json.loads(text)
         data["divisors"].pop("H")
-        return parse_workspace(json.dumps(data))
+        return parse_workspace(json.dumps(data), **kwargs)
 
     monkeypatch.setattr(toricpos.cli, "parse_workspace", lossy_parse)
     result = run_cli("validate", "-w", "p2")
     assert result.exit_code == 0
     assert json.loads(result.output)["result"]["roundtrip"] is False
+
+
+def test_cli_validate_builds_the_fan_once(monkeypatch):
+    import toricpos.fan
+
+    builds = []
+    check = toricpos.fan._check_structure
+
+    def counting_check(fan):
+        builds.append(fan)
+        check(fan)
+
+    monkeypatch.setattr(toricpos.fan, "_check_structure", counting_check)
+    result = run_cli("validate", "-w", "totaro-x")
+    assert json.loads(result.output)["result"]["roundtrip"] is True
+    assert len(builds) == 1
 
 
 def test_cli_replicate_paper_passes_within_a_minute():
