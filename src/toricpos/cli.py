@@ -8,11 +8,13 @@ identical inputs and tool version; wall-clock timings only appear under
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 import click
 
@@ -73,12 +75,6 @@ def _ray_names(ws: Workspace, indices):
     return [ws.fan.ray_name(i) for i in indices]
 
 
-def _emit(report: dict, timings: float | None = None) -> None:
-    if timings is not None:
-        report["timings"] = {"wall_seconds": round(timings, 3), "byte_stable": False}
-    click.echo(json.dumps(_jsonable(report), indent=2, sort_keys=True))
-
-
 def _report(ws: Workspace, command: str, args: dict, result) -> dict:
     return {
         "tool": "toricpos",
@@ -127,147 +123,136 @@ def _parse_cone(ws: Workspace, text: str) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-pass_timings = click.option("--timings", is_flag=True, help="append wall-clock timing (not byte-stable)")
-pass_workspace = click.option(
-    "--workspace",
-    "-w",
-    "workspace_ref",
-    default="totaro-x",
-    show_default=True,
-    help=f"built-in name ({', '.join(sorted(BUILTIN_WORKSPACES))}) or JSON path",
-)
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="toricpos")
 def main() -> None:
     """Exact positivity and cohomology decisions on complete simplicial toric varieties."""
 
 
-def _run(fn):
-    start = time.monotonic()
-    try:
-        report, timings, exit_code = fn(), None, 0
-    except WorkspaceError as exc:
-        click.echo(json.dumps({"error": {"kind": "input", "message": str(exc)}}, indent=2))
-        sys.exit(2)
-    except (ModeDisagreement, UnboundedRegion) as exc:
-        click.echo(
-            json.dumps(
-                {"error": {"kind": "internal-consistency", "message": str(exc)}}, indent=2
-            )
-        )
-        sys.exit(3)
-    except ToricError as exc:
-        click.echo(json.dumps({"error": {"kind": "input", "message": str(exc)}}, indent=2))
-        sys.exit(2)
-    return report, time.monotonic() - start
+def _fail(code: int, kind: str, message) -> NoReturn:
+    click.echo(json.dumps({"error": {"kind": kind, "message": str(message)}}, indent=2))
+    sys.exit(code)
 
 
-@main.command()
-@pass_workspace
-@pass_timings
-def validate_cmd(workspace_ref: str, timings: bool) -> None:
+def command(name: str):
+    """Register ``body(ws, workspace_ref, **options) -> (args, result)`` as a command.
+
+    The runner adds --workspace and --timings, loads the workspace, times the
+    call, maps library errors to exit codes and prints the report. A body may
+    return a third item: the exit code to end with once the report is printed.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(workspace_ref: str, timings: bool, **options) -> None:
+            start = time.monotonic()
+            try:
+                ws = load_workspace(workspace_ref)
+                args, result, *exit_code = body(ws, workspace_ref, **options)
+            except (ModeDisagreement, UnboundedRegion) as exc:
+                _fail(3, "internal-consistency", exc)
+            except NoStabilizationDetected as exc:
+                _fail(
+                    2,
+                    "input",
+                    f"no stabilization within horizon {exc.horizon}; "
+                    f"partial chain {exc.chain} (raise --horizon)",
+                )
+            except ToricError as exc:
+                _fail(2, "input", exc)
+            report = _report(ws, name, args, result)
+            if timings:
+                elapsed = round(time.monotonic() - start, 3)
+                report["timings"] = {"wall_seconds": elapsed, "byte_stable": False}
+            click.echo(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+            if exit_code:
+                sys.exit(exit_code[0])
+
+        # click lists options in reverse order of attachment: --workspace
+        # first, then the body's own options, then --timings
+        run.__click_params__ = [
+            click.Option(
+                ["--timings"], is_flag=True, help="append wall-clock timing (not byte-stable)"
+            ),
+            *getattr(body, "__click_params__", ()),
+            click.Option(
+                ["--workspace", "-w", "workspace_ref"],
+                default="totaro-x",
+                show_default=True,
+                help=f"built-in name ({', '.join(sorted(BUILTIN_WORKSPACES))}) or JSON path",
+            ),
+        ]
+        return main.command(name)(run)
+
+    return register
+
+
+@command("validate")
+def validate_cmd(ws, workspace_ref):
     """Validate a workspace: fan structure, completeness, smoothness."""
-
-    def go():
-        ws = load_workspace(workspace_ref)
-        props = validate(ws.fan)
-        text = serialize_workspace(ws)
-        return _report(
-            ws,
-            "validate",
-            {"workspace": workspace_ref},
-            {
-                "simplicial": props.simplicial,
-                "complete": props.complete,
-                "smooth": props.smooth,
-                "rays": len(ws.fan.rays),
-                "maximal_cones": len(ws.fan.max_cones),
-                "picard_rank": picard_rank(ws.fan),
-                "divisors": sorted(ws.divisors),
-                "roundtrip": serialize_workspace(parse_workspace(text, known_fan=ws.fan)) == text,
-            },
-        )
-
-    report, elapsed = _run(go)
-    _emit(report, elapsed if timings else None)
+    props = validate(ws.fan)
+    text = serialize_workspace(ws)
+    return {"workspace": workspace_ref}, {
+        "simplicial": props.simplicial,
+        "complete": props.complete,
+        "smooth": props.smooth,
+        "rays": len(ws.fan.rays),
+        "maximal_cones": len(ws.fan.max_cones),
+        "picard_rank": picard_rank(ws.fan),
+        "divisors": sorted(ws.divisors),
+        "roundtrip": serialize_workspace(parse_workspace(text, known_fan=ws.fan)) == text,
+    }
 
 
-main.add_command(validate_cmd, name="validate")
-
-
-@main.command()
-@pass_workspace
+@command("cohomology")
 @click.option("--divisor", "-d", required=True, help="divisor expression, e.g. 'L' or 'F1+F2'")
 @click.option("--weights", is_flag=True, help="include contributing weight vectors")
-@pass_timings
-def cohomology(workspace_ref: str, divisor: str, weights: bool, timings: bool) -> None:
+def cohomology(ws, workspace_ref, divisor, weights):
     """Dimensions of H^0..H^n(X, O(D))."""
-
-    def go():
-        ws = load_workspace(workspace_ref)
-        d = ws.divisor(divisor)
-        table = cohomology_dims(d)
-        index = bad_subsets(ws.fan)
-        by_subset = {s: p for p in range(ws.fan.rank + 1) for s, _ in index[p]}
-        witness_rows = [
-            {
-                "degree": by_subset[s],
-                "subset": _ray_names(ws, s),
-                "weight_count": len(pts),
-                "complex_dim": dim,
-                **({"weights": [list(m) for m in pts]} if weights else {}),
-            }
-            for s, pts, dim in table.witnesses
-        ]
-        return _report(
-            ws,
-            "cohomology",
-            {"divisor": divisor},
-            {
-                "coefficients": list(d.coeffs),
-                "dims": list(table.dims),
-                "euler_characteristic": table.euler_characteristic,
-                "witnesses": witness_rows,
-            },
-        )
-
-    report, elapsed = _run(go)
-    _emit(report, elapsed if timings else None)
-
-
-@main.command()
-@pass_workspace
-@click.option("--divisor", "-d", required=True)
-@pass_timings
-def classify(workspace_ref: str, divisor: str, timings: bool) -> None:
-    """Nef/ample/effective/big/pseudoeffective flags."""
-
-    def go():
-        ws = load_workspace(workspace_ref)
-        d = ws.divisor(divisor)
-        flags = classify_cones(d)
-        result = {
-            "coefficients": list(d.coeffs),
-            "class": list(class_of(d).coords),
-            "class_basis": _ray_names(ws, class_of(d).basis_rays),
-            "nef": flags.nef,
-            "ample": flags.ample,
-            "effective": flags.effective,
-            "big": flags.big,
-            "pseudoeffective": flags.pseudoeffective,
+    d = ws.divisor(divisor)
+    table = cohomology_dims(d)
+    index = bad_subsets(ws.fan)
+    by_subset = {s: p for p in range(ws.fan.rank + 1) for s, _ in index[p]}
+    witness_rows = [
+        {
+            "degree": by_subset[s],
+            "subset": _ray_names(ws, s),
+            "weight_count": len(pts),
+            "complex_dim": dim,
+            **({"weights": [list(m) for m in pts]} if weights else {}),
         }
-        if flags.negative_wall is not None:
-            result["negative_wall"] = _ray_names(ws, flags.negative_wall)
-        return _report(ws, "classify", {"divisor": divisor}, result)
+        for s, pts, dim in table.witnesses
+    ]
+    return {"divisor": divisor}, {
+        "coefficients": list(d.coeffs),
+        "dims": list(table.dims),
+        "euler_characteristic": table.euler_characteristic,
+        "witnesses": witness_rows,
+    }
 
-    report, elapsed = _run(go)
-    _emit(report, elapsed if timings else None)
+
+@command("classify")
+@click.option("--divisor", "-d", required=True)
+def classify(ws, workspace_ref, divisor):
+    """Nef/ample/effective/big/pseudoeffective flags."""
+    d = ws.divisor(divisor)
+    flags = classify_cones(d)
+    result = {
+        "coefficients": list(d.coeffs),
+        "class": list(class_of(d).coords),
+        "class_basis": _ray_names(ws, class_of(d).basis_rays),
+        "nef": flags.nef,
+        "ample": flags.ample,
+        "effective": flags.effective,
+        "big": flags.big,
+        "pseudoeffective": flags.pseudoeffective,
+    }
+    if flags.negative_wall is not None:
+        result["negative_wall"] = _ray_names(ws, flags.negative_wall)
+    return {"divisor": divisor}, result
 
 
-@main.command()
-@pass_workspace
+@command("qample")
 @click.option("--divisor", "-d", required=True)
 @click.option("--q", "q", type=int, required=True)
 @click.option(
@@ -278,92 +263,63 @@ def classify(workspace_ref: str, divisor: str, timings: bool) -> None:
 )
 @click.option("--scan-max-n", type=int, default=12, show_default=True)
 @click.option("--scan-twists", type=int, default=4, show_default=True)
-@pass_timings
-def qample(workspace_ref, divisor, q, mode, scan_max_n, scan_twists, timings) -> None:
+def qample(ws, workspace_ref, divisor, q, mode, scan_max_n, scan_twists):
     """Decide q-amplitude (asymptotic mode is authoritative; scan is an oracle)."""
-
-    def go():
-        ws = load_workspace(workspace_ref)
-        d = ws.divisor(divisor)
-        result: dict = {"coefficients": list(d.coeffs), "q": q, "mode": mode}
-        if mode in ("asymptotic", "both"):
-            res = decide_qample(d, q, with_kuronya=True)
-            result["verdict"] = res.verdict
-            result["kuronya_dim_b_plus"] = res.kuronya_dim
-            if res.certificate:
-                cert = res.certificate
-                result["certificate"] = {
-                    "degree": cert.degree,
-                    "subset": _ray_names(ws, cert.subset),
-                    "epsilon": cert.epsilon,
-                    "direction": list(cert.direction),
-                }
-        if mode == "scan":
-            scan = scan_qample(
-                d, q, multiples=tuple(range(1, scan_max_n + 1)), twists=scan_twists
-            )
-            result["scan"] = {
-                "obstructed_pattern": scan.obstructed,
-                "clean_multiple": scan.clean_n,
-                "nonvanishing": [list(x) for x in scan.nonvanishing],
-                "note": scan.note,
+    d = ws.divisor(divisor)
+    multiples = tuple(range(1, scan_max_n + 1))
+    result: dict = {"coefficients": list(d.coeffs), "q": q, "mode": mode}
+    if mode in ("asymptotic", "both"):
+        res = decide_qample(d, q, with_kuronya=True)
+        result["verdict"] = res.verdict
+        result["kuronya_dim_b_plus"] = res.kuronya_dim
+        if res.certificate:
+            cert = res.certificate
+            result["certificate"] = {
+                "degree": cert.degree,
+                "subset": _ray_names(ws, cert.subset),
+                "epsilon": cert.epsilon,
+                "direction": list(cert.direction),
             }
-        if mode == "both":
-            agreement = check_mode_agreement(
-                d, q, multiples=tuple(range(1, scan_max_n + 1)), twists=scan_twists
-            )
-            result["scan"] = {
-                "obstructed_pattern": agreement["scan"].obstructed,
-                "clean_multiple": agreement["scan"].clean_n,
-                "realized": agreement["realized"],
-            }
-        return _report(
-            ws,
-            "qample",
-            {"divisor": divisor, "q": q, "mode": mode},
-            result,
-        )
-
-    report, elapsed = _run(go)
-    _emit(report, elapsed if timings else None)
+    if mode == "scan":
+        scan = scan_qample(d, q, multiples=multiples, twists=scan_twists)
+        result["scan"] = {
+            "obstructed_pattern": scan.obstructed,
+            "clean_multiple": scan.clean_n,
+            "nonvanishing": [list(x) for x in scan.nonvanishing],
+            "note": scan.note,
+        }
+    if mode == "both":
+        agreement = check_mode_agreement(d, q, multiples=multiples, twists=scan_twists)
+        result["scan"] = {
+            "obstructed_pattern": agreement["scan"].obstructed,
+            "clean_multiple": agreement["scan"].clean_n,
+            "realized": agreement["realized"],
+        }
+    return {"divisor": divisor, "q": q, "mode": mode}, result
 
 
-@main.command()
-@pass_workspace
+@command("qnef")
 @click.option("--divisor", "-d", required=True)
 @click.option("--q", "q", type=int, required=True)
-@pass_timings
-def qnef(workspace_ref, divisor, q, timings) -> None:
+def qnef(ws, workspace_ref, divisor, q):
     """Torus-invariant q-nef test: -D restricted to every (q+1)-dimensional
     orbit closure must not be big."""
-
-    def go():
-        ws = load_workspace(workspace_ref)
-        d = ws.divisor(divisor)
-        res = is_qnef(d, q)
-        return _report(
-            ws,
-            "qnef",
-            {"divisor": divisor, "q": q},
-            {
-                "coefficients": list(d.coeffs),
-                "q": q,
-                "verdict": res.verdict,
-                "scope": res.scope,
-                "witness": _ray_names(ws, res.witness_tau) if res.witness_tau is not None else None,
-                "restrictions": [
-                    {"cone": _ray_names(ws, t), "negative_restriction_big": big}
-                    for t, big in res.restrictions
-                ],
-            },
-        )
-
-    report, elapsed = _run(go)
-    _emit(report, elapsed if timings else None)
+    d = ws.divisor(divisor)
+    res = is_qnef(d, q)
+    return {"divisor": divisor, "q": q}, {
+        "coefficients": list(d.coeffs),
+        "q": q,
+        "verdict": res.verdict,
+        "scope": res.scope,
+        "witness": _ray_names(ws, res.witness_tau) if res.witness_tau is not None else None,
+        "restrictions": [
+            {"cone": _ray_names(ws, t), "negative_restriction_big": big}
+            for t, big in res.restrictions
+        ],
+    }
 
 
-@main.command()
-@pass_workspace
+@command("baselocus")
 @click.option("--divisor", "-d", required=True)
 @click.option(
     "--kind",
@@ -372,111 +328,60 @@ def qnef(workspace_ref, divisor, q, timings) -> None:
     show_default=True,
 )
 @click.option("--horizon", type=int, default=24, show_default=True)
-@pass_timings
-def baselocus(workspace_ref, divisor, kind, horizon, timings) -> None:
+def baselocus(ws, workspace_ref, divisor, kind, horizon):
     """Base locus of |D|, the stable base locus, or the augmented one."""
-
-    def go():
-        ws = load_workspace(workspace_ref)
-        d = ws.divisor(divisor)
-        if kind == "bs":
-            rep = base_locus(d)
-        elif kind == "stable":
-            rep = stable_base_locus(d, horizon=horizon)
-        else:
-            rep = augmented_base_locus(d)
-        return _report(
-            ws,
-            "baselocus",
-            {"divisor": divisor, "kind": kind, "horizon": horizon},
-            _locus_json(ws, rep),
-        )
-
-    def wrapped():
-        try:
-            return go()
-        except NoStabilizationDetected as exc:
-            raise WorkspaceError(
-                f"no stabilization within horizon {exc.horizon}; "
-                f"partial chain {exc.chain} (raise --horizon)"
-            ) from exc
-
-    report, elapsed = _run(wrapped)
-    _emit(report, elapsed if timings else None)
+    d = ws.divisor(divisor)
+    if kind == "bs":
+        rep = base_locus(d)
+    elif kind == "stable":
+        rep = stable_base_locus(d, horizon=horizon)
+    else:
+        rep = augmented_base_locus(d)
+    return {"divisor": divisor, "kind": kind, "horizon": horizon}, _locus_json(ws, rep)
 
 
-@main.command()
-@pass_workspace
+@command("restrict")
 @click.option("--divisor", "-d", required=True)
 @click.option("--cone", "-c", required=True, help="comma list of rays, e.g. 'f1' or 'f1,f3'")
-@pass_timings
-def restrict_cmd(workspace_ref, divisor, cone, timings) -> None:
+def restrict_cmd(ws, workspace_ref, divisor, cone):
     """Restrict O(D) to the orbit closure of a cone."""
-
-    def go():
-        ws = load_workspace(workspace_ref)
-        d = ws.divisor(divisor)
-        tau = _parse_cone(ws, cone)
-        res = restrict(d, tau)
-        quot = res.divisor.fan
-        cls = class_of(res.divisor)
-        return _report(
-            ws,
-            "restrict",
-            {"divisor": divisor, "cone": cone},
-            {
-                "cone": _ray_names(ws, tau),
-                "witness_m": list(res.witness_m),
-                "quotient_fan": {
-                    "lattice_rank": quot.rank,
-                    "rays": [list(r) for r in quot.rays],
-                    "max_cones": [list(c) for c in quot.max_cones],
-                },
-                "ray_images": {
-                    ws.fan.ray_name(i): {"image": idx, "multiplicity": mult}
-                    for i, (idx, mult) in sorted(res.ray_map.items())
-                },
-                "coefficients": list(res.divisor.coeffs),
-                "psi_values": list(res.divisor.psi_values(ws.sign_convention)),
-                "class": list(cls.coords),
-                "negative_restriction_big": classify_cones(-res.divisor).big,
-            },
-        )
-
-    report, elapsed = _run(go)
-    _emit(report, elapsed if timings else None)
+    d = ws.divisor(divisor)
+    tau = _parse_cone(ws, cone)
+    res = restrict(d, tau)
+    quot = res.divisor.fan
+    return {"divisor": divisor, "cone": cone}, {
+        "cone": _ray_names(ws, tau),
+        "witness_m": list(res.witness_m),
+        "quotient_fan": {
+            "lattice_rank": quot.rank,
+            "rays": [list(r) for r in quot.rays],
+            "max_cones": [list(c) for c in quot.max_cones],
+        },
+        "ray_images": {
+            ws.fan.ray_name(i): {"image": idx, "multiplicity": mult}
+            for i, (idx, mult) in sorted(res.ray_map.items())
+        },
+        "coefficients": list(res.divisor.coeffs),
+        "psi_values": list(res.divisor.psi_values(ws.sign_convention)),
+        "class": list(class_of(res.divisor).coords),
+        "negative_restriction_big": classify_cones(-res.divisor).big,
+    }
 
 
-main.add_command(restrict_cmd, name="restrict")
-
-
-@main.command()
-@pass_workspace
+@command("connectivity")
 @click.option("--divisor", "-d", required=True)
-@pass_timings
-def connectivity(workspace_ref, divisor, timings) -> None:
+def connectivity(ws, workspace_ref, divisor):
     """Disconnected-section criterion for effective torus-invariant divisors."""
-
-    def go():
-        ws = load_workspace(workspace_ref)
-        d = ws.divisor(divisor)
-        res = disconnected_section_criterion(d)
-        return _report(
-            ws,
-            "connectivity",
-            {"divisor": divisor},
-            {
-                "coefficients": list(d.coeffs),
-                "support": _ray_names(ws, res.support),
-                "support_connected": not res.applies,
-                "applies": res.applies,
-                "conclusion": res.conclusion,
-                "h1_of_negative_multiples": list(res.h1_of_negatives),
-            },
-        )
-
-    report, elapsed = _run(go)
-    _emit(report, elapsed if timings else None)
+    d = ws.divisor(divisor)
+    res = disconnected_section_criterion(d)
+    return {"divisor": divisor}, {
+        "coefficients": list(d.coeffs),
+        "support": _ray_names(ws, res.support),
+        "support_connected": not res.applies,
+        "applies": res.applies,
+        "conclusion": res.conclusion,
+        "h1_of_negative_multiples": list(res.h1_of_negatives),
+    }
 
 
 _SVG_COLORS = {0: "#2e7d32", 1: "#f9a825", 2: "#ef6c00", 3: "#c62828"}
@@ -512,58 +417,44 @@ def _emit_svg(path: str, chamber_map) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-@main.command()
-@pass_workspace
+@command("chambers")
 @click.option("--dir1", required=True, help="first direction divisor expression")
 @click.option("--dir2", required=True, help="second direction divisor expression")
 @click.option("--origin", default="", help="origin divisor expression (default 0)")
 @click.option("--resolution", type=int, default=2, show_default=True)
 @click.option("--emit-plot", "plot_path", default="", help="write an SVG raster here")
-@pass_timings
-def chambers(workspace_ref, dir1, dir2, origin, resolution, plot_path, timings) -> None:
+def chambers(ws, workspace_ref, dir1, dir2, origin, resolution, plot_path):
     """Sample a plane in N^1 and label each class with its smallest q."""
-
-    def go():
-        ws = load_workspace(workspace_ref)
-        d1 = ws.divisor(dir1)
-        d2 = ws.divisor(dir2)
-        base = ws.divisor(origin) if origin else ToricDivisor(
-            ws.fan, (Fraction(0),) * ws.fan.n_rays
-        )
-        cmap = chamber_scan(base, d1, d2, resolution=resolution)
-        if plot_path:
-            _emit_svg(plot_path, cmap)
-        return _report(
-            ws,
-            "chambers",
+    d1 = ws.divisor(dir1)
+    d2 = ws.divisor(dir2)
+    base = ws.divisor(origin) if origin else ToricDivisor(
+        ws.fan, (Fraction(0),) * ws.fan.n_rays
+    )
+    cmap = chamber_scan(base, d1, d2, resolution=resolution)
+    if plot_path:
+        _emit_svg(plot_path, cmap)
+    args = {
+        "dir1": dir1,
+        "dir2": dir2,
+        "origin": origin,
+        "resolution": resolution,
+    }
+    return args, {
+        "samples": [
             {
-                "dir1": dir1,
-                "dir2": dir2,
-                "origin": origin,
-                "resolution": resolution,
-            },
-            {
-                "samples": [
-                    {
-                        "coords": list(s.coords),
-                        "smallest_q": s.smallest_q,
-                        "pseudoeffective": s.pseudoeffective,
-                        "big": s.big,
-                    }
-                    for s in cmap.samples
-                ],
-                "plot": plot_path or None,
-            },
-        )
-
-    report, elapsed = _run(go)
-    _emit(report, elapsed if timings else None)
+                "coords": list(s.coords),
+                "smallest_q": s.smallest_q,
+                "pseudoeffective": s.pseudoeffective,
+                "big": s.big,
+            }
+            for s in cmap.samples
+        ],
+        "plot": plot_path or None,
+    }
 
 
-@main.command(name="replicate-paper")
-@click.option("--workspace", "-w", "workspace_ref", default="totaro-x", show_default=True)
-@pass_timings
-def replicate_paper(workspace_ref, timings) -> None:
+@command("replicate-paper")
+def replicate_paper(ws, workspace_ref):
     """Replay the bundled reference example end to end.
 
     Runs the full verdict suite on Totaro's 3-fold (1-nef checks, the failed
@@ -571,101 +462,70 @@ def replicate_paper(workspace_ref, timings) -> None:
     disconnected-section divisor, chamber labels) and exits 0 only when
     every expected verdict holds.
     """
+    fan = ws.fan
+    L, H, F1, F2 = (ws.divisor(name) for name in ("L", "H", "F1", "F2"))
+    checks = []
 
-    def go():
-        ws = load_workspace(workspace_ref)
-        fan = ws.fan
-        L = ws.divisors["L"]
-        H = ws.divisors["H"]
-        F1, F2 = ws.divisors["F1"], ws.divisors["F2"]
-        checks = []
-
-        def check(name, expected, actual):
-            checks.append(
-                {"name": name, "expected": expected, "actual": actual, "pass": expected == actual}
-            )
-
-        props = validate(fan)
-        check("fan smooth+complete+simplicial", (True, True, True),
-              (props.smooth, props.complete, props.simplicial))
-        check("picard rank", 3, picard_rank(fan))
-        check("H ample", True, classify_cones(H).ample)
-        q1 = decide_qample(L, 1)
-        check("L not 1-ample", False, q1.verdict)
-        check(
-            "1-ample obstruction certificate",
-            {"degree": 2, "subset": ["f3", "f4", "f5", "f6"]},
-            {
-                "degree": q1.certificate.degree,
-                "subset": _ray_names(ws, q1.certificate.subset),
-            }
-            if q1.certificate
-            else None,
-        )
-        check("positive twist L+H/2 still not 1-ample", False,
-              decide_qample(L + Fraction(1, 2) * H, 1).verdict)
-        asym = asymptotic_nonvanishing(L - Fraction(1, 100) * H, 2)
-        check("H^2 of multiples of L - eps*H nonvanishing", True, asym[0])
-        qn = is_qnef(L, 1)
-        check("L 1-nef (torus-invariant)", True, qn.verdict)
-        check("all six surface restrictions pass", 6,
-              sum(1 for _, big in qn.restrictions if not big))
-        res = restrict(L, (0,))
-        cls = class_of(res.divisor)
-        check("restriction witness m", [0, 0, -3], [int(x) for x in res.witness_m])
-        check("L|F1 class", [1, -5], [int(x) for x in cls.coords])
-        check("-L|F1 not big", False, classify_cones(-res.divisor).big)
-        stated = ToricDivisor(fan, (0, 6, -4, 2, -1, -1))
-        check("printed twisted representative not equivalent to L", False,
-              is_linearly_equivalent(L, stated)[0])
-        corrected = ToricDivisor(fan, (0, 6, 2, -4, -1, -1))
-        eq, witness, integral = is_linearly_equivalent(L, corrected)
-        check("corrected representative equivalent with integral witness",
-              (True, True), (eq, integral))
-        dsc = disconnected_section_criterion(F1 + F2)
-        check("F1+F2 has disconnected invariant section", True, dsc.applies)
-        check("h1(-m(F1+F2)) positive, m=1..4", True, all(h >= 1 for h in dsc.h1_of_negatives))
-        check("F1+F2 not 1-ample", False, decide_qample(F1 + F2, 1).verdict)
-        check("chamber label at H", 0, smallest_qample(H))
-        check("chamber label at L", 2, smallest_qample(L))
-        check("chamber label at -H", 3, smallest_qample(-H))
-        check(
-            "pseudoeffective flags (H, L, -H)",
-            (True, False, False),
-            (
-                classify_cones(H).pseudoeffective,
-                classify_cones(L).pseudoeffective,
-                classify_cones(-H).pseudoeffective,
-            ),
-        )
-        all_pass = all(c["pass"] for c in checks)
-        return (
-            _report(
-                ws,
-                "replicate-paper",
-                {"workspace": workspace_ref},
-                {"checks": checks, "all_pass": all_pass},
-            ),
-            all_pass,
+    def check(name, expected, actual):
+        checks.append(
+            {"name": name, "expected": expected, "actual": actual, "pass": expected == actual}
         )
 
-    start = time.monotonic()
-    try:
-        report, all_pass = go()
-    except WorkspaceError as exc:
-        click.echo(json.dumps({"error": {"kind": "input", "message": str(exc)}}, indent=2))
-        sys.exit(2)
-    except (ModeDisagreement, UnboundedRegion) as exc:
-        click.echo(
-            json.dumps({"error": {"kind": "internal-consistency", "message": str(exc)}}, indent=2)
-        )
-        sys.exit(3)
-    except (KeyError, ToricError) as exc:
-        click.echo(json.dumps({"error": {"kind": "input", "message": str(exc)}}, indent=2))
-        sys.exit(2)
-    _emit(report, time.monotonic() - start if timings else None)
-    if not all_pass:
-        sys.exit(1)
+    props = validate(fan)
+    check("fan smooth+complete+simplicial", (True, True, True),
+          (props.smooth, props.complete, props.simplicial))
+    check("picard rank", 3, picard_rank(fan))
+    check("H ample", True, classify_cones(H).ample)
+    q1 = decide_qample(L, 1)
+    check("L not 1-ample", False, q1.verdict)
+    check(
+        "1-ample obstruction certificate",
+        {"degree": 2, "subset": ["f3", "f4", "f5", "f6"]},
+        {
+            "degree": q1.certificate.degree,
+            "subset": _ray_names(ws, q1.certificate.subset),
+        }
+        if q1.certificate
+        else None,
+    )
+    check("positive twist L+H/2 still not 1-ample", False,
+          decide_qample(L + Fraction(1, 2) * H, 1).verdict)
+    asym = asymptotic_nonvanishing(L - Fraction(1, 100) * H, 2)
+    check("H^2 of multiples of L - eps*H nonvanishing", True, asym[0])
+    qn = is_qnef(L, 1)
+    check("L 1-nef (torus-invariant)", True, qn.verdict)
+    check("all six surface restrictions pass", 6,
+          sum(1 for _, big in qn.restrictions if not big))
+    res = restrict(L, (0,))
+    cls = class_of(res.divisor)
+    check("restriction witness m", [0, 0, -3], [int(x) for x in res.witness_m])
+    check("L|F1 class", [1, -5], [int(x) for x in cls.coords])
+    check("-L|F1 not big", False, classify_cones(-res.divisor).big)
+    stated = ToricDivisor(fan, (0, 6, -4, 2, -1, -1))
+    check("printed twisted representative not equivalent to L", False,
+          is_linearly_equivalent(L, stated)[0])
+    corrected = ToricDivisor(fan, (0, 6, 2, -4, -1, -1))
+    eq, witness, integral = is_linearly_equivalent(L, corrected)
+    check("corrected representative equivalent with integral witness",
+          (True, True), (eq, integral))
+    dsc = disconnected_section_criterion(F1 + F2)
+    check("F1+F2 has disconnected invariant section", True, dsc.applies)
+    check("h1(-m(F1+F2)) positive, m=1..4", True, all(h >= 1 for h in dsc.h1_of_negatives))
+    check("F1+F2 not 1-ample", False, decide_qample(F1 + F2, 1).verdict)
+    check("chamber label at H", 0, smallest_qample(H))
+    check("chamber label at L", 2, smallest_qample(L))
+    check("chamber label at -H", 3, smallest_qample(-H))
+    check(
+        "pseudoeffective flags (H, L, -H)",
+        (True, False, False),
+        (
+            classify_cones(H).pseudoeffective,
+            classify_cones(L).pseudoeffective,
+            classify_cones(-H).pseudoeffective,
+        ),
+    )
+    all_pass = all(c["pass"] for c in checks)
+    return {"workspace": workspace_ref}, {"checks": checks, "all_pass": all_pass}, int(not all_pass)
 
 
 if __name__ == "__main__":

@@ -216,9 +216,7 @@ def restrict(divisor: ToricDivisor, tau) -> Restriction:
     """
     fan = divisor.fan
     tau = tuple(sorted(tau))
-    if tau not in fan.cone_set:
-        raise NotACone(f"{tau} is not a cone of the fan")
-    quot, ray_map = star_quotient(fan, tau)
+    quot, ray_map = star_quotient(fan, tau)  # raises NotACone first
     if not tau:
         return Restriction(divisor, (Fraction(0),) * fan.rank, ray_map, tau)
     mat = [[Fraction(x) for x in fan.rays[i]] for i in tau]

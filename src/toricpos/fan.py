@@ -230,7 +230,8 @@ def star_quotient(fan: Fan, tau) -> tuple[Fan, dict]:
     """
     tau = tuple(sorted(tau))
     if tau not in fan.cone_set:
-        raise NotACone(f"{tau} is not a cone of the fan")
+        names = ", ".join(fan.ray_name(i) for i in tau)
+        raise NotACone(f"({names}) is not a cone of the fan")
     if not tau:
         return fan, {i: (i, 1) for i in range(fan.n_rays)}
     project = quotient_projection(fan, tau)

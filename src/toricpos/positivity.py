@@ -419,31 +419,35 @@ def _obstructs(divisor: ToricDivisor, ample: ToricDivisor, subset):
     fan = divisor.fan
     n = fan.rank
     s = set(subset)
-    strict, weak = [], []
+    strict, weak, closure = [], [], []
     for i in range(fan.n_rays):
-        row = tuple(fan.rays[i]) + (-ample.coeffs[i],)
+        u, a = fan.rays[i], divisor.coeffs[i]
+        row = (tuple(u) + (-ample.coeffs[i],), a)
         if i in s:
-            strict.append((row, divisor.coeffs[i]))
+            strict.append(row)
+            closure.append((tuple(-x for x in u), -a))
         else:
-            weak.append((row, divisor.coeffs[i]))
+            weak.append(row)
+            closure.append((u, a))
     strict.append(((Fraction(0),) * n + (Fraction(-1),), Fraction(0)))  # eps > 0
     joint = lp_strict_feasible(polyhedron(n + 1, strict=strict, weak=weak))
     if not joint.feasible:
         return None
-    closure_rows_weak = []
-    for i in range(fan.n_rays):
-        u, a = fan.rays[i], divisor.coeffs[i]
-        if i in s:
-            closure_rows_weak.append((tuple(-x for x in u), -a))
-        else:
-            closure_rows_weak.append((u, a))
-    status, _, _ = lp_optimize(
-        polyhedron(n, weak=closure_rows_weak), (Fraction(0),) * n, "max"
-    )
+    status, _, _ = lp_optimize(polyhedron(n, weak=closure), (Fraction(0),) * n, "max")
     if status != "optimal":
         return None
     eps = joint.witness[n]
     return eps, joint.witness[:n]
+
+
+def _obstructions(d: ToricDivisor, ample: ToricDivisor, index, degrees):
+    """Yield (p, S, (eps, y)) for every bad subset S of each degree p, in the
+    given order of degrees, whose region persists down to eps = 0."""
+    for p in degrees:
+        for subset, _ in index[p]:
+            hit = _obstructs(d, ample, subset)
+            if hit is not None:
+                yield p, subset, hit
 
 
 def decide_qample(
@@ -466,19 +470,10 @@ def decide_qample(
     ample = ample if ample is not None else default_ample(fan)
     d = _primitive_integral(divisor)
     index = bad_subsets(fan)
-    checked = []
-    for p in range(q + 1, fan.rank + 1):
-        for subset, _ in index[p]:
-            hit = _obstructs(d, ample, subset)
-            if hit is not None:
-                eps, direction = hit
-                cert = QAmpleCertificate(
-                    degree=p, subset=subset, epsilon=eps, direction=direction
-                )
-                return QAmpleResult(
-                    verdict=False, q=q, mode="asymptotic", certificate=cert
-                )
-            checked.append((p, subset))
+    degrees = range(q + 1, fan.rank + 1)
+    for p, subset, (eps, direction) in _obstructions(d, ample, index, degrees):
+        cert = QAmpleCertificate(degree=p, subset=subset, epsilon=eps, direction=direction)
+        return QAmpleResult(verdict=False, q=q, mode="asymptotic", certificate=cert)
     kuronya_dim = None
     if with_kuronya:
         kuronya_dim = augmented_base_locus_exact(d, ample).dimension(fan)
@@ -486,23 +481,20 @@ def decide_qample(
         verdict=True,
         q=q,
         mode="asymptotic",
-        checked=tuple(checked),
+        checked=tuple((p, subset) for p in degrees for subset, _ in index[p]),
         kuronya_dim=kuronya_dim,
     )
 
 
 def smallest_qample(divisor: ToricDivisor, ample: ToricDivisor | None = None) -> int:
-    """Least q in [0, n-1] with D q-ample, else n (every class is n-ample)."""
+    """Least q in [0, n-1] with D q-ample, else n (every class is n-ample):
+    the highest obstructed degree, or 0 when no degree is obstructed."""
     fan = divisor.fan
     ample = ample if ample is not None else default_ample(fan)
     d = _primitive_integral(divisor)
-    index = bad_subsets(fan)
-    worst = -1
-    for p in range(1, fan.rank + 1):
-        for subset, _ in index[p]:
-            if _obstructs(d, ample, subset) is not None:
-                worst = max(worst, p)
-    return worst if worst >= 0 else 0
+    degrees = range(fan.rank, 0, -1)
+    hit = next(_obstructions(d, ample, bad_subsets(fan), degrees), None)
+    return hit[0] if hit is not None else 0
 
 
 @dataclass(frozen=True)
@@ -512,6 +504,22 @@ class ScanResult:
     clean_n: int | None
     nonvanishing: tuple[tuple[int, int, int, int], ...]  # (N, j, p, h^p)
     note: str = "bounded search; cannot certify q-ampleness"
+
+
+def _nonvanishing(
+    d: ToricDivisor, ample: ToricDivisor, index, q: int, n_mult: int, twists: int
+):
+    """Yield (N, j, p) for each twist 1 <= j <= twists and degree p > q where
+    some bad subset region of N*D - j*H holds a lattice point."""
+    fan = d.fan
+    for j in range(1, twists + 1):
+        twisted = n_mult * d - j * ample
+        for p in range(q + 1, fan.rank + 1):
+            if any(
+                lattice_points(subset_region(fan, twisted.coeffs, subset), first_only=True)
+                for subset, _ in index[p]
+            ):
+                yield n_mult, j, p
 
 
 def scan_qample(
@@ -532,28 +540,20 @@ def scan_qample(
         raise ToricError(f"q = {q} must be nonnegative")
     ample = ample if ample is not None else default_ample(fan)
     d = _primitive_integral(divisor)
-    hits = []
-    clean_n = None
     index = bad_subsets(fan)
+    hits = set()
+    clean_n = None
     for n_mult in sorted(multiples, reverse=True):
-        n_clean = True
-        for j in range(1, twists + 1):
-            twisted = n_mult * d - j * ample
-            for p in range(q + 1, fan.rank + 1):
-                for subset, _ in index[p]:
-                    region = subset_region(fan, twisted.coeffs, subset)
-                    if lattice_points(region, first_only=True):
-                        hits.append((n_mult, j, p, 1))
-                        n_clean = False
-                        break
-        if n_clean:
+        found = list(_nonvanishing(d, ample, index, q, n_mult, twists))
+        if not found:
             clean_n = n_mult
             break  # one clean window already refutes the obstruction pattern
+        hits.update((*hit, 1) for hit in found)
     return ScanResult(
         obstructed=clean_n is None,
         q=q,
         clean_n=clean_n,
-        nonvanishing=tuple(sorted(set(hits))),
+        nonvanishing=tuple(sorted(hits)),
     )
 
 
@@ -570,13 +570,8 @@ def realization_search(
     d = _primitive_integral(divisor)
     index = bad_subsets(fan)
     for n_mult in sorted(multiples):
-        for j in range(1, twists + 1):
-            twisted = n_mult * d - j * ample
-            for p in range(q + 1, fan.rank + 1):
-                for subset, _ in index[p]:
-                    region = subset_region(fan, twisted.coeffs, subset)
-                    if lattice_points(region, first_only=True):
-                        return (n_mult, j, p)
+        for hit in _nonvanishing(d, ample, index, q, n_mult, twists):
+            return hit
     return None
 
 
@@ -596,9 +591,10 @@ def check_mode_agreement(
     asymptotic = decide_qample(divisor, q, ample)
     scan = scan_qample(divisor, q, ample, multiples=multiples, twists=twists)
     if scan.obstructed and asymptotic.verdict:
+        coeffs = ", ".join(map(str, divisor.coeffs))  # as the reports print them
         raise ModeDisagreement(
             f"scan found obstructions at every N <= {max(multiples)} but the "
-            f"asymptotic mode declared q = {q} ample for {divisor.coeffs}"
+            f"asymptotic mode declared q = {q} ample for [{coeffs}]"
         )
     realized = None
     if not asymptotic.verdict:

@@ -43,6 +43,8 @@ CASES = {
     "qample-q2-totaro-minus-H": [
         "qample", "-w", "totaro-x", "--divisor=-H", "--q", "2", "--mode", "both",
     ],
+    "qample-scan-q1-totaro-L": ["qample", "-w", "totaro-x", "-d", "L", "--q", "1", "--mode", "scan"],
+    "qample-scan-q2-totaro-L": ["qample", "-w", "totaro-x", "-d", "L", "--q", "2", "--mode", "scan"],
     "qnef-q0-totaro-L": ["qnef", "-w", "totaro-x", "-d", "L", "--q", "0"],
     "qnef-q1-totaro-L": ["qnef", "-w", "totaro-x", "-d", "L", "--q", "1"],
     "qnef-q1-totaro-minus-H": ["qnef", "-w", "totaro-x", "--divisor=-H", "--q", "1"],

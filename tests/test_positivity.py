@@ -224,3 +224,16 @@ def test_scan_mode_reports_pattern(totaro, totaro_L):
     assert realization_search(totaro_L, 1) == (1, 1, 2)
     clean = scan_qample(totaro_L, 2)
     assert not clean.obstructed and clean.clean_n == 12
+
+
+def test_qample_searches_agree_on_seeded_corpus(example_fans):
+    for fan in example_fans:
+        n = fan.rank
+        for d in random_divisors(fan, 10, seed="searches"):
+            least = next((q for q in range(n) if decide_qample(d, q).verdict), n)
+            assert smallest_qample(d) == least, (fan.name, d.coeffs)
+            for q in range(n):
+                scan = scan_qample(d, q)
+                if scan.obstructed:
+                    first = min(scan.nonvanishing)[:3]
+                    assert realization_search(d, q) == first, (fan.name, d.coeffs, q)

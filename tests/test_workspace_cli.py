@@ -3,7 +3,15 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from toricpos import WorkspaceError, load_workspace, parse_workspace, serialize_workspace
+from toricpos import (
+    ModeDisagreement,
+    NoStabilizationDetected,
+    UnboundedRegion,
+    WorkspaceError,
+    load_workspace,
+    parse_workspace,
+    serialize_workspace,
+)
 from toricpos.cli import main
 from toricpos.workspace import BUILTIN_WORKSPACES
 
@@ -187,15 +195,71 @@ def test_cli_input_error_exit_code():
     assert result.exit_code == 2
     result = run_cli("cohomology", "-w", "totaro-x", "-d", "UNKNOWN")
     assert result.exit_code == 2
+    named = {"restrict": ["f3", "f5"], "replicate-paper": ["unknown divisor 'L'"]}
     for args in (
         ("qnef", "-w", "p2", "-d", "H", "--q", "5"),
         ("qnef", "-w", "p2", "-d", "H", "--q", "-1"),
         ("qample", "-w", "p2", "-d", "H", "--q", "-1"),
         ("qample", "-w", "p2", "-d", "H", "--q", "-1", "--mode", "scan"),
+        ("restrict", "-w", "totaro-x", "-d", "L", "-c", "f3,f5"),
+        ("replicate-paper", "-w", "p2"),
     ):
         result = run_cli(*args)
         assert result.exit_code == 2, (args, result.output)
-        assert json.loads(result.output)["error"]["kind"] == "input"
+        error = json.loads(result.output)["error"]
+        assert error["kind"] == "input"
+        assert all(part in error["message"] for part in named.get(args[0], ())), error
+
+
+def test_cli_replicate_paper_mismatch_exits_1_after_the_report(monkeypatch):
+    import toricpos.cli
+
+    monkeypatch.setattr(toricpos.cli, "picard_rank", lambda fan: 4)
+    result = run_cli("replicate-paper")
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert payload["result"]["all_pass"] is False
+    failed = [c["name"] for c in payload["result"]["checks"] if not c["pass"]]
+    assert failed == ["picard rank"]
+
+
+@pytest.mark.parametrize("error", [ModeDisagreement, UnboundedRegion])
+def test_cli_internal_errors_exit_3(monkeypatch, error):
+    import toricpos.cli
+
+    def broken(divisor):
+        raise error("forced")
+
+    monkeypatch.setattr(toricpos.cli, "classify_cones", broken)
+    result = run_cli("classify", "-w", "totaro-x", "-d", "L")
+    assert result.exit_code == 3
+    assert json.loads(result.output)["error"] == {"kind": "internal-consistency", "message": "forced"}
+
+
+def test_cli_mode_disagreement_prints_report_coefficients():
+    result = run_cli(
+        "qample", "-w", "totaro-x", "-d", "3F1+3F2-3F3+2F4+F5+F6", "--q", "1", "--mode", "both"
+    )
+    assert result.exit_code == 3
+    error = json.loads(result.output)["error"]
+    assert error["kind"] == "internal-consistency"
+    assert "[3, 3, -3, 2, 1, 1]" in error["message"]
+    assert "Fraction" not in error["message"]
+
+
+def test_cli_no_stabilization_names_the_horizon(monkeypatch):
+    import toricpos.cli
+
+    def unstable(divisor, horizon):
+        raise NoStabilizationDetected(horizon, [(1, ((0,),))])
+
+    monkeypatch.setattr(toricpos.cli, "stable_base_locus", unstable)
+    result = run_cli("baselocus", "-w", "totaro-x", "-d", "L", "--kind", "stable", "--horizon", "2")
+    assert result.exit_code == 2
+    assert json.loads(result.output)["error"] == {
+        "kind": "input",
+        "message": "no stabilization within horizon 2; partial chain [(1, ((0,),))] (raise --horizon)",
+    }
 
 
 def test_cli_validate_roundtrip_goes_through_the_parser(monkeypatch):
