@@ -108,6 +108,11 @@ def _require_complete(fan: Fan) -> None:
         raise NotComplete("cohomology needs a complete fan")
 
 
+def _require_degree(fan: Fan, p: int) -> None:
+    if not 0 <= p <= fan.rank:
+        raise ToricError(f"degree p = {p} must lie in 0..{fan.rank}")
+
+
 @dataclass(frozen=True)
 class CohomologyTable:
     dims: tuple[int, ...]  # h^0 .. h^n
@@ -148,6 +153,7 @@ def cohomology_dims(divisor: ToricDivisor) -> CohomologyTable:
 
 
 def h_p(divisor: ToricDivisor, p: int) -> int:
+    _require_degree(divisor.fan, p)
     return cohomology_dims(divisor).dims[p]
 
 
@@ -155,6 +161,7 @@ def degree_nonzero(divisor: ToricDivisor, p: int) -> bool:
     """Does H^p(X, O(D)) contain anything? Early-exits on the first weight."""
     fan = divisor.fan
     _require_complete(fan)
+    _require_degree(fan, p)
     require_integral(divisor, "cohomology")
     for subset, _ in bad_subsets(fan)[p]:
         region = subset_region(fan, divisor.coeffs, subset)
@@ -178,6 +185,7 @@ def asymptotic_nonvanishing(divisor: ToricDivisor, p: int):
     """
     fan = divisor.fan
     _require_complete(fan)
+    _require_degree(fan, p)
     for subset, _ in bad_subsets(fan)[p]:
         feas = lp_strict_feasible(subset_region(fan, divisor.coeffs, subset))
         if feas.feasible:

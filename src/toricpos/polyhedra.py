@@ -14,6 +14,10 @@ values, certificates) are built as exact ``Fraction`` values when read.
 Strict feasibility follows the slack-variable contract: maximize t subject
 to the strict rows shifted by t (capped at 1); a positive optimum is
 equivalent to strict feasibility.
+
+Lattice enumeration bounds each coordinate by two LPs, then walks the box
+one interval per node: every integer row reads <u, y> + c <= 0, so each row
+bounds the next coordinate from one side, solved by floor division.
 """
 
 from __future__ import annotations
@@ -284,6 +288,12 @@ def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:
 
     Strict rows are honored strictly. Raises UnboundedRegion when some
     coordinate is unbounded on a region that is strictly feasible.
+
+    Rows read <u, y> + c <= 0; tails[d] is each row's least value over
+    coordinates d.. of the LP box. At depth d a row with partial sum val
+    admits the v with u[d] * v <= -val - tails[d + 1] (u[d] = 0 and a negative
+    right side prune the node); the node walks the intersection of these
+    intervals, which at the last coordinate is exactly the points below it.
     """
     n = poly.dim
     if n == 0:
@@ -306,46 +316,35 @@ def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:
         if lo[k] > hi[k]:
             return []
     strict, weak = _integer_rows(poly)
-    # rows as (coeffs, const, bound) with strict encoded as value <= -1
-    rows = [(u, c, -1) for u, c in strict] + [(u, c, None) for u, c in weak]
-    tail_min = []
-    tail_max = []
-    for u, _, _ in rows:
-        tmin = [0] * (n + 1)
-        tmax = [0] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            a, b = u[j] * lo[j], u[j] * hi[j]
-            tmin[j] = tmin[j + 1] + min(a, b)
-            tmax[j] = tmax[j + 1] + max(a, b)
-        tail_min.append(tmin)
-        tail_max.append(tmax)
+    # <u, y> + c <= -1 for strict rows, <-u, y> - c <= 0 for weak rows
+    rows = [(u, c + 1) for u, c in strict] + [([-x for x in u], -c) for u, c in weak]
+    cols = [[u[d] for u, _ in rows] for d in range(n)]
+    tails = [[0] * len(rows)]
+    for d in range(n - 1, -1, -1):
+        tails.insert(0, [t + min(a * lo[d], a * hi[d]) for t, a in zip(tails[0], cols[d])])
     out: list[tuple[int, ...]] = []
-    point = [0] * n
 
-    def walk(depth, partial):
-        if depth == n:
-            out.append(tuple(point))
-            return not first_only
-        for v in range(lo[depth], hi[depth] + 1):
-            point[depth] = v
-            vals = [p + u[depth] * v for p, (u, _, _) in zip(partial, rows)]
-            ok = True
-            for ridx, ((u, _, bound), val) in enumerate(zip(rows, vals)):
-                reach_min = val + tail_min[ridx][depth + 1]
-                reach_max = val + tail_max[ridx][depth + 1]
-                if bound is None:
-                    if reach_max < 0:
-                        ok = False
-                        break
-                else:
-                    if reach_min > bound:
-                        ok = False
-                        break
-            if ok and not walk(depth + 1, vals):
+    def walk(depth, prefix, vals):
+        v_lo, v_hi = lo[depth], hi[depth]
+        for a, val, t in zip(cols[depth], vals, tails[depth + 1]):
+            room = -val - t
+            if a > 0:
+                v_hi = min(v_hi, room // a)
+            elif a < 0:
+                v_lo = max(v_lo, -(room // -a))
+            elif room < 0:
+                return True
+        if depth == n - 1:
+            if first_only:
+                v_hi = min(v_hi, v_lo)
+            out.extend([prefix + (v,) for v in range(v_lo, v_hi + 1)])
+            return not (first_only and out)
+        for v in range(v_lo, v_hi + 1):
+            if not walk(depth + 1, prefix + (v,), [x + a * v for x, a in zip(vals, cols[depth])]):
                 return False
         return True
 
-    walk(0, [c for _, c, _ in rows])
+    walk(0, (), [c for _, c in rows])
     return out
 
 

@@ -49,6 +49,11 @@ def _require_complete(fan: Fan) -> None:
         raise NotComplete("positivity decisions need a complete fan")
 
 
+def _require_nonnegative_q(q: int) -> None:
+    if q < 0:
+        raise ToricError(f"q = {q} must be nonnegative")
+
+
 def default_ample(fan: Fan) -> ToricDivisor:
     """The anticanonical divisor, checked ample; the examples are all Fano."""
     h = anticanonical_divisor(fan)
@@ -465,8 +470,7 @@ def decide_qample(
     """
     fan = divisor.fan
     _require_complete(fan)
-    if q < 0:
-        raise ToricError(f"q = {q} must be nonnegative")
+    _require_nonnegative_q(q)
     ample = ample if ample is not None else default_ample(fan)
     d = _primitive_integral(divisor)
     index = bad_subsets(fan)
@@ -536,8 +540,7 @@ def scan_qample(
     """
     fan = divisor.fan
     _require_complete(fan)
-    if q < 0:
-        raise ToricError(f"q = {q} must be nonnegative")
+    _require_nonnegative_q(q)
     ample = ample if ample is not None else default_ample(fan)
     d = _primitive_integral(divisor)
     index = bad_subsets(fan)
@@ -566,6 +569,7 @@ def realization_search(
 ):
     """First scanned (N, j, p) with H^p(N*D - j*H) nonzero above degree q."""
     fan = divisor.fan
+    _require_nonnegative_q(q)
     ample = ample if ample is not None else default_ample(fan)
     d = _primitive_integral(divisor)
     index = bad_subsets(fan)

@@ -6,6 +6,7 @@ import pytest
 from toricpos import (
     NotIntegral,
     ToricDivisor,
+    ToricError,
     asymptotic_nonvanishing,
     canonical_divisor,
     cohomology_dims,
@@ -16,10 +17,10 @@ from toricpos import (
     section_polyhedron,
     zero_divisor,
 )
-from toricpos.cohomology import bad_subsets
+from toricpos.cohomology import bad_subsets, degree_nonzero, h_p, subset_region
 
 from .conftest import random_divisors
-from .oracles import brute_force_cohomology
+from .oracles import box_filter_lattice_points, brute_force_cohomology, certified_weight_box
 
 
 def test_reduced_cohomology_conventions(totaro, p2):
@@ -114,6 +115,29 @@ def test_brute_force_oracle_agreement(example_fans):
             assert cohomology_dims(d).dims == brute_force_cohomology(
                 fan, d.coeffs
             ), (fan.name, d.coeffs)
+
+
+def test_witness_weights_match_box_filter_in_order(totaro):
+    rng = random.Random("witness-weights")
+    for d in random_divisors(totaro, 3, lo=-2, hi=2, seed="witness-weights"):
+        kd = rng.randint(5, 8) * d
+        table = cohomology_dims(kd)
+        box = certified_weight_box(totaro, kd.coeffs)
+        assert table.witnesses, kd.coeffs
+        for subset, weights, _ in table.witnesses:
+            region = subset_region(totaro, kd.coeffs, subset)
+            assert list(weights) == box_filter_lattice_points(region, box), (kd.coeffs, subset)
+
+
+def test_degree_outside_zero_to_n_is_rejected(p2):
+    h = ToricDivisor(p2, (1, 1, 1))
+    for p in (-1, 3):
+        with pytest.raises(ToricError, match="degree"):
+            h_p(-3 * h, p)
+        with pytest.raises(ToricError, match="degree"):
+            degree_nonzero(-3 * h, p)
+        with pytest.raises(ToricError, match="degree"):
+            asymptotic_nonvanishing(-1 * h, p)
 
 
 def test_asymptotic_nonvanishing_on_p1(p1):

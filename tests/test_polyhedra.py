@@ -138,6 +138,43 @@ def test_three_dimensional_box_filter_agreement():
     assert lattice_points(p) == expected
 
 
+coefficient = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+constant = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=3))
+
+
+@st.composite
+def windowed_polyhedra(draw):
+    """A polyhedron in 3 or 4 dimensions inside the window |y_k| <= 2, with
+    one strict and one weak row that ignore a drawn coordinate."""
+    dim = draw(st.sampled_from((3, 4)))
+
+    def row():
+        return tuple(draw(coefficient) for _ in range(dim)), draw(constant)
+
+    strict = [row() for _ in range(draw(st.integers(0, 3)))]
+    weak = [row() for _ in range(draw(st.integers(0, 3)))]
+    for rows in (strict, weak):
+        (u, c), k = row(), draw(st.integers(0, dim - 1))
+        rows.append((u[:k] + (0,) + u[k + 1 :], c))
+    for k in range(dim):
+        for sign in (1, -1):
+            weak.append((tuple(sign if j == k else 0 for j in range(dim)), 2))
+    return polyhedron(dim, strict=strict, weak=weak), [(-2, 2)] * dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(windowed_polyhedra())
+def test_lattice_points_match_box_filter_in_three_and_four_dimensions(drawn):
+    p, box = drawn
+    points = lattice_points(p)
+    assert points == box_filter_lattice_points(p, box)
+    assert lattice_points(p, first_only=True) == points[:1]
+
+
 def test_zero_dimensional_polyhedra():
     assert lattice_points(polyhedron(0, weak=[((), 0)])) == [()]
     assert lattice_points(polyhedron(0, strict=[((), 0)])) == []

@@ -3,6 +3,7 @@ import pytest
 from toricpos import (
     NotEffectiveSupport,
     ToricDivisor,
+    ToricError,
     augmented_base_locus,
     augmented_base_locus_exact,
     base_locus,
@@ -237,3 +238,10 @@ def test_qample_searches_agree_on_seeded_corpus(example_fans):
                 if scan.obstructed:
                     first = min(scan.nonvanishing)[:3]
                     assert realization_search(d, q) == first, (fan.name, d.coeffs, q)
+
+
+def test_qample_entry_points_reject_negative_q(p2):
+    h = ToricDivisor(p2, (1, 1, 1))
+    for search in (decide_qample, scan_qample, realization_search):
+        with pytest.raises(ToricError, match="nonnegative"):
+            search(h, -1)
