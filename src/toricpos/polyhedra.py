@@ -289,11 +289,12 @@ def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:
     Strict rows are honored strictly. Raises UnboundedRegion when some
     coordinate is unbounded on a region that is strictly feasible.
 
-    Rows read <u, y> + c <= 0; tails[d] is each row's least value over
-    coordinates d.. of the LP box. At depth d a row with partial sum val
-    admits the v with u[d] * v <= -val - tails[d + 1] (u[d] = 0 and a negative
-    right side prune the node); the node walks the intersection of these
-    intervals, which at the last coordinate is exactly the points below it.
+    Rows read <u, y> + c <= 0 and tails[d] holds their least values over
+    coordinates d.. of the LP box. A node at depth d admits the v with
+    u[d] * v <= -val - tails[d + 1] for each row's partial sum val (u[d] = 0
+    with a negative right side prunes it) and walks that interval; at the last
+    coordinate it is exactly the points below the node. The stack is explicit
+    because a recursive closure forms a cycle that keeps the answer alive.
     """
     n = poly.dim
     if n == 0:
@@ -323,8 +324,10 @@ def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:
     for d in range(n - 1, -1, -1):
         tails.insert(0, [t + min(a * lo[d], a * hi[d]) for t, a in zip(tails[0], cols[d])])
     out: list[tuple[int, ...]] = []
-
-    def walk(depth, prefix, vals):
+    stack = [((), [c for _, c in rows])]  # (prefix, partial sums); popped in lex order
+    while stack:
+        prefix, vals = stack.pop()
+        depth = len(prefix)
         v_lo, v_hi = lo[depth], hi[depth]
         for a, val, t in zip(cols[depth], vals, tails[depth + 1]):
             room = -val - t
@@ -333,18 +336,15 @@ def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:
             elif a < 0:
                 v_lo = max(v_lo, -(room // -a))
             elif room < 0:
-                return True
-        if depth == n - 1:
-            if first_only:
-                v_hi = min(v_hi, v_lo)
+                v_hi = v_lo - 1  # the later rows keep it empty
+        if depth < n - 1:
+            col = cols[depth]
+            stack.extend((prefix + (v,), [x + a * v for x, a in zip(vals, col)])
+                         for v in range(v_hi, v_lo - 1, -1))
+        elif first_only and v_lo <= v_hi:
+            return [prefix + (v_lo,)]
+        else:
             out.extend([prefix + (v,) for v in range(v_lo, v_hi + 1)])
-            return not (first_only and out)
-        for v in range(v_lo, v_hi + 1):
-            if not walk(depth + 1, prefix + (v,), [x + a * v for x, a in zip(vals, cols[depth])]):
-                return False
-        return True
-
-    walk(0, (), [c for _, c in rows])
     return out
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -173,6 +174,20 @@ def test_lattice_points_match_box_filter_in_three_and_four_dimensions(drawn):
     points = lattice_points(p)
     assert points == box_filter_lattice_points(p, box)
     assert lattice_points(p, first_only=True) == points[:1]
+
+
+def test_lattice_points_leaves_no_reference_cycle():
+    # a cycle through the walk would keep every answer alive until a full collection
+    p = polyhedron(3, weak=[(tuple(s if j == k else 0 for j in range(3)), 4)
+                            for k in range(3) for s in (1, -1)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(lattice_points(p)) == 9**3
+        assert lattice_points(p, first_only=True) == [(-4, -4, -4)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_zero_dimensional_polyhedra():
