@@ -144,7 +144,10 @@ coefficient = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
 )
-constant = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=3))
+constant = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=3),
+)
 
 
 @st.composite
