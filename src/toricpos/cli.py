@@ -37,12 +37,14 @@ from .errors import (
 from .fan import validate
 from .positivity import (
     augmented_base_locus,
+    augmented_base_locus_exact,
     base_locus,
     chamber_scan,
     check_mode_agreement,
     classify_cones,
     decide_qample,
     disconnected_section_criterion,
+    is_big,
     is_qnef,
     scan_qample,
     smallest_qample,
@@ -267,19 +269,8 @@ def qample(ws, workspace_ref, divisor, q, mode, scan_max_n, scan_twists):
     """Decide q-amplitude (asymptotic mode is authoritative; scan is an oracle)."""
     d = ws.divisor(divisor)
     multiples = tuple(range(1, scan_max_n + 1))
+    args = {"divisor": divisor, "q": q, "mode": mode}
     result: dict = {"coefficients": list(d.coeffs), "q": q, "mode": mode}
-    if mode in ("asymptotic", "both"):
-        res = decide_qample(d, q, with_kuronya=True)
-        result["verdict"] = res.verdict
-        result["kuronya_dim_b_plus"] = res.kuronya_dim
-        if res.certificate:
-            cert = res.certificate
-            result["certificate"] = {
-                "degree": cert.degree,
-                "subset": _ray_names(ws, cert.subset),
-                "epsilon": cert.epsilon,
-                "direction": list(cert.direction),
-            }
     if mode == "scan":
         scan = scan_qample(d, q, multiples=multiples, twists=scan_twists)
         result["scan"] = {
@@ -288,14 +279,31 @@ def qample(ws, workspace_ref, divisor, q, mode, scan_max_n, scan_twists):
             "nonvanishing": [list(x) for x in scan.nonvanishing],
             "note": scan.note,
         }
+        return args, result
     if mode == "both":
         agreement = check_mode_agreement(d, q, multiples=multiples, twists=scan_twists)
+        res = agreement["asymptotic"]
         result["scan"] = {
             "obstructed_pattern": agreement["scan"].obstructed,
             "clean_multiple": agreement["scan"].clean_n,
             "realized": agreement["realized"],
         }
-    return {"divisor": divisor, "q": q, "mode": mode}, result
+    else:
+        res = decide_qample(d, q)
+    result["verdict"] = res.verdict
+    # B+ is invariant under positive scaling, so the class need not be primitive
+    result["kuronya_dim_b_plus"] = (
+        augmented_base_locus_exact(d).dimension(ws.fan) if res.verdict else None
+    )
+    if res.certificate:
+        cert = res.certificate
+        result["certificate"] = {
+            "degree": cert.degree,
+            "subset": _ray_names(ws, cert.subset),
+            "epsilon": cert.epsilon,
+            "direction": list(cert.direction),
+        }
+    return args, result
 
 
 @command("qnef")
@@ -364,7 +372,7 @@ def restrict_cmd(ws, workspace_ref, divisor, cone):
         "coefficients": list(res.divisor.coeffs),
         "psi_values": list(res.divisor.psi_values(ws.sign_convention)),
         "class": list(class_of(res.divisor).coords),
-        "negative_restriction_big": classify_cones(-res.divisor).big,
+        "negative_restriction_big": is_big(-res.divisor),
     }
 
 
@@ -500,7 +508,7 @@ def replicate_paper(ws, workspace_ref):
     cls = class_of(res.divisor)
     check("restriction witness m", [0, 0, -3], [int(x) for x in res.witness_m])
     check("L|F1 class", [1, -5], [int(x) for x in cls.coords])
-    check("-L|F1 not big", False, classify_cones(-res.divisor).big)
+    check("-L|F1 not big", False, is_big(-res.divisor))
     stated = ToricDivisor(fan, (0, 6, -4, 2, -1, -1))
     check("printed twisted representative not equivalent to L", False,
           is_linearly_equivalent(L, stated)[0])

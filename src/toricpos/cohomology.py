@@ -109,6 +109,8 @@ def _require_complete(fan: Fan) -> None:
 
 
 def _require_degree(fan: Fan, p: int) -> None:
+    """A complete fan and a degree p in 0..n."""
+    _require_complete(fan)
     if not 0 <= p <= fan.rank:
         raise ToricError(f"degree p = {p} must lie in 0..{fan.rank}")
 
@@ -127,47 +129,47 @@ class CohomologyTable:
         return sum((-1) ** p * d for p, d in enumerate(self.dims))
 
 
+def _degree_regions(divisor: ToricDivisor, p: int, first_only=False):
+    """Yield (subset, lattice points, complex dim) for each bad subset of
+    degree p whose weight region holds a lattice point."""
+    fan = divisor.fan
+    for subset, dim in bad_subsets(fan)[p]:
+        region = subset_region(fan, divisor.coeffs, subset)
+        try:
+            points = lattice_points(region, first_only=first_only)
+        except UnboundedRegion as exc:
+            raise UnboundedRegion(
+                f"region for subset {subset} unbounded on a complete fan; "
+                f"internal consistency failure: {exc}"
+            ) from exc
+        if points:
+            yield subset, tuple(points), dim
+
+
 def cohomology_dims(divisor: ToricDivisor) -> CohomologyTable:
     """Dimensions of H^0..H^n(X, O(D)) with per-weight witnesses."""
-    fan = divisor.fan
-    _require_complete(fan)
+    _require_complete(divisor.fan)
     require_integral(divisor, "cohomology")
-    n = fan.rank
-    index = bad_subsets(fan)
-    dims = [0] * (n + 1)
-    witnesses = []
-    for p in range(n + 1):
-        for subset, dim in index[p]:
-            region = subset_region(fan, divisor.coeffs, subset)
-            try:
-                points = lattice_points(region)
-            except UnboundedRegion as exc:
-                raise UnboundedRegion(
-                    f"region for subset {subset} unbounded on a complete fan; "
-                    f"internal consistency failure: {exc}"
-                ) from exc
-            if points:
-                dims[p] += dim * len(points)
-                witnesses.append((subset, tuple(points), dim))
+    dims, witnesses = [], []
+    for p in range(divisor.fan.rank + 1):
+        found = list(_degree_regions(divisor, p))
+        dims.append(sum(dim * len(points) for _, points, dim in found))
+        witnesses.extend(found)
     return CohomologyTable(dims=tuple(dims), witnesses=tuple(witnesses))
 
 
 def h_p(divisor: ToricDivisor, p: int) -> int:
+    """dim H^p(X, O(D)), enumerating only the bad subsets of degree p."""
     _require_degree(divisor.fan, p)
-    return cohomology_dims(divisor).dims[p]
+    require_integral(divisor, "cohomology")
+    return sum(dim * len(points) for _, points, dim in _degree_regions(divisor, p))
 
 
 def degree_nonzero(divisor: ToricDivisor, p: int) -> bool:
     """Does H^p(X, O(D)) contain anything? Early-exits on the first weight."""
-    fan = divisor.fan
-    _require_complete(fan)
-    _require_degree(fan, p)
+    _require_degree(divisor.fan, p)
     require_integral(divisor, "cohomology")
-    for subset, _ in bad_subsets(fan)[p]:
-        region = subset_region(fan, divisor.coeffs, subset)
-        if lattice_points(region, first_only=True):
-            return True
-    return False
+    return any(_degree_regions(divisor, p, first_only=True))
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,6 @@ def asymptotic_nonvanishing(divisor: ToricDivisor, p: int):
     satisfying the strict rows strictly. Returns (verdict, witness or None).
     """
     fan = divisor.fan
-    _require_complete(fan)
     _require_degree(fan, p)
     for subset, _ in bad_subsets(fan)[p]:
         feas = lp_strict_feasible(subset_region(fan, divisor.coeffs, subset))

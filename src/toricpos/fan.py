@@ -34,13 +34,6 @@ class RaySubcomplex:
     vertices: tuple[int, ...]
     faces: tuple[tuple[int, ...], ...]  # sorted tuples, all dims, no empty face
 
-    def faces_of_dim(self, k: int) -> list[tuple[int, ...]]:
-        return [f for f in self.faces if len(f) == k + 1]
-
-    @property
-    def dim(self) -> int:
-        return max((len(f) for f in self.faces), default=0) - 1
-
 
 @dataclass(frozen=True)
 class Fan:

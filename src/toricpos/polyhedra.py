@@ -40,9 +40,6 @@ class Polyhedron:
     strict: tuple[Row, ...] = ()
     weak: tuple[Row, ...] = ()
 
-    def closure(self) -> "Polyhedron":
-        return Polyhedron(self.dim, (), self.weak + self.strict)
-
     def satisfied_by(self, point) -> bool:
         pt = [Fraction(x) for x in point]
         if len(pt) != self.dim:
@@ -210,14 +207,13 @@ def lp_free_max(a_rows, b_vals, cost):
     return "optimal", y, value
 
 
-def _leq_rows(poly: Polyhedron, relax_strict=True):
-    """Polyhedron rows as (coeffs, rhs) pairs meaning coeffs.y <= rhs."""
+def _leq_rows(poly: Polyhedron):
+    """Closure rows as (coeffs, rhs) pairs meaning coeffs.y <= rhs."""
     rows = []
     for u, c in poly.weak:
         rows.append(([-x for x in u], c))
-    if relax_strict:
-        for u, c in poly.strict:
-            rows.append((list(u), -c))
+    for u, c in poly.strict:
+        rows.append((list(u), -c))
     return rows
 
 

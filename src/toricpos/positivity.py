@@ -1,13 +1,21 @@
 """Cone membership, base loci, q-nef and q-ample decisions, chamber scans.
 
-All decisions are exact. The q-ample procedure uses the openness of the
-q-ample cone: D fails to be q-ample exactly when, for some degree p > q and
-some bad ray subset S, the region Q_S(D - eps*H) stays strictly feasible for
-arbitrarily small eps > 0. Per subset the feasible eps-set is the projection
-of a polyhedron in (y, eps), hence convex, so "arbitrarily small" reduces to
-two LPs: strict feasibility of the joint system with eps > 0, and weak
-feasibility of its eps = 0 closure. Boundary classes are therefore
-classified not-q-ample, matching the open cone.
+All decisions are exact, and each cone question has one LP path:
+
+* ``_face_nonempty(D, tau)``: is the tau-tight face of the rational polytope
+  P_D nonempty? For tau = () this is pseudoeffectivity; over all cones tau
+  it gives the stable base locus.
+* ``is_big(D)``: does P_D have interior points? One strict-feasibility LP.
+* ``_persists(D, H, strict, tight)``: does the region of D - eps*H with the
+  rows in ``strict`` strict, those in ``tight`` tight and the rest weak stay
+  nonempty for arbitrarily small eps > 0? The feasible eps-set is the
+  projection of a polyhedron in (y, eps), hence convex, so this is two LPs:
+  the joint system with eps > 0, and its eps = 0 closure.
+
+By the openness of the q-ample cone, D fails to be q-ample exactly when the
+region persists for some degree p > q with a bad ray subset S strict, so
+boundary classes are not q-ample. A cone tau escapes the augmented base
+locus B+(D) exactly when the region persists with tau tight.
 """
 
 from __future__ import annotations
@@ -47,11 +55,6 @@ from .polyhedra import (
 def _require_complete(fan: Fan) -> None:
     if not fan.properties.complete:
         raise NotComplete("positivity decisions need a complete fan")
-
-
-def _require_nonnegative_q(q: int) -> None:
-    if q < 0:
-        raise ToricError(f"q = {q} must be nonnegative")
 
 
 def default_ample(fan: Fan) -> ToricDivisor:
@@ -99,13 +102,9 @@ def classify_cones(divisor: ToricDivisor) -> ConeFlags:
                 negative_wall = w
         elif d == 0:
             ample = False
-    pd = section_polyhedron(divisor)
-    status, _, _ = lp_optimize(pd, (Fraction(0),) * fan.rank, "max")
-    pseudoeffective = status == "optimal"
-    big = lp_strict_feasible(
-        polyhedron(fan.rank, strict=[(tuple(-x for x in u), -c) for u, c in pd.weak])
-    ).feasible
-    effective = pseudoeffective and integral_point_exists(pd)
+    pseudoeffective = _face_nonempty(divisor, ())
+    big = is_big(divisor)
+    effective = pseudoeffective and integral_point_exists(section_polyhedron(divisor))
     return ConeFlags(
         nef=nef,
         ample=ample,
@@ -114,6 +113,14 @@ def classify_cones(divisor: ToricDivisor) -> ConeFlags:
         pseudoeffective=pseudoeffective,
         negative_wall=negative_wall,
     )
+
+
+def is_big(divisor: ToricDivisor) -> bool:
+    """D is big iff P_D has interior points: one strict-feasibility LP."""
+    fan = divisor.fan
+    _require_complete(fan)
+    strict = [(tuple(-x for x in fan.rays[i]), -divisor.coeffs[i]) for i in range(fan.n_rays)]
+    return lp_strict_feasible(polyhedron(fan.rank, strict=strict)).feasible
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +185,13 @@ def _face_region(divisor: ToricDivisor, tau) -> Polyhedron:
     return polyhedron(fan.rank, weak=weak)
 
 
+def _face_nonempty(divisor: ToricDivisor, tau) -> bool:
+    """Is the tau-tight face of the rational polytope P_D nonempty?"""
+    zero = (Fraction(0),) * divisor.fan.rank
+    status, _, _ = lp_optimize(_face_region(divisor, tau), zero, "max")
+    return status == "optimal"
+
+
 def _base_locus_cone_set(divisor: ToricDivisor) -> tuple[set, bool]:
     """All cones tau with no section weight tight on tau (Bs of |D|)."""
     fan = divisor.fan
@@ -208,12 +222,7 @@ def stable_base_locus_exact(divisor: ToricDivisor) -> BaseLocusReport:
     point scales to a tight integral weight of some multiple)."""
     fan = divisor.fan
     _require_complete(fan)
-    bad = set()
-    zero = (Fraction(0),) * fan.rank
-    for tau in fan.cones:
-        status, _, _ = lp_optimize(_face_region(divisor, tau), zero, "max")
-        if status != "optimal":
-            bad.add(tau)
+    bad = {tau for tau in fan.cones if not _face_nonempty(divisor, tau)}
     return BaseLocusReport(minimal_cones=_minimalize(bad))
 
 
@@ -265,25 +274,36 @@ def stable_base_locus(divisor: ToricDivisor, horizon: int = 24) -> BaseLocusRepo
     raise NoStabilizationDetected(horizon, chain)
 
 
-def _augmented_escapes(divisor: ToricDivisor, ample: ToricDivisor, tau) -> bool:
-    """tau escapes B+(D) iff the tau-tight face of P_(D - eps*H) is nonempty
-    for arbitrarily small eps > 0: joint strict system plus its eps = 0
-    closure, both exact LPs (the feasible eps-set is convex)."""
-    fan = divisor.fan
+def _persists(d: ToricDivisor, ample: ToricDivisor, strict=(), tight=()):
+    """Does the region of D - eps*H with the rows in ``strict`` strict (< 0),
+    those in ``tight`` tight (= 0) and the rest weak (>= 0) stay nonempty for
+    arbitrarily small eps > 0? Returns an (eps, y) witness or None. By
+    convexity of the feasible eps-set this holds iff the joint system in
+    (y, eps) with eps > 0 is strictly feasible and its eps = 0 closure is
+    weakly feasible."""
+    fan = d.fan
     n = fan.rank
-    weak, strict = [], []
+    joint_strict, joint_weak, closure = [], [], []
     for i in range(fan.n_rays):
-        row = tuple(fan.rays[i]) + (-ample.coeffs[i],)
-        weak.append((row, divisor.coeffs[i]))
-        if i in tau:
-            weak.append((tuple(-x for x in row), -divisor.coeffs[i]))
-    strict.append(((Fraction(0),) * n + (Fraction(-1),), Fraction(0)))  # eps > 0
-    joint = polyhedron(n + 1, strict=strict, weak=weak)
-    if not lp_strict_feasible(joint).feasible:
-        return False
-    at_zero = _face_region(divisor, tau)
-    status, _, _ = lp_optimize(at_zero, (Fraction(0),) * n, "max")
-    return status == "optimal"
+        u, a = fan.rays[i], d.coeffs[i]
+        row, flipped = tuple(u) + (-ample.coeffs[i],), (tuple(-x for x in u), -a)
+        if i in strict:
+            joint_strict.append((row, a))
+            closure.append(flipped)
+        else:
+            joint_weak.append((row, a))
+            closure.append((u, a))
+            if i in tight:
+                joint_weak.append((tuple(-x for x in row), -a))
+                closure.append(flipped)
+    joint_strict.append(((0,) * n + (-1,), 0))  # eps > 0
+    joint = lp_strict_feasible(polyhedron(n + 1, strict=joint_strict, weak=joint_weak))
+    if not joint.feasible:
+        return None
+    status, _, _ = lp_optimize(polyhedron(n, weak=closure), (Fraction(0),) * n, "max")
+    if status != "optimal":
+        return None
+    return joint.witness[n], joint.witness[:n]
 
 
 def augmented_base_locus_exact(
@@ -295,9 +315,7 @@ def augmented_base_locus_exact(
     ample = ample if ample is not None else default_ample(fan)
     if not is_ample(ample):
         raise ToricError("augmented base locus needs an ample reference divisor")
-    bad = {
-        tau for tau in fan.cones if not _augmented_escapes(divisor, ample, tau)
-    }
+    bad = {tau for tau in fan.cones if _persists(divisor, ample, tight=tau) is None}
     return BaseLocusReport(minimal_cones=_minimalize(bad))
 
 
@@ -312,8 +330,6 @@ def augmented_base_locus(
     _require_complete(fan)
     require_integral(divisor, "augmented base locus")
     ample = ample if ample is not None else default_ample(fan)
-    if not is_ample(ample):
-        raise ToricError("augmented base locus needs an ample reference divisor")
     exact = augmented_base_locus_exact(divisor, ample)
     chain = []
     previous = None
@@ -367,7 +383,7 @@ def is_qnef(divisor: ToricDivisor, q: int) -> QnefResult:
         if len(tau) != size:
             continue
         restricted = restrict(divisor, tau)
-        negative_big = classify_cones(-restricted.divisor).big
+        negative_big = is_big(-restricted.divisor)
         rows.append((tau, negative_big))
         if negative_big and witness is None:
             witness = tau
@@ -396,7 +412,6 @@ class QAmpleResult:
     mode: str
     certificate: QAmpleCertificate | None = None
     checked: tuple = ()
-    kuronya_dim: int | None = None
 
 
 def _primitive_integral(divisor: ToricDivisor) -> ToricDivisor:
@@ -414,52 +429,29 @@ def _primitive_integral(divisor: ToricDivisor) -> ToricDivisor:
     return ToricDivisor(divisor.fan, tuple(Fraction(x) for x in ints))
 
 
-def _obstructs(divisor: ToricDivisor, ample: ToricDivisor, subset):
-    """Is Q_S(D - eps*H) strictly feasible for arbitrarily small eps > 0?
-
-    Returns a (eps, y) witness or None. Convexity of the feasible eps-set
-    turns 'arbitrarily small' into: (A) the joint mixed system with eps > 0
-    is strictly feasible, and (B) its eps = 0 closure is weakly feasible.
-    """
-    fan = divisor.fan
-    n = fan.rank
-    s = set(subset)
-    strict, weak, closure = [], [], []
-    for i in range(fan.n_rays):
-        u, a = fan.rays[i], divisor.coeffs[i]
-        row = (tuple(u) + (-ample.coeffs[i],), a)
-        if i in s:
-            strict.append(row)
-            closure.append((tuple(-x for x in u), -a))
-        else:
-            weak.append(row)
-            closure.append((u, a))
-    strict.append(((Fraction(0),) * n + (Fraction(-1),), Fraction(0)))  # eps > 0
-    joint = lp_strict_feasible(polyhedron(n + 1, strict=strict, weak=weak))
-    if not joint.feasible:
-        return None
-    status, _, _ = lp_optimize(polyhedron(n, weak=closure), (Fraction(0),) * n, "max")
-    if status != "optimal":
-        return None
-    eps = joint.witness[n]
-    return eps, joint.witness[:n]
-
-
 def _obstructions(d: ToricDivisor, ample: ToricDivisor, index, degrees):
     """Yield (p, S, (eps, y)) for every bad subset S of each degree p, in the
     given order of degrees, whose region persists down to eps = 0."""
     for p in degrees:
         for subset, _ in index[p]:
-            hit = _obstructs(d, ample, subset)
+            hit = _persists(d, ample, strict=subset)
             if hit is not None:
                 yield p, subset, hit
 
 
+def _setup(divisor: ToricDivisor, q: int, ample: ToricDivisor | None):
+    """Checks and inputs shared by the q-ample searches: the primitive
+    integral class, the ample class (-K unless given) and the subset index."""
+    fan = divisor.fan
+    _require_complete(fan)
+    if q < 0:
+        raise ToricError(f"q = {q} must be nonnegative")
+    ample = ample if ample is not None else default_ample(fan)
+    return _primitive_integral(divisor), ample, bad_subsets(fan)
+
+
 def decide_qample(
-    divisor: ToricDivisor,
-    q: int,
-    ample: ToricDivisor | None = None,
-    with_kuronya: bool = False,
+    divisor: ToricDivisor, q: int, ample: ToricDivisor | None = None
 ) -> QAmpleResult:
     """Authoritative (asymptotic) q-ample decision.
 
@@ -468,36 +460,25 @@ def decide_qample(
     rational (eps, y) sample on failure; on success every (p, S) pair is
     listed with the LP that rules it out.
     """
-    fan = divisor.fan
-    _require_complete(fan)
-    _require_nonnegative_q(q)
-    ample = ample if ample is not None else default_ample(fan)
-    d = _primitive_integral(divisor)
-    index = bad_subsets(fan)
-    degrees = range(q + 1, fan.rank + 1)
+    d, ample, index = _setup(divisor, q, ample)
+    degrees = range(q + 1, divisor.fan.rank + 1)
     for p, subset, (eps, direction) in _obstructions(d, ample, index, degrees):
         cert = QAmpleCertificate(degree=p, subset=subset, epsilon=eps, direction=direction)
         return QAmpleResult(verdict=False, q=q, mode="asymptotic", certificate=cert)
-    kuronya_dim = None
-    if with_kuronya:
-        kuronya_dim = augmented_base_locus_exact(d, ample).dimension(fan)
     return QAmpleResult(
         verdict=True,
         q=q,
         mode="asymptotic",
         checked=tuple((p, subset) for p in degrees for subset, _ in index[p]),
-        kuronya_dim=kuronya_dim,
     )
 
 
 def smallest_qample(divisor: ToricDivisor, ample: ToricDivisor | None = None) -> int:
     """Least q in [0, n-1] with D q-ample, else n (every class is n-ample):
     the highest obstructed degree, or 0 when no degree is obstructed."""
-    fan = divisor.fan
-    ample = ample if ample is not None else default_ample(fan)
-    d = _primitive_integral(divisor)
-    degrees = range(fan.rank, 0, -1)
-    hit = next(_obstructions(d, ample, bad_subsets(fan), degrees), None)
+    d, ample, index = _setup(divisor, 0, ample)
+    degrees = range(divisor.fan.rank, 0, -1)
+    hit = next(_obstructions(d, ample, index, degrees), None)
     return hit[0] if hit is not None else 0
 
 
@@ -538,12 +519,7 @@ def scan_qample(
     'Obstructed' means every scanned N shows some nonvanishing group above
     degree q for some 1 <= j <= twists; a clean N disproves the pattern.
     """
-    fan = divisor.fan
-    _require_complete(fan)
-    _require_nonnegative_q(q)
-    ample = ample if ample is not None else default_ample(fan)
-    d = _primitive_integral(divisor)
-    index = bad_subsets(fan)
+    d, ample, index = _setup(divisor, q, ample)
     hits = set()
     clean_n = None
     for n_mult in sorted(multiples, reverse=True):
@@ -568,11 +544,7 @@ def realization_search(
     twists: int = 4,
 ):
     """First scanned (N, j, p) with H^p(N*D - j*H) nonzero above degree q."""
-    fan = divisor.fan
-    _require_nonnegative_q(q)
-    ample = ample if ample is not None else default_ample(fan)
-    d = _primitive_integral(divisor)
-    index = bad_subsets(fan)
+    d, ample, index = _setup(divisor, q, ample)
     for n_mult in sorted(multiples):
         for hit in _nonvanishing(d, ample, index, q, n_mult, twists):
             return hit
@@ -590,8 +562,7 @@ def check_mode_agreement(
     bounded scan exhibits an obstruction pattern the asymptotic mode missed.
     Also reports whether an asymptotic failure certificate is realized by a
     scanned nonvanishing group."""
-    fan = divisor.fan
-    ample = ample if ample is not None else default_ample(fan)
+    _, ample, _ = _setup(divisor, q, ample)
     asymptotic = decide_qample(divisor, q, ample)
     scan = scan_qample(divisor, q, ample, multiples=multiples, twists=twists)
     if scan.obstructed and asymptotic.verdict:
@@ -727,13 +698,12 @@ def chamber_scan(
     for i in range(-resolution, resolution + 1):
         for j in range(-resolution, resolution + 1):
             d = origin + i * dir1 + j * dir2
-            flags = classify_cones(d)
             samples.append(
                 ChamberSample(
                     coords=(i, j),
                     smallest_q=smallest_qample(d, ample),
-                    pseudoeffective=flags.pseudoeffective,
-                    big=flags.big,
+                    pseudoeffective=_face_nonempty(d, ()),
+                    big=is_big(d),
                 )
             )
     return ChamberMap(resolution=resolution, samples=tuple(samples))

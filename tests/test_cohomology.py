@@ -129,6 +129,26 @@ def test_witness_weights_match_box_filter_in_order(totaro):
             assert list(weights) == box_filter_lattice_points(region, box), (kd.coeffs, subset)
 
 
+def test_h_p_walks_only_the_subsets_of_its_degree(monkeypatch, example_fans):
+    import toricpos.cohomology
+
+    calls = []
+
+    def counting(poly, first_only=False):
+        calls.append(poly)
+        return lattice_points(poly, first_only=first_only)
+
+    monkeypatch.setattr(toricpos.cohomology, "lattice_points", counting)
+    for fan in example_fans:
+        index = bad_subsets(fan)
+        for d in random_divisors(fan, 4, seed="h_p"):
+            dims = cohomology_dims(d).dims
+            for p in range(fan.rank + 1):
+                calls.clear()
+                assert h_p(d, p) == dims[p], (fan.name, d.coeffs, p)
+                assert len(calls) == len(index[p]), (fan.name, d.coeffs, p)
+
+
 def test_degree_outside_zero_to_n_is_rejected(p2):
     h = ToricDivisor(p2, (1, 1, 1))
     for p in (-1, 3):

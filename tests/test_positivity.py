@@ -1,6 +1,8 @@
 import pytest
 
 from toricpos import (
+    Fan,
+    NotComplete,
     NotEffectiveSupport,
     ToricDivisor,
     ToricError,
@@ -245,3 +247,13 @@ def test_qample_entry_points_reject_negative_q(p2):
     for search in (decide_qample, scan_qample, realization_search):
         with pytest.raises(ToricError, match="nonnegative"):
             search(h, -1)
+
+
+def test_qample_entry_points_reject_an_incomplete_fan(totaro):
+    partial = Fan(3, totaro.rays, tuple(c for c in totaro.max_cones if c != (0, 2, 3)))
+    d = ToricDivisor(partial, (1,) * partial.n_rays)
+    searches = (decide_qample, scan_qample, realization_search, check_mode_agreement,
+                lambda d, q: smallest_qample(d))
+    for search in searches:
+        with pytest.raises(NotComplete):
+            search(d, 1)

@@ -120,9 +120,22 @@ def test_cli_qample_certificate():
     assert payload["result"]["certificate"]["subset"] == ["f3", "f4", "f5", "f6"]
 
 
-def test_cli_qample_both_modes():
+def test_cli_qample_both_modes(monkeypatch):
+    import toricpos.cli
+    import toricpos.positivity
+
+    decide = toricpos.positivity.decide_qample
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(toricpos.cli, "decide_qample", counting)
+    monkeypatch.setattr(toricpos.positivity, "decide_qample", counting)
     result = run_cli("qample", "-w", "totaro-x", "-d", "L", "--q", "1", "--mode", "both")
     assert result.exit_code == 0
+    assert len(calls) == 1  # the verdict comes from the mode agreement check
     payload = json.loads(result.output)
     assert payload["result"]["scan"]["obstructed_pattern"] is True
     assert payload["result"]["scan"]["realized"] == [1, 1, 2]
