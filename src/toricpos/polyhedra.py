@@ -15,15 +15,19 @@ Strict feasibility follows the slack-variable contract: maximize t subject
 to the strict rows shifted by t (capped at 1); a positive optimum is
 equivalent to strict feasibility.
 
-Lattice enumeration bounds each coordinate by two LPs, then walks the box
-one interval per node: every integer row reads <u, y> + c <= 0, so each row
-bounds the next coordinate from one side, solved by floor division.
+Lattice enumeration bounds each coordinate without an LP: the closure's
+Fourier-Motzkin projection onto that coordinate depends only on the row
+normals and is built once per normals, so a bound is a few integer dot
+products with the constants. The walk then visits the box one interval per
+node: every integer row reads <u, y> + c <= 0, so each row bounds the next
+coordinate from one side, solved by floor division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, floor, gcd
 
 from .errors import UnboundedRegion
@@ -279,14 +283,89 @@ def _integer_rows(poly: Polyhedron):
     return strict, weak
 
 
+def _primitive(u, lam):
+    """Row (u, lam) divided by the content of its normal and multipliers."""
+    g = gcd(*u, *(l for _, l in lam))
+    return (u, lam) if g == 1 else (tuple(x // g for x in u), tuple((i, l // g) for i, l in lam))
+
+
+@lru_cache(maxsize=512)
+def _projections(normals, dim):
+    """Closure rows <normals[i], y> <= b_i projected onto each coordinate.
+
+    Entry k holds pairs (a, lam): a * y_k <= sum(l * b_i for i, l in lam) is
+    implied by the rows, and together they cut out exactly the closure's
+    projection onto y_k (Fourier-Motzkin elimination, Schrijver, Theory of
+    Linear and Integer Programming, 1986, 12.2). Rows with a = 0 say whether
+    the closure is empty. After t eliminations a combination of more than
+    t + 1 original rows is implied by the others for every b (Chernikov's
+    rule) and is dropped, as are exact duplicates.
+    """
+    start = []
+    for i, u in enumerate(normals):
+        ints, scale = clear_denominators(u)
+        start.append(_primitive(tuple(ints), ((i, scale),)))
+    out = []
+    for k in range(dim):
+        rows = start
+        for t, j in enumerate((j for j in range(dim) if j != k), 1):
+            kept = [row for row in rows if row[0][j] == 0]
+            neg = [row for row in rows if row[0][j] < 0]
+            for up, lp in (row for row in rows if row[0][j] > 0):
+                for un, ln in neg:
+                    p, q = up[j], -un[j]
+                    lam = dict((i, q * l) for i, l in lp)
+                    for i, l in ln:
+                        lam[i] = lam.get(i, 0) + p * l
+                    if len(lam) <= t + 1:
+                        u = tuple(q * x + p * y for x, y in zip(up, un))
+                        kept.append(_primitive(u, tuple(sorted(lam.items()))))
+            rows = list(dict.fromkeys(kept))
+        out.append(tuple((u[k], lam) for u, lam in rows))
+    return tuple(out)
+
+
+def coordinate_bounds(poly: Polyhedron):
+    """The exact range of each coordinate over the closure, in order.
+
+    Yields (lower, upper) per coordinate, a side None when it is unbounded,
+    or yields None once and stops when the closure is empty. Each bound is
+    one dot product per projected row, so it equals the LP optimum.
+    """
+    rows = _leq_rows(poly)
+    b, scale = clear_denominators([c for _, c in rows])
+    for projection in _projections(tuple(tuple(u) for u, _ in rows), poly.dim):
+        lower = upper = None  # (num, den) with den > 0
+        for a, lam in projection:
+            s = sum(l * b[i] for i, l in lam)
+            if a > 0:
+                if upper is None or s * upper[1] < upper[0] * a:
+                    upper = (s, a)
+            elif a < 0:  # y_k >= s / a = -s / -a
+                if lower is None or -s * lower[1] > lower[0] * -a:
+                    lower = (-s, -a)
+            elif s < 0:
+                yield None
+                return
+        if lower is not None and upper is not None and lower[0] * upper[1] > upper[0] * lower[1]:
+            yield None
+            return
+        yield tuple(None if x is None else Fraction(x[0], x[1] * scale) for x in (lower, upper))
+
+
 def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:
     """All integer points of the polyhedron, in lexicographic order.
 
     Strict rows are honored strictly. Raises UnboundedRegion when some
     coordinate is unbounded on a region that is strictly feasible.
 
+    The box [lo, hi] rounds each coordinate's exact range over the closure
+    (coordinate_bounds) inward, coordinate by coordinate: an empty integer
+    range returns [] before the next coordinate is looked at, and only an
+    unbounded one costs an LP (strict feasibility).
+
     Rows read <u, y> + c <= 0 and tails[d] holds their least values over
-    coordinates d.. of the LP box. A node at depth d admits the v with
+    coordinates d.. of the box. A node at depth d admits the v with
     u[d] * v <= -val - tails[d + 1] for each row's partial sum val (u[d] = 0
     with a negative right side prunes it) and walks that interval; at the last
     coordinate it is exactly the points below the node. The stack is explicit
@@ -297,19 +376,16 @@ def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:
         ok = all(c < 0 for _, c in poly.strict) and all(c >= 0 for _, c in poly.weak)
         return [()] if ok else []
     lo, hi = [], []
-    for k in range(n):
-        e = [Fraction(0)] * n
-        e[k] = Fraction(1)
-        smin, _, vmin = lp_optimize(poly, e, "min")
-        smax, _, vmax = lp_optimize(poly, e, "max")
-        if smin == "infeasible" or smax == "infeasible":
+    for k, bounds in enumerate(coordinate_bounds(poly)):
+        if bounds is None:
             return []
-        if smin == "unbounded" or smax == "unbounded":
+        lower, upper = bounds
+        if lower is None or upper is None:
             if lp_strict_feasible(poly).feasible:
                 raise UnboundedRegion(f"coordinate {k} unbounded")
             return []
-        lo.append(ceil(vmin))
-        hi.append(floor(vmax))
+        lo.append(ceil(lower))
+        hi.append(floor(upper))
         if lo[k] > hi[k]:
             return []
     strict, weak = _integer_rows(poly)

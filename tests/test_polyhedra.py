@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricpos import ToricDivisor, UnboundedRegion
-from toricpos.cohomology import subset_region
+from toricpos.cohomology import bad_subsets, subset_region
 from toricpos.polyhedra import (
+    coordinate_bounds,
     lattice_points,
     lp_optimize,
     lp_strict_feasible,
@@ -16,7 +17,8 @@ from toricpos.polyhedra import (
     simplex_max,
 )
 
-from .oracles import box_filter_lattice_points, reference_simplex_max
+from .conftest import random_divisors
+from .oracles import box_filter_lattice_points, certified_weight_box, reference_simplex_max
 
 
 def test_strict_feasible_interval():
@@ -73,6 +75,11 @@ def test_unbounded_raises():
 def test_strictly_empty_unbounded_closure_is_empty_not_error():
     p = polyhedron(1, weak=[((1,), 0)], strict=[((1,), 0)])
     assert lattice_points(p) == []
+    # y0 has no integer in [1/5, 4/5], so the walk stops there before it
+    # looks at y1, which is unbounded on a strictly feasible region
+    q = polyhedron(2, weak=[((1, 0), Fraction(-1, 5)), ((-1, 0), Fraction(4, 5)), ((0, 1), 0)])
+    assert lp_strict_feasible(q).feasible
+    assert lattice_points(q) == []
 
 
 def test_lp_optimize_statuses():
@@ -191,6 +198,78 @@ def test_lattice_points_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_projected_bounds_match_lp_on_seeded_corpus():
+    # every coordinate's range from the cached projection against the
+    # closure's min and max LPs: same status, same exact value
+    rng = random.Random(20261)
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        if rng.random() < 0.4:
+            return Fraction(rng.randint(-6, 6), rng.choice([2, 3, 4]))
+        return rng.randint(-3, 3)
+
+    statuses = {}
+    for _ in range(2400):
+        n = rng.randint(1, 4)
+
+        def row():
+            return tuple(entry() for _ in range(n)), entry() + rng.randint(-4, 4)
+
+        strict = [row() for _ in range(rng.choice([0, 0, 1, 2, 3]))]
+        weak = [row() for _ in range(rng.choice([0, 1, 2, 3, 4]))]
+        for k in rng.sample(range(n), rng.randint(0, n)):  # a window on some coordinates
+            for sign in (1, -1):
+                weak.append((tuple(sign if j == k else 0 for j in range(n)), rng.randint(0, 4)))
+        p = polyhedron(n, strict=strict, weak=weak)
+        bounds = list(coordinate_bounds(p))
+        assert bounds == [None] or len(bounds) == n, (p, bounds)
+        for k in range(n):
+            e = [int(j == k) for j in range(n)]
+            smin, _, vmin = lp_optimize(p, e, "min")
+            smax, _, vmax = lp_optimize(p, e, "max")
+            if bounds == [None]:
+                assert (smin, smax) == ("infeasible", "infeasible"), (p, k)
+                statuses["empty"] = statuses.get("empty", 0) + 1
+                continue
+            lower, upper = bounds[k]
+            assert (smin, vmin) == (("unbounded", None) if lower is None else ("optimal", lower)), (p, k)
+            assert (smax, vmax) == (("unbounded", None) if upper is None else ("optimal", upper)), (p, k)
+            statuses[smin, smax] = statuses.get((smin, smax), 0) + 1
+        if not strict and not weak:
+            statuses["no rows"] = statuses.get("no rows", 0) + 1
+    assert len(statuses) == 6, statuses
+    # the cache key holds the dimension: one empty row set per dimension
+    for n in (1, 3, 1):
+        assert list(coordinate_bounds(polyhedron(n))) == [(None, None)] * n
+        with pytest.raises(UnboundedRegion):
+            lattice_points(polyhedron(n))
+
+
+def test_bad_subset_regions_are_walked_without_an_lp(monkeypatch, example_fans):
+    import toricpos.polyhedra
+
+    calls = []
+    solve = toricpos.polyhedra.simplex_max
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    for fan in example_fans:
+        for d in random_divisors(fan, 4, seed="fm-bounds"):
+            box = certified_weight_box(fan, d.coeffs)
+            for entries in bad_subsets(fan):
+                for subset, _ in entries:
+                    region = subset_region(fan, d.coeffs, subset)
+                    with monkeypatch.context() as m:
+                        m.setattr(toricpos.polyhedra, "simplex_max", counting)
+                        points = lattice_points(region)
+                    assert calls == [], (fan.name, d.coeffs, subset)
+                    assert points == box_filter_lattice_points(region, box), (fan.name, d.coeffs, subset)
 
 
 def test_zero_dimensional_polyhedra():

@@ -236,6 +236,18 @@ def test_cli_replicate_paper_mismatch_exits_1_after_the_report(monkeypatch):
     assert failed == ["picard rank"]
 
 
+def test_cli_replicate_paper_never_builds_cone_flags(monkeypatch):
+    import toricpos.cli
+
+    def unused(divisor):
+        raise AssertionError("replicate-paper needs single flags, not ConeFlags")
+
+    monkeypatch.setattr(toricpos.cli, "classify_cones", unused)
+    result = run_cli("replicate-paper")
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["result"]["all_pass"] is True
+
+
 @pytest.mark.parametrize("error", [ModeDisagreement, UnboundedRegion])
 def test_cli_internal_errors_exit_3(monkeypatch, error):
     import toricpos.cli
