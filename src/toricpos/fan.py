@@ -10,7 +10,6 @@ cones and the support has no boundary facet), smoothness by |det| = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
@@ -128,10 +127,10 @@ def _check_structure(fan: Fan) -> None:
             raise InvalidFan(f"cone {tuple(a)} listed twice")
         if not only_a or not only_b:
             raise InvalidFan(f"cone {tuple(a)} and {tuple(b)} are nested")
-        strict = [(tuple(fan.rays[i]), Fraction(1)) for i in only_a]
-        strict += [(tuple(-x for x in fan.rays[i]), Fraction(1)) for i in only_b]
-        weak = [(tuple(fan.rays[i]), Fraction(0)) for i in common]
-        weak += [(tuple(-x for x in fan.rays[i]), Fraction(0)) for i in common]
+        strict = [(tuple(fan.rays[i]), 1) for i in only_a]
+        strict += [(tuple(-x for x in fan.rays[i]), 1) for i in only_b]
+        weak = [(tuple(fan.rays[i]), 0) for i in common]
+        weak += [(tuple(-x for x in fan.rays[i]), 0) for i in common]
         sep = polyhedron(n, strict=strict, weak=weak)
         if not lp_strict_feasible(sep).feasible:
             raise InvalidFan(

@@ -274,6 +274,12 @@ def primitive_vector(vec) -> tuple[tuple[int, ...], int]:
     return tuple(x // g for x in ints), g
 
 
+def content_free(ints):
+    """The integer vector divided by its content (gcd); a zero vector stays zero."""
+    g = gcd(*ints)
+    return ints if g <= 1 else [x // g for x in ints]
+
+
 def clear_denominators(values) -> tuple[list[int], int]:
     """Scale rationals to integers: returns (ints, L) with ints = L * values."""
     fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]

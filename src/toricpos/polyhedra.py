@@ -5,6 +5,11 @@ A row (u, c) encodes the condition on y:
 * strict row:  <y, u> + c <  0
 * weak row:    <y, u> + c >= 0
 
+``polyhedron()`` fixes the row format once: each row is scaled to integers
+and divided by its content, so every stored row is an integer tuple with
+content 1 (a zero row stays zero). Positive scaling keeps each condition,
+and the layers below read the stored rows as they are.
+
 The simplex is a textbook two-phase tableau with Bland's rule. Its rows
 hold integers: each pivot is one multiply-subtract pass and a gcd content
 reduction per row, so no ``Fraction`` arithmetic runs inside the pivot loop.
@@ -19,7 +24,7 @@ Lattice enumeration bounds each coordinate without an LP: the closure's
 Fourier-Motzkin projection onto that coordinate depends only on the row
 normals and is built once per normals, so a bound is a few integer dot
 products with the constants. The walk then visits the box one interval per
-node: every integer row reads <u, y> + c <= 0, so each row bounds the next
+node: every row reads <u, y> + c <= 0 over Z, so each row bounds the next
 coordinate from one side, solved by floor division.
 """
 
@@ -31,14 +36,15 @@ from functools import lru_cache
 from math import ceil, floor, gcd
 
 from .errors import UnboundedRegion
-from .linalg import clear_denominators
+from .linalg import clear_denominators, content_free
 
-Row = tuple[tuple[Fraction, ...], Fraction]
+Row = tuple[tuple[int, ...], int]  # integers with content 1, or all zero
 
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Mixed-row rational polyhedron in Q^dim."""
+    """Mixed-row rational polyhedron in Q^dim; build it with ``polyhedron()``,
+    which stores each row as content-free integers."""
 
     dim: int
     strict: tuple[Row, ...] = ()
@@ -61,10 +67,10 @@ def polyhedron(dim, strict=(), weak=()) -> Polyhedron:
     def norm(rows):
         out = []
         for u, c in rows:
-            u = tuple(Fraction(x) for x in u)
             if len(u) != dim:
                 raise ValueError(f"row has {len(u)} coordinates, expected {dim}")
-            out.append((u, Fraction(c)))
+            ints = content_free(clear_denominators([*u, c])[0])
+            out.append((tuple(ints[:-1]), ints[-1]))
         return tuple(out)
 
     return Polyhedron(dim, norm(strict), norm(weak))
@@ -84,18 +90,13 @@ def polyhedron(dim, strict=(), weak=()) -> Polyhedron:
 # signs and ratios Bland's rule reads are those of the rational tableau.
 
 
-def _content_free(row):
-    g = gcd(*row)
-    return row if g == 1 else [x // g for x in row]
-
-
 def _price_out(obj, prow, col):
     """Objective row with column ``col`` eliminated by ``prow`` (prow[col] > 0)."""
     f = obj[col]
     if not f:
         return obj
     p = prow[col]
-    return _content_free([p * x - f * y for x, y in zip(obj, prow)] + [p * obj[-1]])
+    return content_free([p * x - f * y for x, y in zip(obj, prow)] + [p * obj[-1]])
 
 
 def _pivot(rows, basis, objs, col, r):
@@ -108,7 +109,7 @@ def _pivot(rows, basis, objs, col, r):
     for i, row in enumerate(rows):
         f = row[col]
         if f and i != r:
-            rows[i] = _content_free([p * x - f * y for x, y in zip(row, prow)])
+            rows[i] = content_free([p * x - f * y for x, y in zip(row, prow)])
     objs[:] = [_price_out(obj, prow, col) for obj in objs]
     basis[r] = col
 
@@ -251,16 +252,16 @@ def lp_strict_feasible(poly: Polyhedron) -> StrictFeasibility:
     n = poly.dim
     a, b = [], []
     for u, c in poly.strict:  # <y,u> + c + t <= 0
-        a.append([x for x in u] + [Fraction(1)])
+        a.append([*u, 1])
         b.append(-c)
     for u, c in poly.weak:  # -<y,u> <= c
-        a.append([-x for x in u] + [Fraction(0)])
+        a.append([-x for x in u] + [0])
         b.append(c)
-    a.append([Fraction(0)] * n + [Fraction(1)])  # t <= 1
-    b.append(Fraction(1))
-    a.append([Fraction(0)] * n + [Fraction(-1)])  # t >= 0
-    b.append(Fraction(0))
-    status, y, value = lp_free_max(a, b, [Fraction(0)] * n + [Fraction(1)])
+    a.append([0] * n + [1])  # t <= 1
+    b.append(1)
+    a.append([0] * n + [-1])  # t >= 0
+    b.append(0)
+    status, y, value = lp_free_max(a, b, [0] * n + [1])
     if status != "optimal" or value <= 0:
         return StrictFeasibility(False, None)
     return StrictFeasibility(True, tuple(y[:n]))
@@ -269,18 +270,6 @@ def lp_strict_feasible(poly: Polyhedron) -> StrictFeasibility:
 # ---------------------------------------------------------------------------
 # lattice enumeration
 # ---------------------------------------------------------------------------
-
-
-def _integer_rows(poly: Polyhedron):
-    """Rows with cleared denominators; strict rows become <= -1 over Z."""
-    strict, weak = [], []
-    for u, c in poly.strict:
-        ints, _ = clear_denominators(list(u) + [c])
-        strict.append((ints[:-1], ints[-1]))
-    for u, c in poly.weak:
-        ints, _ = clear_denominators(list(u) + [c])
-        weak.append((ints[:-1], ints[-1]))
-    return strict, weak
 
 
 def _primitive(u, lam):
@@ -301,10 +290,7 @@ def _projections(normals, dim):
     t + 1 original rows is implied by the others for every b (Chernikov's
     rule) and is dropped, as are exact duplicates.
     """
-    start = []
-    for i, u in enumerate(normals):
-        ints, scale = clear_denominators(u)
-        start.append(_primitive(tuple(ints), ((i, scale),)))
+    start = [(u, ((i, 1),)) for i, u in enumerate(normals)]
     out = []
     for k in range(dim):
         rows = start
@@ -333,11 +319,10 @@ def coordinate_bounds(poly: Polyhedron):
     one dot product per projected row, so it equals the LP optimum.
     """
     rows = _leq_rows(poly)
-    b, scale = clear_denominators([c for _, c in rows])
     for projection in _projections(tuple(tuple(u) for u, _ in rows), poly.dim):
         lower = upper = None  # (num, den) with den > 0
         for a, lam in projection:
-            s = sum(l * b[i] for i, l in lam)
+            s = sum(l * rows[i][1] for i, l in lam)
             if a > 0:
                 if upper is None or s * upper[1] < upper[0] * a:
                     upper = (s, a)
@@ -350,7 +335,7 @@ def coordinate_bounds(poly: Polyhedron):
         if lower is not None and upper is not None and lower[0] * upper[1] > upper[0] * lower[1]:
             yield None
             return
-        yield tuple(None if x is None else Fraction(x[0], x[1] * scale) for x in (lower, upper))
+        yield tuple(None if x is None else Fraction(*x) for x in (lower, upper))
 
 
 def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:
@@ -388,9 +373,8 @@ def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:
         hi.append(floor(upper))
         if lo[k] > hi[k]:
             return []
-    strict, weak = _integer_rows(poly)
     # <u, y> + c <= -1 for strict rows, <-u, y> - c <= 0 for weak rows
-    rows = [(u, c + 1) for u, c in strict] + [([-x for x in u], -c) for u, c in weak]
+    rows = [(u, c + 1) for u, c in poly.strict] + [([-x for x in u], -c) for u, c in poly.weak]
     cols = [[u[d] for u, _ in rows] for d in range(n)]
     tails = [[0] * len(rows)]
     for d in range(n - 1, -1, -1):

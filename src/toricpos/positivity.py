@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .cohomology import bad_subsets, cohomology_dims, subset_region
 from .divisor import (
@@ -42,6 +41,7 @@ from .errors import (
     ToricError,
 )
 from .fan import Fan, subset_connected
+from .linalg import clear_denominators, content_free
 from .polyhedra import (
     Polyhedron,
     integral_point_exists,
@@ -187,8 +187,7 @@ def _face_region(divisor: ToricDivisor, tau) -> Polyhedron:
 
 def _face_nonempty(divisor: ToricDivisor, tau) -> bool:
     """Is the tau-tight face of the rational polytope P_D nonempty?"""
-    zero = (Fraction(0),) * divisor.fan.rank
-    status, _, _ = lp_optimize(_face_region(divisor, tau), zero, "max")
+    status, _, _ = lp_optimize(_face_region(divisor, tau), (0,) * divisor.fan.rank, "max")
     return status == "optimal"
 
 
@@ -300,7 +299,7 @@ def _persists(d: ToricDivisor, ample: ToricDivisor, strict=(), tight=()):
     joint = lp_strict_feasible(polyhedron(n + 1, strict=joint_strict, weak=joint_weak))
     if not joint.feasible:
         return None
-    status, _, _ = lp_optimize(polyhedron(n, weak=closure), (Fraction(0),) * n, "max")
+    status, _, _ = lp_optimize(polyhedron(n, weak=closure), (0,) * n, "max")
     if status != "optimal":
         return None
     return joint.witness[n], joint.witness[:n]
@@ -417,15 +416,7 @@ class QAmpleResult:
 def _primitive_integral(divisor: ToricDivisor) -> ToricDivisor:
     """Scale a rational class to the primitive integral vector (q-amplitude
     is invariant under positive scaling)."""
-    denom = 1
-    for c in divisor.coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in divisor.coeffs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
+    ints = content_free(clear_denominators(divisor.coeffs)[0])
     return ToricDivisor(divisor.fan, tuple(Fraction(x) for x in ints))
 
 
@@ -507,6 +498,14 @@ def _nonvanishing(
                 yield n_mult, j, p
 
 
+def _check_window(multiples, twists: int) -> None:
+    """The scan window must hold at least one multiple N and one twist j, all positive."""
+    if not multiples or min(multiples) < 1:
+        raise ToricError(f"scan multiples {tuple(multiples)} must be nonempty and positive")
+    if twists < 1:
+        raise ToricError(f"scan twists = {twists} must be positive")
+
+
 def scan_qample(
     divisor: ToricDivisor,
     q: int,
@@ -520,6 +519,7 @@ def scan_qample(
     degree q for some 1 <= j <= twists; a clean N disproves the pattern.
     """
     d, ample, index = _setup(divisor, q, ample)
+    _check_window(multiples, twists)
     hits = set()
     clean_n = None
     for n_mult in sorted(multiples, reverse=True):
@@ -545,6 +545,7 @@ def realization_search(
 ):
     """First scanned (N, j, p) with H^p(N*D - j*H) nonzero above degree q."""
     d, ample, index = _setup(divisor, q, ample)
+    _check_window(multiples, twists)
     for n_mult in sorted(multiples):
         for hit in _nonvanishing(d, ample, index, q, n_mult, twists):
             return hit
@@ -693,6 +694,8 @@ def chamber_scan(
     scaling of the sampled class."""
     fan = origin.fan
     _require_complete(fan)
+    if resolution < 0:
+        raise ToricError(f"resolution = {resolution} must be nonnegative")
     ample = ample if ample is not None else default_ample(fan)
     samples = []
     for i in range(-resolution, resolution + 1):

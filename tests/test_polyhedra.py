@@ -1,6 +1,7 @@
 import gc
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from toricpos import ToricDivisor, UnboundedRegion
 from toricpos.cohomology import bad_subsets, subset_region
 from toricpos.polyhedra import (
+    _projections,
     coordinate_bounds,
     lattice_points,
     lp_optimize,
@@ -247,6 +249,78 @@ def test_projected_bounds_match_lp_on_seeded_corpus():
         assert list(coordinate_bounds(polyhedron(n))) == [(None, None)] * n
         with pytest.raises(UnboundedRegion):
             lattice_points(polyhedron(n))
+
+
+def test_stored_rows_are_content_free_integers_on_seeded_corpus():
+    # polyhedron() stores each row once as coprime integers; each stored row
+    # must take the sign of its input row everywhere, on its boundary too, so
+    # the box filter, which reads the stored rows, checks the input rows
+    rng = random.Random(20262)
+
+    def entry():
+        r = rng.random()
+        if r < 0.3:
+            return 0
+        if r < 0.7:
+            return Fraction(rng.randint(-6, 6), rng.choice([2, 3, 4, 6]))
+        return rng.randint(-4, 4)
+
+    def value(u, c, point):
+        return sum(Fraction(a) * b for a, b in zip(point, u)) + c
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    zero_rows = 0
+    for _ in range(600):
+        n = rng.randint(0, 4)
+
+        def row():
+            if rng.random() < 0.1:
+                return (0,) * n, Fraction(0)
+            factor = rng.choice([1, 2, 6, Fraction(1, 2), Fraction(2, 3)])
+            return tuple(factor * entry() for _ in range(n)), factor * entry()
+
+        strict = [row() for _ in range(rng.randint(0, 3))]
+        weak = [row() for _ in range(rng.randint(0, 3))]
+        p = polyhedron(n, strict=strict, weak=weak)
+        stored = p.strict + p.weak
+        for (u, c), (v, d) in zip(stored, strict + weak):
+            assert all(type(x) is int for x in (*u, c)), (u, c)
+            if any(v) or d:
+                assert gcd(*u, c) == 1, (u, c)
+            else:
+                assert (u, c) == ((0,) * n, 0)
+                zero_rows += 1
+        points = [tuple(entry() for _ in range(n)) for _ in range(4)]
+        for v, d in strict + weak:  # one point on each boundary
+            k = next((k for k in range(n) if v[k]), None)
+            if k is not None:
+                y = list(entry() for _ in range(n))
+                y[k] -= value(v, d, y) / v[k]
+                assert value(v, d, y) == 0
+                points.append(tuple(y))
+        for y in points:
+            for (u, c), (v, d) in zip(stored, strict + weak):
+                assert sign(value(u, c, y)) == sign(value(v, d, y)), ((u, c), (v, d), y)
+            direct = all(value(v, d, y) < 0 for v, d in strict) and all(
+                value(v, d, y) >= 0 for v, d in weak
+            )
+            assert p.satisfied_by(y) == direct, (p, y)
+    assert zero_rows > 0
+
+
+def test_positively_scaled_rows_share_one_projection_entry():
+    # the projection cache is keyed by the stored normals, so rows that differ
+    # by a positive factor reach the same entry
+    window = [((0, 1), 4), ((0, -1), 4), ((-1, 0), 5)]
+    first = polyhedron(2, weak=[((Fraction(1, 2), 0), Fraction(1, 3))] + window)
+    second = polyhedron(2, weak=[((3, 0), 2)] + window)
+    bounds = list(coordinate_bounds(first))
+    before = _projections.cache_info()
+    assert list(coordinate_bounds(second)) == bounds
+    after = _projections.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_bad_subset_regions_are_walked_without_an_lp(monkeypatch, example_fans):

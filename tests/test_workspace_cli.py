@@ -216,6 +216,9 @@ def test_cli_input_error_exit_code():
         ("qample", "-w", "p2", "-d", "H", "--q", "-1", "--mode", "scan"),
         ("restrict", "-w", "totaro-x", "-d", "L", "-c", "f3,f5"),
         ("replicate-paper", "-w", "p2"),
+        ("qample", "-w", "p2", "-d", "H", "--q", "0", "--mode", "both", "--scan-max-n", "0"),
+        ("qample", "-w", "p2", "-d", "H", "--q", "0", "--mode", "scan", "--scan-twists", "0"),
+        ("chambers", "-w", "p2", "--dir1", "H", "--dir2", "H", "--resolution", "-1"),
     ):
         result = run_cli(*args)
         assert result.exit_code == 2, (args, result.output)
