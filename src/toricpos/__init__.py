@@ -24,7 +24,6 @@ from .divisor import (
     divisor_of_character,
     is_ample,
     is_linearly_equivalent,
-    is_nef,
     picard_rank,
     prime_divisor,
     restrict,

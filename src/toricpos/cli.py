@@ -31,6 +31,7 @@ from .divisor import (
 from .errors import (
     ModeDisagreement,
     NoStabilizationDetected,
+    OutputError,
     ToricError,
     UnboundedRegion,
     WorkspaceError,
@@ -423,8 +424,11 @@ def _emit_svg(path: str, chamber_map) -> None:
         f"solid fill: pseudoeffective</text>"
     )
     rows.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(rows) + "\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write plot to {path!r}: {exc}") from exc
 
 
 @command("chambers")

@@ -188,10 +188,6 @@ def wall_degree(divisor: ToricDivisor, wall) -> Fraction:
     return divisor.coeffs[other] - dot(m, fan.rays[other])
 
 
-def is_nef(divisor: ToricDivisor) -> bool:
-    return all(wall_degree(divisor, w) >= 0 for w in divisor.fan.walls)
-
-
 def is_ample(divisor: ToricDivisor) -> bool:
     fan = divisor.fan
     if fan.rank == 0:

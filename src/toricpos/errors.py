@@ -54,3 +54,7 @@ class ModeDisagreement(ToricError):
 
 class WorkspaceError(ToricError):
     """Workspace file failed schema validation; message carries field context."""
+
+
+class OutputError(ToricError):
+    """An output file could not be written; the message names its path."""

@@ -1,7 +1,7 @@
 """Complete simplicial fans and their combinatorics.
 
 A fan is stored as primitive integer rays plus maximal cones given by ray
-index sets. Validation is exact and finite: the fan condition is checked
+index sets; every ray lies in some maximal cone. Validation is exact and finite: the fan condition is checked
 pairwise by a separating-functional LP, completeness by wall counting
 (every codimension-1 cone of a complete fan borders exactly two maximal
 cones and the support has no boundary facet), smoothness by |det| = 1.
@@ -117,6 +117,10 @@ def _check_structure(fan: Fan) -> None:
         mat = [fan.rays[i] for i in c]
         if mat and matrix_rank(mat) != len(c):
             raise InvalidFan(f"cone {c} is not simplicial (dependent rays)")
+    used = {i for c in fan.max_cones for i in c}
+    for i, r in enumerate(fan.rays):
+        if i not in used:
+            raise InvalidFan(f"ray {i} = {r} lies in no maximal cone")
     # fan condition: distinct maximal cones intersect in a common face,
     # certified by a separating linear functional per pair
     for a, b in combinations(fan.max_cones, 2):

@@ -5,7 +5,13 @@ All decisions are exact, and each cone question has one LP path:
 * ``_face_nonempty(D, tau)``: is the tau-tight face of the rational polytope
   P_D nonempty? For tau = () this is pseudoeffectivity; over all cones tau
   it gives the stable base locus.
-* ``is_big(D)``: does P_D have interior points? One strict-feasibility LP.
+* ``is_big(D, tau)``: is the restriction D|V(tau) big? One strict-feasibility
+  LP on the fan's own rows: shifted to vanish on tau, D restricts to the
+  polytope {m in tau^perp : <m, u_rho> + a_rho >= 0, rho in Star(tau)}, so
+  tau's rows are held tight, the other rays of Star(tau) give strict rows
+  and rays outside Star(tau) give none. No quotient fan is built (dividing a
+  row by a ray image's multiplicity is a positive scaling). For tau = ()
+  this asks whether P_D has interior points.
 * ``_persists(D, H, strict, tight)``: does the region of D - eps*H with the
   rows in ``strict`` strict, those in ``tight`` tight and the rest weak stay
   nonempty for arbitrarily small eps > 0? The feasible eps-set is the
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cohomology import bad_subsets, cohomology_dims, subset_region
 from .divisor import (
@@ -29,7 +36,6 @@ from .divisor import (
     anticanonical_divisor,
     is_ample,
     require_integral,
-    restrict,
     section_polyhedron,
     wall_degree,
 )
@@ -57,6 +63,7 @@ def _require_complete(fan: Fan) -> None:
         raise NotComplete("positivity decisions need a complete fan")
 
 
+@lru_cache(maxsize=None)
 def default_ample(fan: Fan) -> ToricDivisor:
     """The anticanonical divisor, checked ample; the examples are all Fano."""
     h = anticanonical_divisor(fan)
@@ -115,12 +122,22 @@ def classify_cones(divisor: ToricDivisor) -> ConeFlags:
     )
 
 
-def is_big(divisor: ToricDivisor) -> bool:
-    """D is big iff P_D has interior points: one strict-feasibility LP."""
+def is_big(divisor: ToricDivisor, tau=()) -> bool:
+    """Is the restriction of D to the orbit closure V(tau) big? For tau = ()
+    this is bigness of D. One strict-feasibility LP on the fan's own rows, in
+    ray order; the module docstring gives the rows."""
     fan = divisor.fan
     _require_complete(fan)
-    strict = [(tuple(-x for x in fan.rays[i]), -divisor.coeffs[i]) for i in range(fan.n_rays)]
-    return lp_strict_feasible(polyhedron(fan.rank, strict=strict)).feasible
+    star = {i for c in fan.max_cones if set(tau) <= set(c) for i in c}
+    strict, weak = [], []
+    for i in range(fan.n_rays):
+        u, a = fan.rays[i], divisor.coeffs[i]
+        flipped = (tuple(-x for x in u), -a)
+        if i in tau:
+            weak += [(u, a), flipped]
+        elif i in star:
+            strict.append(flipped)
+    return lp_strict_feasible(polyhedron(fan.rank, strict=strict, weak=weak)).feasible
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +328,9 @@ def augmented_base_locus_exact(
     """B+(D) by the parametric eps-LP characterization, one cone at a time."""
     fan = divisor.fan
     _require_complete(fan)
-    ample = ample if ample is not None else default_ample(fan)
-    if not is_ample(ample):
+    if ample is None:
+        ample = default_ample(fan)
+    elif not is_ample(ample):
         raise ToricError("augmented base locus needs an ample reference divisor")
     bad = {tau for tau in fan.cones if _persists(divisor, ample, tight=tau) is None}
     return BaseLocusReport(minimal_cones=_minimalize(bad))
@@ -328,8 +346,8 @@ def augmented_base_locus(
     fan = divisor.fan
     _require_complete(fan)
     require_integral(divisor, "augmented base locus")
-    ample = ample if ample is not None else default_ample(fan)
     exact = augmented_base_locus_exact(divisor, ample)
+    ample = ample if ample is not None else default_ample(fan)
     chain = []
     previous = None
     k = 2
@@ -376,13 +394,13 @@ def is_qnef(divisor: ToricDivisor, q: int) -> QnefResult:
     if not 0 <= q <= fan.rank - 1:
         raise ToricError(f"q = {q} is outside 0..dim X - 1 = 0..{fan.rank - 1}")
     size = fan.rank - q - 1
+    negative = -divisor
     witness = None
     rows = []
     for tau in fan.cones:
         if len(tau) != size:
             continue
-        restricted = restrict(divisor, tau)
-        negative_big = is_big(-restricted.divisor)
+        negative_big = is_big(negative, tau)
         rows.append((tau, negative_big))
         if negative_big and witness is None:
             witness = tau

@@ -250,4 +250,6 @@ def load_workspace(ref: str) -> Workspace:
             f"{ref!r} is neither a built-in workspace "
             f"({sorted(BUILTIN_WORKSPACES)}) nor a readable file: {exc}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise WorkspaceError(f"workspace file {ref!r} is not UTF-8 text: {exc}") from exc
     return parse_workspace(text)

@@ -50,6 +50,12 @@ def test_non_primitive_ray_rejected():
         Fan(2, ((2, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
 
 
+def test_ray_in_no_maximal_cone_rejected():
+    # P2 plus an unused ray (1, 1): every answer would see a phantom divisor
+    with pytest.raises(InvalidFan, match=r"ray 3 = \(1, 1\) lies in no maximal cone"):
+        Fan(2, ((1, 0), (0, 1), (-1, -1), (1, 1)), ((0, 1), (1, 2), (0, 2)))
+
+
 def test_duplicate_ray_rejected():
     with pytest.raises(InvalidFan, match="repeated"):
         Fan(2, ((1, 0), (1, 0), (0, 1)), ((0, 2),))

@@ -1,5 +1,10 @@
+import random
+from fractions import Fraction
+
 import pytest
 
+import toricpos.divisor
+import toricpos.fan
 from toricpos import (
     Fan,
     NotComplete,
@@ -24,6 +29,8 @@ from toricpos import (
     stable_base_locus_exact,
     zero_divisor,
 )
+
+from toricpos.positivity import is_big
 
 from .conftest import random_divisors
 
@@ -108,6 +115,53 @@ def test_qnef_trivial_and_failing_cases(totaro, totaro_H):
     assert is_qnef(totaro_H, 2).verdict
     res = is_qnef(-totaro_H, 2)
     assert not res.verdict and res.witness_tau == ()
+
+
+# weighted projective spaces: restricting to a ray's orbit closure maps
+# another ray to twice a primitive vector (multiplicity 2)
+P112 = Fan(2, ((1, 0), (-1, -2), (0, 1)), ((0, 1), (1, 2), (0, 2)), name="P(1,1,2)")
+P1112 = Fan(
+    3,
+    ((1, 0, 0), (0, 1, 0), (-1, -1, -2), (0, 0, 1)),
+    ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)),
+    name="P(1,1,1,2)",
+)
+
+
+def test_restricted_bigness_matches_the_quotient_fan(example_fans):
+    """is_big(D, tau) on the fan's own rows agrees with bigness of the
+    restriction built on the quotient fan of V(tau), the reference path."""
+    rng = random.Random(20263)
+    for fan in (*example_fans, P112, P1112):
+        assert fan.properties.complete, fan.name
+        cones = [tau for tau in fan.cones if len(tau) < fan.rank]  # dim V(tau) >= 1
+        for _ in range(12):
+            d = ToricDivisor(
+                fan,
+                tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in fan.rays),
+            )
+            for tau in cones:
+                expected = is_big(-restrict(d, tau).divisor)
+                assert is_big(-d, tau) == expected, (fan.name, d.coeffs, tau)
+
+
+def test_qnef_builds_no_quotient_fan(totaro):
+    divisors = random_divisors(totaro, 8, seed="qnef-no-quotient")
+    expected = [
+        [(tau, is_big(-restrict(d, tau).divisor)) for tau in totaro.cones if len(tau) == 2 - q]
+        for d in divisors
+        for q in range(3)
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("is_qnef built a quotient fan")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toricpos.fan, "star_quotient", forbidden)
+        mp.setattr(toricpos.divisor, "star_quotient", forbidden)
+        mp.setattr(toricpos.fan, "_check_structure", forbidden)  # every Fan build
+        answered = [list(is_qnef(d, q).restrictions) for d in divisors for q in range(3)]
+    assert answered == expected
 
 
 def test_qnef_zero_matches_nef(totaro):

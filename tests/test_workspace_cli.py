@@ -203,12 +203,26 @@ def test_cli_timings_flag_is_marked_unstable():
     assert payload["timings"]["wall_seconds"] >= 0
 
 
-def test_cli_input_error_exit_code():
+def test_cli_input_error_exit_code(tmp_path):
     result = run_cli("validate", "-w", "no-such-workspace")
     assert result.exit_code == 2
     result = run_cli("cohomology", "-w", "totaro-x", "-d", "UNKNOWN")
     assert result.exit_code == 2
-    named = {"restrict": ["f3", "f5"], "replicate-paper": ["unknown divisor 'L'"]}
+    unused_ray = tmp_path / "unused-ray.json"
+    data = json.loads(serialize_workspace(load_workspace("p2")))
+    data["fan"]["rays"].append([1, 1])
+    data["divisors"] = {"H": [1, 0, 0, 0], "G": [0, 0, 0, 1]}
+    unused_ray.write_text(json.dumps(data))
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    no_dir_plot = tmp_path / "missing" / "plot.svg"
+    named = {
+        "restrict": ["f3", "f5"],
+        "replicate-paper": ["unknown divisor 'L'"],
+        str(unused_ray): ["lies in no maximal cone"],
+        str(not_utf8): [str(not_utf8), "UTF-8"],
+        str(no_dir_plot): [str(no_dir_plot)],
+    }
     for args in (
         ("qnef", "-w", "p2", "-d", "H", "--q", "5"),
         ("qnef", "-w", "p2", "-d", "H", "--q", "-1"),
@@ -219,12 +233,18 @@ def test_cli_input_error_exit_code():
         ("qample", "-w", "p2", "-d", "H", "--q", "0", "--mode", "both", "--scan-max-n", "0"),
         ("qample", "-w", "p2", "-d", "H", "--q", "0", "--mode", "scan", "--scan-twists", "0"),
         ("chambers", "-w", "p2", "--dir1", "H", "--dir2", "H", "--resolution", "-1"),
+        ("validate", "-w", str(unused_ray)),
+        ("qample", "-w", str(unused_ray), "-d", "H", "--q", "0"),
+        ("validate", "-w", str(not_utf8)),
+        ("chambers", "-w", "p2", "--dir1", "H", "--dir2", "F2", "--resolution", "0",
+         "--emit-plot", str(no_dir_plot)),
     ):
         result = run_cli(*args)
         assert result.exit_code == 2, (args, result.output)
         error = json.loads(result.output)["error"]
         assert error["kind"] == "input"
-        assert all(part in error["message"] for part in named.get(args[0], ())), error
+        parts = [part for arg in args for part in named.get(arg, ())]
+        assert all(part in error["message"] for part in parts), error
 
 
 def test_cli_replicate_paper_mismatch_exits_1_after_the_report(monkeypatch):
