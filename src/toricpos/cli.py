@@ -8,6 +8,7 @@ identical inputs and tool version; wall-clock timings only appear under
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import sys
@@ -398,7 +399,18 @@ def connectivity(ws, workspace_ref, divisor):
 _SVG_COLORS = {0: "#2e7d32", 1: "#f9a825", 2: "#ef6c00", 3: "#c62828"}
 
 
-def _emit_svg(path: str, chamber_map) -> None:
+@contextlib.contextmanager
+def _plot_file(path: str):
+    """The --emit-plot file (None without a path), opened before the scan so
+    that a bad path fails fast."""
+    try:
+        with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext() as fh:
+            yield fh
+    except OSError as exc:
+        raise OutputError(f"cannot write plot to {path!r}: {exc}") from exc
+
+
+def _svg(chamber_map) -> str:
     res = chamber_map.resolution
     cell = 40
     size = (2 * res + 1) * cell
@@ -424,11 +436,7 @@ def _emit_svg(path: str, chamber_map) -> None:
         f"solid fill: pseudoeffective</text>"
     )
     rows.append("</svg>")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
-    except OSError as exc:
-        raise OutputError(f"cannot write plot to {path!r}: {exc}") from exc
+    return "\n".join(rows) + "\n"
 
 
 @command("chambers")
@@ -444,9 +452,10 @@ def chambers(ws, workspace_ref, dir1, dir2, origin, resolution, plot_path):
     base = ws.divisor(origin) if origin else ToricDivisor(
         ws.fan, (Fraction(0),) * ws.fan.n_rays
     )
-    cmap = chamber_scan(base, d1, d2, resolution=resolution)
-    if plot_path:
-        _emit_svg(plot_path, cmap)
+    with _plot_file(plot_path) as plot:
+        cmap = chamber_scan(base, d1, d2, resolution=resolution)
+        if plot:
+            plot.write(_svg(cmap))
     args = {
         "dir1": dir1,
         "dir2": dir2,

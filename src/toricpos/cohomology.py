@@ -10,14 +10,20 @@ with nonvanishing reduced cohomology (the bad subset index, cached per fan)
 are ever enumerated; each of their regions is bounded on a complete fan, so
 the infinite weight sum collapses to finitely many lattice point counts.
 The same index powers the exact asymptotic nonvanishing test.
+
+The walk hands each region's weights over as runs of the last coordinate
+(``polyhedra.lattice_runs``), and ``Weights`` keeps them that way: counts
+never build a weight, and a weight tuple is built only when it is read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .divisor import ToricDivisor, require_integral
 from .errors import NotComplete, ToricError, UnboundedRegion
@@ -25,7 +31,7 @@ from .fan import Fan, RaySubcomplex, full_subcomplex
 from .linalg import rref
 from .polyhedra import (
     Polyhedron,
-    lattice_points,
+    lattice_runs,
     lp_strict_feasible,
     polyhedron,
 )
@@ -115,10 +121,40 @@ def _require_degree(fan: Fan, p: int) -> None:
         raise ToricError(f"degree p = {p} must lie in 0..{fan.rank}")
 
 
+class Weights(Sequence):
+    """Read-only weights of one region, lexicographic, kept as the walk's runs
+    (prefix, lo, hi) = prefix + (v,) for lo <= v <= hi. Its length is a sum,
+    an index a bisection, and equal to any sequence of the same weights."""
+
+    def __init__(self, runs):
+        self.runs = tuple(runs)
+        self._starts = [0, *accumulate(hi - lo + 1 for _, lo, hi in self.runs)]
+
+    def __len__(self):
+        return self._starts[-1]
+
+    def __getitem__(self, i):
+        k = range(len(self))[i]  # negative, out-of-range and slice indices as for a tuple
+        if isinstance(k, range):
+            return tuple(self[j] for j in k)
+        r = bisect_right(self._starts, k) - 1
+        prefix, lo, _ = self.runs[r]
+        return prefix + (lo + k - self._starts[r],)
+
+    def __iter__(self):
+        return (p + (v,) for p, lo, hi in self.runs for v in range(lo, hi + 1))
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class CohomologyTable:
     dims: tuple[int, ...]  # h^0 .. h^n
-    witnesses: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int], ...]
+    witnesses: tuple[tuple[tuple[int, ...], Weights, int], ...]
     # flat (subset, weights, complex dim) records, grouped by degree below
 
     def h(self, p: int) -> int:
@@ -130,20 +166,20 @@ class CohomologyTable:
 
 
 def _degree_regions(divisor: ToricDivisor, p: int, first_only=False):
-    """Yield (subset, lattice points, complex dim) for each bad subset of
-    degree p whose weight region holds a lattice point."""
+    """Yield (subset, Weights, complex dim) for each bad subset of degree p
+    whose weight region holds a lattice point."""
     fan = divisor.fan
     for subset, dim in bad_subsets(fan)[p]:
         region = subset_region(fan, divisor.coeffs, subset)
         try:
-            points = lattice_points(region, first_only=first_only)
+            runs = tuple(lattice_runs(region, first_only=first_only))
         except UnboundedRegion as exc:
             raise UnboundedRegion(
                 f"region for subset {subset} unbounded on a complete fan; "
                 f"internal consistency failure: {exc}"
             ) from exc
-        if points:
-            yield subset, tuple(points), dim
+        if runs:
+            yield subset, Weights(runs), dim
 
 
 def cohomology_dims(divisor: ToricDivisor) -> CohomologyTable:
@@ -153,7 +189,7 @@ def cohomology_dims(divisor: ToricDivisor) -> CohomologyTable:
     dims, witnesses = [], []
     for p in range(divisor.fan.rank + 1):
         found = list(_degree_regions(divisor, p))
-        dims.append(sum(dim * len(points) for _, points, dim in found))
+        dims.append(sum(dim * len(weights) for _, weights, dim in found))
         witnesses.extend(found)
     return CohomologyTable(dims=tuple(dims), witnesses=tuple(witnesses))
 
@@ -162,7 +198,7 @@ def h_p(divisor: ToricDivisor, p: int) -> int:
     """dim H^p(X, O(D)), enumerating only the bad subsets of degree p."""
     _require_degree(divisor.fan, p)
     require_integral(divisor, "cohomology")
-    return sum(dim * len(points) for _, points, dim in _degree_regions(divisor, p))
+    return sum(dim * len(weights) for _, weights, dim in _degree_regions(divisor, p))
 
 
 def degree_nonzero(divisor: ToricDivisor, p: int) -> bool:

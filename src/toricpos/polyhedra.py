@@ -25,7 +25,9 @@ Fourier-Motzkin projection onto that coordinate depends only on the row
 normals and is built once per normals, so a bound is a few integer dot
 products with the constants. The walk then visits the box one interval per
 node: every row reads <u, y> + c <= 0 over Z, so each row bounds the next
-coordinate from one side, solved by floor division.
+coordinate from one side, solved by floor division. The walk returns the
+last coordinate's intervals as runs (prefix, lo, hi), so counting points
+sums run lengths and builds no point; lattice_points expands the runs.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import ceil, floor, gcd
 
 from .errors import UnboundedRegion
@@ -338,48 +341,46 @@ def coordinate_bounds(poly: Polyhedron):
         yield tuple(None if x is None else Fraction(*x) for x in (lower, upper))
 
 
-def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:
-    """All integer points of the polyhedron, in lexicographic order.
-
-    Strict rows are honored strictly. Raises UnboundedRegion when some
-    coordinate is unbounded on a region that is strictly feasible.
+def lattice_runs(poly: Polyhedron, first_only=False):
+    """The integer points of the polyhedron (dim >= 1) as runs, in lexicographic
+    order: (prefix, lo, hi) stands for prefix + (v,) with lo <= v <= hi, one
+    run per nonempty interval of the last coordinate, so counting builds no
+    point. first_only stops after the first run. Strict rows are honored
+    strictly. Raises UnboundedRegion when some coordinate is unbounded on a
+    region that is strictly feasible.
 
     The box [lo, hi] rounds each coordinate's exact range over the closure
     (coordinate_bounds) inward, coordinate by coordinate: an empty integer
-    range returns [] before the next coordinate is looked at, and only an
+    range yields nothing before the next coordinate is looked at, and only an
     unbounded one costs an LP (strict feasibility).
 
     Rows read <u, y> + c <= 0 and tails[d] holds their least values over
     coordinates d.. of the box. A node at depth d admits the v with
     u[d] * v <= -val - tails[d + 1] for each row's partial sum val (u[d] = 0
     with a negative right side prunes it) and walks that interval; at the last
-    coordinate it is exactly the points below the node. The stack is explicit
+    coordinate the interval is yielded as one run. The stack is explicit
     because a recursive closure forms a cycle that keeps the answer alive.
     """
     n = poly.dim
-    if n == 0:
-        ok = all(c < 0 for _, c in poly.strict) and all(c >= 0 for _, c in poly.weak)
-        return [()] if ok else []
     lo, hi = [], []
     for k, bounds in enumerate(coordinate_bounds(poly)):
         if bounds is None:
-            return []
+            return
         lower, upper = bounds
         if lower is None or upper is None:
             if lp_strict_feasible(poly).feasible:
                 raise UnboundedRegion(f"coordinate {k} unbounded")
-            return []
+            return
         lo.append(ceil(lower))
         hi.append(floor(upper))
         if lo[k] > hi[k]:
-            return []
+            return
     # <u, y> + c <= -1 for strict rows, <-u, y> - c <= 0 for weak rows
     rows = [(u, c + 1) for u, c in poly.strict] + [([-x for x in u], -c) for u, c in poly.weak]
     cols = [[u[d] for u, _ in rows] for d in range(n)]
     tails = [[0] * len(rows)]
     for d in range(n - 1, -1, -1):
         tails.insert(0, [t + min(a * lo[d], a * hi[d]) for t, a in zip(tails[0], cols[d])])
-    out: list[tuple[int, ...]] = []
     stack = [((), [c for _, c in rows])]  # (prefix, partial sums); popped in lex order
     while stack:
         prefix, vals = stack.pop()
@@ -397,11 +398,19 @@ def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:
             col = cols[depth]
             stack.extend((prefix + (v,), [x + a * v for x, a in zip(vals, col)])
                          for v in range(v_hi, v_lo - 1, -1))
-        elif first_only and v_lo <= v_hi:
-            return [prefix + (v_lo,)]
-        else:
-            out.extend([prefix + (v,) for v in range(v_lo, v_hi + 1)])
-    return out
+        elif v_lo <= v_hi:
+            yield prefix, v_lo, v_hi
+            if first_only:
+                return
+
+
+def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:
+    """All integer points of the polyhedron in lexicographic order, or the
+    first one under first_only: the runs of lattice_runs, expanded."""
+    if poly.dim == 0:
+        return [()] if poly.satisfied_by(()) else []
+    points = (p + (v,) for p, lo, hi in lattice_runs(poly, first_only) for v in range(lo, hi + 1))
+    return list(islice(points, 1 if first_only else None))
 
 
 def integral_point_exists(poly: Polyhedron) -> bool:

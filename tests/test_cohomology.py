@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from toricpos import (
     section_polyhedron,
     zero_divisor,
 )
-from toricpos.cohomology import bad_subsets, degree_nonzero, h_p, subset_region
+from toricpos.cohomology import Weights, bad_subsets, degree_nonzero, h_p, subset_region
+from toricpos.polyhedra import lattice_runs
 
 from .conftest import random_divisors
 from .oracles import box_filter_lattice_points, brute_force_cohomology, certified_weight_box
@@ -136,9 +138,9 @@ def test_h_p_walks_only_the_subsets_of_its_degree(monkeypatch, example_fans):
 
     def counting(poly, first_only=False):
         calls.append(poly)
-        return lattice_points(poly, first_only=first_only)
+        return lattice_runs(poly, first_only=first_only)
 
-    monkeypatch.setattr(toricpos.cohomology, "lattice_points", counting)
+    monkeypatch.setattr(toricpos.cohomology, "lattice_runs", counting)
     for fan in example_fans:
         index = bad_subsets(fan)
         for d in random_divisors(fan, 4, seed="h_p"):
@@ -147,6 +149,53 @@ def test_h_p_walks_only_the_subsets_of_its_degree(monkeypatch, example_fans):
                 calls.clear()
                 assert h_p(d, p) == dims[p], (fan.name, d.coeffs, p)
                 assert len(calls) == len(index[p]), (fan.name, d.coeffs, p)
+
+
+def test_witness_weights_read_like_the_expanded_walk(example_fans):
+    for fan in example_fans:
+        for d in random_divisors(fan, 4, lo=-3, hi=3, seed="weight-runs"):
+            kd = 3 * d
+            box = certified_weight_box(fan, kd.coeffs)
+            for subset, weights, _ in cohomology_dims(kd).witnesses:
+                region = subset_region(fan, kd.coeffs, subset)
+                runs = list(lattice_runs(region))
+                assert all(lo <= hi for _, lo, hi in runs), runs
+                assert runs == sorted(runs) and len({p for p, _, _ in runs}) == len(runs)
+                points = tuple(lattice_points(region))
+                assert isinstance(weights, Weights) and weights.runs == tuple(runs)
+                assert weights == points and points == weights
+                assert list(weights) == box_filter_lattice_points(region, box)
+                assert weights != points[:-1] and weights != points[:-1] + (points[-1] + (0,),)
+                size = len(points)
+                assert len(weights) == size == sum(hi - lo + 1 for _, lo, hi in runs)
+                for i in (0, -1, size // 2, size - 1, -size):
+                    assert weights[i] == points[i], (fan.name, kd.coeffs, subset, i)
+                for cut in (slice(None), slice(1, -1), slice(size // 2, None, 2), slice(None, None, -3)):
+                    assert weights[cut] == points[cut] and type(weights[cut]) is tuple
+                for i in (size, -size - 1):
+                    with pytest.raises(IndexError):
+                        weights[i]
+
+
+def test_counts_build_no_weight(monkeypatch, example_fans):
+    def no_points(*args, **kwargs):
+        raise AssertionError("a count expanded the lattice walk")
+
+    expected = {}
+    for fan in example_fans:
+        for d in random_divisors(fan, 6, lo=-3, hi=3, seed="oracle"):
+            expected[fan.name, d] = brute_force_cohomology(fan, d.coeffs)
+    p2 = example_fans[1]
+    expected["p2", ToricDivisor(p2, (-4, 0, 0))] = (0, 0, 3)
+    expected["p2", ToricDivisor(p2, (3, 0, 0))] = (10, 0, 0)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toricpos") and hasattr(module, "lattice_points"):
+            monkeypatch.setattr(module, "lattice_points", no_points)
+    for (name, d), dims in expected.items():
+        assert cohomology_dims(d).dims == dims, (name, d.coeffs)
+        for p, h in enumerate(dims):
+            assert h_p(d, p) == h, (name, d.coeffs, p)
+            assert degree_nonzero(d, p) is (h > 0), (name, d.coeffs, p)
 
 
 def test_degree_outside_zero_to_n_is_rejected(p2):

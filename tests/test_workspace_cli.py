@@ -247,6 +247,20 @@ def test_cli_input_error_exit_code(tmp_path):
         assert all(part in error["message"] for part in parts), error
 
 
+def test_cli_chambers_rejects_a_bad_plot_path_before_the_scan(monkeypatch, tmp_path):
+    import toricpos.cli
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran before the plot path was checked")
+
+    monkeypatch.setattr(toricpos.cli, "chamber_scan", no_scan)
+    plot = tmp_path / "missing" / "plot.svg"
+    result = run_cli("chambers", "-w", "p2", "--dir1", "H", "--dir2", "F2", "--emit-plot", str(plot))
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.output)["error"]
+    assert error["kind"] == "input" and str(plot) in error["message"], error
+
+
 def test_cli_replicate_paper_mismatch_exits_1_after_the_report(monkeypatch):
     import toricpos.cli
 
