@@ -57,7 +57,6 @@ from .linalg import smith_normal_form, solve_integer
 from .polyhedra import (
     Polyhedron,
     lattice_points,
-    lp_optimize,
     lp_strict_feasible,
     polyhedron,
 )

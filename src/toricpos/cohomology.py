@@ -34,6 +34,7 @@ from .polyhedra import (
     lattice_runs,
     lp_strict_feasible,
     polyhedron,
+    strictly_feasible,
 )
 
 MAX_RAYS_FOR_SUBSET_INDEX = 20
@@ -84,6 +85,8 @@ def bad_subsets(fan: Fan) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
     Entry p is a tuple of (subset, dimension) pairs in lexicographic subset
     order; p = 0 always holds the empty subset with dimension one.
     """
+    if fan.rank == 0:
+        raise ToricError("the subset index needs a fan of rank >= 1; this fan is a point")
     if fan.n_rays > MAX_RAYS_FOR_SUBSET_INDEX:
         raise ToricError(
             f"subset index needs 2^{fan.n_rays} complexes; "
@@ -219,12 +222,14 @@ def asymptotic_nonvanishing(divisor: ToricDivisor, p: int):
 
     Scaling makes the weight regions homogeneous: H^p(mD) has a contributing
     weight iff the region Q_S(D) (same rows, unscaled) has a rational point
-    satisfying the strict rows strictly. Returns (verdict, witness or None).
+    satisfying the strict rows strictly. Returns (verdict, witness or None);
+    the projections decide each subset, and one LP writes the witness.
     """
     fan = divisor.fan
     _require_degree(fan, p)
     for subset, _ in bad_subsets(fan)[p]:
-        feas = lp_strict_feasible(subset_region(fan, divisor.coeffs, subset))
-        if feas.feasible:
-            return True, AsymptoticWitness(subset=subset, direction=feas.witness)
+        region = subset_region(fan, divisor.coeffs, subset)
+        if strictly_feasible(region):
+            witness = lp_strict_feasible(region).witness
+            return True, AsymptoticWitness(subset=subset, direction=witness)
     return False, None

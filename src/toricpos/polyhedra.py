@@ -1,4 +1,5 @@
-"""Rational polyhedra with mixed strict/weak rows, exact LP, lattice points.
+"""Rational polyhedra with mixed strict/weak rows: feasibility, exact LP,
+lattice points.
 
 A row (u, c) encodes the condition on y:
 
@@ -10,24 +11,31 @@ and divided by its content, so every stored row is an integer tuple with
 content 1 (a zero row stays zero). Positive scaling keeps each condition,
 and the layers below read the stored rows as they are.
 
-The simplex is a textbook two-phase tableau with Bland's rule. Its rows
-hold integers: each pivot is one multiply-subtract pass and a gcd content
-reduction per row, so no ``Fraction`` arithmetic runs inside the pivot loop.
-The signs and ratios Bland's rule reads are exactly those of the rational
-tableau, so every pivot sequence is deterministic, and results (points,
-values, certificates) are built as exact ``Fraction`` values when read.
-Strict feasibility follows the slack-variable contract: maximize t subject
-to the strict rows shifted by t (capped at 1); a positive optimum is
-equivalent to strict feasibility.
+Fourier-Motzkin decides. ``_projection(normals, dim, k)`` eliminates every
+coordinate but y_k from closure rows <u, y> <= b and depends only on the row
+normals, so it is built once per normals and coordinate and cached; a
+question about one polyhedron is then a few integer dot products with its
+constants. ``closure_nonempty`` reads the projection onto y_0,
+``coordinate_bounds`` the projection onto each coordinate, and
+``strictly_feasible`` the projection onto t of the system
+``lp_strict_feasible`` solves (strict rows shifted by t, 0 <= t <= 1): it is
+strictly feasible iff that range has a positive upper end.
 
-Lattice enumeration bounds each coordinate without an LP: the closure's
-Fourier-Motzkin projection onto that coordinate depends only on the row
-normals and is built once per normals, so a bound is a few integer dot
-products with the constants. The walk then visits the box one interval per
-node: every row reads <u, y> + c <= 0 over Z, so each row bounds the next
-coordinate from one side, solved by floor division. The walk returns the
-last coordinate's intervals as runs (prefix, lo, hi), so counting points
-sums run lengths and builds no point; lattice_points expands the runs.
+The simplex only writes witnesses: ``lp_strict_feasible`` returns a rational
+point where a caller prints one. It is a textbook two-phase tableau with
+Bland's rule. Its rows hold integers: each pivot is one multiply-subtract
+pass and a gcd content reduction per row, so no ``Fraction`` arithmetic runs
+inside the pivot loop. The signs and ratios Bland's rule reads are exactly
+those of the rational tableau, so every pivot sequence is deterministic, and
+results (points, values, certificates) are built as exact ``Fraction``
+values when read.
+
+Lattice enumeration bounds each coordinate by ``coordinate_bounds``. The
+walk then visits the box one interval per node: every row reads
+<u, y> + c <= 0 over Z, so each row bounds the next coordinate from one
+side, solved by floor division. The walk returns the last coordinate's
+intervals as runs (prefix, lo, hi), so counting points sums run lengths and
+builds no point; lattice_points expands the runs.
 """
 
 from __future__ import annotations
@@ -217,18 +225,25 @@ def lp_free_max(a_rows, b_vals, cost):
 
 def _leq_rows(poly: Polyhedron):
     """Closure rows as (coeffs, rhs) pairs meaning coeffs.y <= rhs."""
-    rows = []
-    for u, c in poly.weak:
-        rows.append(([-x for x in u], c))
-    for u, c in poly.strict:
-        rows.append((list(u), -c))
-    return rows
+    return [(tuple(-x for x in u), c) for u, c in poly.weak] + [(u, -c) for u, c in poly.strict]
+
+
+def _lifted_rows(poly: Polyhedron):
+    """The system in (y, t) whose largest t decides strict feasibility, as
+    (coeffs, rhs) pairs meaning coeffs.(y, t) <= rhs: each strict row shifted
+    by t, each weak row, then t <= 1 and t >= 0."""
+    n = poly.dim
+    rows = [((*u, 1), -c) for u, c in poly.strict]  # <y,u> + c + t <= 0
+    rows += [((*(-x for x in u), 0), c) for u, c in poly.weak]  # -<y,u> <= c
+    return rows + [((0,) * n + (1,), 1), ((0,) * n + (-1,), 0)]
 
 
 def lp_optimize(poly: Polyhedron, objective, sense="max"):
     """Optimize over the closure (strict rows relaxed to weak).
 
-    Returns (status, point, value); value is for the requested sense.
+    Returns (status, point, value); value is for the requested sense. No
+    decision calls it: the test suite's oracles check the projections
+    against it, and perfbench's tracer still names it.
     """
     rows = _leq_rows(poly)
     a = [r for r, _ in rows]
@@ -253,18 +268,8 @@ def lp_strict_feasible(poly: Polyhedron) -> StrictFeasibility:
     so an unbounded slack still reports feasible with a concrete witness.
     """
     n = poly.dim
-    a, b = [], []
-    for u, c in poly.strict:  # <y,u> + c + t <= 0
-        a.append([*u, 1])
-        b.append(-c)
-    for u, c in poly.weak:  # -<y,u> <= c
-        a.append([-x for x in u] + [0])
-        b.append(c)
-    a.append([0] * n + [1])  # t <= 1
-    b.append(1)
-    a.append([0] * n + [-1])  # t >= 0
-    b.append(0)
-    status, y, value = lp_free_max(a, b, [0] * n + [1])
+    rows = _lifted_rows(poly)
+    status, y, value = lp_free_max([a for a, _ in rows], [b for _, b in rows], [0] * n + [1])
     if status != "optimal" or value <= 0:
         return StrictFeasibility(False, None)
     return StrictFeasibility(True, tuple(y[:n]))
@@ -281,64 +286,88 @@ def _primitive(u, lam):
     return (u, lam) if g == 1 else (tuple(x // g for x in u), tuple((i, l // g) for i, l in lam))
 
 
-@lru_cache(maxsize=512)
-def _projections(normals, dim):
-    """Closure rows <normals[i], y> <= b_i projected onto each coordinate.
+# One entry per (normals, coordinate). Every command on P1^5 (10 rays, 243
+# cones) together filled 822 entries and P1^4 254, so a fan's entries stay.
+@lru_cache(maxsize=2048)
+def _projection(normals, dim, k):
+    """Closure rows <normals[i], y> <= b_i projected onto coordinate y_k.
 
-    Entry k holds pairs (a, lam): a * y_k <= sum(l * b_i for i, l in lam) is
-    implied by the rows, and together they cut out exactly the closure's
-    projection onto y_k (Fourier-Motzkin elimination, Schrijver, Theory of
-    Linear and Integer Programming, 1986, 12.2). Rows with a = 0 say whether
-    the closure is empty. After t eliminations a combination of more than
-    t + 1 original rows is implied by the others for every b (Chernikov's
-    rule) and is dropped, as are exact duplicates.
+    Holds pairs (a, lam): a * y_k <= sum(l * b_i for i, l in lam) is implied
+    by the rows, and together they cut out exactly the closure's projection
+    onto y_k (Fourier-Motzkin elimination, Schrijver, Theory of Linear and
+    Integer Programming, 1986, 12.2). Rows with a = 0 say whether the closure
+    is empty. After t eliminations a combination of more than t + 1 original
+    rows is implied by the others for every b (Chernikov's rule) and is
+    dropped, as are exact duplicates.
     """
-    start = [(u, ((i, 1),)) for i, u in enumerate(normals)]
-    out = []
-    for k in range(dim):
-        rows = start
-        for t, j in enumerate((j for j in range(dim) if j != k), 1):
-            kept = [row for row in rows if row[0][j] == 0]
-            neg = [row for row in rows if row[0][j] < 0]
-            for up, lp in (row for row in rows if row[0][j] > 0):
-                for un, ln in neg:
-                    p, q = up[j], -un[j]
-                    lam = dict((i, q * l) for i, l in lp)
-                    for i, l in ln:
-                        lam[i] = lam.get(i, 0) + p * l
-                    if len(lam) <= t + 1:
-                        u = tuple(q * x + p * y for x, y in zip(up, un))
-                        kept.append(_primitive(u, tuple(sorted(lam.items()))))
-            rows = list(dict.fromkeys(kept))
-        out.append(tuple((u[k], lam) for u, lam in rows))
-    return tuple(out)
+    rows = [(u, ((i, 1),)) for i, u in enumerate(normals)]
+    for t, j in enumerate((j for j in range(dim) if j != k), 1):
+        kept = [row for row in rows if row[0][j] == 0]
+        neg = [row for row in rows if row[0][j] < 0]
+        for up, lp in (row for row in rows if row[0][j] > 0):
+            for un, ln in neg:
+                p, q = up[j], -un[j]
+                lam = dict((i, q * l) for i, l in lp)
+                for i, l in ln:
+                    lam[i] = lam.get(i, 0) + p * l
+                if len(lam) <= t + 1:
+                    u = tuple(q * x + p * y for x, y in zip(up, un))
+                    kept.append(_primitive(u, tuple(sorted(lam.items()))))
+        rows = list(dict.fromkeys(kept))
+    return tuple((u[k], lam) for u, lam in rows)
+
+
+def _range(rows, dim, k):
+    """The exact range of y_k over {y : coeffs.y <= rhs for (coeffs, rhs) in
+    rows}: (lower, upper) with each side a (num, den) pair, den > 0, or None
+    when unbounded; None when the set is empty. One dot product per projected
+    row, so each side equals the LP optimum."""
+    lower = upper = None
+    for a, lam in _projection(tuple(u for u, _ in rows), dim, k):
+        s = sum(l * rows[i][1] for i, l in lam)
+        if a > 0:
+            if upper is None or s * upper[1] < upper[0] * a:
+                upper = (s, a)
+        elif a < 0:  # y_k >= s / a = -s / -a
+            if lower is None or -s * lower[1] > lower[0] * -a:
+                lower = (-s, -a)
+        elif s < 0:
+            return None
+    if lower is not None and upper is not None and lower[0] * upper[1] > upper[0] * lower[1]:
+        return None
+    return lower, upper
 
 
 def coordinate_bounds(poly: Polyhedron):
     """The exact range of each coordinate over the closure, in order.
 
     Yields (lower, upper) per coordinate, a side None when it is unbounded,
-    or yields None once and stops when the closure is empty. Each bound is
-    one dot product per projected row, so it equals the LP optimum.
+    or yields None once and stops when the closure is empty.
     """
     rows = _leq_rows(poly)
-    for projection in _projections(tuple(tuple(u) for u, _ in rows), poly.dim):
-        lower = upper = None  # (num, den) with den > 0
-        for a, lam in projection:
-            s = sum(l * rows[i][1] for i, l in lam)
-            if a > 0:
-                if upper is None or s * upper[1] < upper[0] * a:
-                    upper = (s, a)
-            elif a < 0:  # y_k >= s / a = -s / -a
-                if lower is None or -s * lower[1] > lower[0] * -a:
-                    lower = (-s, -a)
-            elif s < 0:
-                yield None
-                return
-        if lower is not None and upper is not None and lower[0] * upper[1] > upper[0] * lower[1]:
+    for k in range(poly.dim):
+        bounds = _range(rows, poly.dim, k)
+        if bounds is None:
             yield None
             return
-        yield tuple(None if x is None else Fraction(*x) for x in (lower, upper))
+        yield tuple(None if x is None else Fraction(*x) for x in bounds)
+
+
+def closure_nonempty(poly: Polyhedron) -> bool:
+    """Is the closure (strict rows relaxed to weak) nonempty? Its projection
+    onto the first coordinate is."""
+    rows = _leq_rows(poly)
+    if poly.dim == 0:
+        return all(b >= 0 for _, b in rows)
+    return _range(rows, poly.dim, 0) is not None
+
+
+def strictly_feasible(poly: Polyhedron) -> bool:
+    """lp_strict_feasible's verdict with no LP: the lifted system's range of t
+    is the LP's feasible set of objective values, so the system is strictly
+    feasible iff that range is nonempty with a positive upper end."""
+    t_range = _range(_lifted_rows(poly), poly.dim + 1, poly.dim)
+    return t_range is not None and t_range[1][0] > 0
 
 
 def lattice_runs(poly: Polyhedron, first_only=False):
@@ -351,8 +380,8 @@ def lattice_runs(poly: Polyhedron, first_only=False):
 
     The box [lo, hi] rounds each coordinate's exact range over the closure
     (coordinate_bounds) inward, coordinate by coordinate: an empty integer
-    range yields nothing before the next coordinate is looked at, and only an
-    unbounded one costs an LP (strict feasibility).
+    range yields nothing before the next coordinate is looked at, and an
+    unbounded one is settled by strictly_feasible.
 
     Rows read <u, y> + c <= 0 and tails[d] holds their least values over
     coordinates d.. of the box. A node at depth d admits the v with
@@ -368,7 +397,7 @@ def lattice_runs(poly: Polyhedron, first_only=False):
             return
         lower, upper = bounds
         if lower is None or upper is None:
-            if lp_strict_feasible(poly).feasible:
+            if strictly_feasible(poly):
                 raise UnboundedRegion(f"coordinate {k} unbounded")
             return
         lo.append(ceil(lower))
@@ -411,7 +440,3 @@ def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:
         return [()] if poly.satisfied_by(()) else []
     points = (p + (v,) for p, lo, hi in lattice_runs(poly, first_only) for v in range(lo, hi + 1))
     return list(islice(points, 1 if first_only else None))
-
-
-def integral_point_exists(poly: Polyhedron) -> bool:
-    return bool(lattice_points(poly, first_only=True))

@@ -1,27 +1,35 @@
 """Cone membership, base loci, q-nef and q-ample decisions, chamber scans.
 
-All decisions are exact, and each cone question has one LP path:
+All decisions are exact, and each cone question has one code path. Each is
+a feasibility question whose row normals depend only on the fan, the subset
+S or cone tau, and H, so Fourier-Motzkin projections cached per normals
+decide it (``polyhedra.closure_nonempty``, ``polyhedra.strictly_feasible``)
+and no decision solves an LP:
 
 * ``_face_nonempty(D, tau)``: is the tau-tight face of the rational polytope
   P_D nonempty? For tau = () this is pseudoeffectivity; over all cones tau
   it gives the stable base locus.
 * ``is_big(D, tau)``: is the restriction D|V(tau) big? One strict-feasibility
-  LP on the fan's own rows: shifted to vanish on tau, D restricts to the
-  polytope {m in tau^perp : <m, u_rho> + a_rho >= 0, rho in Star(tau)}, so
-  tau's rows are held tight, the other rays of Star(tau) give strict rows
+  question on the fan's own rows: shifted to vanish on tau, D restricts to
+  the polytope {m in tau^perp : <m, u_rho> + a_rho >= 0, rho in Star(tau)},
+  so tau's rows are held tight, the other rays of Star(tau) give strict rows
   and rays outside Star(tau) give none. No quotient fan is built (dividing a
   row by a ray image's multiplicity is a positive scaling). For tau = ()
   this asks whether P_D has interior points.
 * ``_persists(D, H, strict, tight)``: does the region of D - eps*H with the
   rows in ``strict`` strict, those in ``tight`` tight and the rest weak stay
   nonempty for arbitrarily small eps > 0? The feasible eps-set is the
-  projection of a polyhedron in (y, eps), hence convex, so this is two LPs:
-  the joint system with eps > 0, and its eps = 0 closure.
+  projection of a polyhedron in (y, eps), hence convex, so this holds iff
+  the joint system with eps > 0 is strictly feasible and its eps = 0 closure
+  is nonempty.
 
 By the openness of the q-ample cone, D fails to be q-ample exactly when the
 region persists for some degree p > q with a bad ray subset S strict, so
 boundary classes are not q-ample. A cone tau escapes the augmented base
 locus B+(D) exactly when the region persists with tau tight.
+
+The simplex runs only where a report prints its witness: ``decide_qample``
+solves the joint LP of its first obstruction for the (eps, y) it prints.
 """
 
 from __future__ import annotations
@@ -50,11 +58,11 @@ from .fan import Fan, subset_connected
 from .linalg import clear_denominators, content_free
 from .polyhedra import (
     Polyhedron,
-    integral_point_exists,
+    closure_nonempty,
     lattice_points,
-    lp_optimize,
     lp_strict_feasible,
     polyhedron,
+    strictly_feasible,
 )
 
 
@@ -111,7 +119,9 @@ def classify_cones(divisor: ToricDivisor) -> ConeFlags:
             ample = False
     pseudoeffective = _face_nonempty(divisor, ())
     big = is_big(divisor)
-    effective = pseudoeffective and integral_point_exists(section_polyhedron(divisor))
+    effective = pseudoeffective and bool(
+        lattice_points(section_polyhedron(divisor), first_only=True)
+    )
     return ConeFlags(
         nef=nef,
         ample=ample,
@@ -124,8 +134,8 @@ def classify_cones(divisor: ToricDivisor) -> ConeFlags:
 
 def is_big(divisor: ToricDivisor, tau=()) -> bool:
     """Is the restriction of D to the orbit closure V(tau) big? For tau = ()
-    this is bigness of D. One strict-feasibility LP on the fan's own rows, in
-    ray order; the module docstring gives the rows."""
+    this is bigness of D. One strict-feasibility question on the fan's own
+    rows, in ray order; the module docstring gives the rows."""
     fan = divisor.fan
     _require_complete(fan)
     star = {i for c in fan.max_cones if set(tau) <= set(c) for i in c}
@@ -137,7 +147,7 @@ def is_big(divisor: ToricDivisor, tau=()) -> bool:
             weak += [(u, a), flipped]
         elif i in star:
             strict.append(flipped)
-    return lp_strict_feasible(polyhedron(fan.rank, strict=strict, weak=weak)).feasible
+    return strictly_feasible(polyhedron(fan.rank, strict=strict, weak=weak))
 
 
 # ---------------------------------------------------------------------------
@@ -190,33 +200,38 @@ def _minimalize(cones) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _face_region(divisor: ToricDivisor, tau) -> Polyhedron:
-    """Section polytope cut to the face where tau's rows are tight."""
+def _face_region(divisor: ToricDivisor, tau, flipped=()) -> Polyhedron:
+    """Section polytope cut to the face where tau's rows are tight, with the
+    rows in ``flipped`` reversed (<= 0): the closure of a sign-pattern region
+    whose ``flipped`` rows are strict."""
     fan = divisor.fan
     weak = []
     for i in range(fan.n_rays):
         u, a = fan.rays[i], divisor.coeffs[i]
-        weak.append((u, a))
-        if i in tau:
-            weak.append((tuple(-x for x in u), -a))
+        negated = (tuple(-x for x in u), -a)
+        if i in flipped:
+            weak.append(negated)
+        else:
+            weak.append((u, a))
+            if i in tau:
+                weak.append(negated)
     return polyhedron(fan.rank, weak=weak)
 
 
 def _face_nonempty(divisor: ToricDivisor, tau) -> bool:
     """Is the tau-tight face of the rational polytope P_D nonempty?"""
-    status, _, _ = lp_optimize(_face_region(divisor, tau), (0,) * divisor.fan.rank, "max")
-    return status == "optimal"
+    return closure_nonempty(_face_region(divisor, tau))
 
 
 def _base_locus_cone_set(divisor: ToricDivisor) -> tuple[set, bool]:
     """All cones tau with no section weight tight on tau (Bs of |D|)."""
     fan = divisor.fan
     bad = set()
-    no_sections = not integral_point_exists(section_polyhedron(divisor))
+    no_sections = not lattice_points(section_polyhedron(divisor), first_only=True)
     for tau in fan.cones:
         if no_sections:
             bad.add(tau)
-        elif tau and not integral_point_exists(_face_region(divisor, tau)):
+        elif tau and not lattice_points(_face_region(divisor, tau), first_only=True):
             bad.add(tau)
     return bad, no_sections
 
@@ -290,36 +305,34 @@ def stable_base_locus(divisor: ToricDivisor, horizon: int = 24) -> BaseLocusRepo
     raise NoStabilizationDetected(horizon, chain)
 
 
-def _persists(d: ToricDivisor, ample: ToricDivisor, strict=(), tight=()):
-    """Does the region of D - eps*H with the rows in ``strict`` strict (< 0),
-    those in ``tight`` tight (= 0) and the rest weak (>= 0) stay nonempty for
-    arbitrarily small eps > 0? Returns an (eps, y) witness or None. By
-    convexity of the feasible eps-set this holds iff the joint system in
-    (y, eps) with eps > 0 is strictly feasible and its eps = 0 closure is
-    weakly feasible."""
+def _joint_region(d: ToricDivisor, ample: ToricDivisor, strict=(), tight=()) -> Polyhedron:
+    """The region of D - eps*H in (y, eps) with eps > 0, the rows in
+    ``strict`` strict (< 0), those in ``tight`` tight (= 0) and the rest weak
+    (>= 0)."""
     fan = d.fan
     n = fan.rank
-    joint_strict, joint_weak, closure = [], [], []
+    joint_strict, joint_weak = [], []
     for i in range(fan.n_rays):
-        u, a = fan.rays[i], d.coeffs[i]
-        row, flipped = tuple(u) + (-ample.coeffs[i],), (tuple(-x for x in u), -a)
+        row, a = tuple(fan.rays[i]) + (-ample.coeffs[i],), d.coeffs[i]
         if i in strict:
             joint_strict.append((row, a))
-            closure.append(flipped)
         else:
             joint_weak.append((row, a))
-            closure.append((u, a))
             if i in tight:
                 joint_weak.append((tuple(-x for x in row), -a))
-                closure.append(flipped)
     joint_strict.append(((0,) * n + (-1,), 0))  # eps > 0
-    joint = lp_strict_feasible(polyhedron(n + 1, strict=joint_strict, weak=joint_weak))
-    if not joint.feasible:
-        return None
-    status, _, _ = lp_optimize(polyhedron(n, weak=closure), (0,) * n, "max")
-    if status != "optimal":
-        return None
-    return joint.witness[n], joint.witness[:n]
+    return polyhedron(n + 1, strict=joint_strict, weak=joint_weak)
+
+
+def _persists(d: ToricDivisor, ample: ToricDivisor, strict=(), tight=()) -> bool:
+    """Does the region of D - eps*H with the rows in ``strict`` strict (< 0),
+    those in ``tight`` tight (= 0) and the rest weak (>= 0) stay nonempty for
+    arbitrarily small eps > 0? By convexity of the feasible eps-set this holds
+    iff the eps = 0 closure is nonempty and the joint system in (y, eps) with
+    eps > 0 is strictly feasible."""
+    return closure_nonempty(_face_region(d, tight, strict)) and strictly_feasible(
+        _joint_region(d, ample, strict, tight)
+    )
 
 
 def augmented_base_locus_exact(
@@ -332,7 +345,7 @@ def augmented_base_locus_exact(
         ample = default_ample(fan)
     elif not is_ample(ample):
         raise ToricError("augmented base locus needs an ample reference divisor")
-    bad = {tau for tau in fan.cones if _persists(divisor, ample, tight=tau) is None}
+    bad = {tau for tau in fan.cones if not _persists(divisor, ample, tight=tau)}
     return BaseLocusReport(minimal_cones=_minimalize(bad))
 
 
@@ -439,13 +452,12 @@ def _primitive_integral(divisor: ToricDivisor) -> ToricDivisor:
 
 
 def _obstructions(d: ToricDivisor, ample: ToricDivisor, index, degrees):
-    """Yield (p, S, (eps, y)) for every bad subset S of each degree p, in the
-    given order of degrees, whose region persists down to eps = 0."""
+    """Yield (p, S) for every bad subset S of each degree p, in the given
+    order of degrees, whose region persists down to eps = 0."""
     for p in degrees:
         for subset, _ in index[p]:
-            hit = _persists(d, ample, strict=subset)
-            if hit is not None:
-                yield p, subset, hit
+            if _persists(d, ample, strict=subset):
+                yield p, subset
 
 
 def _setup(divisor: ToricDivisor, q: int, ample: ToricDivisor | None):
@@ -466,13 +478,14 @@ def decide_qample(
 
     NOT q-ample iff some degree p > q has a bad subset whose perturbed region
     stays strictly feasible down to eps = 0. Certificates carry (p, S) and a
-    rational (eps, y) sample on failure; on success every (p, S) pair is
-    listed with the LP that rules it out.
+    rational (eps, y) sample on failure, the one LP solved here; on success
+    every (p, S) pair ruled out is listed.
     """
     d, ample, index = _setup(divisor, q, ample)
     degrees = range(q + 1, divisor.fan.rank + 1)
-    for p, subset, (eps, direction) in _obstructions(d, ample, index, degrees):
-        cert = QAmpleCertificate(degree=p, subset=subset, epsilon=eps, direction=direction)
+    for p, subset in _obstructions(d, ample, index, degrees):
+        *direction, eps = lp_strict_feasible(_joint_region(d, ample, strict=subset)).witness
+        cert = QAmpleCertificate(degree=p, subset=subset, epsilon=eps, direction=tuple(direction))
         return QAmpleResult(verdict=False, q=q, mode="asymptotic", certificate=cert)
     return QAmpleResult(
         verdict=True,

@@ -2,7 +2,8 @@
 
 These deliberately take the dumb route: filter every integer point of an
 explicit box, walk every weight of a certified box and classify its sign
-pattern one weight at a time, or run the simplex on ``Fraction`` rows.
+pattern one weight at a time, decide a cone question by the LP instead of
+the cached projections, or run the simplex on ``Fraction`` rows.
 They share only the exact arithmetic layer with the implementations they
 check.
 """
@@ -13,7 +14,7 @@ from math import ceil, floor
 
 from toricpos import full_subcomplex, reduced_cohomology
 from toricpos.cohomology import bad_subsets, subset_region
-from toricpos.polyhedra import Polyhedron, lp_optimize
+from toricpos.polyhedra import Polyhedron, lp_optimize, lp_strict_feasible, polyhedron
 
 
 def box_filter_lattice_points(poly: Polyhedron, box):
@@ -64,6 +65,31 @@ def certified_weight_box(fan, coeffs):
                 lo[k] = min(lo[k], ceil(vmin))
                 hi[k] = max(hi[k], floor(vmax))
     return [(l - 1, h + 1) for l, h in zip(lo, hi)]
+
+
+def lp_persists(d, ample, strict=(), tight=()) -> bool:
+    """``positivity._persists`` by two LPs on rows built here: the region of
+    D - eps*H (rows in ``strict`` < 0, in ``tight`` = 0, the rest >= 0) in
+    (y, eps) with eps > 0 is strictly feasible, and its eps = 0 closure has a
+    point."""
+    fan = d.fan
+    n = fan.rank
+    joint_strict, joint_weak, closure = [((0,) * n + (-1,), 0)], [], []
+    for i, u in enumerate(fan.rays):
+        a = d.coeffs[i]
+        row = tuple(u) + (-ample.coeffs[i],)
+        if i in strict:
+            joint_strict.append((row, a))
+            closure.append((tuple(-x for x in u), -a))
+            continue
+        joint_weak.append((row, a))
+        closure.append((u, a))
+        if i in tight:
+            joint_weak.append((tuple(-x for x in row), -a))
+            closure.append((tuple(-x for x in u), -a))
+    joint = polyhedron(n + 1, strict=joint_strict, weak=joint_weak)
+    closure_status = lp_optimize(polyhedron(n, weak=closure), (0,) * n)[0]
+    return lp_strict_feasible(joint).feasible and closure_status == "optimal"
 
 
 def brute_force_cohomology(fan, coeffs):

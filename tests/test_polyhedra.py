@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -10,13 +11,15 @@ from hypothesis import strategies as st
 from toricpos import ToricDivisor, UnboundedRegion
 from toricpos.cohomology import bad_subsets, subset_region
 from toricpos.polyhedra import (
-    _projections,
+    _projection,
+    closure_nonempty,
     coordinate_bounds,
     lattice_points,
     lp_optimize,
     lp_strict_feasible,
     polyhedron,
     simplex_max,
+    strictly_feasible,
 )
 
 from .conftest import random_divisors
@@ -251,6 +254,54 @@ def test_projected_bounds_match_lp_on_seeded_corpus():
             lattice_points(polyhedron(n))
 
 
+def test_fm_decisions_match_the_lp_on_seeded_corpus():
+    # strictly_feasible and closure_nonempty against the strict-feasibility
+    # LP and the closure LP, on mixed rows in dims 0-5: empty, unbounded,
+    # lower-dimensional (an equation as two weak rows) and full-dimensional
+    rng = random.Random(20263)
+
+    def entry():
+        r = rng.random()
+        if r < 0.3:
+            return 0
+        if r < 0.5:
+            return Fraction(rng.randint(-6, 6), rng.choice([2, 3, 4]))
+        return rng.randint(-3, 3)
+
+    kinds = Counter()
+    for _ in range(1500):
+        n = rng.randint(0, 5)
+
+        def row():
+            return tuple(entry() for _ in range(n)), entry() + rng.randint(-4, 4)
+
+        strict = [row() for _ in range(rng.choice([0, 1, 2, 3]))]
+        weak = [row() for _ in range(rng.choice([0, 1, 2, 4]))]
+        if rng.random() < 0.25:
+            u, c = row()
+            weak += [(u, c), (tuple(-x for x in u), -c)]
+        if rng.random() < 0.5:  # a window on every coordinate: bounded
+            for k in range(n):
+                for sign in (1, -1):
+                    weak.append((tuple(sign if j == k else 0 for j in range(n)), rng.randint(0, 4)))
+        p = polyhedron(n, strict=strict, weak=weak)
+        strict_lp = lp_strict_feasible(p).feasible
+        closure_lp = lp_optimize(p, (0,) * n)[0] == "optimal"
+        assert strictly_feasible(p) == strict_lp, p
+        assert closure_nonempty(p) == closure_lp, p
+        if not closure_lp:
+            kinds["empty"] += 1
+        elif not strict_lp:
+            kinds["closure only"] += 1
+        else:
+            kinds["strictly feasible"] += 1
+        if n == 0:
+            kinds["dim 0"] += 1
+        elif closure_lp and lp_optimize(p, (1,) + (0,) * (n - 1))[0] == "unbounded":
+            kinds["unbounded"] += 1
+    assert len(kinds) == 5 and min(kinds.values()) >= 20, kinds
+
+
 def test_stored_rows_are_content_free_integers_on_seeded_corpus():
     # polyhedron() stores each row once as coprime integers; each stored row
     # must take the sign of its input row everywhere, on its boundary too, so
@@ -311,16 +362,16 @@ def test_stored_rows_are_content_free_integers_on_seeded_corpus():
 
 
 def test_positively_scaled_rows_share_one_projection_entry():
-    # the projection cache is keyed by the stored normals, so rows that differ
-    # by a positive factor reach the same entry
+    # the projection cache is keyed by the stored normals and a coordinate,
+    # so rows that differ by a positive factor reach the same entries
     window = [((0, 1), 4), ((0, -1), 4), ((-1, 0), 5)]
     first = polyhedron(2, weak=[((Fraction(1, 2), 0), Fraction(1, 3))] + window)
     second = polyhedron(2, weak=[((3, 0), 2)] + window)
     bounds = list(coordinate_bounds(first))
-    before = _projections.cache_info()
+    before = _projection.cache_info()
     assert list(coordinate_bounds(second)) == bounds
-    after = _projections.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    after = _projection.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
 
 def test_bad_subset_regions_are_walked_without_an_lp(monkeypatch, example_fans):

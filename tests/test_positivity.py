@@ -1,10 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import toricpos.divisor
 import toricpos.fan
+import toricpos.polyhedra
 from toricpos import (
     Fan,
     NotComplete,
@@ -30,9 +32,11 @@ from toricpos import (
     zero_divisor,
 )
 
-from toricpos.positivity import is_big
+from toricpos.cohomology import bad_subsets
+from toricpos.positivity import _persists, default_ample, is_big
 
 from .conftest import random_divisors
+from .oracles import lp_persists
 
 
 def test_classify_ample_anticanonical(totaro, totaro_H):
@@ -311,3 +315,66 @@ def test_qample_entry_points_reject_an_incomplete_fan(totaro):
     for search in searches:
         with pytest.raises(NotComplete):
             search(d, 1)
+
+
+def test_decisions_solve_no_lp(monkeypatch, example_fans):
+    # the projections decide every cone question; fan validation's LPs run
+    # before the simplex is taken away
+    for fan in example_fans:
+        assert fan.properties.complete
+
+    def no_lp(*args):
+        raise AssertionError("a decision solved an LP")
+
+    solve = toricpos.polyhedra.simplex_max
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "toricpos" and getattr(module, "simplex_max", None) is solve:
+            monkeypatch.setattr(module, "simplex_max", no_lp)
+    for fan in example_fans:
+        divisors = random_divisors(fan, 6, seed="no-lp")
+        for d in divisors:
+            classify_cones(d)
+            for q in range(fan.rank):
+                is_qnef(d, q)
+            augmented_base_locus_exact(d)
+            stable_base_locus_exact(d)
+            smallest_qample(d)
+        chamber_scan(divisors[0], divisors[1], divisors[2], resolution=1)
+
+
+def test_decide_qample_solves_one_lp_per_printed_certificate(monkeypatch, example_fans):
+    for fan in example_fans:
+        assert fan.properties.complete
+    calls = []
+    solve = toricpos.polyhedra.simplex_max
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(toricpos.polyhedra, "simplex_max", counting)
+    verdicts = set()
+    for fan in example_fans:
+        for d in random_divisors(fan, 12, seed="one-lp"):
+            for q in range(fan.rank):
+                calls.clear()
+                result = decide_qample(d, q)
+                assert len(calls) == (0 if result.verdict else 1), (fan.name, d.coeffs, q)
+                verdicts.add(result.verdict)
+    assert verdicts == {True, False}
+
+
+def test_persists_matches_the_lp_on_acceptance_classes(example_fans):
+    # criterion 5's seeded classes: every q-ample obstruction pattern (a bad
+    # subset strict) and every B+ escape pattern (a cone tight)
+    outcomes = set()
+    for fan in example_fans:
+        ample = default_ample(fan)
+        patterns = [(s, ()) for entries in bad_subsets(fan) for s, _ in entries]
+        patterns += [((), tau) for tau in fan.cones]
+        for d in random_divisors(fan, 200, seed="acceptance5"):
+            for strict, tight in patterns:
+                fm = _persists(d, ample, strict, tight)
+                assert fm == lp_persists(d, ample, strict, tight), (fan.name, d.coeffs, strict, tight)
+                outcomes.add(fm)
+    assert outcomes == {True, False}

@@ -216,12 +216,17 @@ def test_cli_input_error_exit_code(tmp_path):
     not_utf8 = tmp_path / "not-utf8.json"
     not_utf8.write_bytes(b"\xff\xfe{")
     no_dir_plot = tmp_path / "missing" / "plot.svg"
+    point = tmp_path / "point.json"
+    data["fan"] = {"lattice_rank": 0, "rays": [], "max_cones": [[]], "complete": True}
+    data["divisors"] = {"Z": []}
+    point.write_text(json.dumps(data))
     named = {
         "restrict": ["f3", "f5"],
         "replicate-paper": ["unknown divisor 'L'"],
         str(unused_ray): ["lies in no maximal cone"],
         str(not_utf8): [str(not_utf8), "UTF-8"],
         str(no_dir_plot): [str(no_dir_plot)],
+        str(point): ["rank >= 1"],
     }
     for args in (
         ("qnef", "-w", "p2", "-d", "H", "--q", "5"),
@@ -238,6 +243,8 @@ def test_cli_input_error_exit_code(tmp_path):
         ("validate", "-w", str(not_utf8)),
         ("chambers", "-w", "p2", "--dir1", "H", "--dir2", "F2", "--resolution", "0",
          "--emit-plot", str(no_dir_plot)),
+        ("cohomology", "-w", str(point), "-d", "Z"),
+        ("qample", "-w", str(point), "-d", "Z", "--q", "0"),
     ):
         result = run_cli(*args)
         assert result.exit_code == 2, (args, result.output)
