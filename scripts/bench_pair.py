@@ -10,7 +10,9 @@ both sides alike), then one traced pair (``--trace 1``, seed 71) for the per-lay
 Run length, metrics and their better direction come from the base
 checkout's ``BENCHMARK.json``. Writes ``BENCH_<NAME>.json`` in the current
 directory: per metric the median and quartiles of each side, and how many
-pairs the change won.
+pairs the change won, plus an ``env`` block (Python version, usable cores,
+whether ``PYTHONDONTWRITEBYTECODE`` is set, and each checkout's commit), since
+cold-cli figures move with the bytecode flag.
 """
 
 from __future__ import annotations
@@ -39,6 +41,21 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
     return result
 
 
+def git_head(checkout: str) -> str | None:
+    """The checkout's ``git rev-parse HEAD``, or None outside a git clone."""
+    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def environment(base: str, change: str) -> dict:
+    return {
+        "python": sys.version.split()[0],
+        "nproc": len(os.sched_getaffinity(0)),
+        "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "git_head": {"base": git_head(base), "change": git_head(change)},
+    }
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -55,7 +72,10 @@ def main() -> None:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
-    report = {"label": args.label, "pairs": PAIRS, "seconds": seconds, "workloads": {}}
+    report = {
+        "label": args.label, "pairs": PAIRS, "seconds": seconds,
+        "env": environment(args.base, args.change), "workloads": {},
+    }
     for workload in workloads:
         print(workload, flush=True)
         runs = {"base": [], "change": []}

@@ -19,7 +19,6 @@ from .divisor import (
     ToricDivisor,
     anticanonical_divisor,
     canonical_divisor,
-    cartier_data,
     class_of,
     divisor_of_character,
     is_ample,
@@ -53,7 +52,7 @@ from .fan import (
     subset_connected,
     validate,
 )
-from .linalg import smith_normal_form, solve_integer
+from .linalg import smith_normal_form
 from .polyhedra import (
     Polyhedron,
     lattice_points,

@@ -105,7 +105,8 @@ def bad_subsets(fan: Fan) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
 
 
 def subset_region(fan: Fan, coeffs, subset) -> Polyhedron:
-    """P_S(D): strict rows on S, weak rows off S, in M-coordinates."""
+    """P_S(D): strict rows on S, weak rows off S, in M-coordinates. Callers
+    pass ``ToricDivisor.plain_coeffs``, so integral rows stay ``int``."""
     s = set(subset)
     strict = [(fan.rays[i], coeffs[i]) for i in range(fan.n_rays) if i in s]
     weak = [(fan.rays[i], coeffs[i]) for i in range(fan.n_rays) if i not in s]
@@ -173,7 +174,7 @@ def _degree_regions(divisor: ToricDivisor, p: int, first_only=False):
     whose weight region holds a lattice point."""
     fan = divisor.fan
     for subset, dim in bad_subsets(fan)[p]:
-        region = subset_region(fan, divisor.coeffs, subset)
+        region = subset_region(fan, divisor.plain_coeffs, subset)
         try:
             runs = tuple(lattice_runs(region, first_only=first_only))
         except UnboundedRegion as exc:
@@ -228,7 +229,7 @@ def asymptotic_nonvanishing(divisor: ToricDivisor, p: int):
     fan = divisor.fan
     _require_degree(fan, p)
     for subset, _ in bad_subsets(fan)[p]:
-        region = subset_region(fan, divisor.coeffs, subset)
+        region = subset_region(fan, divisor.plain_coeffs, subset)
         if strictly_feasible(region):
             witness = lp_strict_feasible(region).witness
             return True, AsymptoticWitness(subset=subset, direction=witness)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import NotACone, NotIntegral, ToricError
 from .fan import Fan, star_quotient
@@ -31,6 +31,13 @@ class ToricDivisor:
                 f"{len(coeffs)} coefficients for a fan with {self.fan.n_rays} rays"
             )
         object.__setattr__(self, "coeffs", coeffs)
+
+    @cached_property
+    def plain_coeffs(self) -> tuple[int | Fraction, ...]:
+        """The coefficients with an ``int`` wherever the denominator is 1:
+        what row builders pass to ``polyhedron()``, so that an integral
+        divisor's rows are normalized without ``Fraction`` arithmetic."""
+        return tuple(c.numerator if c.denominator == 1 else c for c in self.coeffs)
 
     @property
     def is_integral(self) -> bool:
@@ -89,7 +96,7 @@ def section_polyhedron(divisor: ToricDivisor) -> Polyhedron:
     fan = divisor.fan
     return polyhedron(
         fan.rank,
-        weak=[(fan.rays[i], divisor.coeffs[i]) for i in range(fan.n_rays)],
+        weak=[(fan.rays[i], divisor.plain_coeffs[i]) for i in range(fan.n_rays)],
     )
 
 
@@ -156,36 +163,21 @@ def is_linearly_equivalent(d1: ToricDivisor, d2: ToricDivisor):
     return True, tuple(m), integral
 
 
-def cartier_data(divisor: ToricDivisor) -> dict:
-    """Per maximal cone sigma, the m_sigma with <m_sigma, u_rho> = -a_rho."""
-    fan = divisor.fan
-    out = {}
-    for c in fan.max_cones:
-        mat = [[Fraction(x) for x in fan.rays[i]] for i in c]
-        rhs = [-divisor.coeffs[i] for i in c]
-        m = solve_linear(mat, rhs)
-        if m is None:
-            raise ToricError(f"no linear data on cone {c}")
-        out[c] = tuple(m)
-    return out
-
-
 def wall_degree(divisor: ToricDivisor, wall) -> Fraction:
     """Intersection number D . V(wall) for a wall (codimension-1 cone).
 
-    Uses the representative of D that vanishes on one adjacent maximal cone;
-    the degree is its coefficient at the opposite ray of the other one.
+    Reads the wall's form from ``Fan.wall_forms``, built once per fan: the
+    degree is the coefficient at the opposite ray of the representative of D
+    that vanishes on one adjacent maximal cone, a fixed linear form in the
+    coefficients, so no system is solved per divisor.
     """
-    fan = divisor.fan
     wall = tuple(sorted(wall))
-    neighbors = fan.wall_neighbors.get(wall)
-    if neighbors is None or len(neighbors) != 2:
+    form = divisor.fan.wall_forms.get(wall)
+    if form is None:
         raise NotACone(f"{wall} is not a wall of a complete fan")
-    sigma, sigma2 = neighbors
-    mat = [[Fraction(x) for x in fan.rays[i]] for i in sigma]
-    m = solve_linear(mat, [divisor.coeffs[i] for i in sigma])
-    other = next(i for i in sigma2 if i not in wall)
-    return divisor.coeffs[other] - dot(m, fan.rays[other])
+    sigma, c, other, den = form
+    a = divisor.plain_coeffs
+    return Fraction(den * a[other] - sum(x * a[i] for x, i in zip(c, sigma)), den)
 
 
 def is_ample(divisor: ToricDivisor) -> bool:

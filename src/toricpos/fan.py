@@ -15,7 +15,14 @@ from itertools import combinations
 from math import gcd
 
 from .errors import EmptySet, InvalidFan, NotACone
-from .linalg import det, matrix_rank, primitive_vector, smith_normal_form
+from .linalg import (
+    clear_denominators,
+    det,
+    matrix_rank,
+    primitive_vector,
+    smith_normal_form,
+    solve_linear,
+)
 from .polyhedra import polyhedron, lp_strict_feasible
 
 
@@ -80,6 +87,25 @@ class Fan:
                 if w in out:
                     out[w].append(c)
         return {w: tuple(v) for w, v in out.items()}
+
+    @cached_property
+    def wall_forms(self) -> dict:
+        """Wall -> (sigma, c, other, den) for each wall with two neighbours
+        sigma and sigma2, other the ray of sigma2 off the wall: every divisor
+        D = sum a_rho F_rho has D . V(wall) = (den * a_other - sum_k c[k] *
+        a_sigma[k]) / den. Here c / den = A^-T u_other for A the rays of
+        sigma, so c depends on the fan alone and is solved once per wall
+        (Cox-Little-Schenck, Toric Varieties, Prop. 6.4.4)."""
+        out = {}
+        for w, nbrs in self.wall_neighbors.items():
+            if len(nbrs) != 2:
+                continue
+            sigma, sigma2 = nbrs
+            other = next(i for i in sigma2 if i not in w)
+            transposed = [[self.rays[i][j] for i in sigma] for j in range(self.rank)]
+            c, den = clear_denominators(solve_linear(transposed, self.rays[other]))
+            out[w] = (sigma, tuple(c), other, den)
+        return out
 
     @cached_property
     def properties(self) -> FanProperties:

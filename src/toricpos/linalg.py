@@ -22,18 +22,6 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
-def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
 def dot(u, v) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
@@ -82,24 +70,6 @@ def solve_linear(mat, rhs) -> list[Fraction] | None:
     for i, c in enumerate(pivots):
         x[c] = red[i][cols]
     return x
-
-
-def nullspace(mat) -> list[list[Fraction]]:
-    """Basis of {x : mat @ x = 0}, deterministic order."""
-    a = fraction_matrix(mat)
-    if not a:
-        return []
-    red, pivots = rref(a)
-    cols = len(a[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -red[i][f]
-        basis.append(v)
-    return basis
 
 
 def det(mat) -> Fraction:
@@ -232,34 +202,6 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
     return s, u, v
 
 
-def solve_integer(mat, rhs) -> tuple[list[int], list[list[int]]] | None:
-    """Integer solutions of mat @ x = rhs.
-
-    Returns (particular solution, basis of the homogeneous solution lattice),
-    or None when no integral solution exists.
-    """
-    s, u, v = smith_normal_form(mat)
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    b = mat_vec(u, [int(x) for x in rhs])
-    z = [0] * n
-    rank = 0
-    for i in range(min(m, n)):
-        if s[i][i]:
-            rank = i + 1
-    for i in range(m):
-        d = s[i][i] if i < n else 0
-        if d:
-            if b[i] % d:
-                return None
-            z[i] = b[i] // d
-        elif b[i] != 0:
-            return None
-    particular = mat_vec(v, z)
-    lattice = [[v[r][c] for r in range(n)] for c in range(rank, n)]
-    return particular, lattice
-
-
 def primitive_vector(vec) -> tuple[tuple[int, ...], int]:
     """(primitive vector, positive multiplier) with vec = multiplier * primitive.
 
@@ -281,7 +223,12 @@ def content_free(ints):
 
 
 def clear_denominators(values) -> tuple[list[int], int]:
-    """Scale rationals to integers: returns (ints, L) with ints = L * values."""
+    """Scale rationals to integers: returns (ints, L) with ints = L * values.
+
+    An all-``int`` input, the common case for rows built from integral
+    divisors, is returned as it is with L = 1, without ``Fraction`` work."""
+    if all(type(x) is int for x in values):
+        return list(values), 1
     fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
     scale = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (scale // f.denominator) for f in fracs], scale

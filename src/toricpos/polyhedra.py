@@ -9,7 +9,11 @@ A row (u, c) encodes the condition on y:
 ``polyhedron()`` fixes the row format once: each row is scaled to integers
 and divided by its content, so every stored row is an integer tuple with
 content 1 (a zero row stays zero). Positive scaling keeps each condition,
-and the layers below read the stored rows as they are.
+and the layers below read the stored rows as they are. A row given as plain
+``int`` entries (rays are, and so is ``ToricDivisor.plain_coeffs`` wherever
+a coefficient is integral) is normalized by one gcd; only a row holding a
+true ``Fraction`` has its denominators cleared first. The content-free form
+of a row is unique, so both routes store the same row.
 
 Fourier-Motzkin decides. ``_projection(normals, dim, k)`` eliminates every
 coordinate but y_k from closure rows <u, y> <= b and depends only on the row
@@ -23,7 +27,8 @@ strictly feasible iff that range has a positive upper end.
 
 The simplex only writes witnesses: ``lp_strict_feasible`` returns a rational
 point where a caller prints one. It is a textbook two-phase tableau with
-Bland's rule. Its rows hold integers: each pivot is one multiply-subtract
+Bland's rule. Its rows hold integers, and stored rows enter the tableau as
+they are, with no denominator to clear: each pivot is one multiply-subtract
 pass and a gcd content reduction per row, so no ``Fraction`` arithmetic runs
 inside the pivot loop. The signs and ratios Bland's rule reads are exactly
 those of the rational tableau, so every pivot sequence is deterministic, and

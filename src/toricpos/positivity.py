@@ -141,7 +141,7 @@ def is_big(divisor: ToricDivisor, tau=()) -> bool:
     star = {i for c in fan.max_cones if set(tau) <= set(c) for i in c}
     strict, weak = [], []
     for i in range(fan.n_rays):
-        u, a = fan.rays[i], divisor.coeffs[i]
+        u, a = fan.rays[i], divisor.plain_coeffs[i]
         flipped = (tuple(-x for x in u), -a)
         if i in tau:
             weak += [(u, a), flipped]
@@ -207,7 +207,7 @@ def _face_region(divisor: ToricDivisor, tau, flipped=()) -> Polyhedron:
     fan = divisor.fan
     weak = []
     for i in range(fan.n_rays):
-        u, a = fan.rays[i], divisor.coeffs[i]
+        u, a = fan.rays[i], divisor.plain_coeffs[i]
         negated = (tuple(-x for x in u), -a)
         if i in flipped:
             weak.append(negated)
@@ -313,7 +313,7 @@ def _joint_region(d: ToricDivisor, ample: ToricDivisor, strict=(), tight=()) -> 
     n = fan.rank
     joint_strict, joint_weak = [], []
     for i in range(fan.n_rays):
-        row, a = tuple(fan.rays[i]) + (-ample.coeffs[i],), d.coeffs[i]
+        row, a = fan.rays[i] + (-ample.plain_coeffs[i],), d.plain_coeffs[i]
         if i in strict:
             joint_strict.append((row, a))
         else:
@@ -523,7 +523,7 @@ def _nonvanishing(
         twisted = n_mult * d - j * ample
         for p in range(q + 1, fan.rank + 1):
             if any(
-                lattice_points(subset_region(fan, twisted.coeffs, subset), first_only=True)
+                lattice_points(subset_region(fan, twisted.plain_coeffs, subset), first_only=True)
                 for subset, _ in index[p]
             ):
                 yield n_mult, j, p

@@ -3,7 +3,8 @@
 These deliberately take the dumb route: filter every integer point of an
 explicit box, walk every weight of a certified box and classify its sign
 pattern one weight at a time, decide a cone question by the LP instead of
-the cached projections, or run the simplex on ``Fraction`` rows.
+the cached projections, run the simplex on ``Fraction`` rows, or solve a
+wall's linear system again for every divisor.
 They share only the exact arithmetic layer with the implementations they
 check.
 """
@@ -14,6 +15,7 @@ from math import ceil, floor
 
 from toricpos import full_subcomplex, reduced_cohomology
 from toricpos.cohomology import bad_subsets, subset_region
+from toricpos.linalg import dot, solve_linear
 from toricpos.polyhedra import Polyhedron, lp_optimize, lp_strict_feasible, polyhedron
 
 
@@ -90,6 +92,17 @@ def lp_persists(d, ample, strict=(), tight=()) -> bool:
     joint = polyhedron(n + 1, strict=joint_strict, weak=joint_weak)
     closure_status = lp_optimize(polyhedron(n, weak=closure), (0,) * n)[0]
     return lp_strict_feasible(joint).feasible and closure_status == "optimal"
+
+
+def solve_wall_degree(divisor, wall):
+    """``divisor.wall_degree`` by one linear solve per divisor: the
+    representative of D that vanishes on one neighbour of the wall, read at
+    the opposite ray of the other neighbour."""
+    fan = divisor.fan
+    sigma, sigma2 = fan.wall_neighbors[wall]
+    m = solve_linear([fan.rays[i] for i in sigma], [divisor.coeffs[i] for i in sigma])
+    other = next(i for i in sigma2 if i not in wall)
+    return divisor.coeffs[other] - dot(m, fan.rays[other])
 
 
 def brute_force_cohomology(fan, coeffs):

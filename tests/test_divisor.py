@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricpos import (
+    Fan,
     NotACone,
     ToricDivisor,
     anticanonical_divisor,
     canonical_divisor,
-    cartier_data,
     class_of,
     cohomology_dims,
     divisor_of_character,
@@ -24,6 +24,8 @@ from toricpos import (
     wall_degree,
     zero_divisor,
 )
+
+from .oracles import solve_wall_degree
 
 
 def test_picard_ranks(example_fans):
@@ -128,15 +130,6 @@ def test_canonical_divisors(p1, p2, totaro, totaro_H):
     assert is_ample(totaro_H)
 
 
-def test_cartier_data_integral_on_smooth_fan(totaro, totaro_L):
-    data = cartier_data(totaro_L)
-    assert len(data) == 8
-    for cone, m in data.items():
-        assert all(x.denominator == 1 for x in m)
-        for i in cone:
-            assert sum(a * b for a, b in zip(m, totaro.rays[i])) == -totaro_L.coeffs[i]
-
-
 def test_sign_convention_unit_sections_on_p1(p1):
     # degree-1 class on the line has a 2-point section polytope
     d = ToricDivisor(p1, (1, 0))
@@ -146,3 +139,73 @@ def test_sign_convention_unit_sections_on_p1(p1):
 def test_wall_degree_on_p2(p2):
     h = ToricDivisor(p2, (1, 0, 0))
     assert all(wall_degree(h, w) == 1 for w in p2.walls)
+
+
+def _product_fan(factors, matrix):
+    """The product of (rays, cones) factors, its rays moved by ``matrix``."""
+    rank = sum(len(rays[0]) for rays, _ in factors)
+    rays, cones, dim = [], [()], 0
+    for f_rays, f_cones in factors:
+        offset, k = len(rays), len(f_rays[0])
+        rays += [(0,) * dim + r + (0,) * (rank - dim - k) for r in f_rays]
+        cones = [c + tuple(i + offset for i in fc) for c in cones for fc in f_cones]
+        dim += k
+    moved = [tuple(sum(a * x for a, x in zip(row, r)) for row in matrix) for r in rays]
+    return Fan(rank, tuple(moved), tuple(cones))
+
+
+def _unimodular(rng, n):
+    """A seeded matrix in GL(n, Z): row operations on the identity, shuffled."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        a[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(a[i], a[j])]
+    rng.shuffle(a)
+    return a
+
+
+def test_wall_forms_match_the_per_divisor_solve(example_fans):
+    # Fan.wall_forms is solved once per fan; every degree it gives must be
+    # the per-divisor solve's, for integral and rational classes alike
+    rng = random.Random(20264)
+    p1 = (((1,), (-1,)), ((0,), (1,)))
+    p2 = (((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
+    fans = list(example_fans)
+    for factors in ([p1] * 3, [p1] * 4, [p2, p1, p1]):
+        for _ in range(2):
+            n = sum(len(rays[0]) for rays, _ in factors)
+            fans.append(_product_fan(factors, _unimodular(rng, n)))
+    # weighted projective spaces P(1,1,2) and P(1,1,1,3) are simplicial, not
+    # smooth; a wall whose first neighbour is singular has a form with a
+    # denominator
+    weighted = [
+        Fan(2, ((1, 0), (0, 1), (-1, -2)), ((0, 2), (0, 1), (1, 2))),
+        Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -3)),
+            ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
+    ]
+    assert all(any(form[3] > 1 for form in fan.wall_forms.values()) for fan in weighted)
+    fans += weighted
+    fractional = 0
+    for fan in fans:
+        assert fan.properties.complete
+        for k in range(6):
+            den = 1 if k < 3 else rng.choice([2, 3, 6])
+            coeffs = [Fraction(rng.randint(-7, 7), den) for _ in range(fan.n_rays)]
+            d = ToricDivisor(fan, coeffs)
+            for w in fan.walls:
+                degree = wall_degree(d, w)
+                assert type(degree) is Fraction
+                assert degree == solve_wall_degree(d, w), (fan.rays, coeffs, w)
+                fractional += degree.denominator > 1
+        assert is_ample(anticanonical_divisor(fan))
+    assert len(fans) == 12 and fractional > 100, fractional
+
+
+def test_wall_degree_rejects_a_non_wall(p2, totaro, totaro_L):
+    for cone in [(0, 1), (0, 2, 3), (0, 1, 2), ()]:  # no cone, a maximal cone, no cone, the apex
+        with pytest.raises(NotACone):
+            wall_degree(totaro_L, cone)
+    open_p2 = Fan(2, p2.rays, ((0, 1), (1, 2)))  # ray 0 borders one cone
+    with pytest.raises(NotACone):
+        wall_degree(ToricDivisor(open_p2, (1, 0, 0)), (0,))
+    assert wall_degree(ToricDivisor(open_p2, (1, 0, 0)), (1,)) == 1

@@ -361,6 +361,37 @@ def test_stored_rows_are_content_free_integers_on_seeded_corpus():
     assert zero_rows > 0
 
 
+def test_integer_rows_store_as_their_fraction_forms_on_seeded_corpus():
+    # an all-int row takes polyhedron()'s one-gcd route and the same row as
+    # Fractions the clear_denominators route; both must store the row divided
+    # by its content, which is unique, as plain ints
+    rng = random.Random(20265)
+    kinds = Counter()
+    for _ in range(800):
+        n = rng.randint(0, 4)
+        content = rng.choice([1, 1, 2, 3, 6])
+        if rng.random() < 0.1:
+            u, c = (0,) * n, 0
+        else:
+            u = tuple(content * rng.randint(-5, 5) for _ in range(n))
+            c = content * rng.randint(-5, 5)
+        g = gcd(*u, c)
+        expected = (u, c) if g == 0 else (tuple(x // g for x in u), c // g)
+        k = rng.choice([2, 3, 5, 6])
+        forms = [
+            (u, c),
+            (tuple(map(Fraction, u)), Fraction(c)),
+            (tuple(Fraction(x, k) for x in u), Fraction(c, k)),
+        ]
+        for form in forms:
+            p = polyhedron(n, strict=[form], weak=[form])
+            assert p.strict == p.weak == (expected,), (form, p)
+            assert all(type(x) is int for x in (*p.weak[0][0], p.weak[0][1])), p
+        kinds["zero" if g == 0 else "content > 1" if g > 1 else "primitive"] += 1
+        kinds["negative entry"] += min((*u, c)) < 0
+    assert len(kinds) == 4 and min(kinds.values()) >= 40, kinds
+
+
 def test_positively_scaled_rows_share_one_projection_entry():
     # the projection cache is keyed by the stored normals and a coordinate,
     # so rows that differ by a positive factor reach the same entries
@@ -444,6 +475,23 @@ def test_simplex_matches_fraction_reference_on_seeded_corpus():
         result = simplex_max(a, b, c)
         assert result == reference_simplex_max(a, b, c), (a, b, c)
         statuses[result[0]] = statuses.get(result[0], 0) + 1
+    assert set(statuses) == {"optimal", "unbounded", "infeasible"}, statuses
+
+
+def test_simplex_on_int_rows_matches_fraction_reference_on_seeded_corpus():
+    # rows stored by polyhedron() reach the simplex as plain ints and enter
+    # the tableau without clearing denominators
+    rng = random.Random(20266)
+    statuses = Counter()
+    for _ in range(1200):
+        m, n = rng.randint(0, 8), rng.randint(0, 6)
+        a = [[rng.choice([0, 0, rng.randint(-6, 6)]) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-3, 6) for _ in range(m)]
+        c = [rng.randint(-4, 4) for _ in range(n)]
+        result = simplex_max(a, b, c)
+        fracs = [[Fraction(x) for x in row] for row in a]
+        assert result == reference_simplex_max(fracs, list(map(Fraction, b)), c), (a, b, c)
+        statuses[result[0]] += 1
     assert set(statuses) == {"optimal", "unbounded", "infeasible"}, statuses
 
 
