@@ -12,7 +12,8 @@ checkout's ``BENCHMARK.json``. Writes ``BENCH_<NAME>.json`` in the current
 directory: per metric the median and quartiles of each side, and how many
 pairs the change won, plus an ``env`` block (Python version, usable cores,
 whether ``PYTHONDONTWRITEBYTECODE`` is set, and each checkout's commit), since
-cold-cli figures move with the bytecode flag.
+cold-cli figures move with the bytecode flag. A run that fails stops the
+script with exit 1 after printing its argv and the tail of its stderr.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import sys
 
 SEED0 = 71
 PAIRS = 10  # a gain claim needs ten alternating pairs
+STDERR_TAIL = 20  # lines of a failed run's stderr to print
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -34,7 +36,10 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
-    out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        tail = "\n".join(out.stderr.splitlines()[-STDERR_TAIL:])
+        sys.exit(f"error: exit {out.returncode} from {' '.join(argv)}\n{tail}")
     result = json.loads(out.stdout.strip().splitlines()[-1])
     print(f"  {os.path.basename(checkout.rstrip('/'))} seed={seed} trace={trace} "
           f"correct={result['correct']} failed={result['failed']}", flush=True)

@@ -106,7 +106,8 @@ def bad_subsets(fan: Fan) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
 
 def subset_region(fan: Fan, coeffs, subset) -> Polyhedron:
     """P_S(D): strict rows on S, weak rows off S, in M-coordinates. Callers
-    pass ``ToricDivisor.plain_coeffs``, so integral rows stay ``int``."""
+    pass ``ToricDivisor.plain_coeffs`` or the scan's twists formed from them,
+    so integral rows stay ``int``."""
     s = set(subset)
     strict = [(fan.rays[i], coeffs[i]) for i in range(fan.n_rays) if i in s]
     weak = [(fan.rays[i], coeffs[i]) for i in range(fan.n_rays) if i not in s]

@@ -40,7 +40,10 @@ walk then visits the box one interval per node: every row reads
 <u, y> + c <= 0 over Z, so each row bounds the next coordinate from one
 side, solved by floor division. The walk returns the last coordinate's
 intervals as runs (prefix, lo, hi), so counting points sums run lengths and
-builds no point; lattice_points expands the runs.
+builds no point; lattice_points expands the runs. The last level is read in
+one batch per parent node: each row's bounds over the parent's whole range
+are one ``map`` of floor divisions, folded with ``min``, and no node is
+built for a single last-coordinate interval.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 from math import ceil, floor, gcd
 
 from .errors import UnboundedRegion
@@ -375,6 +378,40 @@ def strictly_feasible(poly: Polyhedron) -> bool:
     return t_range is not None and t_range[1][0] > 0
 
 
+def _interval(col, vals, tail, v_lo, v_hi):
+    """The v in [v_lo, v_hi] that a node may pick for its coordinate: each row
+    <u, y> + c <= 0 with partial sum val, coefficient a = col[r] and least
+    tail t needs a * v <= -val - t. An empty answer has v_lo > v_hi."""
+    for a, val, t in zip(col, vals, tail):
+        room = -val - t
+        if a > 0:
+            v_hi = min(v_hi, room // a)
+        elif a < 0:
+            v_lo = max(v_lo, -(room // -a))
+        elif room < 0:
+            return v_lo, v_lo - 1
+    return v_lo, v_hi
+
+
+def _parents(cols, tails, lo, hi, vals):
+    """The walk down to depth n - 2 (n >= 2), in lexicographic order: yields
+    (prefix, partial sums, heads, v_lo, v_hi) per node whose coordinate takes
+    v in [v_lo, v_hi], heads holding the tuples (v,). The stack is explicit
+    because a recursive closure forms a cycle that keeps the answer alive."""
+    last = len(cols) - 2
+    stack = [((), vals)]
+    while stack:
+        prefix, vals = stack.pop()
+        d = len(prefix)
+        v_lo, v_hi = _interval(cols[d], vals, tails[d + 1], lo[d], hi[d])
+        if d < last:
+            col = cols[d]
+            stack.extend((prefix + (v,), [x + a * v for x, a in zip(vals, col)])
+                         for v in range(v_hi, v_lo - 1, -1))
+        elif v_lo <= v_hi:
+            yield prefix, vals, zip(range(v_lo, v_hi + 1)), v_lo, v_hi
+
+
 def lattice_runs(poly: Polyhedron, first_only=False):
     """The integer points of the polyhedron (dim >= 1) as runs, in lexicographic
     order: (prefix, lo, hi) stands for prefix + (v,) with lo <= v <= hi, one
@@ -389,11 +426,18 @@ def lattice_runs(poly: Polyhedron, first_only=False):
     unbounded one is settled by strictly_feasible.
 
     Rows read <u, y> + c <= 0 and tails[d] holds their least values over
-    coordinates d.. of the box. A node at depth d admits the v with
+    coordinates d.. of the box. A node at depth d < n - 1 admits the v with
     u[d] * v <= -val - tails[d + 1] for each row's partial sum val (u[d] = 0
-    with a negative right side prunes it) and walks that interval; at the last
-    coordinate the interval is yielded as one run. The stack is explicit
-    because a recursive closure forms a cycle that keeps the answer alive.
+    with a negative right side prunes it). The last coordinate is read in one
+    batch per parent node (depth n - 2; in dimension 1 a single virtual parent
+    whose coordinate is 0 with column 0): a row with last coefficient a bounds
+    the child at v by (-val - p * v) // |a|, p its parent coefficient, from
+    above when a > 0 and, negated, from below when a < 0. Each row's bounds
+    over the parent's v-range are one map of floor divisions, folded with
+    min; the lower side is kept negated so it folds with min too. A row with
+    a = 0 has tail 0 at the parent, so the parent's interval holds it for
+    every v. The children with a nonempty interval are yielded as runs in
+    ascending v, and no leaf node is built.
     """
     n = poly.dim
     lo, hi = [], []
@@ -415,27 +459,34 @@ def lattice_runs(poly: Polyhedron, first_only=False):
     tails = [[0] * len(rows)]
     for d in range(n - 1, -1, -1):
         tails.insert(0, [t + min(a * lo[d], a * hi[d]) for t, a in zip(tails[0], cols[d])])
-    stack = [((), [c for _, c in rows])]  # (prefix, partial sums); popped in lex order
-    while stack:
-        prefix, vals = stack.pop()
-        depth = len(prefix)
-        v_lo, v_hi = lo[depth], hi[depth]
-        for a, val, t in zip(cols[depth], vals, tails[depth + 1]):
-            room = -val - t
-            if a > 0:
-                v_hi = min(v_hi, room // a)
-            elif a < 0:
-                v_lo = max(v_lo, -(room // -a))
-            elif room < 0:
-                v_hi = v_lo - 1  # the later rows keep it empty
-        if depth < n - 1:
-            col = cols[depth]
-            stack.extend((prefix + (v,), [x + a * v for x, a in zip(vals, col)])
-                         for v in range(v_hi, v_lo - 1, -1))
-        elif v_lo <= v_hi:
-            yield prefix, v_lo, v_hi
-            if first_only:
-                return
+    vals = [c for _, c in rows]
+    if n == 1:  # one virtual parent, its coordinate fixed at 0 with column 0
+        pen = [0] * len(rows)
+        v_lo, v_hi = _interval(pen, vals, tails[0], 0, 0)
+        parents = [((), vals, [()], v_lo, v_hi)] if v_lo <= v_hi else []
+    else:
+        pen = cols[n - 2]
+        parents = _parents(cols, tails, lo, hi, vals)
+    # Per side of the last coordinate, once per region: the box's bound, the
+    # rows with a parent coefficient p = 0 as (row, |a|), the others as
+    # (row, |a|, p). The lower side is kept negated, so both fold with min.
+    sides = []
+    for bound, sign in ((hi[-1], 1), (-lo[-1], -1)):
+        side = [(r, sign * a) for r, a in enumerate(cols[-1]) if sign * a > 0]
+        sides.append((bound, [(r, d) for r, d in side if not pen[r]],
+                      [(r, d, pen[r]) for r, d in side if pen[r]]))
+    for prefix, vals, heads, v_lo, v_hi in parents:
+        folds = []
+        for bound, fixed, moving in sides:
+            const = repeat(min([bound, *(-vals[r] // d for r, d in fixed)]))
+            floors = [map(d.__rfloordiv__, range(-vals[r] - p * v_lo, -vals[r] - p * (v_hi + 1), -p))
+                      for r, d, p in moving]
+            folds.append(map(min, const, *floors) if floors else const)
+        for head, h, neg_lo in zip(heads, *folds):
+            if h + neg_lo >= 0:
+                yield prefix + head, -neg_lo, h
+                if first_only:
+                    return
 
 
 def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:

@@ -520,10 +520,10 @@ def _nonvanishing(
     some bad subset region of N*D - j*H holds a lattice point."""
     fan = d.fan
     for j in range(1, twists + 1):
-        twisted = n_mult * d - j * ample
+        twisted = tuple(n_mult * a - j * h for a, h in zip(d.plain_coeffs, ample.plain_coeffs))
         for p in range(q + 1, fan.rank + 1):
             if any(
-                lattice_points(subset_region(fan, twisted.plain_coeffs, subset), first_only=True)
+                lattice_points(subset_region(fan, twisted, subset), first_only=True)
                 for subset, _ in index[p]
             ):
                 yield n_mult, j, p

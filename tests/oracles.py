@@ -29,12 +29,12 @@ def box_filter_lattice_points(poly: Polyhedron, box):
     for point in product(*dims):
         ok = True
         for u, c in poly.strict:
-            if sum(Fraction(a) * b for a, b in zip(point, u)) + c >= 0:
+            if sum(a * b for a, b in zip(point, u)) + c >= 0:
                 ok = False
                 break
         if ok:
             for u, c in poly.weak:
-                if sum(Fraction(a) * b for a, b in zip(point, u)) + c < 0:
+                if sum(a * b for a, b in zip(point, u)) + c < 0:
                     ok = False
                     break
         if ok:

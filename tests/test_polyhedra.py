@@ -15,6 +15,7 @@ from toricpos.polyhedra import (
     closure_nonempty,
     coordinate_bounds,
     lattice_points,
+    lattice_runs,
     lp_optimize,
     lp_strict_feasible,
     polyhedron,
@@ -426,6 +427,61 @@ def test_bad_subset_regions_are_walked_without_an_lp(monkeypatch, example_fans):
                         points = lattice_points(region)
                     assert calls == [], (fan.name, d.coeffs, subset)
                     assert points == box_filter_lattice_points(region, box), (fan.name, d.coeffs, subset)
+
+
+def test_lattice_runs_match_box_filter_on_seeded_corpus():
+    # the batched last level against the box filter, in dims 1-5: windows up
+    # to width 12 on the last two coordinates, so one parent holds many v;
+    # rows with a zero last or penultimate coefficient; strict rows; and
+    # Fraction constants. Each row passes near a drawn point of the window.
+    rng = random.Random(20264)
+
+    def entry():
+        r = rng.random()
+        if r < 0.25:
+            return 0
+        if r < 0.4:
+            return Fraction(rng.randint(-6, 6), rng.choice([2, 3, 4]))
+        return rng.randint(-3, 3)
+
+    kinds = Counter()
+    for _ in range(1000):
+        n = rng.randint(1, 5)
+        box = []
+        for k in range(n):
+            a = rng.randint(-6, 6)
+            box.append((a, a + rng.randint(0, 12 if k >= n - 2 else 2)))
+        weak = []
+        for k, (a, b) in enumerate(box):  # a <= y_k <= b
+            e = tuple(int(j == k) for j in range(n))
+            weak += [(e, -a), (tuple(-x for x in e), b)]
+
+        def row():
+            u = [entry() for _ in range(n)]
+            zeroed = rng.choice([None, None, n - 1, n - 2])
+            if zeroed is not None and zeroed >= 0:
+                u[zeroed] = 0
+                kinds["last zero" if zeroed == n - 1 else "penultimate zero"] += 1
+            near = [rng.randint(a, b) for a, b in box]
+            offset = Fraction(rng.randint(-8, 8), rng.choice([1, 1, 2, 3]))
+            return tuple(u), offset - sum(x * y for x, y in zip(u, near))
+
+        strict = [row() for _ in range(rng.randint(0, 3))]
+        p = polyhedron(n, strict=strict, weak=weak + [row() for _ in range(rng.randint(0, 3))])
+        expected = box_filter_lattice_points(p, box)
+        runs = list(lattice_runs(p))
+        assert all(lo <= hi for _, lo, hi in runs), (p, runs)
+        assert all(a[0] < b[0] for a, b in zip(runs, runs[1:])), (p, runs)
+        assert [q + (v,) for q, lo, hi in runs for v in range(lo, hi + 1)] == expected, p
+        assert lattice_points(p, first_only=True) == expected[:1], p
+        assert list(lattice_runs(p, first_only=True)) == runs[:1], p
+        kinds[f"dim {n}"] += 1
+        kinds["strict"] += bool(strict)
+        kinds["fraction constant"] += any(c.denominator > 1 for _, c in strict)
+        kinds["empty" if not runs else "one run" if len(runs) == 1 else "many runs"] += 1
+        # a parent of two or more runs: one batch yields several children
+        kinds["shared parent"] += any(a[0][:-1] == b[0][:-1] for a, b in zip(runs, runs[1:]))
+    assert len(kinds) == 13 and min(kinds.values()) >= 30, kinds
 
 
 def test_zero_dimensional_polyhedra():

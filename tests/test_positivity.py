@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,8 +33,9 @@ from toricpos import (
     zero_divisor,
 )
 
-from toricpos.cohomology import bad_subsets
-from toricpos.positivity import _persists, default_ample, is_big
+from toricpos.cohomology import bad_subsets, subset_region
+from toricpos.polyhedra import lattice_points
+from toricpos.positivity import _persists, _primitive_integral, default_ample, is_big
 
 from .conftest import random_divisors
 from .oracles import lp_persists
@@ -298,6 +300,47 @@ def test_qample_searches_agree_on_seeded_corpus(example_fans):
                 if scan.obstructed:
                     first = min(scan.nonvanishing)[:3]
                     assert realization_search(d, q) == first, (fan.name, d.coeffs, q)
+
+
+def test_scan_twists_match_divisor_arithmetic_on_seeded_corpus(example_fans):
+    # the scan forms each twist N*D - j*H from plain coefficients; the
+    # reference builds it through ToricDivisor arithmetic, and reads every
+    # (N, j, p) of the window. The second ample class has one true fraction,
+    # so its plain coefficients mix int and Fraction.
+    outcomes = Counter()
+    for fan in example_fans:
+        index = bad_subsets(fan)
+        h = default_ample(fan)
+        halved = h + Fraction(1, 2) * prime_divisor(fan, 0)
+        assert {type(c) for c in halved.plain_coeffs} == {int, Fraction}
+        for ample in (h, halved):
+            for divisor in random_divisors(fan, 4, seed="scan-twists"):
+                d = _primitive_integral(divisor)
+                for q in range(fan.rank):
+                    hits = {
+                        n_mult: [
+                            (n_mult, j, p)
+                            for j in range(1, 5)
+                            for p in range(q + 1, fan.rank + 1)
+                            if any(
+                                lattice_points(
+                                    subset_region(fan, (n_mult * d - j * ample).plain_coeffs, s),
+                                    first_only=True,
+                                )
+                                for s, _ in index[p]
+                            )
+                        ]
+                        for n_mult in range(1, 13)
+                    }
+                    clean_n = next((n for n in range(12, 0, -1) if not hits[n]), None)
+                    seen = [(*hit, 1) for n in range(12, clean_n or 0, -1) for hit in hits[n]]
+                    first = next((hits[n][0] for n in range(1, 13) if hits[n]), None)
+                    scan = scan_qample(divisor, q, ample)
+                    assert (scan.obstructed, scan.clean_n) == (clean_n is None, clean_n)
+                    assert scan.nonvanishing == tuple(sorted(seen)), (fan.name, d.coeffs, q)
+                    assert realization_search(divisor, q, ample) == first, (fan.name, d.coeffs, q)
+                    outcomes[scan.obstructed, first is None] += 1
+    assert len(outcomes) == 3, outcomes  # obstructed, clean with a hit, clean with none
 
 
 def test_qample_entry_points_reject_negative_q(p2):
