@@ -468,6 +468,8 @@ def _setup(divisor: ToricDivisor, q: int, ample: ToricDivisor | None):
     if q < 0:
         raise ToricError(f"q = {q} must be nonnegative")
     ample = ample if ample is not None else default_ample(fan)
+    if ample.fan is not fan and ample.fan != fan:
+        raise ValueError("divisors live on different fans")
     return _primitive_integral(divisor), ample, bad_subsets(fan)
 
 

@@ -350,6 +350,17 @@ def test_qample_entry_points_reject_negative_q(p2):
             search(h, -1)
 
 
+def test_qample_entry_points_reject_an_ample_class_on_another_fan(p2, p1xp1):
+    d = ToricDivisor(p1xp1, (1, 0, 1, 0))
+    rebuilt = Fan(2, p1xp1.rays, p1xp1.max_cones, name=p1xp1.name)
+    assert scan_qample(d, 0, ToricDivisor(rebuilt, (1, 1, 1, 1))) == scan_qample(d, 0)
+    f1 = Fan(2, ((1, 0), (0, 1), (-1, 1), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
+    for ample in (ToricDivisor(p2, (1, 1, 1)), ToricDivisor(f1, (1, 1, 1, 1))):
+        for search in (decide_qample, scan_qample, realization_search):
+            with pytest.raises(ValueError, match="different fans"):
+                search(d, 0, ample)
+
+
 def test_qample_entry_points_reject_an_incomplete_fan(totaro):
     partial = Fan(3, totaro.rays, tuple(c for c in totaro.max_cones if c != (0, 2, 3)))
     d = ToricDivisor(partial, (1,) * partial.n_rays)
