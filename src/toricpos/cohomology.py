@@ -33,7 +33,6 @@ from .polyhedra import (
     Polyhedron,
     lattice_runs,
     lp_strict_feasible,
-    polyhedron,
     strictly_feasible,
 )
 
@@ -104,14 +103,14 @@ def bad_subsets(fan: Fan) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
     return tuple(tuple(entries) for entries in out)
 
 
-def subset_region(fan: Fan, coeffs, subset) -> Polyhedron:
-    """P_S(D): strict rows on S, weak rows off S, in M-coordinates. Callers
-    pass ``ToricDivisor.plain_coeffs`` or the scan's twists formed from them,
-    so integral rows stay ``int``."""
+def subset_region(fan: Fan, rows, subset) -> Polyhedron:
+    """P_S(D): strict rows on S, weak rows off S, in M-coordinates, picked
+    from ``rows`` as ``polyhedra.ray_rows`` stores them: ``ToricDivisor.rows``,
+    or the scan's rows of one twist."""
     s = set(subset)
-    strict = [(fan.rays[i], coeffs[i]) for i in range(fan.n_rays) if i in s]
-    weak = [(fan.rays[i], coeffs[i]) for i in range(fan.n_rays) if i not in s]
-    return polyhedron(fan.rank, strict=strict, weak=weak)
+    strict = tuple(row for i, (row, _) in enumerate(rows) if i in s)
+    weak = tuple(row for i, (row, _) in enumerate(rows) if i not in s)
+    return Polyhedron(fan.rank, strict, weak)
 
 
 def _require_complete(fan: Fan) -> None:
@@ -175,7 +174,7 @@ def _degree_regions(divisor: ToricDivisor, p: int, first_only=False):
     whose weight region holds a lattice point."""
     fan = divisor.fan
     for subset, dim in bad_subsets(fan)[p]:
-        region = subset_region(fan, divisor.plain_coeffs, subset)
+        region = subset_region(fan, divisor.rows, subset)
         try:
             runs = tuple(lattice_runs(region, first_only=first_only))
         except UnboundedRegion as exc:
@@ -230,7 +229,7 @@ def asymptotic_nonvanishing(divisor: ToricDivisor, p: int):
     fan = divisor.fan
     _require_degree(fan, p)
     for subset, _ in bad_subsets(fan)[p]:
-        region = subset_region(fan, divisor.plain_coeffs, subset)
+        region = subset_region(fan, divisor.rows, subset)
         if strictly_feasible(region):
             witness = lp_strict_feasible(region).witness
             return True, AsymptoticWitness(subset=subset, direction=witness)

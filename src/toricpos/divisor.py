@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from .errors import NotACone, NotIntegral, ToricError
 from .fan import Fan, star_quotient
 from .linalg import dot, rref, solve_linear
-from .polyhedra import Polyhedron, polyhedron
+from .polyhedra import Polyhedron, ray_rows
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,17 @@ class ToricDivisor:
     @cached_property
     def plain_coeffs(self) -> tuple[int | Fraction, ...]:
         """The coefficients with an ``int`` wherever the denominator is 1:
-        what row builders pass to ``polyhedron()``, so that an integral
-        divisor's rows are normalized without ``Fraction`` arithmetic."""
+        what ``rows`` and the joint and scan rows are built from, so that an
+        integral divisor's rows are normalized without ``Fraction``
+        arithmetic."""
         return tuple(c.numerator if c.denominator == 1 else c for c in self.coeffs)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Per ray, the stored row (u_rho, a_rho) and its negation
+        (``polyhedra.ray_rows``), normalized once per divisor: every region
+        of D picks its rows from here."""
+        return ray_rows(self.fan.rank, self.fan.rays, self.plain_coeffs)
 
     @property
     def is_integral(self) -> bool:
@@ -93,11 +101,7 @@ def anticanonical_divisor(fan: Fan) -> ToricDivisor:
 
 def section_polyhedron(divisor: ToricDivisor) -> Polyhedron:
     """P_D = {m : <m, u_rho> + a_rho >= 0 for all rays}."""
-    fan = divisor.fan
-    return polyhedron(
-        fan.rank,
-        weak=[(fan.rays[i], divisor.plain_coeffs[i]) for i in range(fan.n_rays)],
-    )
+    return Polyhedron(divisor.fan.rank, weak=tuple(row for row, _ in divisor.rows))
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,15 @@ class Fan:
         return frozenset(self.cones)
 
     @cached_property
+    def stars(self) -> dict:
+        """Cone -> the rays of its star: every ray of a maximal cone that
+        contains the cone."""
+        return {
+            tau: frozenset(i for c in self.max_cones if set(tau) <= set(c) for i in c)
+            for tau in self.cones
+        }
+
+    @cached_property
     def walls(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c for c in self.cones if len(c) == self.rank - 1)
 

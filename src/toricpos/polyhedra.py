@@ -13,7 +13,11 @@ and the layers below read the stored rows as they are. A row given as plain
 ``int`` entries (rays are, and so is ``ToricDivisor.plain_coeffs`` wherever
 a coefficient is integral) is normalized by one gcd; only a row holding a
 true ``Fraction`` has its denominators cleared first. The content-free form
-of a row is unique, so both routes store the same row.
+of a row is unique, so both routes store the same row. The per-ray rows of
+a divisor are normalized once (``ray_rows``, kept as ``ToricDivisor.rows``)
+with their negations, whose content is the same; a region of that divisor
+picks its rows from them and is built as ``Polyhedron(dim, strict, weak)``,
+with no row normalized again.
 
 Fourier-Motzkin decides. ``_projection(normals, dim, k)`` eliminates every
 coordinate but y_k from closure rows <u, y> <= b and depends only on the row
@@ -38,7 +42,9 @@ values when read.
 Lattice enumeration bounds each coordinate by ``coordinate_bounds``. The
 walk then visits the box one interval per node: every row reads
 <u, y> + c <= 0 over Z, so each row bounds the next coordinate from one
-side, solved by floor division. The walk returns the last coordinate's
+side, solved by floor division. A node's children are built one at a time
+as the walk reaches them, so a walk that stops at its first point builds no
+node it does not visit. The walk returns the last coordinate's
 intervals as runs (prefix, lo, hi), so counting points sums run lengths and
 builds no point; lattice_points expands the runs. The last level is read in
 one batch per parent node: each row's bounds over the parent's whole range
@@ -93,6 +99,16 @@ def polyhedron(dim, strict=(), weak=()) -> Polyhedron:
         return tuple(out)
 
     return Polyhedron(dim, norm(strict), norm(weak))
+
+
+def ray_rows(dim, rays, coeffs):
+    """Per ray, the stored row of (u_rho, a_rho) and of its negation, as
+    ``polyhedron()`` stores them. A row's content and its negation's are the
+    same, so the negation of a stored row is stored as it is. A region that
+    picks these rows is built as ``Polyhedron(dim, strict, weak)`` and holds
+    exactly the rows ``polyhedron()`` would, with no row normalized again."""
+    rows = polyhedron(dim, weak=tuple(zip(rays, coeffs))).weak
+    return tuple((row, (tuple(-x for x in row[0]), -row[1])) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +412,31 @@ def _interval(col, vals, tail, v_lo, v_hi):
 def _parents(cols, tails, lo, hi, vals):
     """The walk down to depth n - 2 (n >= 2), in lexicographic order: yields
     (prefix, partial sums, heads, v_lo, v_hi) per node whose coordinate takes
-    v in [v_lo, v_hi], heads holding the tuples (v,). The stack is explicit
-    because a recursive closure forms a cycle that keeps the answer alive."""
+    v in [v_lo, v_hi], heads holding the tuples (v,). The stack holds one
+    range of v per level above the node, and a child is built only when the
+    walk visits it, so a caller that stops early has built no node it did
+    not visit. The stack is explicit because a recursive closure forms a
+    cycle that keeps the answer alive."""
     last = len(cols) - 2
-    stack = [((), vals)]
-    while stack:
-        prefix, vals = stack.pop()
+    stack = []
+    prefix = ()
+    while True:
         d = len(prefix)
         v_lo, v_hi = _interval(cols[d], vals, tails[d + 1], lo[d], hi[d])
         if d < last:
-            col = cols[d]
-            stack.extend((prefix + (v,), [x + a * v for x, a in zip(vals, col)])
-                         for v in range(v_hi, v_lo - 1, -1))
+            stack.append((prefix, vals, iter(range(v_lo, v_hi + 1))))
         elif v_lo <= v_hi:
             yield prefix, vals, zip(range(v_lo, v_hi + 1)), v_lo, v_hi
+        while stack:  # the next node: the next v of the deepest open level
+            prefix, vals, vs = stack[-1]
+            v = next(vs, None)
+            if v is not None:
+                break
+            stack.pop()
+        else:
+            return
+        vals = [x + a * v for x, a in zip(vals, cols[len(prefix)])]
+        prefix += (v,)
 
 
 def lattice_runs(poly: Polyhedron, first_only=False):

@@ -61,7 +61,7 @@ from .polyhedra import (
     closure_nonempty,
     lattice_points,
     lp_strict_feasible,
-    polyhedron,
+    ray_rows,
     strictly_feasible,
 )
 
@@ -138,16 +138,14 @@ def is_big(divisor: ToricDivisor, tau=()) -> bool:
     rows, in ray order; the module docstring gives the rows."""
     fan = divisor.fan
     _require_complete(fan)
-    star = {i for c in fan.max_cones if set(tau) <= set(c) for i in c}
+    star = fan.stars.get(tuple(sorted(tau)), ())
     strict, weak = [], []
-    for i in range(fan.n_rays):
-        u, a = fan.rays[i], divisor.plain_coeffs[i]
-        flipped = (tuple(-x for x in u), -a)
+    for i, (row, negated) in enumerate(divisor.rows):
         if i in tau:
-            weak += [(u, a), flipped]
+            weak += [row, negated]
         elif i in star:
-            strict.append(flipped)
-    return strictly_feasible(polyhedron(fan.rank, strict=strict, weak=weak))
+            strict.append(negated)
+    return strictly_feasible(Polyhedron(fan.rank, tuple(strict), tuple(weak)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +202,15 @@ def _face_region(divisor: ToricDivisor, tau, flipped=()) -> Polyhedron:
     """Section polytope cut to the face where tau's rows are tight, with the
     rows in ``flipped`` reversed (<= 0): the closure of a sign-pattern region
     whose ``flipped`` rows are strict."""
-    fan = divisor.fan
     weak = []
-    for i in range(fan.n_rays):
-        u, a = fan.rays[i], divisor.plain_coeffs[i]
-        negated = (tuple(-x for x in u), -a)
+    for i, (row, negated) in enumerate(divisor.rows):
         if i in flipped:
             weak.append(negated)
         else:
-            weak.append((u, a))
+            weak.append(row)
             if i in tau:
                 weak.append(negated)
-    return polyhedron(fan.rank, weak=weak)
+    return Polyhedron(divisor.fan.rank, weak=tuple(weak))
 
 
 def _face_nonempty(divisor: ToricDivisor, tau) -> bool:
@@ -305,33 +300,40 @@ def stable_base_locus(divisor: ToricDivisor, horizon: int = 24) -> BaseLocusRepo
     raise NoStabilizationDetected(horizon, chain)
 
 
-def _joint_region(d: ToricDivisor, ample: ToricDivisor, strict=(), tight=()) -> Polyhedron:
+def _joint_rows(d: ToricDivisor, ample: ToricDivisor):
+    """Per ray, the stored row (u_rho, -h_rho; a_rho) of D - eps*H in
+    (y, eps) and its negation, built once per search."""
+    fan = d.fan
+    normals = [u + (-h,) for u, h in zip(fan.rays, ample.plain_coeffs)]
+    return ray_rows(fan.rank + 1, normals, d.plain_coeffs)
+
+
+def _joint_region(d: ToricDivisor, joint, strict=(), tight=()) -> Polyhedron:
     """The region of D - eps*H in (y, eps) with eps > 0, the rows in
     ``strict`` strict (< 0), those in ``tight`` tight (= 0) and the rest weak
-    (>= 0)."""
-    fan = d.fan
-    n = fan.rank
+    (>= 0), picked from the joint rows ``joint``."""
+    n = d.fan.rank
     joint_strict, joint_weak = [], []
-    for i in range(fan.n_rays):
-        row, a = fan.rays[i] + (-ample.plain_coeffs[i],), d.plain_coeffs[i]
+    for i, (row, negated) in enumerate(joint):
         if i in strict:
-            joint_strict.append((row, a))
+            joint_strict.append(row)
         else:
-            joint_weak.append((row, a))
+            joint_weak.append(row)
             if i in tight:
-                joint_weak.append((tuple(-x for x in row), -a))
+                joint_weak.append(negated)
     joint_strict.append(((0,) * n + (-1,), 0))  # eps > 0
-    return polyhedron(n + 1, strict=joint_strict, weak=joint_weak)
+    return Polyhedron(n + 1, tuple(joint_strict), tuple(joint_weak))
 
 
-def _persists(d: ToricDivisor, ample: ToricDivisor, strict=(), tight=()) -> bool:
+def _persists(d: ToricDivisor, joint, strict=(), tight=()) -> bool:
     """Does the region of D - eps*H with the rows in ``strict`` strict (< 0),
     those in ``tight`` tight (= 0) and the rest weak (>= 0) stay nonempty for
-    arbitrarily small eps > 0? By convexity of the feasible eps-set this holds
-    iff the eps = 0 closure is nonempty and the joint system in (y, eps) with
-    eps > 0 is strictly feasible."""
+    arbitrarily small eps > 0? ``joint`` holds the joint rows of D and H. By
+    convexity of the feasible eps-set this holds iff the eps = 0 closure is
+    nonempty and the joint system in (y, eps) with eps > 0 is strictly
+    feasible."""
     return closure_nonempty(_face_region(d, tight, strict)) and strictly_feasible(
-        _joint_region(d, ample, strict, tight)
+        _joint_region(d, joint, strict, tight)
     )
 
 
@@ -343,9 +345,12 @@ def augmented_base_locus_exact(
     _require_complete(fan)
     if ample is None:
         ample = default_ample(fan)
+    elif ample.fan is not fan and ample.fan != fan:
+        raise ValueError("divisors live on different fans")
     elif not is_ample(ample):
         raise ToricError("augmented base locus needs an ample reference divisor")
-    bad = {tau for tau in fan.cones if not _persists(divisor, ample, tight=tau)}
+    joint = _joint_rows(divisor, ample)
+    bad = {tau for tau in fan.cones if not _persists(divisor, joint, tight=tau)}
     return BaseLocusReport(minimal_cones=_minimalize(bad))
 
 
@@ -446,17 +451,21 @@ class QAmpleResult:
 
 def _primitive_integral(divisor: ToricDivisor) -> ToricDivisor:
     """Scale a rational class to the primitive integral vector (q-amplitude
-    is invariant under positive scaling)."""
-    ints = content_free(clear_denominators(divisor.coeffs)[0])
+    is invariant under positive scaling). A class that is one already is
+    returned as it is, so the searches share its stored rows."""
+    ints = content_free(clear_denominators(divisor.plain_coeffs)[0])
+    if tuple(ints) == divisor.plain_coeffs:
+        return divisor
     return ToricDivisor(divisor.fan, tuple(Fraction(x) for x in ints))
 
 
-def _obstructions(d: ToricDivisor, ample: ToricDivisor, index, degrees):
+def _obstructions(d: ToricDivisor, joint, index, degrees):
     """Yield (p, S) for every bad subset S of each degree p, in the given
-    order of degrees, whose region persists down to eps = 0."""
+    order of degrees, whose region persists down to eps = 0; ``joint`` holds
+    the joint rows of D and H."""
     for p in degrees:
         for subset, _ in index[p]:
-            if _persists(d, ample, strict=subset):
+            if _persists(d, joint, strict=subset):
                 yield p, subset
 
 
@@ -484,9 +493,10 @@ def decide_qample(
     every (p, S) pair ruled out is listed.
     """
     d, ample, index = _setup(divisor, q, ample)
+    joint = _joint_rows(d, ample)
     degrees = range(q + 1, divisor.fan.rank + 1)
-    for p, subset in _obstructions(d, ample, index, degrees):
-        *direction, eps = lp_strict_feasible(_joint_region(d, ample, strict=subset)).witness
+    for p, subset in _obstructions(d, joint, index, degrees):
+        *direction, eps = lp_strict_feasible(_joint_region(d, joint, strict=subset)).witness
         cert = QAmpleCertificate(degree=p, subset=subset, epsilon=eps, direction=tuple(direction))
         return QAmpleResult(verdict=False, q=q, mode="asymptotic", certificate=cert)
     return QAmpleResult(
@@ -502,7 +512,7 @@ def smallest_qample(divisor: ToricDivisor, ample: ToricDivisor | None = None) ->
     the highest obstructed degree, or 0 when no degree is obstructed."""
     d, ample, index = _setup(divisor, 0, ample)
     degrees = range(divisor.fan.rank, 0, -1)
-    hit = next(_obstructions(d, ample, index, degrees), None)
+    hit = next(_obstructions(d, _joint_rows(d, ample), index, degrees), None)
     return hit[0] if hit is not None else 0
 
 
@@ -523,9 +533,10 @@ def _nonvanishing(
     fan = d.fan
     for j in range(1, twists + 1):
         twisted = tuple(n_mult * a - j * h for a, h in zip(d.plain_coeffs, ample.plain_coeffs))
+        rows = ray_rows(fan.rank, fan.rays, twisted)
         for p in range(q + 1, fan.rank + 1):
             if any(
-                lattice_points(subset_region(fan, twisted, subset), first_only=True)
+                lattice_points(subset_region(fan, rows, subset), first_only=True)
                 for subset, _ in index[p]
             ):
                 yield n_mult, j, p

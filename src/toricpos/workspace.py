@@ -167,7 +167,10 @@ def parse_divisor_expression(ws: Workspace, expression: str) -> ToricDivisor:
             )
         if seen_term and sign is None:
             raise WorkspaceError(f"missing +/- between terms in {expression!r}")
-        k = Fraction(coeff) if coeff else Fraction(1)
+        try:
+            k = Fraction(coeff) if coeff else Fraction(1)
+        except ZeroDivisionError as exc:
+            raise WorkspaceError(f"coefficient {coeff!r} in {expression!r} has denominator 0") from exc
         if sign == "-":
             k = -k
         total = total + k * ws.divisors[name]

@@ -3,8 +3,9 @@
 These deliberately take the dumb route: filter every integer point of an
 explicit box, walk every weight of a certified box and classify its sign
 pattern one weight at a time, decide a cone question by the LP instead of
-the cached projections, run the simplex on ``Fraction`` rows, or solve a
-wall's linear system again for every divisor.
+the cached projections, run the simplex on ``Fraction`` rows, solve a
+wall's linear system again for every divisor, or build every region's rows
+from the coefficients again, each row normalized by ``polyhedron()``.
 They share only the exact arithmetic layer with the implementations they
 check.
 """
@@ -14,7 +15,7 @@ from itertools import product
 from math import ceil, floor
 
 from toricpos import full_subcomplex, reduced_cohomology
-from toricpos.cohomology import bad_subsets, subset_region
+from toricpos.cohomology import bad_subsets
 from toricpos.linalg import dot, solve_linear
 from toricpos.polyhedra import Polyhedron, lp_optimize, lp_strict_feasible, polyhedron
 
@@ -53,7 +54,7 @@ def certified_weight_box(fan, coeffs):
     hi = [0] * n
     for entries in bad_subsets(fan):
         for subset, _ in entries:
-            region = subset_region(fan, coeffs, subset)
+            region = coeff_subset_region(fan, coeffs, subset)
             for k in range(n):
                 e = [Fraction(0)] * n
                 e[k] = Fraction(1)
@@ -92,6 +93,80 @@ def lp_persists(d, ample, strict=(), tight=()) -> bool:
     joint = polyhedron(n + 1, strict=joint_strict, weak=joint_weak)
     closure_status = lp_optimize(polyhedron(n, weak=closure), (0,) * n)[0]
     return lp_strict_feasible(joint).feasible and closure_status == "optimal"
+
+
+# ---------------------------------------------------------------------------
+# region builders that normalize every row of every region: the rows the
+# builders that pick a divisor's stored rows must reproduce
+# ---------------------------------------------------------------------------
+
+
+def coeff_section_polyhedron(divisor) -> Polyhedron:
+    """P_D = {m : <m, u_rho> + a_rho >= 0 for all rays}."""
+    fan = divisor.fan
+    return polyhedron(
+        fan.rank,
+        weak=[(fan.rays[i], divisor.plain_coeffs[i]) for i in range(fan.n_rays)],
+    )
+
+
+def coeff_subset_region(fan, coeffs, subset) -> Polyhedron:
+    """P_S(D): strict rows on S, weak rows off S, in M-coordinates."""
+    s = set(subset)
+    strict = [(fan.rays[i], coeffs[i]) for i in range(fan.n_rays) if i in s]
+    weak = [(fan.rays[i], coeffs[i]) for i in range(fan.n_rays) if i not in s]
+    return polyhedron(fan.rank, strict=strict, weak=weak)
+
+
+def coeff_big_region(divisor, tau=()) -> Polyhedron:
+    """The region whose strict feasibility is ``positivity.is_big(D, tau)``."""
+    fan = divisor.fan
+    star = {i for c in fan.max_cones if set(tau) <= set(c) for i in c}
+    strict, weak = [], []
+    for i in range(fan.n_rays):
+        u, a = fan.rays[i], divisor.plain_coeffs[i]
+        flipped = (tuple(-x for x in u), -a)
+        if i in tau:
+            weak += [(u, a), flipped]
+        elif i in star:
+            strict.append(flipped)
+    return polyhedron(fan.rank, strict=strict, weak=weak)
+
+
+def coeff_face_region(divisor, tau, flipped=()) -> Polyhedron:
+    """Section polytope cut to the face where tau's rows are tight, with the
+    rows in ``flipped`` reversed (<= 0)."""
+    fan = divisor.fan
+    weak = []
+    for i in range(fan.n_rays):
+        u, a = fan.rays[i], divisor.plain_coeffs[i]
+        negated = (tuple(-x for x in u), -a)
+        if i in flipped:
+            weak.append(negated)
+        else:
+            weak.append((u, a))
+            if i in tau:
+                weak.append(negated)
+    return polyhedron(fan.rank, weak=weak)
+
+
+def coeff_joint_region(d, ample, strict=(), tight=()) -> Polyhedron:
+    """The region of D - eps*H in (y, eps) with eps > 0, the rows in
+    ``strict`` strict (< 0), those in ``tight`` tight (= 0) and the rest weak
+    (>= 0)."""
+    fan = d.fan
+    n = fan.rank
+    joint_strict, joint_weak = [], []
+    for i in range(fan.n_rays):
+        row, a = fan.rays[i] + (-ample.plain_coeffs[i],), d.plain_coeffs[i]
+        if i in strict:
+            joint_strict.append((row, a))
+        else:
+            joint_weak.append((row, a))
+            if i in tight:
+                joint_weak.append((tuple(-x for x in row), -a))
+    joint_strict.append(((0,) * n + (-1,), 0))  # eps > 0
+    return polyhedron(n + 1, strict=joint_strict, weak=joint_weak)
 
 
 def solve_wall_degree(divisor, wall):

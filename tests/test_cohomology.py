@@ -127,7 +127,7 @@ def test_witness_weights_match_box_filter_in_order(totaro):
         box = certified_weight_box(totaro, kd.coeffs)
         assert table.witnesses, kd.coeffs
         for subset, weights, _ in table.witnesses:
-            region = subset_region(totaro, kd.coeffs, subset)
+            region = subset_region(totaro, kd.rows, subset)
             assert list(weights) == box_filter_lattice_points(region, box), (kd.coeffs, subset)
 
 
@@ -157,7 +157,7 @@ def test_witness_weights_read_like_the_expanded_walk(example_fans):
             kd = 3 * d
             box = certified_weight_box(fan, kd.coeffs)
             for subset, weights, _ in cohomology_dims(kd).witnesses:
-                region = subset_region(fan, kd.coeffs, subset)
+                region = subset_region(fan, kd.rows, subset)
                 runs = list(lattice_runs(region))
                 assert all(lo <= hi for _, lo, hi in runs), runs
                 assert runs == sorted(runs) and len({p for p, _, _ in runs}) == len(runs)

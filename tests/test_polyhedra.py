@@ -19,6 +19,7 @@ from toricpos.polyhedra import (
     lp_optimize,
     lp_strict_feasible,
     polyhedron,
+    ray_rows,
     simplex_max,
     strictly_feasible,
 )
@@ -50,7 +51,7 @@ def test_unbounded_slack_still_reports_feasible_with_witness():
 def test_totaro_double_weight_pattern_feasible(totaro):
     # the all-negative pattern on f3..f6 for twice the example class
     doubled = (6, 6, -2, -2, -2, -2)
-    region = subset_region(totaro, [Fraction(c) for c in doubled], (2, 3, 4, 5))
+    region = subset_region(totaro, ray_rows(3, totaro.rays, [Fraction(c) for c in doubled]), (2, 3, 4, 5))
     res = lp_strict_feasible(region)
     assert res.feasible
     assert (0, 0, 0) in lattice_points(region)
@@ -421,7 +422,7 @@ def test_bad_subset_regions_are_walked_without_an_lp(monkeypatch, example_fans):
             box = certified_weight_box(fan, d.coeffs)
             for entries in bad_subsets(fan):
                 for subset, _ in entries:
-                    region = subset_region(fan, d.coeffs, subset)
+                    region = subset_region(fan, d.rows, subset)
                     with monkeypatch.context() as m:
                         m.setattr(toricpos.polyhedra, "simplex_max", counting)
                         points = lattice_points(region)
@@ -574,3 +575,52 @@ def test_simplex_drives_a_degenerate_artificial_out():
     b, c = [-1, 1, Fraction(1, 2)], [-1, 0]
     assert reference_simplex_max(a, b, c) == ("optimal", [Fraction(1), Fraction(0)], Fraction(-1))
     assert simplex_max(a, b, c) == ("optimal", [Fraction(1), Fraction(0)], Fraction(-1))
+
+
+def test_first_only_walk_builds_only_the_nodes_it_visits(monkeypatch):
+    # a node's partial sums are built from its parent's column and each visit
+    # reads the node's own column once, so the column reads beyond the visits
+    # count the built nodes; every built node is visited, so a walk that
+    # stops at its first run has built one node per visit but the root
+    import toricpos.polyhedra as polyhedra
+
+    reads, visits = [0], [0]
+
+    class Column(list):
+        def __iter__(self):
+            reads[0] += 1
+            return super().__iter__()
+
+    walk, interval = polyhedra._parents, polyhedra._interval
+
+    def counted_interval(*args):
+        visits[0] += 1
+        return interval(*args)
+
+    monkeypatch.setattr(polyhedra, "_parents", lambda cols, *args: walk([Column(c) for c in cols], *args))
+    monkeypatch.setattr(polyhedra, "_interval", counted_interval)
+    rng = random.Random(20266)
+    stopped_early = 0
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        box = []
+        for k in range(n):
+            a = rng.randint(-4, 4)
+            box.append((a, a + rng.randint(0, 4)))
+        weak = []
+        for k, (a, b) in enumerate(box):
+            e = tuple(int(j == k) for j in range(n))
+            weak += [(e, -a), (tuple(-x for x in e), b)]
+        for _ in range(rng.randint(0, 3)):
+            u = tuple(rng.randint(-3, 3) for _ in range(n))
+            near = [rng.randint(a, b) for a, b in box]
+            weak.append((u, rng.randint(-3, 6) - sum(x * y for x, y in zip(u, near))))
+        p = polyhedron(n, weak=weak)
+        for first_only in (True, False):
+            reads[0] = visits[0] = 0
+            points = lattice_points(p, first_only=first_only)
+            built = reads[0] - visits[0]
+            assert built == max(visits[0] - 1, 0), (p, first_only, built, visits[0])
+        assert points == box_filter_lattice_points(p, box)
+        stopped_early += len(points) > 1
+    assert stopped_early > 100

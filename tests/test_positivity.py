@@ -34,11 +34,28 @@ from toricpos import (
 )
 
 from toricpos.cohomology import bad_subsets, subset_region
-from toricpos.polyhedra import lattice_points
-from toricpos.positivity import _persists, _primitive_integral, default_ample, is_big
+from toricpos.divisor import section_polyhedron
+from toricpos.polyhedra import lattice_points, ray_rows
+from toricpos.positivity import (
+    _face_region,
+    _joint_region,
+    _joint_rows,
+    _persists,
+    _primitive_integral,
+    default_ample,
+    is_big,
+    positivity_report,
+)
 
 from .conftest import random_divisors
-from .oracles import lp_persists
+from .oracles import (
+    coeff_big_region,
+    coeff_face_region,
+    coeff_joint_region,
+    coeff_section_polyhedron,
+    coeff_subset_region,
+    lp_persists,
+)
 
 
 def test_classify_ample_anticanonical(totaro, totaro_H):
@@ -324,7 +341,7 @@ def test_scan_twists_match_divisor_arithmetic_on_seeded_corpus(example_fans):
                             for p in range(q + 1, fan.rank + 1)
                             if any(
                                 lattice_points(
-                                    subset_region(fan, (n_mult * d - j * ample).plain_coeffs, s),
+                                    subset_region(fan, (n_mult * d - j * ample).rows, s),
                                     first_only=True,
                                 )
                                 for s, _ in index[p]
@@ -356,7 +373,8 @@ def test_qample_entry_points_reject_an_ample_class_on_another_fan(p2, p1xp1):
     assert scan_qample(d, 0, ToricDivisor(rebuilt, (1, 1, 1, 1))) == scan_qample(d, 0)
     f1 = Fan(2, ((1, 0), (0, 1), (-1, 1), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
     for ample in (ToricDivisor(p2, (1, 1, 1)), ToricDivisor(f1, (1, 1, 1, 1))):
-        for search in (decide_qample, scan_qample, realization_search):
+        for search in (decide_qample, scan_qample, realization_search,
+                       lambda d, q, h: augmented_base_locus_exact(d, h)):
             with pytest.raises(ValueError, match="different fans"):
                 search(d, 0, ample)
 
@@ -427,8 +445,81 @@ def test_persists_matches_the_lp_on_acceptance_classes(example_fans):
         patterns = [(s, ()) for entries in bad_subsets(fan) for s, _ in entries]
         patterns += [((), tau) for tau in fan.cones]
         for d in random_divisors(fan, 200, seed="acceptance5"):
+            joint = _joint_rows(d, ample)
             for strict, tight in patterns:
-                fm = _persists(d, ample, strict, tight)
+                fm = _persists(d, joint, strict, tight)
                 assert fm == lp_persists(d, ample, strict, tight), (fan.name, d.coeffs, strict, tight)
                 outcomes.add(fm)
     assert outcomes == {True, False}
+
+
+def test_region_builders_pick_the_rows_polyhedron_stores(monkeypatch, example_fans):
+    # every region built from a divisor's stored rows equals, row for row and
+    # in the same order, the region built by normalizing each row again
+    # (tests/oracles.py keeps those builders): integral and rational classes,
+    # an ample class with a true fraction, and tight, strict and flipped
+    # selections of every cone and bad subset
+    rng = random.Random(20265)
+    big_regions = []
+    monkeypatch.setattr(toricpos.positivity, "strictly_feasible", lambda poly: big_regions.append(poly))
+    for fan in (*example_fans, P112):
+        h = default_ample(fan)
+        subsets = [s for entries in bad_subsets(fan) for s, _ in entries]
+        rational = [
+            ToricDivisor(fan, tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in fan.rays))
+            for _ in range(3)
+        ]
+        integral = random_divisors(fan, 3, seed="stored-rows")
+        mixed = h + Fraction(1, 2) * prime_divisor(fan, 0)  # -K + F1/2
+        for d in (*integral, *rational, Fraction(1, 2) * integral[0], mixed):
+            assert section_polyhedron(d) == coeff_section_polyhedron(d), d.coeffs
+            for ample in (h, mixed):
+                joint = _joint_rows(d, ample)
+                for s in subsets:
+                    assert _joint_region(d, joint, strict=s) == coeff_joint_region(d, ample, strict=s)
+                for tau in fan.cones:
+                    assert _joint_region(d, joint, tight=tau) == coeff_joint_region(d, ample, tight=tau)
+            for s in subsets:
+                assert subset_region(fan, d.rows, s) == coeff_subset_region(fan, d.plain_coeffs, s)
+                for tau in fan.cones:
+                    assert _face_region(d, tau, s) == coeff_face_region(d, tau, s), (d.coeffs, tau, s)
+            for tau in fan.cones:
+                assert _face_region(d, tau) == coeff_face_region(d, tau)
+                is_big(d, tau)
+                assert big_regions.pop() == coeff_big_region(d, tau), (fan.name, d.coeffs, tau)
+        twisted = tuple(3 * a - h for a, h in zip(rational[0].plain_coeffs, mixed.plain_coeffs))
+        rows = ray_rows(fan.rank, fan.rays, twisted)
+        for s in subsets:
+            assert subset_region(fan, rows, s) == coeff_subset_region(fan, twisted, s)
+
+
+def test_rows_are_normalized_a_fixed_number_of_times_per_divisor(monkeypatch, totaro):
+    # polyhedron() is the one row normalizer. A positivity profile and both
+    # exact base loci on totaro-x normalize D's rows once (the cone flags,
+    # both loci, and the q-ample searches when D is primitive), the joint
+    # rows once per q and once for B+, and -D's rows once per q: 8 times,
+    # whatever the number of cones and subsets. A class that is not
+    # primitive adds its primitive class's rows once per q: 11 times.
+    assert totaro.properties.complete
+    calls = []
+    normalize = toricpos.polyhedra.polyhedron
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return normalize(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "toricpos" and getattr(module, "polyhedron", None) is normalize:
+            monkeypatch.setattr(module, "polyhedron", counting)
+    divisors = random_divisors(totaro, 6, seed="rows-once")
+    kinds = Counter()
+    for d in (*divisors, 2 * divisors[0]):
+        calls.clear()
+        positivity_report(d)
+        augmented_base_locus_exact(d)
+        stable_base_locus_exact(d)
+        primitive = _primitive_integral(d) is d
+        assert len(calls) == (8 if primitive else 11), (d.coeffs, len(calls))
+        kinds[primitive] += 1
+    assert kinds[True] and kinds[False]
+    assert len(totaro.cones) > 11 and sum(map(len, bad_subsets(totaro))) > 3

@@ -227,6 +227,8 @@ def test_cli_input_error_exit_code(tmp_path):
         str(not_utf8): [str(not_utf8), "UTF-8"],
         str(no_dir_plot): [str(no_dir_plot)],
         str(point): ["rank >= 1"],
+        "1/0*H": ["'1/0'", "denominator 0"],
+        "0/0*H": ["'0/0'", "denominator 0"],
     }
     for args in (
         ("qnef", "-w", "p2", "-d", "H", "--q", "5"),
@@ -245,6 +247,8 @@ def test_cli_input_error_exit_code(tmp_path):
          "--emit-plot", str(no_dir_plot)),
         ("cohomology", "-w", str(point), "-d", "Z"),
         ("qample", "-w", str(point), "-d", "Z", "--q", "0"),
+        ("classify", "-w", "p2", "-d", "1/0*H"),
+        ("classify", "-w", "p2", "-d", "0/0*H"),
     ):
         result = run_cli(*args)
         assert result.exit_code == 2, (args, result.output)
