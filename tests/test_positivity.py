@@ -487,7 +487,7 @@ def test_region_builders_pick_the_rows_polyhedron_stores(monkeypatch, example_fa
                 assert _face_region(d, tau) == coeff_face_region(d, tau)
                 is_big(d, tau)
                 assert big_regions.pop() == coeff_big_region(d, tau), (fan.name, d.coeffs, tau)
-        twisted = tuple(3 * a - h for a, h in zip(rational[0].plain_coeffs, mixed.plain_coeffs))
+        twisted = tuple(3 * a - b for a, b in zip(rational[0].plain_coeffs, mixed.plain_coeffs))
         rows = ray_rows(fan.rank, fan.rays, twisted)
         for s in subsets:
             assert subset_region(fan, rows, s) == coeff_subset_region(fan, twisted, s)
