@@ -60,6 +60,12 @@ class ToricDivisor:
         return self + (-other)
 
     def __neg__(self) -> "ToricDivisor":
+        return self._negation
+
+    @cached_property
+    def _negation(self) -> "ToricDivisor":
+        """-D, built once per divisor, so -D's rows are normalized once
+        however often -D is formed (``is_qnef`` forms it once per q)."""
         return ToricDivisor(self.fan, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, k) -> "ToricDivisor":

@@ -19,15 +19,23 @@ with their negations, whose content is the same; a region of that divisor
 picks its rows from them and is built as ``Polyhedron(dim, strict, weak)``,
 with no row normalized again.
 
-Fourier-Motzkin decides. ``_projection(normals, dim, k)`` eliminates every
-coordinate but y_k from closure rows <u, y> <= b and depends only on the row
-normals, so it is built once per normals and coordinate and cached; a
-question about one polyhedron is then a few integer dot products with its
-constants. ``closure_nonempty`` reads the projection onto y_0,
+Fourier-Motzkin decides, from region plans. Everything a query needs that
+depends only on the row normals is kept in one plan per (dim, strict
+normals, weak normals) (``_plan``, cached): the closure's normals as rows
+<u, y> <= b, the lifted (y, t) system of ``lp_strict_feasible`` (strict rows
+shifted by t, 0 <= t <= 1), their Fourier-Motzkin projections
+(``_projection(normals, dim, k)`` eliminates every coordinate but y_k, cached
+per normals and coordinate), and the walk's columns and last-level layout.
+A plan fills each part the first time a query needs it, so no projection is
+built that no query reads. A query looks up its plan once and then touches
+only its region's constants: the rhs vector, one integer dot product per
+projected row. ``closure_nonempty`` reads the projection onto y_0,
 ``coordinate_bounds`` the projection onto each coordinate, and
-``strictly_feasible`` the projection onto t of the system
-``lp_strict_feasible`` solves (strict rows shifted by t, 0 <= t <= 1): it is
-strictly feasible iff that range has a positive upper end.
+``strictly_feasible`` the lifted projection onto t: the region is strictly
+feasible iff that range has a positive upper end. The regions of one
+divisor's cones and subsets, of its twists and of every linearly equivalent
+representative share their normals, so a pass over many divisors builds a
+few plans and answers every query from them.
 
 The simplex only writes witnesses: ``lp_strict_feasible`` returns a rational
 point where a caller prints one. It is a textbook two-phase tableau with
@@ -39,26 +47,28 @@ those of the rational tableau, so every pivot sequence is deterministic, and
 results (points, values, certificates) are built as exact ``Fraction``
 values when read.
 
-Lattice enumeration bounds each coordinate by ``coordinate_bounds``. The
-walk then visits the box one interval per node: every row reads
-<u, y> + c <= 0 over Z, so each row bounds the next coordinate from one
-side, solved by floor division. A node's children are built one at a time
-as the walk reaches them, so a walk that stops at its first point builds no
-node it does not visit. The walk returns the last coordinate's
-intervals as runs (prefix, lo, hi), so counting points sums run lengths and
-builds no point; lattice_points expands the runs. The last level is read in
-one batch per parent node: each row's bounds over the parent's whole range
-are one ``map`` of floor divisions, folded with ``min``, and no node is
-built for a single last-coordinate interval.
+Lattice enumeration bounds each coordinate by the plan's projections,
+rounded inward to integers by floor division. The walk then visits the box
+one interval per node: every row reads <u, y> + c <= 0 over Z, so each row
+bounds the next coordinate from one side, solved by floor division. A
+node's children are built one at a time as the walk reaches them, so a walk
+that stops at its first point builds no node it does not visit. The walk
+returns the last coordinate's intervals as runs (prefix, lo, hi), so
+counting points sums run lengths and builds no point; lattice_points
+expands the runs. The last level is read in one batch per parent node:
+each row's bounds over the parent's whole range are one ``map`` of floor
+divisions, folded with ``min``, and no node is built for a single
+last-coordinate interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, repeat
-from math import ceil, floor, gcd
+from math import gcd
+from operator import itemgetter
 
 from .errors import UnboundedRegion
 from .linalg import clear_denominators, content_free
@@ -247,21 +257,6 @@ def lp_free_max(a_rows, b_vals, cost):
     return "optimal", y, value
 
 
-def _leq_rows(poly: Polyhedron):
-    """Closure rows as (coeffs, rhs) pairs meaning coeffs.y <= rhs."""
-    return [(tuple(-x for x in u), c) for u, c in poly.weak] + [(u, -c) for u, c in poly.strict]
-
-
-def _lifted_rows(poly: Polyhedron):
-    """The system in (y, t) whose largest t decides strict feasibility, as
-    (coeffs, rhs) pairs meaning coeffs.(y, t) <= rhs: each strict row shifted
-    by t, each weak row, then t <= 1 and t >= 0."""
-    n = poly.dim
-    rows = [((*u, 1), -c) for u, c in poly.strict]  # <y,u> + c + t <= 0
-    rows += [((*(-x for x in u), 0), c) for u, c in poly.weak]  # -<y,u> <= c
-    return rows + [((0,) * n + (1,), 1), ((0,) * n + (-1,), 0)]
-
-
 def lp_optimize(poly: Polyhedron, objective, sense="max"):
     """Optimize over the closure (strict rows relaxed to weak).
 
@@ -269,11 +264,8 @@ def lp_optimize(poly: Polyhedron, objective, sense="max"):
     decision calls it: the test suite's oracles check the projections
     against it, and perfbench's tracer still names it.
     """
-    rows = _leq_rows(poly)
-    a = [r for r, _ in rows]
-    b = [r for _, r in rows]
     c = list(objective) if sense == "max" else [-x for x in objective]
-    status, y, value = lp_free_max(a, b, c)
+    status, y, value = lp_free_max(_plan_of(poly).leq, _closure_rhs(poly), c)
     if status != "optimal":
         return status, None, None
     return "optimal", tuple(y), value if sense == "max" else -value
@@ -292,15 +284,14 @@ def lp_strict_feasible(poly: Polyhedron) -> StrictFeasibility:
     so an unbounded slack still reports feasible with a concrete witness.
     """
     n = poly.dim
-    rows = _lifted_rows(poly)
-    status, y, value = lp_free_max([a for a, _ in rows], [b for _, b in rows], [0] * n + [1])
+    status, y, value = lp_free_max(_plan_of(poly).lifted, _lifted_rhs(poly), [0] * n + [1])
     if status != "optimal" or value <= 0:
         return StrictFeasibility(False, None)
     return StrictFeasibility(True, tuple(y[:n]))
 
 
 # ---------------------------------------------------------------------------
-# lattice enumeration
+# region plans: what a region's row normals fix, built once
 # ---------------------------------------------------------------------------
 
 
@@ -316,13 +307,15 @@ def _primitive(u, lam):
 def _projection(normals, dim, k):
     """Closure rows <normals[i], y> <= b_i projected onto coordinate y_k.
 
-    Holds pairs (a, lam): a * y_k <= sum(l * b_i for i, l in lam) is implied
-    by the rows, and together they cut out exactly the closure's projection
-    onto y_k (Fourier-Motzkin elimination, Schrijver, Theory of Linear and
-    Integer Programming, 1986, 12.2). Rows with a = 0 say whether the closure
-    is empty. After t eliminations a combination of more than t + 1 original
-    rows is implied by the others for every b (Chernikov's rule) and is
-    dropped, as are exact duplicates.
+    Returns (zeros, uppers, lowers). A pair (a, lam) in uppers says
+    a * y_k <= sum(l * b_i for i, l in lam), one in lowers says
+    -a * y_k <= that sum, with a > 0 in both; each multiplier tuple lam in
+    zeros says 0 <= its sum. Together they are implied by the rows and cut
+    out exactly the closure's projection onto y_k (Fourier-Motzkin
+    elimination, Schrijver, Theory of Linear and Integer Programming, 1986,
+    12.2), and zeros say whether the closure is empty. After t eliminations
+    a combination of more than t + 1 original rows is implied by the others
+    for every b (Chernikov's rule) and is dropped, as are exact duplicates.
     """
     rows = [(u, ((i, 1),)) for i, u in enumerate(normals)]
     for t, j in enumerate((j for j in range(dim) if j != k), 1):
@@ -338,28 +331,124 @@ def _projection(normals, dim, k):
                     u = tuple(q * x + p * y for x, y in zip(up, un))
                     kept.append(_primitive(u, tuple(sorted(lam.items()))))
         rows = list(dict.fromkeys(kept))
-    return tuple((u[k], lam) for u, lam in rows)
+    return (
+        tuple(lam for u, lam in rows if u[k] == 0),
+        tuple((u[k], lam) for u, lam in rows if u[k] > 0),
+        tuple((-u[k], lam) for u, lam in rows if u[k] < 0),
+    )
 
 
-def _range(rows, dim, k):
-    """The exact range of y_k over {y : coeffs.y <= rhs for (coeffs, rhs) in
-    rows}: (lower, upper) with each side a (num, den) pair, den > 0, or None
-    when unbounded; None when the set is empty. One dot product per projected
-    row, so each side equals the LP optimum."""
-    lower = upper = None
-    for a, lam in _projection(tuple(u for u, _ in rows), dim, k):
-        s = sum(l * rows[i][1] for i, l in lam)
-        if a > 0:
-            if upper is None or s * upper[1] < upper[0] * a:
-                upper = (s, a)
-        elif a < 0:  # y_k >= s / a = -s / -a
-            if lower is None or -s * lower[1] > lower[0] * -a:
-                lower = (-s, -a)
-        elif s < 0:
+def _range(projection, b):
+    """The exact range of y_k over {y : <normals[i], y> <= b[i]}, read from
+    the projection of the normals onto y_k: (lower, upper) with each side a
+    (num, den) pair, den > 0, or None when unbounded; None when the set is
+    empty. One dot product per projected row, so each side equals the LP
+    optimum. The dot products are written out as loops: a generator per
+    projected row took twice as long."""
+    zeros, uppers, lowers = projection
+    for lam in zeros:
+        s = 0
+        for i, l in lam:
+            s += l * b[i]
+        if s < 0:
             return None
+    lower = upper = None
+    for a, lam in uppers:
+        s = 0
+        for i, l in lam:
+            s += l * b[i]
+        if upper is None or s * upper[1] < upper[0] * a:
+            upper = (s, a)
+    for a, lam in lowers:  # y_k >= s / a
+        s = 0
+        for i, l in lam:
+            s -= l * b[i]
+        if lower is None or s * lower[1] > lower[0] * a:
+            lower = (s, a)
     if lower is not None and upper is not None and lower[0] * upper[1] > upper[0] * lower[1]:
         return None
     return lower, upper
+
+
+class _Plan:
+    """Everything a region's row normals fix, for one (dim, strict normals,
+    weak normals); a query reads it with the region's constants only.
+
+    ``leq`` holds the closure's normals, rows <u, y> <= b: each weak row
+    negated, then each strict row (``_closure_rhs`` gives b). ``lifted`` holds
+    the (y, t) system whose largest t decides strict feasibility: each
+    strict row shifted by t, each weak row, then t <= 1 and t >= 0
+    (``_lifted_rhs``). The projections of both, and the walk's columns and
+    last-level layout, are built when a query first needs them: a plan that
+    only ever answers ``closure_nonempty`` projects one coordinate.
+    """
+
+    def __init__(self, dim, strict, weak):
+        self.dim = dim
+        self.strict, self.weak = strict, weak
+        self.leq = tuple(tuple(-x for x in u) for u in weak) + strict
+        self.projections = [None] * dim
+
+    def projection(self, k):
+        """The closure's projection onto y_k."""
+        proj = self.projections[k]
+        if proj is None:
+            proj = self.projections[k] = _projection(self.leq, self.dim, k)
+        return proj
+
+    @cached_property
+    def lifted(self):
+        n = self.dim
+        rows = tuple((*u, 1) for u in self.strict) + tuple((*(-x for x in u), 0) for u in self.weak)
+        return rows + ((0,) * n + (1,), (0,) * n + (-1,))
+
+    @cached_property
+    def t_projection(self):
+        """The lifted system's projection onto t."""
+        return _projection(self.lifted, self.dim + 1, self.dim)
+
+    @cached_property
+    def walk(self):
+        """(cols, pen, sides) for ``lattice_runs``. The walk reads the
+        closure's rows in ``leq`` order as <u, y> + val <= 0 over Z, and
+        cols[d] holds their coefficients at y_d. pen holds the parent
+        column of the last level (zeros in dimension 1). Per side of the last
+        coordinate, upper then lower, sides holds the rows with a parent
+        coefficient p = 0 as (row, |a|) and the others as (row, |a|, p)."""
+        n = self.dim
+        cols = tuple(tuple(u[d] for u in self.leq) for d in range(n))
+        pen = cols[n - 2] if n > 1 else (0,) * len(self.leq)
+        sides = []
+        for sign in (1, -1):
+            side = [(r, sign * a) for r, a in enumerate(cols[-1]) if sign * a > 0]
+            sides.append(([(r, d) for r, d in side if not pen[r]],
+                          [(r, d, pen[r]) for r, d in side if pen[r]]))
+        return cols, pen, tuple(sides)
+
+
+# One entry per distinct normals. A scan-oracle pass (seed 71) reads 18
+# plans 1,108 times and a positivity-profile pass 87 plans 1,379 times;
+# three positivity reports and tables on P1^4 fill 223 entries.
+@lru_cache(maxsize=2048)
+def _plan(dim, strict, weak) -> _Plan:
+    return _Plan(dim, strict, weak)
+
+
+_normal = itemgetter(0)
+
+
+def _plan_of(poly: Polyhedron) -> _Plan:
+    return _plan(poly.dim, tuple(map(_normal, poly.strict)), tuple(map(_normal, poly.weak)))
+
+
+def _closure_rhs(poly: Polyhedron):
+    """The constants b of the closure rows <u, y> <= b, in ``leq`` order."""
+    return [c for _, c in poly.weak] + [-c for _, c in poly.strict]
+
+
+def _lifted_rhs(poly: Polyhedron):
+    """The constants of the lifted rows, in ``lifted`` order."""
+    return [-c for _, c in poly.strict] + [c for _, c in poly.weak] + [1, 0]
 
 
 def coordinate_bounds(poly: Polyhedron):
@@ -368,9 +457,9 @@ def coordinate_bounds(poly: Polyhedron):
     Yields (lower, upper) per coordinate, a side None when it is unbounded,
     or yields None once and stops when the closure is empty.
     """
-    rows = _leq_rows(poly)
+    plan, b = _plan_of(poly), _closure_rhs(poly)
     for k in range(poly.dim):
-        bounds = _range(rows, poly.dim, k)
+        bounds = _range(plan.projection(k), b)
         if bounds is None:
             yield None
             return
@@ -380,18 +469,23 @@ def coordinate_bounds(poly: Polyhedron):
 def closure_nonempty(poly: Polyhedron) -> bool:
     """Is the closure (strict rows relaxed to weak) nonempty? Its projection
     onto the first coordinate is."""
-    rows = _leq_rows(poly)
+    b = _closure_rhs(poly)
     if poly.dim == 0:
-        return all(b >= 0 for _, b in rows)
-    return _range(rows, poly.dim, 0) is not None
+        return all(x >= 0 for x in b)
+    return _range(_plan_of(poly).projection(0), b) is not None
 
 
 def strictly_feasible(poly: Polyhedron) -> bool:
     """lp_strict_feasible's verdict with no LP: the lifted system's range of t
     is the LP's feasible set of objective values, so the system is strictly
     feasible iff that range is nonempty with a positive upper end."""
-    t_range = _range(_lifted_rows(poly), poly.dim + 1, poly.dim)
+    t_range = _range(_plan_of(poly).t_projection, _lifted_rhs(poly))
     return t_range is not None and t_range[1][0] > 0
+
+
+# ---------------------------------------------------------------------------
+# lattice enumeration
+# ---------------------------------------------------------------------------
 
 
 def _interval(col, vals, tail, v_lo, v_hi):
@@ -448,9 +542,12 @@ def lattice_runs(poly: Polyhedron, first_only=False):
     region that is strictly feasible.
 
     The box [lo, hi] rounds each coordinate's exact range over the closure
-    (coordinate_bounds) inward, coordinate by coordinate: an empty integer
-    range yields nothing before the next coordinate is looked at, and an
-    unbounded one is settled by strictly_feasible.
+    (the plan's projections, as coordinate_bounds reads them) inward by
+    floor division, coordinate by coordinate: an empty integer range yields
+    nothing before the next coordinate is looked at, and an unbounded one is
+    settled by strictly_feasible. Columns and the last level's row layout
+    come from the plan; the constants, the box and the tails are the
+    query's own.
 
     Rows read <u, y> + c <= 0 and tails[d] holds their least values over
     coordinates d.. of the box. A node at depth d < n - 1 admits the v with
@@ -467,8 +564,10 @@ def lattice_runs(poly: Polyhedron, first_only=False):
     ascending v, and no leaf node is built.
     """
     n = poly.dim
+    plan, b = _plan_of(poly), _closure_rhs(poly)
     lo, hi = [], []
-    for k, bounds in enumerate(coordinate_bounds(poly)):
+    for k in range(n):
+        bounds = _range(plan.projection(k), b)
         if bounds is None:
             return
         lower, upper = bounds
@@ -476,32 +575,26 @@ def lattice_runs(poly: Polyhedron, first_only=False):
             if strictly_feasible(poly):
                 raise UnboundedRegion(f"coordinate {k} unbounded")
             return
-        lo.append(ceil(lower))
-        hi.append(floor(upper))
+        lo.append(-(-lower[0] // lower[1]))
+        hi.append(upper[0] // upper[1])
         if lo[k] > hi[k]:
             return
-    # <u, y> + c <= -1 for strict rows, <-u, y> - c <= 0 for weak rows
-    rows = [(u, c + 1) for u, c in poly.strict] + [([-x for x in u], -c) for u, c in poly.weak]
-    cols = [[u[d] for u, _ in rows] for d in range(n)]
-    tails = [[0] * len(rows)]
-    for d in range(n - 1, -1, -1):
-        tails.insert(0, [t + min(a * lo[d], a * hi[d]) for t, a in zip(tails[0], cols[d])])
-    vals = [c for _, c in rows]
+    cols, pen, (upper_side, lower_side) = plan.walk
+    # the closure's rows as <u, y> + val <= 0 over Z: a strict row's
+    # constant moves by one, as <u, y> + c < 0 means <u, y> + c + 1 <= 0
+    vals = [-c for _, c in poly.weak] + [c + 1 for _, c in poly.strict]
+    tails = [[0] * len(vals)]
+    for d in range(n - 1, -1, -1):  # each row's least value over the box
+        low, high = lo[d], hi[d]
+        tails.insert(0, [t + a * (low if a > 0 else high) for t, a in zip(tails[0], cols[d])])
     if n == 1:  # one virtual parent, its coordinate fixed at 0 with column 0
-        pen = [0] * len(rows)
         v_lo, v_hi = _interval(pen, vals, tails[0], 0, 0)
         parents = [((), vals, [()], v_lo, v_hi)] if v_lo <= v_hi else []
     else:
-        pen = cols[n - 2]
         parents = _parents(cols, tails, lo, hi, vals)
-    # Per side of the last coordinate, once per region: the box's bound, the
-    # rows with a parent coefficient p = 0 as (row, |a|), the others as
-    # (row, |a|, p). The lower side is kept negated, so both fold with min.
-    sides = []
-    for bound, sign in ((hi[-1], 1), (-lo[-1], -1)):
-        side = [(r, sign * a) for r, a in enumerate(cols[-1]) if sign * a > 0]
-        sides.append((bound, [(r, d) for r, d in side if not pen[r]],
-                      [(r, d, pen[r]) for r, d in side if pen[r]]))
+    # the box's bound on each side of the last coordinate; the lower side is
+    # kept negated, so both fold with min
+    sides = ((hi[-1], *upper_side), (-lo[-1], *lower_side))
     for prefix, vals, heads, v_lo, v_hi in parents:
         folds = []
         for bound, fixed, moving in sides:

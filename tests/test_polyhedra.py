@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from toricpos import ToricDivisor, UnboundedRegion
 from toricpos.cohomology import bad_subsets, subset_region
+from toricpos.positivity import default_ample
 from toricpos.polyhedra import (
+    _plan,
     _projection,
     closure_nonempty,
     coordinate_bounds,
@@ -256,7 +258,22 @@ def test_projected_bounds_match_lp_on_seeded_corpus():
             lattice_points(polyhedron(n))
 
 
-def test_fm_decisions_match_the_lp_on_seeded_corpus():
+def scan_twist_regions(fan, count, multiples, twists=(1, 2, 3, 4)):
+    """The regions of N*D - j*H the q-ample scan queries, for seeded D on
+    ``fan`` and H = -K: every bad subset of every degree, from the rows of
+    each twist as ``positivity._nonvanishing`` builds them."""
+    ample = default_ample(fan)
+    for d in random_divisors(fan, count, lo=-4, hi=4, seed="scan-twists"):
+        for n_mult in multiples:
+            for j in twists:
+                twisted = tuple(n_mult * a - j * h for a, h in zip(d.plain_coeffs, ample.plain_coeffs))
+                rows = ray_rows(fan.rank, fan.rays, twisted)
+                for entries in bad_subsets(fan):
+                    for subset, _ in entries:
+                        yield twisted, subset_region(fan, rows, subset)
+
+
+def test_fm_decisions_match_the_lp_on_seeded_corpus(totaro):
     # strictly_feasible and closure_nonempty against the strict-feasibility
     # LP and the closure LP, on mixed rows in dims 0-5: empty, unbounded,
     # lower-dimensional (an equation as two weak rows) and full-dimensional
@@ -302,6 +319,15 @@ def test_fm_decisions_match_the_lp_on_seeded_corpus():
         elif closure_lp and lp_optimize(p, (1,) + (0,) * (n - 1))[0] == "unbounded":
             kinds["unbounded"] += 1
     assert len(kinds) == 5 and min(kinds.values()) >= 20, kinds
+    # the regions the scan oracle asks about, read from shared plans
+    twist_kinds = Counter()
+    for _, p in scan_twist_regions(totaro, 12, (1, 2, 12)):
+        strict_lp = lp_strict_feasible(p).feasible
+        closure_lp = lp_optimize(p, (0,) * p.dim)[0] == "optimal"
+        assert strictly_feasible(p) == strict_lp, p
+        assert closure_nonempty(p) == closure_lp, p
+        twist_kinds["strictly feasible" if strict_lp else "closure only" if closure_lp else "empty"] += 1
+    assert len(twist_kinds) == 3 and min(twist_kinds.values()) >= 15, twist_kinds
 
 
 def test_stored_rows_are_content_free_integers_on_seeded_corpus():
@@ -395,16 +421,18 @@ def test_integer_rows_store_as_their_fraction_forms_on_seeded_corpus():
 
 
 def test_positively_scaled_rows_share_one_projection_entry():
-    # the projection cache is keyed by the stored normals and a coordinate,
-    # so rows that differ by a positive factor reach the same entries
+    # plans are keyed by the stored normals, so rows that differ by a
+    # positive factor reach the same plan, and the plan holds the projections
+    # its first query built: the second query builds nothing
     window = [((0, 1), 4), ((0, -1), 4), ((-1, 0), 5)]
     first = polyhedron(2, weak=[((Fraction(1, 2), 0), Fraction(1, 3))] + window)
     second = polyhedron(2, weak=[((3, 0), 2)] + window)
     bounds = list(coordinate_bounds(first))
-    before = _projection.cache_info()
+    plans, projections = _plan.cache_info(), _projection.cache_info()
     assert list(coordinate_bounds(second)) == bounds
-    after = _projection.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    after = _plan.cache_info()
+    assert (after.hits, after.misses) == (plans.hits + 1, plans.misses)
+    assert _projection.cache_info().misses == projections.misses
 
 
 def test_bad_subset_regions_are_walked_without_an_lp(monkeypatch, example_fans):
@@ -430,7 +458,7 @@ def test_bad_subset_regions_are_walked_without_an_lp(monkeypatch, example_fans):
                     assert points == box_filter_lattice_points(region, box), (fan.name, d.coeffs, subset)
 
 
-def test_lattice_runs_match_box_filter_on_seeded_corpus():
+def test_lattice_runs_match_box_filter_on_seeded_corpus(totaro):
     # the batched last level against the box filter, in dims 1-5: windows up
     # to width 12 on the last two coordinates, so one parent holds many v;
     # rows with a zero last or penultimate coefficient; strict rows; and
@@ -483,6 +511,17 @@ def test_lattice_runs_match_box_filter_on_seeded_corpus():
         # a parent of two or more runs: one batch yields several children
         kinds["shared parent"] += any(a[0][:-1] == b[0][:-1] for a, b in zip(runs, runs[1:]))
     assert len(kinds) == 13 and min(kinds.values()) >= 30, kinds
+    # the regions the scan oracle walks, inside each twist's certified box
+    twist_kinds, boxes = Counter(), {}
+    for twisted, p in scan_twist_regions(totaro, 6, (1, 2), twists=(1, 3)):
+        if twisted not in boxes:
+            boxes[twisted] = certified_weight_box(totaro, twisted)
+        expected = box_filter_lattice_points(p, boxes[twisted])
+        runs = list(lattice_runs(p))
+        assert [q + (v,) for q, lo, hi in runs for v in range(lo, hi + 1)] == expected, p
+        assert list(lattice_runs(p, first_only=True)) == runs[:1], p
+        twist_kinds["hit" if runs else "empty over Z" if closure_nonempty(p) else "empty over Q"] += 1
+    assert len(twist_kinds) == 3 and min(twist_kinds.values()) >= 10, twist_kinds
 
 
 def test_zero_dimensional_polyhedra():

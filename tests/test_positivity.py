@@ -34,8 +34,8 @@ from toricpos import (
 )
 
 from toricpos.cohomology import bad_subsets, subset_region
-from toricpos.divisor import section_polyhedron
-from toricpos.polyhedra import lattice_points, ray_rows
+from toricpos.divisor import divisor_of_character, section_polyhedron
+from toricpos.polyhedra import _plan, _projection, lattice_points, ray_rows
 from toricpos.positivity import (
     _face_region,
     _joint_region,
@@ -497,9 +497,9 @@ def test_rows_are_normalized_a_fixed_number_of_times_per_divisor(monkeypatch, to
     # polyhedron() is the one row normalizer. A positivity profile and both
     # exact base loci on totaro-x normalize D's rows once (the cone flags,
     # both loci, and the q-ample searches when D is primitive), the joint
-    # rows once per q and once for B+, and -D's rows once per q: 8 times,
-    # whatever the number of cones and subsets. A class that is not
-    # primitive adds its primitive class's rows once per q: 11 times.
+    # rows once per q and once for B+, and -D's rows once (D keeps its
+    # negation): 6 times, whatever the number of cones and subsets. A class
+    # that is not primitive adds its primitive class's rows once per q: 9.
     assert totaro.properties.complete
     calls = []
     normalize = toricpos.polyhedra.polyhedron
@@ -519,7 +519,31 @@ def test_rows_are_normalized_a_fixed_number_of_times_per_divisor(monkeypatch, to
         augmented_base_locus_exact(d)
         stable_base_locus_exact(d)
         primitive = _primitive_integral(d) is d
-        assert len(calls) == (8 if primitive else 11), (d.coeffs, len(calls))
+        assert len(calls) == (6 if primitive else 9), (d.coeffs, len(calls))
         kinds[primitive] += 1
     assert kinds[True] and kinds[False]
     assert len(totaro.cones) > 11 and sum(map(len, bad_subsets(totaro))) > 3
+
+
+def test_a_linearly_equivalent_representative_reuses_every_plan(totaro):
+    # D + div(chi^m) changes the constants of every region of the check (the
+    # scan's twists, the joint region, the section polytope) but no normal,
+    # so its check builds no plan and no projection, and answers as D does
+    for coeffs, q in (((0, 2, -4, -3, 0, -3), 1), ((4, 0, -2, 0, 3, 3), 1)):
+        d = ToricDivisor(totaro, coeffs)
+        first = check_mode_agreement(d, q)
+        plans, projections = _plan.cache_info(), _projection.cache_info()
+        shifted = d + divisor_of_character(totaro, (1, -2, 1))
+        second = check_mode_agreement(shifted, q)
+        assert _plan.cache_info().misses == plans.misses, coeffs
+        assert _plan.cache_info().hits > plans.hits, coeffs
+        assert _projection.cache_info().misses == projections.misses, coeffs
+        assert second["scan"] == first["scan"] and second["realized"] == first["realized"]
+        asym, shifted_asym = first["asymptotic"], second["asymptotic"]
+        assert (shifted_asym.verdict, shifted_asym.checked) == (asym.verdict, asym.checked)
+        # the witness point moves with the representative; the rest stays
+        cert, shifted_cert = asym.certificate, shifted_asym.certificate
+        assert (cert is None) == (shifted_cert is None) == asym.verdict, coeffs
+        if cert is not None:
+            assert (shifted_cert.degree, shifted_cert.subset, shifted_cert.epsilon) == (
+                cert.degree, cert.subset, cert.epsilon)
