@@ -380,14 +380,19 @@ class _Plan:
     strict row shifted by t, each weak row, then t <= 1 and t >= 0
     (``_lifted_rhs``). The projections of both, and the walk's columns and
     last-level layout, are built when a query first needs them: a plan that
-    only ever answers ``closure_nonempty`` projects one coordinate.
+    only ever answers ``closure_nonempty`` projects one coordinate, and one
+    that only writes a witness (``lp_strict_feasible``, as every separation
+    LP of fan validation does) builds ``lifted`` alone.
     """
 
     def __init__(self, dim, strict, weak):
         self.dim = dim
         self.strict, self.weak = strict, weak
-        self.leq = tuple(tuple(-x for x in u) for u in weak) + strict
         self.projections = [None] * dim
+
+    @cached_property
+    def leq(self):
+        return tuple(tuple(-x for x in u) for u in self.weak) + self.strict
 
     def projection(self, k):
         """The closure's projection onto y_k."""
