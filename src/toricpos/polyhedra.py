@@ -32,10 +32,10 @@ only its region's constants: the rhs vector, one integer dot product per
 projected row. ``closure_nonempty`` reads the projection onto y_0,
 ``coordinate_bounds`` the projection onto each coordinate, and
 ``strictly_feasible`` the lifted projection onto t: the region is strictly
-feasible iff that range has a positive upper end. The regions of one
-divisor's cones and subsets, of its twists and of every linearly equivalent
-representative share their normals, so a pass over many divisors builds a
-few plans and answers every query from them.
+feasible iff that range has a positive upper end. On a fan's primitive
+rays, the regions of an integral divisor, of its twists N*D - j*H and of
+every representative D + div(chi^m) share their normals, so a pass over
+many divisors builds a few plans and answers every query from them.
 
 The simplex only writes witnesses: ``lp_strict_feasible`` returns a rational
 point where a caller prints one. It is a textbook two-phase tableau with
