@@ -30,7 +30,8 @@ A plan fills each part the first time a query needs it, so no projection is
 built that no query reads. A query looks up its plan once and then touches
 only its region's constants: the rhs vector, one integer dot product per
 projected row. ``closure_nonempty`` reads the projection onto y_0,
-``coordinate_bounds`` the projection onto each coordinate, and
+``coordinate_bounds`` and the walk's box the projection onto each
+coordinate (one loop, ``_bounds``, serves both), and
 ``strictly_feasible`` the lifted projection onto t: the region is strictly
 feasible iff that range has a positive upper end. On a fan's primitive
 rays, the regions of an integral divisor, of its twists N*D - j*H and of
@@ -301,8 +302,14 @@ def _primitive(u, lam):
     return (u, lam) if g == 1 else (tuple(x // g for x in u), tuple((i, l // g) for i, l in lam))
 
 
-# One entry per (normals, coordinate). Every command on P1^5 (10 rays, 243
-# cones) together filled 822 entries and P1^4 254, so a fan's entries stay.
+# One entry per (normals, coordinate), asked for on a plan's first read of
+# that projection; the plan keeps it, so later reads skip this cache. It is
+# hit when two plans share their closure normals (equal ``leq``, another
+# strict/weak split) or a plan is rebuilt after eviction. Three passes of the
+# bench panels (seed 71) asked 89 times on positivity-profile, 24 on
+# cohomology-multiples and 28 on scan-oracle, with 0, 0 and 2 hits (two
+# scan-oracle plans share their normals); the P1^5 run counted at ``_plan``
+# asked 847 times with 1 hit.
 @lru_cache(maxsize=2048)
 def _projection(normals, dim, k):
     """Closure rows <normals[i], y> <= b_i projected onto coordinate y_k.
@@ -432,8 +439,17 @@ class _Plan:
 
 
 # One entry per distinct normals. A scan-oracle pass (seed 71) reads 18
-# plans 1,108 times and a positivity-profile pass 87 plans 1,379 times;
-# three positivity reports and tables on P1^4 fill 223 entries.
+# plans 1,108 times and a positivity-profile pass 87 plans 1,379 times. A
+# plan keeps every projection it has read, so the plans, not _projection's
+# maxsize, bound the projections held: at most 2048 * (dim + 1). Three passes
+# of the bench panels hold 89 (positivity-profile, 87 plans), 24
+# (cohomology-multiples, 8 plans) and 28 (scan-oracle, 18 plans). On P1^5
+# (10 rays, 243 cones), 24 seeded classes with coefficients in [-2, 2], each
+# through positivity_report and both exact base loci, then six of them
+# through cohomology_dims, check_mode_agreement and scan_qample for every q,
+# classify_cones, base_locus, smallest_qample, the connectivity criterion
+# and restrict, and one chamber_scan, build 815 plans holding 847
+# projections, well under both caps.
 @lru_cache(maxsize=2048)
 def _plan(dim, strict, weak) -> _Plan:
     return _Plan(dim, strict, weak)
@@ -456,19 +472,33 @@ def _lifted_rhs(poly: Polyhedron):
     return [-c for _, c in poly.strict] + [c for _, c in poly.weak] + [1, 0]
 
 
+def _bounds(plan, b, dim):
+    """The exact range of each coordinate over the closure {<leq, y> <= b},
+    as _range gives it: a list of (lower, upper) pairs of (num, den) pairs,
+    or None when the closure is empty. Each projection is exact, so an
+    empty closure is found at the first coordinate."""
+    bounds = []
+    for k in range(dim):
+        bound = _range(plan.projection(k), b)
+        if bound is None:
+            return None
+        bounds.append(bound)
+    return bounds
+
+
 def coordinate_bounds(poly: Polyhedron):
     """The exact range of each coordinate over the closure, in order.
 
-    Yields (lower, upper) per coordinate, a side None when it is unbounded,
-    or yields None once and stops when the closure is empty.
+    Yields (lower, upper) per coordinate as Fractions, a side None when it
+    is unbounded, or yields None once when the closure is empty: the ranges
+    lattice_runs rounds to its box, read as exact values.
     """
-    plan, b = _plan_of(poly), _closure_rhs(poly)
-    for k in range(poly.dim):
-        bounds = _range(plan.projection(k), b)
-        if bounds is None:
-            yield None
-            return
-        yield tuple(None if x is None else Fraction(*x) for x in bounds)
+    bounds = _bounds(_plan_of(poly), _closure_rhs(poly), poly.dim)
+    if bounds is None:
+        yield None
+        return
+    for bound in bounds:
+        yield tuple(None if x is None else Fraction(*x) for x in bound)
 
 
 def closure_nonempty(poly: Polyhedron) -> bool:
@@ -547,7 +577,7 @@ def lattice_runs(poly: Polyhedron, first_only=False):
     region that is strictly feasible.
 
     The box [lo, hi] rounds each coordinate's exact range over the closure
-    (the plan's projections, as coordinate_bounds reads them) inward by
+    (``_bounds``, the loop coordinate_bounds reads as Fractions) inward by
     floor division, coordinate by coordinate: an empty integer range yields
     nothing before the next coordinate is looked at, and an unbounded one is
     settled by strictly_feasible. Columns and the last level's row layout
@@ -569,21 +599,21 @@ def lattice_runs(poly: Polyhedron, first_only=False):
     ascending v, and no leaf node is built.
     """
     n = poly.dim
-    plan, b = _plan_of(poly), _closure_rhs(poly)
+    plan = _plan_of(poly)
+    bounds = _bounds(plan, _closure_rhs(poly), n)
+    if bounds is None:
+        return
     lo, hi = [], []
-    for k in range(n):
-        bounds = _range(plan.projection(k), b)
-        if bounds is None:
-            return
-        lower, upper = bounds
+    for lower, upper in bounds:
         if lower is None or upper is None:
             if strictly_feasible(poly):
-                raise UnboundedRegion(f"coordinate {k} unbounded")
+                raise UnboundedRegion(f"coordinate {len(lo)} unbounded")
             return
-        lo.append(-(-lower[0] // lower[1]))
-        hi.append(upper[0] // upper[1])
-        if lo[k] > hi[k]:
+        low, high = -(-lower[0] // lower[1]), upper[0] // upper[1]
+        if low > high:
             return
+        lo.append(low)
+        hi.append(high)
     cols, pen, (upper_side, lower_side) = plan.walk
     # the closure's rows as <u, y> + val <= 0 over Z: a strict row's
     # constant moves by one, as <u, y> + c < 0 means <u, y> + c + 1 <= 0
