@@ -12,6 +12,14 @@ query. A query is sorted by its answer: empty over Q (its closure is
 empty), a hit (it has a lattice point) or empty over Z only. The script
 prints microseconds per query for each kind, and the hits and misses of the
 plan and projection caches over the replay.
+
+It then times the walk's counting layer the same way: ``--classes`` seeded
+classes on totaro-x, each times a multiple k in 10..20, go through
+``cohomology_dims``, which counts each bad subset's weight region by
+``lattice_blocks``; the recorded regions are replayed ``--repeat`` times.
+The count line gives microseconds per counted region, the parent nodes
+(depth n - 2) the walk reaches per pass, the children per parent and the
+blocks (parents holding a weight) per region.
 """
 
 from __future__ import annotations
@@ -24,9 +32,17 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+import toricpos.cohomology  # noqa: E402
 import toricpos.positivity  # noqa: E402
 from toricpos import ModeDisagreement, ToricDivisor, load_workspace  # noqa: E402
-from toricpos.polyhedra import _plan, _projection, closure_nonempty, lattice_points  # noqa: E402
+from toricpos.polyhedra import (  # noqa: E402
+    _parent_folds,
+    _plan,
+    _projection,
+    closure_nonempty,
+    lattice_blocks,
+    lattice_points,
+)
 
 KINDS = ("empty over Q", "hit", "empty over Z")
 
@@ -75,6 +91,47 @@ def replay(regions, repeat: int):
     return totals, caches
 
 
+def count_regions(seed: int, classes: int):
+    """The weight regions ``cohomology_dims`` counts for each seeded class
+    times a multiple k in 10..20, in order."""
+    fan = load_workspace("totaro-x").fan
+    rng = random.Random(f"count-bench:{seed}")
+    regions = []
+
+    def recording(poly):
+        regions.append(poly)
+        return lattice_blocks(poly)
+
+    toricpos.cohomology.lattice_blocks = recording
+    try:
+        for _ in range(classes):
+            k = rng.randint(10, 20)
+            toricpos.cohomology.cohomology_dims(
+                ToricDivisor(fan, tuple(k * rng.randint(-2, 2) for _ in range(fan.n_rays))))
+    finally:
+        toricpos.cohomology.lattice_blocks = lattice_blocks
+    return regions
+
+
+def count_replay(regions, repeat: int):
+    """Total ns of ``repeat`` replays of the counts, and the parents, their
+    children and the blocks of one pass."""
+    clock = time.perf_counter_ns
+    spent = 0
+    for _ in range(repeat):
+        for region in regions:
+            start = clock()
+            tuple(lattice_blocks(region))
+            spent += clock() - start
+    parents = children = blocks = 0
+    for region in regions:
+        for _, _, _, his, _ in _parent_folds(region):
+            parents += 1
+            children += len(list(his))
+        blocks += sum(1 for _ in lattice_blocks(region))
+    return spent, parents, children, blocks
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=71)
@@ -94,6 +151,12 @@ def main(argv=None) -> None:
         print(f"{kind:<14}{count:>9}{per_query:>10}")
     for name, info in caches.items():
         print(f"{name + ' cache':<17}hits {info.hits:>6}  misses {info.misses:>5}")
+    counted = count_regions(args.seed, args.classes)
+    spent, parents, children, blocks = count_replay(counted, args.repeat)
+    print(f"{'count':<14}{'regions':>9}{'us/region':>11}{'parents':>9}"
+          f"{'children/parent':>17}{'blocks/region':>15}")
+    print(f"{'weights':<14}{len(counted):>9}{spent / 1000 / (len(counted) * args.repeat):>11.1f}"
+          f"{parents:>9}{children / max(parents, 1):>17.1f}{blocks / len(counted):>15.1f}")
 
 
 if __name__ == "__main__":

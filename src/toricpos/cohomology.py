@@ -11,9 +11,13 @@ are ever enumerated; each of their regions is bounded on a complete fan, so
 the infinite weight sum collapses to finitely many lattice point counts.
 The same index powers the exact asymptotic nonvanishing test.
 
-The walk hands each region's weights over as runs of the last coordinate
-(``polyhedra.lattice_runs``), and ``Weights`` keeps them that way: counts
-never build a weight, and a weight tuple is built only when it is read.
+The walk hands each region's weights over in blocks, one per parent node of
+the second-to-last coordinate (``polyhedra.lattice_blocks``): the ends of
+each child's last-coordinate interval as two int lists, and the block's
+count. ``Weights`` keeps them that way, so a dimension is a sum of block
+counts, and a weight tuple is built only when it is read. ``degree_nonzero``
+asks only whether a region holds a point and reads the lazy runs
+(``lattice_runs`` with ``first_only``).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, count, repeat
 
 from .divisor import ToricDivisor, require_integral
 from .errors import NotComplete, ToricError, UnboundedRegion
@@ -31,6 +35,7 @@ from .fan import Fan, RaySubcomplex, full_subcomplex
 from .linalg import rref
 from .polyhedra import (
     Polyhedron,
+    lattice_blocks,
     lattice_runs,
     lp_strict_feasible,
     strictly_feasible,
@@ -107,10 +112,8 @@ def subset_region(fan: Fan, rows, subset) -> Polyhedron:
     """P_S(D): strict rows on S, weak rows off S, in M-coordinates, picked
     from ``rows`` as ``polyhedra.ray_rows`` stores them: ``ToricDivisor.rows``,
     or the scan's rows of one twist."""
-    s = set(subset)
-    strict = tuple(row for i, (row, _) in enumerate(rows) if i in s)
-    weak = tuple(row for i, (row, _) in enumerate(rows) if i not in s)
-    return Polyhedron(fan.rank, strict, weak)
+    inside, outside = fan.subset_split(subset)
+    return Polyhedron(fan.rank, tuple([rows[i][0] for i in inside]), tuple([rows[i][0] for i in outside]))
 
 
 def _require_complete(fan: Fan) -> None:
@@ -126,27 +129,48 @@ def _require_degree(fan: Fan, p: int) -> None:
 
 
 class Weights(Sequence):
-    """Read-only weights of one region, lexicographic, kept as the walk's runs
-    (prefix, lo, hi) = prefix + (v,) for lo <= v <= hi. Its length is a sum,
-    an index a bisection, and equal to any sequence of the same weights."""
+    """Read-only weights of one region, lexicographic, kept as the walk's
+    blocks (``polyhedra.lattice_blocks``): the children v_lo + j of one
+    parent prefix, child j holding the weights prefix + (v_lo + j, w) for
+    -neg_los[j] <= w <= his[j] (just (w,) in dimension 1). Its length is a
+    sum of block counts, an index a bisection of the blocks and a walk along
+    one block's children, and it is equal to any sequence of the same
+    weights. No weight tuple is built until one is read."""
 
-    def __init__(self, runs):
-        self.runs = tuple(runs)
-        self._starts = [0, *accumulate(hi - lo + 1 for _, lo, hi in self.runs)]
+    def __init__(self, blocks, dim):
+        self.blocks = tuple(blocks)
+        self._nested = dim > 1  # a parent coordinate heads each child
+        self._starts = [0, *accumulate(block[-1] for block in self.blocks)]
 
     def __len__(self):
         return self._starts[-1]
+
+    def _runs(self, block):
+        prefix, v_lo, his, neg_los, _ = block
+        heads = zip(count(v_lo)) if self._nested else repeat(())
+        for head, h, neg_lo in zip(heads, his, neg_los):
+            if h + neg_lo >= 0:
+                yield prefix + head, -neg_lo, h
+
+    @property
+    def runs(self):
+        """The walk's runs (prefix, lo, hi), as ``lattice_runs`` yields them."""
+        return tuple(run for block in self.blocks for run in self._runs(block))
 
     def __getitem__(self, i):
         k = range(len(self))[i]  # negative, out-of-range and slice indices as for a tuple
         if isinstance(k, range):
             return tuple(self[j] for j in k)
-        r = bisect_right(self._starts, k) - 1
-        prefix, lo, _ = self.runs[r]
-        return prefix + (lo + k - self._starts[r],)
+        b = bisect_right(self._starts, k) - 1
+        k -= self._starts[b]
+        for prefix, lo, hi in self._runs(self.blocks[b]):
+            if k <= hi - lo:
+                return prefix + (lo + k,)
+            k -= hi - lo + 1
 
     def __iter__(self):
-        return (p + (v,) for p, lo, hi in self.runs for v in range(lo, hi + 1))
+        return (p + (v,) for block in self.blocks for p, lo, hi in self._runs(block)
+                for v in range(lo, hi + 1))
 
     def __eq__(self, other):
         return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented
@@ -169,21 +193,28 @@ class CohomologyTable:
         return sum((-1) ** p * d for p, d in enumerate(self.dims))
 
 
-def _degree_regions(divisor: ToricDivisor, p: int, first_only=False):
-    """Yield (subset, Weights, complex dim) for each bad subset of degree p
-    whose weight region holds a lattice point."""
+def _walk(divisor: ToricDivisor, p: int, walk):
+    """Yield (subset, walk(region) as a tuple, complex dim) for each bad
+    subset of degree p whose weight region holds a lattice point."""
     fan = divisor.fan
     for subset, dim in bad_subsets(fan)[p]:
         region = subset_region(fan, divisor.rows, subset)
         try:
-            runs = tuple(lattice_runs(region, first_only=first_only))
+            found = tuple(walk(region))
         except UnboundedRegion as exc:
             raise UnboundedRegion(
                 f"region for subset {subset} unbounded on a complete fan; "
                 f"internal consistency failure: {exc}"
             ) from exc
-        if runs:
-            yield subset, Weights(runs), dim
+        if found:
+            yield subset, found, dim
+
+
+def _degree_regions(divisor: ToricDivisor, p: int):
+    """Yield (subset, Weights, complex dim) for each bad subset of degree p
+    whose weight region holds a lattice point."""
+    for subset, blocks, dim in _walk(divisor, p, lattice_blocks):
+        yield subset, Weights(blocks, divisor.fan.rank), dim
 
 
 def cohomology_dims(divisor: ToricDivisor) -> CohomologyTable:
@@ -209,7 +240,7 @@ def degree_nonzero(divisor: ToricDivisor, p: int) -> bool:
     """Does H^p(X, O(D)) contain anything? Early-exits on the first weight."""
     _require_degree(divisor.fan, p)
     require_integral(divisor, "cohomology")
-    return any(_degree_regions(divisor, p, first_only=True))
+    return any(_walk(divisor, p, lambda region: lattice_runs(region, first_only=True)))
 
 
 @dataclass(frozen=True)

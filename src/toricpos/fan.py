@@ -117,6 +117,24 @@ class Fan:
         return out
 
     @cached_property
+    def _splits(self) -> dict:
+        return {}
+
+    def subset_split(self, subset) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The ray indices in ``subset`` and the ones off it, each ascending.
+        It depends on the fan and the subset alone, so it is worked out once
+        per subset and kept."""
+        key = tuple(subset)
+        split = self._splits.get(key)
+        if split is None:
+            inside = set(key)
+            split = self._splits[key] = (
+                tuple(i for i in range(self.n_rays) if i in inside),
+                tuple(i for i in range(self.n_rays) if i not in inside),
+            )
+        return split
+
+    @cached_property
     def properties(self) -> FanProperties:
         return validate(self)
 

@@ -53,13 +53,17 @@ rounded inward to integers by floor division. The walk then visits the box
 one interval per node: every row reads <u, y> + c <= 0 over Z, so each row
 bounds the next coordinate from one side, solved by floor division. A
 node's children are built one at a time as the walk reaches them, so a walk
-that stops at its first point builds no node it does not visit. The walk
-returns the last coordinate's intervals as runs (prefix, lo, hi), so
-counting points sums run lengths and builds no point; lattice_points
-expands the runs. The last level is read in one batch per parent node:
-each row's bounds over the parent's whole range are one ``map`` of floor
-divisions, folded with ``min``, and no node is built for a single
-last-coordinate interval.
+that stops at its first point builds no node it does not visit. The last
+level is read in one batch per parent node (depth n - 2): each row's bounds
+over the parent's whole range are one ``map`` of floor divisions (the range
+itself when the row's last coefficient is 1 or -1), folded with ``min``, and
+no node is built for a single last-coordinate interval. That per-parent
+fold (``_parent_folds``) has two readers. ``lattice_runs`` zips it lazily
+into runs (prefix, lo, hi), one per nonempty child, so an existence query
+stops at its first nonempty child; lattice_points expands the runs.
+``lattice_blocks`` turns each parent's two folds into int lists and counts
+the parent's points in C, yielding one block per parent that holds a point,
+so a count builds no run and no point.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice, repeat
 from math import gcd
-from operator import itemgetter
+from operator import add, itemgetter, neg
 
 from .errors import UnboundedRegion
 from .linalg import clear_denominators, content_free
@@ -114,12 +118,28 @@ def polyhedron(dim, strict=(), weak=()) -> Polyhedron:
 
 def ray_rows(dim, rays, coeffs):
     """Per ray, the stored row of (u_rho, a_rho) and of its negation, as
-    ``polyhedron()`` stores them. A row's content and its negation's are the
-    same, so the negation of a stored row is stored as it is. A region that
-    picks these rows is built as ``Polyhedron(dim, strict, weak)`` and holds
+    ``polyhedron()`` stores them. Each u_rho holds a primitive ray (``Fan``
+    rejects any other), so a row of plain ``int`` entries has content 1 and
+    is stored as it is; only a row holding a ``Fraction`` goes through
+    ``polyhedron()``. A row's content and its negation's are the same, so
+    the negation of a stored row is stored as it is. A region that picks
+    these rows is built as ``Polyhedron(dim, strict, weak)`` and holds
     exactly the rows ``polyhedron()`` would, with no row normalized again."""
-    rows = polyhedron(dim, weak=tuple(zip(rays, coeffs))).weak
-    return tuple((row, (tuple(-x for x in row[0]), -row[1])) for row in rows)
+    rows = [(tuple(u), a) for u, a in zip(rays, coeffs)]
+    rational = [row for row in rows if not _plain(row)]
+    if rational:
+        stored = iter(polyhedron(dim, weak=rational).weak)
+        rows = [row if _plain(row) else next(stored) for row in rows]
+    return tuple((row, (tuple(map(neg, row[0])), -row[1])) for row in rows)
+
+
+_INT = frozenset((int,))
+
+
+def _plain(row):
+    """Does the row (u, c) hold only ``int`` entries?"""
+    u, c = row
+    return type(c) is int and _INT.issuperset(map(type, u))
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +588,17 @@ def _parents(cols, tails, lo, hi, vals):
         prefix += (v,)
 
 
-def lattice_runs(poly: Polyhedron, first_only=False):
-    """The integer points of the polyhedron (dim >= 1) as runs, in lexicographic
-    order: (prefix, lo, hi) stands for prefix + (v,) with lo <= v <= hi, one
-    run per nonempty interval of the last coordinate, so counting builds no
-    point. first_only stops after the first run. Strict rows are honored
-    strictly. Raises UnboundedRegion when some coordinate is unbounded on a
-    region that is strictly feasible.
+def _parent_folds(poly: Polyhedron):
+    """The walk (dim >= 1) down to its parent nodes, depth n - 2, in
+    lexicographic order: yields (prefix, heads, v_lo, his, neg_los) per
+    parent whose coordinate takes v in [v_lo, v_hi]. heads holds the tuples
+    (v,) of its children, and his and neg_los are folds giving, child by
+    child, the upper end and the negated lower end of the last coordinate's
+    interval; a child is nonempty when hi + neg_lo >= 0. A fold is a lazy
+    map, or a list when no row on its side moves with v. In
+    dimension 1 the walk has one virtual parent, heads [()] and v_lo 0.
+    Raises UnboundedRegion when some coordinate is unbounded on a region
+    that is strictly feasible.
 
     The box [lo, hi] rounds each coordinate's exact range over the closure
     (``_bounds``, the loop coordinate_bounds reads as Fractions) inward by
@@ -588,15 +612,15 @@ def lattice_runs(poly: Polyhedron, first_only=False):
     coordinates d.. of the box. A node at depth d < n - 1 admits the v with
     u[d] * v <= -val - tails[d + 1] for each row's partial sum val (u[d] = 0
     with a negative right side prunes it). The last coordinate is read in one
-    batch per parent node (depth n - 2; in dimension 1 a single virtual parent
-    whose coordinate is 0 with column 0): a row with last coefficient a bounds
-    the child at v by (-val - p * v) // |a|, p its parent coefficient, from
-    above when a > 0 and, negated, from below when a < 0. Each row's bounds
-    over the parent's v-range are one map of floor divisions, folded with
-    min; the lower side is kept negated so it folds with min too. A row with
-    a = 0 has tail 0 at the parent, so the parent's interval holds it for
-    every v. The children with a nonempty interval are yielded as runs in
-    ascending v, and no leaf node is built.
+    batch per parent node (in dimension 1 the virtual parent's coordinate is
+    0 with column 0): a row with last coefficient a bounds the child at v by
+    (-val - p * v) // |a|, p its parent coefficient, from above when a > 0
+    and, negated, from below when a < 0. Each row's bounds over the parent's
+    v-range are one map of floor divisions (for |a| = 1 the range of
+    -val - p * v itself), folded with min; the lower side
+    is kept negated so it folds with min too. A row with a = 0 has tail 0 at
+    the parent, so the parent's interval holds it for every v. No leaf node
+    is built.
     """
     n = poly.dim
     plan = _plan_of(poly)
@@ -633,15 +657,46 @@ def lattice_runs(poly: Polyhedron, first_only=False):
     for prefix, vals, heads, v_lo, v_hi in parents:
         folds = []
         for bound, fixed, moving in sides:
-            const = repeat(min([bound, *(-vals[r] // d for r, d in fixed)]))
-            floors = [map(d.__rfloordiv__, range(-vals[r] - p * v_lo, -vals[r] - p * (v_hi + 1), -p))
-                      for r, d, p in moving]
-            folds.append(map(min, const, *floors) if floors else const)
-        for head, h, neg_lo in zip(heads, *folds):
+            const = min([bound, *(-vals[r] // d for r, d in fixed)])
+            floors = []
+            for r, d, p in moving:
+                rooms = range(-vals[r] - p * v_lo, -vals[r] - p * (v_hi + 1), -p)
+                floors.append(rooms if d == 1 else map(d.__rfloordiv__, rooms))
+            folds.append(map(min, repeat(const), *floors) if floors else [const] * (v_hi - v_lo + 1))
+        yield prefix, heads, v_lo, *folds
+
+
+def lattice_runs(poly: Polyhedron, first_only=False):
+    """The integer points of the polyhedron (dim >= 1) as runs, in lexicographic
+    order: (prefix, lo, hi) stands for prefix + (v,) with lo <= v <= hi, one
+    run per nonempty interval of the last coordinate, in ascending order
+    under each parent node (``_parent_folds``). The folds are read lazily,
+    so first_only stops at the first nonempty child of the first parent
+    that has one. Strict rows are honored strictly. Raises UnboundedRegion
+    when some coordinate is unbounded on a region that is strictly feasible.
+    """
+    for prefix, heads, _, his, neg_los in _parent_folds(poly):
+        for head, h, neg_lo in zip(heads, his, neg_los):
             if h + neg_lo >= 0:
                 yield prefix + head, -neg_lo, h
                 if first_only:
                     return
+
+
+def lattice_blocks(poly: Polyhedron):
+    """The integer points of the polyhedron (dim >= 1) counted per parent
+    node (``_parent_folds``), in lexicographic order: yields (prefix, v_lo,
+    his, neg_los, count) per parent with count > 0 points. his and neg_los
+    are lists, one entry per child v = v_lo, v_lo + 1, ...: the child's
+    last coordinate runs from -neg_lo to hi, and is empty when hi + neg_lo
+    < 0. The count is summed in C, with no Python step and no tuple per
+    child or point. In dimension 1 the one block has v_lo 0 and stands for
+    the points (w,), not (0, w)."""
+    for prefix, _, v_lo, his, neg_los in _parent_folds(poly):
+        his, neg_los = list(his), list(neg_los)
+        count = sum(map(max, map(add, his, neg_los), repeat(-1))) + len(his)
+        if count:
+            yield prefix, v_lo, his, neg_los, count
 
 
 def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:

@@ -57,3 +57,18 @@ def random_divisors(fan, count, lo=-5, hi=5, seed=0):
         ToricDivisor(fan, tuple(rng.randint(lo, hi) for _ in range(fan.n_rays)))
         for _ in range(count)
     ]
+
+
+def product_fan(factors, matrix=None):
+    """The product of (rays, cones) factors, its rays moved by ``matrix``
+    (the identity when None)."""
+    rank = sum(len(rays[0]) for rays, _ in factors)
+    rays, cones, dim = [], [()], 0
+    for f_rays, f_cones in factors:
+        offset, k = len(rays), len(f_rays[0])
+        rays += [(0,) * dim + r + (0,) * (rank - dim - k) for r in f_rays]
+        cones = [c + tuple(i + offset for i in fc) for c in cones for fc in f_cones]
+        dim += k
+    if matrix is not None:
+        rays = [tuple(sum(a * x for a, x in zip(row, r)) for row in matrix) for r in rays]
+    return Fan(rank, tuple(rays), tuple(cones))

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,9 @@ from toricpos import (
     zero_divisor,
 )
 from toricpos.cohomology import Weights, bad_subsets, degree_nonzero, h_p, subset_region
-from toricpos.polyhedra import lattice_runs
+from toricpos.polyhedra import lattice_blocks, lattice_runs
 
-from .conftest import random_divisors
+from .conftest import product_fan, random_divisors
 from .oracles import box_filter_lattice_points, brute_force_cohomology, certified_weight_box
 
 
@@ -136,11 +137,11 @@ def test_h_p_walks_only_the_subsets_of_its_degree(monkeypatch, example_fans):
 
     calls = []
 
-    def counting(poly, first_only=False):
+    def counting(poly):
         calls.append(poly)
-        return lattice_runs(poly, first_only=first_only)
+        return lattice_blocks(poly)
 
-    monkeypatch.setattr(toricpos.cohomology, "lattice_runs", counting)
+    monkeypatch.setattr(toricpos.cohomology, "lattice_blocks", counting)
     for fan in example_fans:
         index = bad_subsets(fan)
         for d in random_divisors(fan, 4, seed="h_p"):
@@ -175,6 +176,46 @@ def test_witness_weights_read_like_the_expanded_walk(example_fans):
                 for i in (size, -size - 1):
                     with pytest.raises(IndexError):
                         weights[i]
+
+
+def test_weight_blocks_read_like_the_runs_and_the_box_filter(p1, p2, p1xp1, totaro):
+    # per witness region in dimensions 1-4, the blocks Weights holds count
+    # the points under each parent (the first n - 2 coordinates), and every
+    # read of Weights (length, indices, slices, iteration, runs) agrees with
+    # the expanded runs and with the box filter; in dimension 1 the one
+    # block stands for the weights (w,)
+    p1_4 = product_fan([(p1.rays, p1.max_cones)] * 4)
+    rng = random.Random("weight-blocks")
+    seen = Counter()
+    for fan, divisors in ((p1, 4), (p2, 3), (p1xp1, 3), (totaro, 3), (p1_4, 2)):
+        for d in random_divisors(fan, divisors, lo=-2, hi=2, seed="weight-blocks"):
+            kd = rng.randint(2, 4) * d
+            box = certified_weight_box(fan, kd.coeffs)
+            for subset, weights, _ in cohomology_dims(kd).witnesses:
+                region = subset_region(fan, kd.rows, subset)
+                runs = tuple(lattice_runs(region))
+                points = tuple(p + (v,) for p, lo, hi in runs for v in range(lo, hi + 1))
+                assert list(points) == box_filter_lattice_points(region, box), (fan.rays, subset)
+                per_parent = Counter(m[: max(fan.rank - 2, 0)] for m in points)
+                blocks = tuple(lattice_blocks(region))
+                assert weights.blocks == blocks
+                assert [(prefix, count) for prefix, *_, count in blocks] == list(per_parent.items())
+                assert weights.runs == runs
+                size = len(points)
+                assert len(weights) == size > 0
+                for i in (0, -1, size // 2, -size):
+                    assert weights[i] == points[i], (fan.rays, kd.coeffs, subset, i)
+                for cut in (slice(None), slice(1, -1), slice(size // 2, None, 2), slice(None, None, -3)):
+                    assert weights[cut] == points[cut] and type(weights[cut]) is tuple
+                for i in (size, -size - 1):
+                    with pytest.raises(IndexError):
+                        weights[i]
+                assert tuple(weights) == points
+                seen[fan.rank] += 1
+                seen["children", fan.rank] = max(seen["children", fan.rank], *(len(b[2]) for b in blocks))
+                seen["empty children"] += sum(h + neg_lo < 0 for b in blocks for h, neg_lo in zip(b[2], b[3]))
+    assert all(seen[n] for n in range(1, 5)) and seen["empty children"], seen
+    assert all(seen["children", n] > 1 for n in range(2, 5)), seen
 
 
 def test_counts_build_no_weight(monkeypatch, example_fans):

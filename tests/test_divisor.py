@@ -25,6 +25,7 @@ from toricpos import (
     zero_divisor,
 )
 
+from .conftest import product_fan
 from .oracles import solve_wall_degree
 
 
@@ -141,19 +142,6 @@ def test_wall_degree_on_p2(p2):
     assert all(wall_degree(h, w) == 1 for w in p2.walls)
 
 
-def _product_fan(factors, matrix):
-    """The product of (rays, cones) factors, its rays moved by ``matrix``."""
-    rank = sum(len(rays[0]) for rays, _ in factors)
-    rays, cones, dim = [], [()], 0
-    for f_rays, f_cones in factors:
-        offset, k = len(rays), len(f_rays[0])
-        rays += [(0,) * dim + r + (0,) * (rank - dim - k) for r in f_rays]
-        cones = [c + tuple(i + offset for i in fc) for c in cones for fc in f_cones]
-        dim += k
-    moved = [tuple(sum(a * x for a, x in zip(row, r)) for row in matrix) for r in rays]
-    return Fan(rank, tuple(moved), tuple(cones))
-
-
 def _unimodular(rng, n):
     """A seeded matrix in GL(n, Z): row operations on the identity, shuffled."""
     a = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -174,7 +162,7 @@ def test_wall_forms_match_the_per_divisor_solve(example_fans):
     for factors in ([p1] * 3, [p1] * 4, [p2, p1, p1]):
         for _ in range(2):
             n = sum(len(rays[0]) for rays, _ in factors)
-            fans.append(_product_fan(factors, _unimodular(rng, n)))
+            fans.append(product_fan(factors, _unimodular(rng, n)))
     # weighted projective spaces P(1,1,2) and P(1,1,1,3) are simplicial, not
     # smooth; a wall whose first neighbour is singular has a form with a
     # denominator

@@ -620,10 +620,13 @@ def test_first_only_walk_builds_only_the_nodes_it_visits(monkeypatch):
     # a node's partial sums are built from its parent's column and each visit
     # reads the node's own column once, so the column reads beyond the visits
     # count the built nodes; every built node is visited, so a walk that
-    # stops at its first run has built one node per visit but the root
+    # stops at its first run has built one node per visit but the root. At
+    # the last level a first_only walk reads every child of each empty
+    # parent and, in the parent of its first point, stops at that point's
+    # child: the children it draws count the folds it reads
     import toricpos.polyhedra as polyhedra
 
-    reads, visits = [0], [0]
+    reads, visits, drawn = [0], [0], []
 
     class Column(list):
         def __iter__(self):
@@ -636,10 +639,20 @@ def test_first_only_walk_builds_only_the_nodes_it_visits(monkeypatch):
         visits[0] += 1
         return interval(*args)
 
-    monkeypatch.setattr(polyhedra, "_parents", lambda cols, *args: walk([Column(c) for c in cols], *args))
+    def counted(heads, parent):
+        for head in heads:
+            parent[-1] += 1
+            yield head
+
+    def counted_parents(cols, *args):
+        for prefix, vals, heads, v_lo, v_hi in walk([Column(c) for c in cols], *args):
+            drawn.append([prefix, v_lo, v_hi, 0])
+            yield prefix, vals, counted(heads, drawn[-1]), v_lo, v_hi
+
+    monkeypatch.setattr(polyhedra, "_parents", counted_parents)
     monkeypatch.setattr(polyhedra, "_interval", counted_interval)
     rng = random.Random(20266)
-    stopped_early = 0
+    stopped_early = stopped_inside = 0
     for _ in range(300):
         n = rng.randint(2, 5)
         box = []
@@ -657,9 +670,18 @@ def test_first_only_walk_builds_only_the_nodes_it_visits(monkeypatch):
         p = polyhedron(n, weak=weak)
         for first_only in (True, False):
             reads[0] = visits[0] = 0
+            drawn.clear()
             points = lattice_points(p, first_only=first_only)
             built = reads[0] - visits[0]
             assert built == max(visits[0] - 1, 0), (p, first_only, built, visits[0])
+            *empty, last = drawn or [[(), 0, -1, 0]]
+            assert all(count == v_hi - v_lo + 1 for _, v_lo, v_hi, count in empty), (p, drawn)
+            prefix, v_lo, v_hi, count = last
+            if first_only and points:
+                assert points[0][:-2] == prefix and count == points[0][-2] - v_lo + 1, (p, drawn)
+                stopped_inside += count < v_hi - v_lo + 1
+            else:
+                assert count == v_hi - v_lo + 1, (p, drawn)
         assert points == box_filter_lattice_points(p, box)
         stopped_early += len(points) > 1
-    assert stopped_early > 100
+    assert stopped_early > 100 and stopped_inside > 50, (stopped_early, stopped_inside)

@@ -29,13 +29,14 @@ from toricpos import (
     scan_qample,
     smallest_qample,
     stable_base_locus,
+    star_quotient,
     stable_base_locus_exact,
     zero_divisor,
 )
 
 from toricpos.cohomology import bad_subsets, subset_region
 from toricpos.divisor import divisor_of_character, section_polyhedron
-from toricpos.polyhedra import _plan, _projection, lattice_points, ray_rows
+from toricpos.polyhedra import _plan, _projection, lattice_points, polyhedron, ray_rows
 from toricpos.positivity import (
     _face_region,
     _joint_region,
@@ -491,26 +492,51 @@ def test_region_builders_pick_the_rows_polyhedron_stores(monkeypatch, example_fa
         rows = ray_rows(fan.rank, fan.rays, twisted)
         for s in subsets:
             assert subset_region(fan, rows, s) == coeff_subset_region(fan, twisted, s)
+    # a row of plain ints is stored as it is and a row with a Fraction goes
+    # through polyhedron(): both routes store what polyhedron() stores, for
+    # the ray rows and the joint rows, on the built-in fans, P(1,1,2) and
+    # quotient fans whose rays are images of the original rays
+    totaro = example_fans[-1]
+    quotients = [star_quotient(totaro, tau)[0] for tau in ((0,), (2,), (3, 4))]
+    for fan in (*example_fans, P112, *quotients):
+        h = default_ample(fan)
+        joint = [u + (-a,) for u, a in zip(fan.rays, h.plain_coeffs)]
+        for d in (*random_divisors(fan, 3, seed="int-rows"), h, -h):
+            assert all(type(a) is int for a in d.plain_coeffs)
+            for dim, normals in ((fan.rank, fan.rays), (fan.rank + 1, joint)):
+                stored = polyhedron(dim, weak=tuple(zip(normals, d.coeffs))).weak
+                expected = tuple((row, (tuple(-x for x in row[0]), -row[1])) for row in stored)
+                assert ray_rows(dim, normals, d.plain_coeffs) == expected, (fan.rays, d.coeffs)
+                assert ray_rows(dim, normals, d.coeffs) == expected, (fan.rays, d.coeffs)
 
 
 def test_rows_are_normalized_a_fixed_number_of_times_per_divisor(monkeypatch, totaro):
-    # polyhedron() is the one row normalizer. A positivity profile and both
-    # exact base loci on totaro-x normalize D's rows once (the cone flags,
-    # both loci, and the q-ample searches when D is primitive), the joint
-    # rows once per q and once for B+, and -D's rows once (D keeps its
+    # ray_rows is the one builder of a divisor's rows. A positivity profile
+    # and both exact base loci on totaro-x build D's rows once (the cone
+    # flags, both loci, and the q-ample searches when D is primitive), the
+    # joint rows once per q and once for B+, and -D's rows once (D keeps its
     # negation): 6 times, whatever the number of cones and subsets. A class
     # that is not primitive adds its primitive class's rows once per q: 9.
+    # Every row of an integral class holds plain ints and a primitive ray, so
+    # polyhedron(), the normalizer, is never called.
     assert totaro.properties.complete
-    calls = []
-    normalize = toricpos.polyhedra.polyhedron
+    calls, normalized = [], []
+    build, normalize = toricpos.polyhedra.ray_rows, toricpos.polyhedra.polyhedron
 
     def counting(*args, **kwargs):
         calls.append(args)
+        return build(*args, **kwargs)
+
+    def counting_normalize(*args, **kwargs):
+        normalized.append(args)
         return normalize(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "toricpos" and getattr(module, "polyhedron", None) is normalize:
-            monkeypatch.setattr(module, "polyhedron", counting)
+        if name.split(".")[0] == "toricpos":
+            if getattr(module, "ray_rows", None) is build:
+                monkeypatch.setattr(module, "ray_rows", counting)
+            if getattr(module, "polyhedron", None) is normalize:
+                monkeypatch.setattr(module, "polyhedron", counting_normalize)
     divisors = random_divisors(totaro, 6, seed="rows-once")
     kinds = Counter()
     for d in (*divisors, 2 * divisors[0]):
@@ -520,6 +546,7 @@ def test_rows_are_normalized_a_fixed_number_of_times_per_divisor(monkeypatch, to
         stable_base_locus_exact(d)
         primitive = _primitive_integral(d) is d
         assert len(calls) == (6 if primitive else 9), (d.coeffs, len(calls))
+        assert not normalized, (d.coeffs, normalized)
         kinds[primitive] += 1
     assert kinds[True] and kinds[False]
     assert len(totaro.cones) > 11 and sum(map(len, bad_subsets(totaro))) > 3
