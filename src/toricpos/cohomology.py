@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, count, repeat
+from operator import add
 
 from .divisor import ToricDivisor, require_integral
 from .errors import NotComplete, ToricError, UnboundedRegion
@@ -133,14 +134,16 @@ class Weights(Sequence):
     blocks (``polyhedra.lattice_blocks``): the children v_lo + j of one
     parent prefix, child j holding the weights prefix + (v_lo + j, w) for
     -neg_los[j] <= w <= his[j] (just (w,) in dimension 1). Its length is a
-    sum of block counts, an index a bisection of the blocks and a walk along
-    one block's children, and it is equal to any sequence of the same
-    weights. No weight tuple is built until one is read."""
+    sum of block counts, an index a bisection of the blocks and then of one
+    block's running child widths (summed in C on the block's first read and
+    kept), and it is equal to any sequence of the same weights. No weight
+    tuple is built until one is read."""
 
     def __init__(self, blocks, dim):
         self.blocks = tuple(blocks)
         self._nested = dim > 1  # a parent coordinate heads each child
         self._starts = [0, *accumulate(block[-1] for block in self.blocks)]
+        self._ends = {}  # block index -> running widths of its children
 
     def __len__(self):
         return self._starts[-1]
@@ -163,10 +166,14 @@ class Weights(Sequence):
             return tuple(self[j] for j in k)
         b = bisect_right(self._starts, k) - 1
         k -= self._starts[b]
-        for prefix, lo, hi in self._runs(self.blocks[b]):
-            if k <= hi - lo:
-                return prefix + (lo + k,)
-            k -= hi - lo + 1
+        prefix, v_lo, his, neg_los, _ = self.blocks[b]
+        ends = self._ends.get(b)
+        if ends is None:
+            widths = map(add, map(max, map(add, his, neg_los), repeat(-1)), repeat(1))
+            ends = self._ends[b] = list(accumulate(widths))
+        j = bisect_right(ends, k)  # the child holding the weight
+        w = his[j] - (ends[j] - 1 - k)  # the child's last weight his[j] is at ends[j] - 1
+        return prefix + ((v_lo + j, w) if self._nested else (w,))
 
     def __iter__(self):
         return (p + (v,) for block in self.blocks for p, lo, hi in self._runs(block)
