@@ -1,22 +1,25 @@
 #!/usr/bin/env python3
-"""Microbenchmark of the region queries behind the q-ample scan.
+"""Microbenchmark of region queries, each a (plan, constants) pair.
 
     python scripts/region_bench.py [--seed 71] [--classes 13] [--repeat 3]
 
 Draws ``--classes`` seeded (class, q) pairs on the built-in totaro-x
 workspace and runs ``check_mode_agreement`` on each, recording every region
-its scan hands to ``lattice_points``. It then empties the plan and
-projection caches and replays the recorded regions ``--repeat`` times as the
-scan asks them, ``lattice_points(region, first_only=True)``, timing each
-query. A query is sorted by its answer: empty over Q (its closure is
-empty), a hit (it has a lattice point) or empty over Z only. The script
-prints microseconds per query for each kind, and the hits and misses of the
-plan and projection caches over the replay.
+query it asks as (plan, b): the scan's existence queries on the subset
+regions of each twist N*D - j*H (``Plan.has_point``), and ``_persists``'s
+two questions, the eps = 0 face closure (``Plan.closure_nonempty``) and the
+joint system in (y, eps) (``Plan.strictly_feasible``). It then rebuilds the
+recorded plans from empty plan and projection caches and replays the
+queries ``--repeat`` times, timing each one. The script prints, per kind,
+the queries, microseconds per query and how many answered yes, and the hits
+and misses of the plan and projection caches over the replay (a query looks
+up no plan, so the plan cache misses once per distinct plan and is never
+hit).
 
 It then times the walk's counting layer the same way: ``--classes`` seeded
 classes on totaro-x, each times a multiple k in 10..20, go through
-``cohomology_dims``, which counts each bad subset's weight region by
-``lattice_blocks``; the recorded regions are replayed ``--repeat`` times.
+``cohomology_dims``, which counts each bad subset's weight region
+(``Plan.blocks``); the recorded queries are replayed ``--repeat`` times.
 The count line gives microseconds per counted region, the parent nodes
 (depth n - 2) the walk reaches per pass, the children per parent and the
 blocks (parents holding a weight) per region.
@@ -35,100 +38,109 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import toricpos.cohomology  # noqa: E402
 import toricpos.positivity  # noqa: E402
 from toricpos import ModeDisagreement, ToricDivisor, load_workspace  # noqa: E402
-from toricpos.polyhedra import (  # noqa: E402
-    _parent_folds,
-    _plan,
-    _projection,
-    closure_nonempty,
-    lattice_blocks,
-    lattice_points,
-)
+from toricpos.polyhedra import Plan, _plan, _projection  # noqa: E402
 
-KINDS = ("empty over Q", "hit", "empty over Z")
+# kind -> the Plan method that answers its queries
+KINDS = {"subset": "has_point", "face": "closure_nonempty", "joint": "strictly_feasible"}
 
 
-def scan_regions(seed: int, classes: int):
-    """The regions the scan of each seeded (class, q) pair queries, in order."""
+def recorded(methods, run):
+    """Call run() with the named Plan methods recording each call as
+    (method, plan, b); return the calls in order."""
+    calls = []
+    originals = {name: getattr(Plan, name) for name in methods}
+
+    def recorder(name, method):
+        def recording(plan, b, *args):
+            calls.append((name, plan, b))
+            return method(plan, b, *args)
+        return recording
+
+    for name, method in originals.items():
+        setattr(Plan, name, recorder(name, method))
+    try:
+        run()
+    finally:
+        for name, method in originals.items():
+            setattr(Plan, name, method)
+    return calls
+
+
+def scan_queries(seed: int, classes: int):
+    """(kind, plan, b) for every region query the mode check of each seeded
+    (class, q) pair asks, in order."""
     fan = load_workspace("totaro-x").fan
     rng = random.Random(f"region-bench:{seed}")
-    regions = []
 
-    def recording(poly, first_only=False):
-        regions.append(poly)
-        return lattice_points(poly, first_only)
-
-    toricpos.positivity.lattice_points = recording
-    try:
+    def run():
         for _ in range(classes):
             d = ToricDivisor(fan, tuple(rng.randint(-4, 4) for _ in range(fan.n_rays)))
             try:
                 toricpos.positivity.check_mode_agreement(d, rng.randint(0, fan.rank - 1))
             except ModeDisagreement:
-                pass  # the scan's regions are recorded all the same
-    finally:
-        toricpos.positivity.lattice_points = lattice_points
-    return regions
+                pass  # the queries are recorded all the same
+
+    kind_of = {method: kind for kind, method in KINDS.items()}
+    return [(kind_of[name], plan, b) for name, plan, b in recorded(KINDS.values(), run)]
 
 
-def replay(regions, repeat: int):
-    """Per kind, (queries, total ns) over ``repeat`` replays from empty
-    caches, and the cache counters of the replay."""
+def replay(queries, repeat: int):
+    """Per kind, [queries, total ns, yes answers] over ``repeat`` replays on
+    plans rebuilt from empty caches, and the cache counters of the replay."""
     _plan.cache_clear()
     _projection.cache_clear()
-    answers, spent = [None] * len(regions), [0] * len(regions)
+    fresh = {}
+    for _, plan, _ in queries:
+        if id(plan) not in fresh:
+            fresh[id(plan)] = _plan(plan.dim, plan.strict, plan.weak)
+    calls = [(kind, getattr(fresh[id(plan)], KINDS[kind]), b) for kind, plan, b in queries]
+    answers, spent = [None] * len(calls), [0] * len(calls)
     clock = time.perf_counter_ns
     for _ in range(repeat):
-        for i, region in enumerate(regions):
+        for i, (_, ask, b) in enumerate(calls):
             start = clock()
-            answers[i] = lattice_points(region, first_only=True)
+            answers[i] = ask(b)
             spent[i] += clock() - start
     caches = {"plan": _plan.cache_info(), "projection": _projection.cache_info()}
-    totals = {kind: [0, 0] for kind in KINDS}
-    for region, points, ns in zip(regions, answers, spent):
-        kind = "hit" if points else "empty over Z" if closure_nonempty(region) else "empty over Q"
+    totals = {kind: [0, 0, 0] for kind in KINDS}
+    for (kind, _, _), answer, ns in zip(calls, answers, spent):
         totals[kind][0] += 1
         totals[kind][1] += ns
+        totals[kind][2] += bool(answer)
     return totals, caches
 
 
-def count_regions(seed: int, classes: int):
-    """The weight regions ``cohomology_dims`` counts for each seeded class
-    times a multiple k in 10..20, in order."""
+def count_queries(seed: int, classes: int):
+    """(plan, b) for every weight region ``cohomology_dims`` counts for each
+    seeded class times a multiple k in 10..20, in order."""
     fan = load_workspace("totaro-x").fan
     rng = random.Random(f"count-bench:{seed}")
-    regions = []
 
-    def recording(poly):
-        regions.append(poly)
-        return lattice_blocks(poly)
-
-    toricpos.cohomology.lattice_blocks = recording
-    try:
+    def run():
         for _ in range(classes):
             k = rng.randint(10, 20)
             toricpos.cohomology.cohomology_dims(
                 ToricDivisor(fan, tuple(k * rng.randint(-2, 2) for _ in range(fan.n_rays))))
-    finally:
-        toricpos.cohomology.lattice_blocks = lattice_blocks
-    return regions
+
+    return [(plan, b) for _, plan, b in recorded(("blocks",), run)]
 
 
-def count_replay(regions, repeat: int):
+def count_replay(queries, repeat: int):
     """Total ns of ``repeat`` replays of the counts, and the parents, their
     children and the blocks of one pass."""
     clock = time.perf_counter_ns
     spent = 0
     for _ in range(repeat):
-        for region in regions:
+        for plan, b in queries:
             start = clock()
-            tuple(lattice_blocks(region))
+            tuple(plan.blocks(b))
             spent += clock() - start
     parents = children = blocks = 0
-    for region in regions:
-        for _, _, _, his, _ in _parent_folds(region):
+    for plan, b in queries:
+        for _, _, _, his, _ in plan.parent_folds(b):
             parents += 1
             children += len(list(his))
-        blocks += sum(1 for _ in lattice_blocks(region))
+        blocks += sum(1 for _ in plan.blocks(b))
     return spent, parents, children, blocks
 
 
@@ -140,18 +152,17 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.classes < 1 or args.repeat < 1:
         parser.error("--classes and --repeat must be positive")
-    regions = scan_regions(args.seed, args.classes)
-    totals, caches = replay(regions, args.repeat)
-    print(f"{len(regions)} queries from {args.classes} classes on totaro-x "
+    queries = scan_queries(args.seed, args.classes)
+    totals, caches = replay(queries, args.repeat)
+    print(f"{len(queries)} queries from {args.classes} classes on totaro-x "
           f"(seed {args.seed}), replayed {args.repeat} times")
-    print(f"{'kind':<14}{'queries':>9}{'us/query':>10}")
-    for kind in KINDS:
-        count, ns = totals[kind]
+    print(f"{'kind':<14}{'queries':>9}{'us/query':>10}{'yes':>7}")
+    for kind, (count, ns, yes) in totals.items():
         per_query = f"{ns / 1000 / (count * args.repeat):.1f}" if count else "-"
-        print(f"{kind:<14}{count:>9}{per_query:>10}")
+        print(f"{kind:<14}{count:>9}{per_query:>10}{yes:>7}")
     for name, info in caches.items():
         print(f"{name + ' cache':<17}hits {info.hits:>6}  misses {info.misses:>5}")
-    counted = count_regions(args.seed, args.classes)
+    counted = count_queries(args.seed, args.classes)
     spent, parents, children, blocks = count_replay(counted, args.repeat)
     print(f"{'count':<14}{'regions':>9}{'us/region':>11}{'parents':>9}"
           f"{'children/parent':>17}{'blocks/region':>15}")

@@ -11,13 +11,14 @@ are ever enumerated; each of their regions is bounded on a complete fan, so
 the infinite weight sum collapses to finitely many lattice point counts.
 The same index powers the exact asymptotic nonvanishing test.
 
-The walk hands each region's weights over in blocks, one per parent node of
-the second-to-last coordinate (``polyhedra.lattice_blocks``): the ends of
+P_S(D)'s rows are fixed by the fan and S, so each subset's region plan is
+looked up once per fan (``Fan.regions``) and a divisor supplies only its
+constants. The walk hands each region's weights over in blocks, one per
+parent node of the second-to-last coordinate (``Plan.blocks``): the ends of
 each child's last-coordinate interval as two int lists, and the block's
 count. ``Weights`` keeps them that way, so a dimension is a sum of block
 counts, and a weight tuple is built only when it is read. ``degree_nonzero``
-asks only whether a region holds a point and reads the lazy runs
-(``lattice_runs`` with ``first_only``).
+asks only whether a region holds a point (``Plan.has_point``).
 """
 
 from __future__ import annotations
@@ -27,20 +28,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, count, repeat
+from itertools import accumulate, chain, combinations, count, islice, repeat
 from operator import add
 
 from .divisor import ToricDivisor, require_integral
 from .errors import NotComplete, ToricError, UnboundedRegion
 from .fan import Fan, RaySubcomplex, full_subcomplex
 from .linalg import rref
-from .polyhedra import (
-    Polyhedron,
-    lattice_blocks,
-    lattice_runs,
-    lp_strict_feasible,
-    strictly_feasible,
-)
+from .polyhedra import lp_strict_feasible, rhs
 
 MAX_RAYS_FOR_SUBSET_INDEX = 20
 
@@ -109,12 +104,12 @@ def bad_subsets(fan: Fan) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
     return tuple(tuple(entries) for entries in out)
 
 
-def subset_region(fan: Fan, rows, subset) -> Polyhedron:
-    """P_S(D): strict rows on S, weak rows off S, in M-coordinates, picked
-    from ``rows`` as ``polyhedra.ray_rows`` stores them: ``ToricDivisor.rows``,
-    or the scan's rows of one twist."""
-    inside, outside = fan.subset_split(subset)
-    return Polyhedron(fan.rank, tuple([rows[i][0] for i in inside]), tuple([rows[i][0] for i in outside]))
+def subset_picks(fan: Fan, subset):
+    """P_S(D) for ``Fan.regions``: strict rows on S, weak rows off S, each in
+    ray order."""
+    inside = set(subset)
+    rays = range(fan.n_rays)
+    return [(i, 1) for i in rays if i in inside], [(i, 1) for i in rays if i not in inside]
 
 
 def _require_complete(fan: Fan) -> None:
@@ -131,13 +126,12 @@ def _require_degree(fan: Fan, p: int) -> None:
 
 class Weights(Sequence):
     """Read-only weights of one region, lexicographic, kept as the walk's
-    blocks (``polyhedra.lattice_blocks``): the children v_lo + j of one
-    parent prefix, child j holding the weights prefix + (v_lo + j, w) for
-    -neg_los[j] <= w <= his[j] (just (w,) in dimension 1). Its length is a
-    sum of block counts, an index a bisection of the blocks and then of one
-    block's running child widths (summed in C on the block's first read and
-    kept), and it is equal to any sequence of the same weights. No weight
-    tuple is built until one is read."""
+    blocks (``Plan.blocks``): the children v_lo + j of one parent prefix,
+    child j holding the weights prefix + (v_lo + j, w) for -neg_los[j] <= w
+    <= his[j] (just (w,) in dimension 1). Its length is a sum of block
+    counts, an index or a slice one lookup of its lowest index and a walk on
+    from there, and it is equal to any sequence of the same weights. No
+    weight tuple is built until one is read."""
 
     def __init__(self, blocks, dim):
         self.blocks = tuple(blocks)
@@ -157,13 +151,16 @@ class Weights(Sequence):
 
     @property
     def runs(self):
-        """The walk's runs (prefix, lo, hi), as ``lattice_runs`` yields them."""
+        """The walk's runs (prefix, lo, hi), as ``Plan.runs`` yields them."""
         return tuple(run for block in self.blocks for run in self._runs(block))
 
-    def __getitem__(self, i):
-        k = range(len(self))[i]  # negative, out-of-range and slice indices as for a tuple
-        if isinstance(k, range):
-            return tuple(self[j] for j in k)
+    def _points(self, blocks):
+        return (p + (v,) for block in blocks for p, lo, hi in self._runs(block) for v in range(lo, hi + 1))
+
+    def _from(self, k):
+        """The weights from index k (0 <= k < len) on: a bisection of the
+        blocks and one of the block's running child widths (summed in C on
+        its first read and kept) find weight k, and the walk goes on."""
         b = bisect_right(self._starts, k) - 1
         k -= self._starts[b]
         prefix, v_lo, his, neg_los, _ = self.blocks[b]
@@ -173,11 +170,21 @@ class Weights(Sequence):
             ends = self._ends[b] = list(accumulate(widths))
         j = bisect_right(ends, k)  # the child holding the weight
         w = his[j] - (ends[j] - 1 - k)  # the child's last weight his[j] is at ends[j] - 1
-        return prefix + ((v_lo + j, w) if self._nested else (w,))
+        rest = (prefix, v_lo + j, islice(his, j, None), chain((-w,), islice(neg_los, j + 1, None)), None)
+        return self._points(chain((rest,), islice(self.blocks, b + 1, None)))
+
+    def __getitem__(self, i):
+        k = range(len(self))[i]  # negative, out-of-range and slice indices as for a tuple
+        if not isinstance(k, range):
+            return next(self._from(k))
+        if not k:
+            return ()
+        step = abs(k.step)  # read up from the lowest index, every step-th weight
+        read = tuple(islice(self._from(min(k[0], k[-1])), 0, (len(k) - 1) * step + 1, step))
+        return read if k.step > 0 else read[::-1]
 
     def __iter__(self):
-        return (p + (v,) for block in self.blocks for p, lo, hi in self._runs(block)
-                for v in range(lo, hi + 1))
+        return self._points(self.blocks)
 
     def __eq__(self, other):
         return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented
@@ -201,13 +208,14 @@ class CohomologyTable:
 
 
 def _walk(divisor: ToricDivisor, p: int, walk):
-    """Yield (subset, walk(region) as a tuple, complex dim) for each bad
-    subset of degree p whose weight region holds a lattice point."""
+    """Yield (subset, walk(plan, b), complex dim) for each bad subset of
+    degree p whose weight region holds a lattice point."""
     fan = divisor.fan
+    regions, a = fan.regions(subset_picks), divisor.plain_coeffs
     for subset, dim in bad_subsets(fan)[p]:
-        region = subset_region(fan, divisor.rows, subset)
+        plan, index = regions[subset]
         try:
-            found = tuple(walk(region))
+            found = walk(plan, rhs(index, a))
         except UnboundedRegion as exc:
             raise UnboundedRegion(
                 f"region for subset {subset} unbounded on a complete fan; "
@@ -220,7 +228,7 @@ def _walk(divisor: ToricDivisor, p: int, walk):
 def _degree_regions(divisor: ToricDivisor, p: int):
     """Yield (subset, Weights, complex dim) for each bad subset of degree p
     whose weight region holds a lattice point."""
-    for subset, blocks, dim in _walk(divisor, p, lattice_blocks):
+    for subset, blocks, dim in _walk(divisor, p, lambda plan, b: tuple(plan.blocks(b))):
         yield subset, Weights(blocks, divisor.fan.rank), dim
 
 
@@ -247,7 +255,7 @@ def degree_nonzero(divisor: ToricDivisor, p: int) -> bool:
     """Does H^p(X, O(D)) contain anything? Early-exits on the first weight."""
     _require_degree(divisor.fan, p)
     require_integral(divisor, "cohomology")
-    return any(_walk(divisor, p, lambda region: lattice_runs(region, first_only=True)))
+    return any(_walk(divisor, p, lambda plan, b: plan.has_point(b)))
 
 
 @dataclass(frozen=True)
@@ -266,9 +274,11 @@ def asymptotic_nonvanishing(divisor: ToricDivisor, p: int):
     """
     fan = divisor.fan
     _require_degree(fan, p)
+    regions, a = fan.regions(subset_picks), divisor.plain_coeffs
     for subset, _ in bad_subsets(fan)[p]:
-        region = subset_region(fan, divisor.rows, subset)
-        if strictly_feasible(region):
-            witness = lp_strict_feasible(region).witness
+        plan, index = regions[subset]
+        b = rhs(index, a)
+        if plan.strictly_feasible(b):
+            witness = lp_strict_feasible(plan.polyhedron(b)).witness
             return True, AsymptoticWitness(subset=subset, direction=witness)
     return False, None

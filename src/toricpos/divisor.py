@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from .errors import NotACone, NotIntegral, ToricError
 from .fan import Fan, star_quotient
 from .linalg import dot, rref, solve_linear
-from .polyhedra import Polyhedron, ray_rows
+from .polyhedra import Polyhedron, polyhedron
 
 
 @dataclass(frozen=True)
@@ -35,17 +35,9 @@ class ToricDivisor:
     @cached_property
     def plain_coeffs(self) -> tuple[int | Fraction, ...]:
         """The coefficients with an ``int`` wherever the denominator is 1:
-        what ``rows`` and the joint and scan rows are built from, so that an
-        integral divisor's rows are normalized without ``Fraction``
-        arithmetic."""
+        the constants every region of D reads (``Fan.regions``), so that an
+        integral divisor's queries run without ``Fraction`` arithmetic."""
         return tuple(c.numerator if c.denominator == 1 else c for c in self.coeffs)
-
-    @cached_property
-    def rows(self) -> tuple:
-        """Per ray, the stored row (u_rho, a_rho) and its negation
-        (``polyhedra.ray_rows``), normalized once per divisor: every region
-        of D picks its rows from here."""
-        return ray_rows(self.fan.rank, self.fan.rays, self.plain_coeffs)
 
     @property
     def is_integral(self) -> bool:
@@ -60,12 +52,6 @@ class ToricDivisor:
         return self + (-other)
 
     def __neg__(self) -> "ToricDivisor":
-        return self._negation
-
-    @cached_property
-    def _negation(self) -> "ToricDivisor":
-        """-D, built once per divisor, so -D's rows are normalized once
-        however often -D is formed (``is_qnef`` forms it once per q)."""
         return ToricDivisor(self.fan, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, k) -> "ToricDivisor":
@@ -107,7 +93,7 @@ def anticanonical_divisor(fan: Fan) -> ToricDivisor:
 
 def section_polyhedron(divisor: ToricDivisor) -> Polyhedron:
     """P_D = {m : <m, u_rho> + a_rho >= 0 for all rays}."""
-    return Polyhedron(divisor.fan.rank, weak=tuple(row for row, _ in divisor.rows))
+    return polyhedron(divisor.fan.rank, weak=zip(divisor.fan.rays, divisor.plain_coeffs))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ cones and the support has no boundary facet), smoothness by |det| = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from math import gcd
 
@@ -23,7 +23,7 @@ from .linalg import (
     smith_normal_form,
     solve_linear,
 )
-from .polyhedra import polyhedron, lp_strict_feasible
+from .polyhedra import Selections, lp_strict_feasible, polyhedron
 
 
 @dataclass(frozen=True)
@@ -117,22 +117,27 @@ class Fan:
         return out
 
     @cached_property
-    def _splits(self) -> dict:
+    def _regions(self) -> dict:
         return {}
 
-    def subset_split(self, subset) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The ray indices in ``subset`` and the ones off it, each ascending.
-        It depends on the fan and the subset alone, so it is worked out once
-        per subset and kept."""
-        key = tuple(subset)
-        split = self._splits.get(key)
-        if split is None:
-            inside = set(key)
-            split = self._splits[key] = (
-                tuple(i for i in range(self.n_rays) if i in inside),
-                tuple(i for i in range(self.n_rays) if i not in inside),
-            )
-        return split
+    def regions(self, picks, ample=None) -> Selections:
+        """The ``polyhedra.Selections`` of one kind of region, kept per kind:
+        ``picks(fan, selection)`` picks among the ray rows (u_rho, a_rho) or,
+        given H's coefficients h, the joint rows (u_rho, -h_rho; a_rho) of
+        D - eps*H times h_rho's denominator (primitive, as u_rho is) and row
+        n_rays, eps > 0."""
+        key = picks, ample
+        table = self._regions.get(key)
+        if table is None:
+            if ample is None:
+                dim, normals, scales = self.rank, self.rays, (1,) * self.n_rays
+            else:
+                dim = self.rank + 1
+                normals = tuple((*(h.denominator * x for x in u), -h.numerator)
+                                for u, h in zip(self.rays, ample)) + ((0,) * self.rank + (-1,),)
+                scales = (*(h.denominator for h in ample), 0)
+            table = self._regions[key] = Selections(dim, normals, scales, partial(picks, self))
+        return table
 
     @cached_property
     def properties(self) -> FanProperties:

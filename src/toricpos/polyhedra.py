@@ -6,64 +6,45 @@ A row (u, c) encodes the condition on y:
 * strict row:  <y, u> + c <  0
 * weak row:    <y, u> + c >= 0
 
-``polyhedron()`` fixes the row format once: each row is scaled to integers
-and divided by its content, so every stored row is an integer tuple with
-content 1 (a zero row stays zero). Positive scaling keeps each condition,
-and the layers below read the stored rows as they are. A row given as plain
-``int`` entries (rays are, and so is ``ToricDivisor.plain_coeffs`` wherever
-a coefficient is integral) is normalized by one gcd; only a row holding a
-true ``Fraction`` has its denominators cleared first. The content-free form
-of a row is unique, so both routes store the same row. The per-ray rows of
-a divisor are normalized once (``ray_rows``, kept as ``ToricDivisor.rows``)
-with their negations, whose content is the same; a region of that divisor
-picks its rows from them and is built as ``Polyhedron(dim, strict, weak)``,
-with no row normalized again.
+``polyhedron()`` stores each row scaled to integers and divided by its
+content (a zero row stays zero); positive scaling keeps each condition, and
+the content-free form of a row is unique.
 
-Fourier-Motzkin decides, from region plans. Everything a query needs that
-depends only on the row normals is kept in one plan per (dim, strict
-normals, weak normals) (``_plan``, cached): the closure's normals as rows
-<u, y> <= b, the lifted (y, t) system of ``lp_strict_feasible`` (strict rows
-shifted by t, 0 <= t <= 1), their Fourier-Motzkin projections
-(``_projection(normals, dim, k)`` eliminates every coordinate but y_k, cached
-per normals and coordinate), and the walk's columns and last-level layout.
-A plan fills each part the first time a query needs it, so no projection is
-built that no query reads. A query looks up its plan once and then touches
-only its region's constants: the rhs vector, one integer dot product per
-projected row. ``closure_nonempty`` reads the projection onto y_0,
-``coordinate_bounds`` and the walk's box the projection onto each
-coordinate (one loop, ``_bounds``, serves both), and
-``strictly_feasible`` the lifted projection onto t: the region is strictly
-feasible iff that range has a positive upper end. On a fan's primitive
-rays, the regions of an integral divisor, of its twists N*D - j*H and of
-every representative D + div(chi^m) share their normals, so a pass over
-many divisors builds a few plans and answers every query from them.
+A divisor's regions build no row. Every region the library asks about picks,
+per ray, the row (u_rho, a_rho), its negation, both, or the joint row
+(u_rho, -h_rho; a_rho) of D - eps*H, so its normals are fixed by the fan and
+the selection. ``Selections`` holds one kind of region on one fan
+(``Fan.regions``): selection -> (plan, index), where index reads the
+region's closure constants b out of a coefficient vector (``rhs``). A query
+is (plan, b).
 
-The simplex only writes witnesses: ``lp_strict_feasible`` returns a rational
-point where a caller prints one. It is a textbook two-phase tableau with
-Bland's rule. Its rows hold integers, and stored rows enter the tableau as
-they are, with no denominator to clear: each pivot is one multiply-subtract
-pass and a gcd content reduction per row, so no ``Fraction`` arithmetic runs
-inside the pivot loop. The signs and ratios Bland's rule reads are exactly
-those of the rational tableau, so every pivot sequence is deterministic, and
-results (points, values, certificates) are built as exact ``Fraction``
-values when read.
+Fourier-Motzkin decides. A ``Plan`` holds what one (dim, strict normals,
+weak normals) fixes (``_plan``, cached), each part built on first use: the
+closure's rows <u, y> <= b, the lifted (y, t) system whose largest t decides
+strict feasibility, their projections onto single coordinates
+(``_projection``, Schrijver 12.2) and the walk's layout. A query reads only
+its constants, one dot product per projected row, exactly (a rational
+class's constants are Fractions): ``closure_nonempty`` projects onto y_0,
+``bounds`` onto each coordinate and ``strictly_feasible`` onto t. The
+``Polyhedron`` entry points are thin wrappers over (``_plan_of(poly)``,
+``_closure_rhs(poly)``), so there is one core.
 
-Lattice enumeration bounds each coordinate by the plan's projections,
-rounded inward to integers by floor division. The walk then visits the box
-one interval per node: every row reads <u, y> + c <= 0 over Z, so each row
-bounds the next coordinate from one side, solved by floor division. A
-node's children are built one at a time as the walk reaches them, so a walk
-that stops at its first point builds no node it does not visit. The last
-level is read in one batch per parent node (depth n - 2): each row's bounds
-over the parent's whole range are one ``map`` of floor divisions (the range
-itself when the row's last coefficient is 1 or -1), folded with ``min``, and
-no node is built for a single last-coordinate interval. That per-parent
-fold (``_parent_folds``) has two readers. ``lattice_runs`` zips it lazily
-into runs (prefix, lo, hi), one per nonempty child, so an existence query
-stops at its first nonempty child; lattice_points expands the runs.
-``lattice_blocks`` turns each parent's two folds into int lists and counts
-the parent's points in C, yielding one block per parent that holds a point,
-so a count builds no run and no point.
+The simplex only writes witnesses (``lp_strict_feasible``, ``lp_optimize``,
+which build their rows directly and create no plan). It is a two-phase
+tableau of integer rows with Bland's rule: each pivot is a multiply-subtract
+pass and a gcd content reduction per row, the signs and ratios Bland's rule
+reads are those of the rational tableau, and results are read as Fractions.
+
+Lattice enumeration floors each constant once: <u, y> is an integer on
+integer points, so <u, y> + c >= 0 iff <u, y> + floor(c) >= 0, and
+<u, y> + c < 0 iff <u, y> + floor(c) < 0. The box rounds each coordinate's
+projected range inward; the walk visits it one interval per node, each row
+bounding the next coordinate by floor division, and builds a node only when
+it visits it. The last level is read in one batch per parent node (depth
+n - 2): each row's bounds over the parent's range are one ``map`` of floor
+divisions folded with ``min`` (``Plan.parent_folds``). ``Plan.has_point``
+stops at the first nonempty child, ``Plan.runs`` zips the folds into runs
+(prefix, lo, hi), and ``Plan.blocks`` counts each parent's points in C.
 """
 
 from __future__ import annotations
@@ -72,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice, repeat
-from math import gcd
+from math import ceil, floor, gcd
 from operator import add, itemgetter, neg
 
 from .errors import UnboundedRegion
@@ -114,32 +95,6 @@ def polyhedron(dim, strict=(), weak=()) -> Polyhedron:
         return tuple(out)
 
     return Polyhedron(dim, norm(strict), norm(weak))
-
-
-def ray_rows(dim, rays, coeffs):
-    """Per ray, the stored row of (u_rho, a_rho) and of its negation, as
-    ``polyhedron()`` stores them. Each u_rho holds a primitive ray (``Fan``
-    rejects any other), so a row of plain ``int`` entries has content 1 and
-    is stored as it is; only a row holding a ``Fraction`` goes through
-    ``polyhedron()``. A row's content and its negation's are the same, so
-    the negation of a stored row is stored as it is. A region that picks
-    these rows is built as ``Polyhedron(dim, strict, weak)`` and holds
-    exactly the rows ``polyhedron()`` would, with no row normalized again."""
-    rows = [(tuple(u), a) for u, a in zip(rays, coeffs)]
-    rational = [row for row in rows if not _plain(row)]
-    if rational:
-        stored = iter(polyhedron(dim, weak=rational).weak)
-        rows = [row if _plain(row) else next(stored) for row in rows]
-    return tuple((row, (tuple(map(neg, row[0])), -row[1])) for row in rows)
-
-
-_INT = frozenset((int,))
-
-
-def _plain(row):
-    """Does the row (u, c) hold only ``int`` entries?"""
-    u, c = row
-    return type(c) is int and _INT.issuperset(map(type, u))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +241,8 @@ def lp_optimize(poly: Polyhedron, objective, sense="max"):
     against it, and perfbench's tracer still names it.
     """
     c = list(objective) if sense == "max" else [-x for x in objective]
-    status, y, value = lp_free_max(_plan_of(poly).leq, _closure_rhs(poly), c)
+    leq = [[-x for x in u] for u, _ in poly.weak] + [list(u) for u, _ in poly.strict]
+    status, y, value = lp_free_max(leq, _closure_rhs(poly), c)
     if status != "optimal":
         return status, None, None
     return "optimal", tuple(y), value if sense == "max" else -value
@@ -303,9 +259,14 @@ def lp_strict_feasible(poly: Polyhedron) -> StrictFeasibility:
 
     Slack contract: maximize t with strict rows shifted by t; t is capped at 1
     so an unbounded slack still reports feasible with a concrete witness.
+    The rows are built here, so a witness LP (every separation LP of fan
+    validation is one) creates no plan.
     """
     n = poly.dim
-    status, y, value = lp_free_max(_plan_of(poly).lifted, _lifted_rhs(poly), [0] * n + [1])
+    rows = [(*u, 1) for u, _ in poly.strict] + [(*(-x for x in u), 0) for u, _ in poly.weak]
+    rows += [(0,) * n + (1,), (0,) * n + (-1,)]
+    rhs = [-c for _, c in poly.strict] + [c for _, c in poly.weak] + [1, 0]
+    status, y, value = lp_free_max(rows, rhs, [0] * n + [1])
     if status != "optimal" or value <= 0:
         return StrictFeasibility(False, None)
     return StrictFeasibility(True, tuple(y[:n]))
@@ -322,14 +283,9 @@ def _primitive(u, lam):
     return (u, lam) if g == 1 else (tuple(x // g for x in u), tuple((i, l // g) for i, l in lam))
 
 
-# One entry per (normals, coordinate), asked for on a plan's first read of
-# that projection; the plan keeps it, so later reads skip this cache. It is
-# hit when two plans share their closure normals (equal ``leq``, another
-# strict/weak split) or a plan is rebuilt after eviction. Three passes of the
-# bench panels (seed 71) asked 89 times on positivity-profile, 24 on
-# cohomology-multiples and 28 on scan-oracle, with 0, 0 and 2 hits (two
-# scan-oracle plans share their normals); the P1^5 run counted at ``_plan``
-# asked 847 times with 1 hit.
+# Asked once per plan and coordinate (the plan keeps what it read); hit only
+# when two plans share their closure normals or a plan is rebuilt after
+# eviction: 2 hits in 28 asks over three scan-oracle passes (seed 71).
 @lru_cache(maxsize=2048)
 def _projection(normals, dim, k):
     """Closure rows <normals[i], y> <= b_i projected onto coordinate y_k.
@@ -397,149 +353,8 @@ def _range(projection, b):
     return lower, upper
 
 
-class _Plan:
-    """Everything a region's row normals fix, for one (dim, strict normals,
-    weak normals); a query reads it with the region's constants only.
-
-    ``leq`` holds the closure's normals, rows <u, y> <= b: each weak row
-    negated, then each strict row (``_closure_rhs`` gives b). ``lifted`` holds
-    the (y, t) system whose largest t decides strict feasibility: each
-    strict row shifted by t, each weak row, then t <= 1 and t >= 0
-    (``_lifted_rhs``). The projections of both, and the walk's columns and
-    last-level layout, are built when a query first needs them: a plan that
-    only ever answers ``closure_nonempty`` projects one coordinate, and one
-    that only writes a witness (``lp_strict_feasible``, as every separation
-    LP of fan validation does) builds ``lifted`` alone.
-    """
-
-    def __init__(self, dim, strict, weak):
-        self.dim = dim
-        self.strict, self.weak = strict, weak
-        self.projections = [None] * dim
-
-    @cached_property
-    def leq(self):
-        return tuple(tuple(-x for x in u) for u in self.weak) + self.strict
-
-    def projection(self, k):
-        """The closure's projection onto y_k."""
-        proj = self.projections[k]
-        if proj is None:
-            proj = self.projections[k] = _projection(self.leq, self.dim, k)
-        return proj
-
-    @cached_property
-    def lifted(self):
-        n = self.dim
-        rows = tuple((*u, 1) for u in self.strict) + tuple((*(-x for x in u), 0) for u in self.weak)
-        return rows + ((0,) * n + (1,), (0,) * n + (-1,))
-
-    @cached_property
-    def t_projection(self):
-        """The lifted system's projection onto t."""
-        return _projection(self.lifted, self.dim + 1, self.dim)
-
-    @cached_property
-    def walk(self):
-        """(cols, pen, sides) for ``lattice_runs``. The walk reads the
-        closure's rows in ``leq`` order as <u, y> + val <= 0 over Z, and
-        cols[d] holds their coefficients at y_d. pen holds the parent
-        column of the last level (zeros in dimension 1). Per side of the last
-        coordinate, upper then lower, sides holds the rows with a parent
-        coefficient p = 0 as (row, |a|) and the others as (row, |a|, p)."""
-        n = self.dim
-        cols = tuple(tuple(u[d] for u in self.leq) for d in range(n))
-        pen = cols[n - 2] if n > 1 else (0,) * len(self.leq)
-        sides = []
-        for sign in (1, -1):
-            side = [(r, sign * a) for r, a in enumerate(cols[-1]) if sign * a > 0]
-            sides.append(([(r, d) for r, d in side if not pen[r]],
-                          [(r, d, pen[r]) for r, d in side if pen[r]]))
-        return cols, pen, tuple(sides)
-
-
-# One entry per distinct normals. A scan-oracle pass (seed 71) reads 18
-# plans 1,108 times and a positivity-profile pass 87 plans 1,379 times. A
-# plan keeps every projection it has read, so the plans, not _projection's
-# maxsize, bound the projections held: at most 2048 * (dim + 1). Three passes
-# of the bench panels hold 89 (positivity-profile, 87 plans), 24
-# (cohomology-multiples, 8 plans) and 28 (scan-oracle, 18 plans). On P1^5
-# (10 rays, 243 cones), 24 seeded classes with coefficients in [-2, 2], each
-# through positivity_report and both exact base loci, then six of them
-# through cohomology_dims, check_mode_agreement and scan_qample for every q,
-# classify_cones, base_locus, smallest_qample, the connectivity criterion
-# and restrict, and one chamber_scan, build 815 plans holding 847
-# projections, well under both caps.
-@lru_cache(maxsize=2048)
-def _plan(dim, strict, weak) -> _Plan:
-    return _Plan(dim, strict, weak)
-
-
-_normal = itemgetter(0)
-
-
-def _plan_of(poly: Polyhedron) -> _Plan:
-    return _plan(poly.dim, tuple(map(_normal, poly.strict)), tuple(map(_normal, poly.weak)))
-
-
-def _closure_rhs(poly: Polyhedron):
-    """The constants b of the closure rows <u, y> <= b, in ``leq`` order."""
-    return [c for _, c in poly.weak] + [-c for _, c in poly.strict]
-
-
-def _lifted_rhs(poly: Polyhedron):
-    """The constants of the lifted rows, in ``lifted`` order."""
-    return [-c for _, c in poly.strict] + [c for _, c in poly.weak] + [1, 0]
-
-
-def _bounds(plan, b, dim):
-    """The exact range of each coordinate over the closure {<leq, y> <= b},
-    as _range gives it: a list of (lower, upper) pairs of (num, den) pairs,
-    or None when the closure is empty. Each projection is exact, so an
-    empty closure is found at the first coordinate."""
-    bounds = []
-    for k in range(dim):
-        bound = _range(plan.projection(k), b)
-        if bound is None:
-            return None
-        bounds.append(bound)
-    return bounds
-
-
-def coordinate_bounds(poly: Polyhedron):
-    """The exact range of each coordinate over the closure, in order.
-
-    Yields (lower, upper) per coordinate as Fractions, a side None when it
-    is unbounded, or yields None once when the closure is empty: the ranges
-    lattice_runs rounds to its box, read as exact values.
-    """
-    bounds = _bounds(_plan_of(poly), _closure_rhs(poly), poly.dim)
-    if bounds is None:
-        yield None
-        return
-    for bound in bounds:
-        yield tuple(None if x is None else Fraction(*x) for x in bound)
-
-
-def closure_nonempty(poly: Polyhedron) -> bool:
-    """Is the closure (strict rows relaxed to weak) nonempty? Its projection
-    onto the first coordinate is."""
-    b = _closure_rhs(poly)
-    if poly.dim == 0:
-        return all(x >= 0 for x in b)
-    return _range(_plan_of(poly).projection(0), b) is not None
-
-
-def strictly_feasible(poly: Polyhedron) -> bool:
-    """lp_strict_feasible's verdict with no LP: the lifted system's range of t
-    is the LP's feasible set of objective values, so the system is strictly
-    feasible iff that range is nonempty with a positive upper end."""
-    t_range = _range(_plan_of(poly).t_projection, _lifted_rhs(poly))
-    return t_range is not None and t_range[1][0] > 0
-
-
 # ---------------------------------------------------------------------------
-# lattice enumeration
+# the lattice walk and the plan
 # ---------------------------------------------------------------------------
 
 
@@ -588,115 +403,283 @@ def _parents(cols, tails, lo, hi, vals):
         prefix += (v,)
 
 
-def _parent_folds(poly: Polyhedron):
-    """The walk (dim >= 1) down to its parent nodes, depth n - 2, in
-    lexicographic order: yields (prefix, heads, v_lo, his, neg_los) per
-    parent whose coordinate takes v in [v_lo, v_hi]. heads holds the tuples
-    (v,) of its children, and his and neg_los are folds giving, child by
-    child, the upper end and the negated lower end of the last coordinate's
-    interval; a child is nonempty when hi + neg_lo >= 0. A fold is a lazy
-    map, or a list when no row on its side moves with v. In
-    dimension 1 the walk has one virtual parent, heads [()] and v_lo 0.
-    Raises UnboundedRegion when some coordinate is unbounded on a region
-    that is strictly feasible.
+_INT = frozenset((int,))
 
-    The box [lo, hi] rounds each coordinate's exact range over the closure
-    (``_bounds``, the loop coordinate_bounds reads as Fractions) inward by
-    floor division, coordinate by coordinate: an empty integer range yields
-    nothing before the next coordinate is looked at, and an unbounded one is
-    settled by strictly_feasible. Columns and the last level's row layout
-    come from the plan; the constants, the box and the tails are the
-    query's own.
 
-    Rows read <u, y> + c <= 0 and tails[d] holds their least values over
-    coordinates d.. of the box. A node at depth d < n - 1 admits the v with
-    u[d] * v <= -val - tails[d + 1] for each row's partial sum val (u[d] = 0
-    with a negative right side prunes it). The last coordinate is read in one
-    batch per parent node (in dimension 1 the virtual parent's coordinate is
-    0 with column 0): a row with last coefficient a bounds the child at v by
-    (-val - p * v) // |a|, p its parent coefficient, from above when a > 0
-    and, negated, from below when a < 0. Each row's bounds over the parent's
-    v-range are one map of floor divisions (for |a| = 1 the range of
-    -val - p * v itself), folded with min; the lower side
-    is kept negated so it folds with min too. A row with a = 0 has tail 0 at
-    the parent, so the parent's interval holds it for every v. No leaf node
-    is built.
-    """
-    n = poly.dim
-    plan = _plan_of(poly)
-    bounds = _bounds(plan, _closure_rhs(poly), n)
+class Plan:
+    """Everything one (dim, strict normals, weak normals) fixes; a query
+    (plan, b) adds the closure's constants b in ``leq`` order. ``leq`` holds
+    the closure's rows <u, y> <= b: each weak row negated, then each strict
+    row. ``lifted`` holds the same rows in (y, t), each strict one shifted by
+    t, then t <= 1 and t >= 0 (constants b, 1, 0): its largest t decides
+    strict feasibility. Projections and the walk layout are built on first
+    use, so a plan that only answers ``closure_nonempty`` projects once."""
+
+    def __init__(self, dim, strict, weak):
+        self.dim = dim
+        self.strict, self.weak = strict, weak
+        self.projections = [None] * dim
+
+    @cached_property
+    def leq(self):
+        return tuple(tuple(-x for x in u) for u in self.weak) + self.strict
+
+    def projection(self, k):
+        """The closure's projection onto y_k."""
+        proj = self.projections[k]
+        if proj is None:
+            proj = self.projections[k] = _projection(self.leq, self.dim, k)
+        return proj
+
+    @cached_property
+    def lifted(self):
+        n, nw = self.dim, len(self.weak)
+        rows = tuple((*u, int(r >= nw)) for r, u in enumerate(self.leq))
+        return rows + ((0,) * n + (1,), (0,) * n + (-1,))
+
+    @cached_property
+    def t_projection(self):
+        """The lifted system's projection onto t."""
+        return _projection(self.lifted, self.dim + 1, self.dim)
+
+    @cached_property
+    def walk(self):
+        """(cols, pen, sides) for ``parent_folds``. The walk reads the
+        closure's rows in ``leq`` order as <u, y> + val <= 0 over Z, and
+        cols[d] holds their coefficients at y_d. pen holds the parent
+        column of the last level (zeros in dimension 1). Per side of the last
+        coordinate, upper then lower, sides holds the rows with a parent
+        coefficient p = 0 as (row, |a|) and the others as (row, |a|, p)."""
+        n = self.dim
+        cols = tuple(tuple(u[d] for u in self.leq) for d in range(n))
+        pen = cols[n - 2] if n > 1 else (0,) * len(self.leq)
+        sides = []
+        for sign in (1, -1):
+            side = [(r, sign * a) for r, a in enumerate(cols[-1]) if sign * a > 0]
+            sides.append(([(r, d) for r, d in side if not pen[r]],
+                          [(r, d, pen[r]) for r, d in side if pen[r]]))
+        return cols, pen, tuple(sides)
+
+    def bounds(self, b):
+        """The exact range of each coordinate over the closure, a list of
+        _range's (lower, upper) pairs, or None when the closure is empty
+        (found at the first coordinate, as each projection is exact)."""
+        bounds = []
+        for k in range(self.dim):
+            bound = _range(self.projection(k), b)
+            if bound is None:
+                return None
+            bounds.append(bound)
+        return bounds
+
+    def closure_nonempty(self, b) -> bool:
+        """Is the closure (strict rows relaxed to weak) nonempty? Its
+        projection onto the first coordinate is."""
+        if self.dim == 0:
+            return all(x >= 0 for x in b)
+        return _range(self.projection(0), b) is not None
+
+    def strictly_feasible(self, b) -> bool:
+        """lp_strict_feasible's verdict with no LP: the lifted system's range
+        of t is nonempty with a positive upper end."""
+        t_range = _range(self.t_projection, [*b, 1, 0])
+        return t_range is not None and t_range[1][0] > 0
+
+    def parent_folds(self, b):
+        """The walk (dim >= 1) down to its parent nodes, depth n - 2, in
+        lexicographic order: yields (prefix, heads, v_lo, his, neg_los) per
+        parent whose coordinate takes v in [v_lo, v_hi]. heads holds the
+        tuples (v,) of its children, and his and neg_los are folds (lazy
+        maps, or lists when no row on their side moves with v) giving, child
+        by child, the upper end and the negated lower end of the last
+        coordinate's interval; a child is nonempty when hi + neg_lo >= 0. In
+        dimension 1 the one virtual parent has heads [()] and v_lo 0. Raises
+        UnboundedRegion when some coordinate is unbounded on a region that
+        is strictly feasible.
+
+        Fraction constants are floored first, so the walk runs on ints. The
+        box [lo, hi] rounds each coordinate's range (``bounds``) inward; an
+        empty integer range ends the walk before the next coordinate is read.
+        Rows read <u, y> + c <= 0 and tails[d] holds their least values over
+        coordinates d.. of the box, so a node at depth d < n - 1 admits the v
+        with u[d] * v <= -val - tails[d + 1] for each row's partial sum val.
+        On the last coordinate a row with coefficient a and parent
+        coefficient p bounds the child at v by (-val - p * v) // |a|, from
+        above when a > 0 and, negated, from below when a < 0: one map of
+        floor divisions per row over the parent's v-range (for |a| = 1 the
+        range itself), folded with min. A row with a = 0 has tail 0 at the
+        parent, so the parent's interval holds it for every v.
+        """
+        n, nw = self.dim, len(self.weak)
+        if not _INT.issuperset(map(type, b)):  # floor each c: b is c on a weak row, -c on a strict one
+            b = [floor(x) for x in b[:nw]] + [ceil(x) for x in b[nw:]]
+        bounds = self.bounds(b)
+        if bounds is None:
+            return
+        lo, hi = [], []
+        for lower, upper in bounds:
+            if lower is None or upper is None:
+                if self.strictly_feasible(b):
+                    raise UnboundedRegion(f"coordinate {len(lo)} unbounded")
+                return
+            low, high = -(-lower[0] // lower[1]), upper[0] // upper[1]
+            if low > high:
+                return
+            lo.append(low)
+            hi.append(high)
+        cols, pen, (upper_side, lower_side) = self.walk
+        # the closure's rows as <u, y> + val <= 0 over Z: a strict row's
+        # constant moves by one, as <u, y> + c < 0 means <u, y> + c + 1 <= 0
+        vals = [-x for x in b[:nw]] + [1 - x for x in b[nw:]]
+        tails = [[0] * len(vals)]
+        for d in range(n - 1, -1, -1):  # each row's least value over the box
+            low, high = lo[d], hi[d]
+            tails.insert(0, [t + a * (low if a > 0 else high) for t, a in zip(tails[0], cols[d])])
+        if n == 1:  # one virtual parent, its coordinate fixed at 0 with column 0
+            v_lo, v_hi = _interval(pen, vals, tails[0], 0, 0)
+            parents = [((), vals, [()], v_lo, v_hi)] if v_lo <= v_hi else []
+        else:
+            parents = _parents(cols, tails, lo, hi, vals)
+        # the box's bound on each side of the last coordinate; the lower side is
+        # kept negated, so both fold with min
+        sides = ((hi[-1], *upper_side), (-lo[-1], *lower_side))
+        for prefix, vals, heads, v_lo, v_hi in parents:
+            folds = []
+            for bound, fixed, moving in sides:
+                const = min([bound, *(-vals[r] // d for r, d in fixed)])
+                floors = []
+                for r, d, p in moving:
+                    rooms = range(-vals[r] - p * v_lo, -vals[r] - p * (v_hi + 1), -p)
+                    floors.append(rooms if d == 1 else map(d.__rfloordiv__, rooms))
+                folds.append(map(min, repeat(const), *floors) if floors else [const] * (v_hi - v_lo + 1))
+            yield prefix, heads, v_lo, *folds
+
+    def has_point(self, b) -> bool:
+        """Does the region hold an integer point? Reads the folds in C and
+        stops at the first nonempty child."""
+        for *_, his, neg_los in self.parent_folds(b):
+            if any(map((-1).__lt__, map(add, his, neg_los))):
+                return True
+        return False
+
+    def runs(self, b):
+        """The integer points (dim >= 1) as runs, in lexicographic order:
+        (prefix, lo, hi) stands for prefix + (v,) with lo <= v <= hi, one run
+        per nonempty child of each parent node. The folds are read lazily, so
+        a reader that stops at a run has walked no further."""
+        for prefix, heads, _, his, neg_los in self.parent_folds(b):
+            for head, h, neg_lo in zip(heads, his, neg_los):
+                if h + neg_lo >= 0:
+                    yield prefix + head, -neg_lo, h
+
+    def blocks(self, b):
+        """The integer points (dim >= 1) counted per parent node, in
+        lexicographic order: (prefix, v_lo, his, neg_los, count) per parent
+        with count > 0, his and neg_los listing per child v = v_lo, v_lo + 1,
+        ... the ends hi and -lo of its last coordinate, the count summed in C.
+        In dimension 1 the one block stands for the points (w,), not (0, w)."""
+        for prefix, _, v_lo, his, neg_los in self.parent_folds(b):
+            his, neg_los = list(his), list(neg_los)
+            count = sum(map(max, map(add, his, neg_los), repeat(-1))) + len(his)
+            if count:
+                yield prefix, v_lo, his, neg_los, count
+
+    def polyhedron(self, b) -> Polyhedron:
+        """The region as the ``Polyhedron`` a witness LP reads. A selection's
+        normals are primitive, so rows with int constants are stored as they
+        are; Fraction constants go through polyhedron()."""
+        nw = len(self.weak)
+        strict, weak = tuple(zip(self.strict, map(neg, b[nw:]))), tuple(zip(self.weak, b[:nw]))
+        if _INT.issuperset(map(type, b)):
+            return Polyhedron(self.dim, strict, weak)
+        return polyhedron(self.dim, strict, weak)
+
+
+# One entry per distinct normals, asked once per selection table entry and
+# per Polyhedron query: three passes of the bench panels build 87, 8 and 18
+# plans, a P1^5 workout of every entry point 815.
+@lru_cache(maxsize=2048)
+def _plan(dim, strict, weak) -> Plan:
+    return Plan(dim, strict, weak)
+
+
+class Selections(dict):
+    """One kind of region over fixed rows (``Fan.regions``): selection ->
+    (plan, index), built on first use. Row i has the normal normals[i] and,
+    for coefficients a, the constant scales[i] * a_i. ``picks(selection)``
+    lists the region's (strict, weak) rows as (i, s), row i with sign s, in
+    the region's order. index holds per closure row in ``leq`` order a pair
+    (i, f) with b = f * a_i (``rhs``): a weak row <u, y> + c >= 0 reads
+    -<u, y> <= c and a strict one <u, y> <= -c."""
+
+    def __init__(self, dim, normals, scales, picks):
+        super().__init__()
+        self.dim, self.normals, self.scales, self.picks = dim, normals, scales, picks
+
+    def __missing__(self, selection):
+        strict, weak = self.picks(selection)
+        normals, scales = self.normals, self.scales
+
+        def rows(picked):
+            return tuple(normals[i] if s > 0 else tuple(-x for x in normals[i]) for i, s in picked)
+
+        index = [(i, s * scales[i]) for i, s in weak] + [(i, -s * scales[i]) for i, s in strict]
+        plan = _plan(self.dim, rows(strict), rows(weak))
+        entry = self[selection] = plan, tuple((i, f) if f else (0, 0) for i, f in index)
+        return entry
+
+
+def rhs(index, coeffs):
+    """A selection's closure constants b for the coefficient vector."""
+    return [f * coeffs[i] for i, f in index]
+
+
+# ---------------------------------------------------------------------------
+# Polyhedron entry points: one plan lookup, then the plan's core
+# ---------------------------------------------------------------------------
+
+
+_normal = itemgetter(0)
+
+
+def _plan_of(poly: Polyhedron) -> Plan:
+    return _plan(poly.dim, tuple(map(_normal, poly.strict)), tuple(map(_normal, poly.weak)))
+
+
+def _closure_rhs(poly: Polyhedron):
+    """The constants b of the closure rows <u, y> <= b, in ``leq`` order."""
+    return [c for _, c in poly.weak] + [-c for _, c in poly.strict]
+
+
+def coordinate_bounds(poly: Polyhedron):
+    """The exact range of each coordinate over the closure, in order, as
+    Fraction pairs (lower, upper), a side None when unbounded; or None once
+    when the closure is empty."""
+    bounds = _plan_of(poly).bounds(_closure_rhs(poly))
     if bounds is None:
+        yield None
         return
-    lo, hi = [], []
-    for lower, upper in bounds:
-        if lower is None or upper is None:
-            if strictly_feasible(poly):
-                raise UnboundedRegion(f"coordinate {len(lo)} unbounded")
-            return
-        low, high = -(-lower[0] // lower[1]), upper[0] // upper[1]
-        if low > high:
-            return
-        lo.append(low)
-        hi.append(high)
-    cols, pen, (upper_side, lower_side) = plan.walk
-    # the closure's rows as <u, y> + val <= 0 over Z: a strict row's
-    # constant moves by one, as <u, y> + c < 0 means <u, y> + c + 1 <= 0
-    vals = [-c for _, c in poly.weak] + [c + 1 for _, c in poly.strict]
-    tails = [[0] * len(vals)]
-    for d in range(n - 1, -1, -1):  # each row's least value over the box
-        low, high = lo[d], hi[d]
-        tails.insert(0, [t + a * (low if a > 0 else high) for t, a in zip(tails[0], cols[d])])
-    if n == 1:  # one virtual parent, its coordinate fixed at 0 with column 0
-        v_lo, v_hi = _interval(pen, vals, tails[0], 0, 0)
-        parents = [((), vals, [()], v_lo, v_hi)] if v_lo <= v_hi else []
-    else:
-        parents = _parents(cols, tails, lo, hi, vals)
-    # the box's bound on each side of the last coordinate; the lower side is
-    # kept negated, so both fold with min
-    sides = ((hi[-1], *upper_side), (-lo[-1], *lower_side))
-    for prefix, vals, heads, v_lo, v_hi in parents:
-        folds = []
-        for bound, fixed, moving in sides:
-            const = min([bound, *(-vals[r] // d for r, d in fixed)])
-            floors = []
-            for r, d, p in moving:
-                rooms = range(-vals[r] - p * v_lo, -vals[r] - p * (v_hi + 1), -p)
-                floors.append(rooms if d == 1 else map(d.__rfloordiv__, rooms))
-            folds.append(map(min, repeat(const), *floors) if floors else [const] * (v_hi - v_lo + 1))
-        yield prefix, heads, v_lo, *folds
+    for bound in bounds:
+        yield tuple(None if x is None else Fraction(*x) for x in bound)
+
+
+def closure_nonempty(poly: Polyhedron) -> bool:
+    return _plan_of(poly).closure_nonempty(_closure_rhs(poly))
+
+
+def strictly_feasible(poly: Polyhedron) -> bool:
+    return _plan_of(poly).strictly_feasible(_closure_rhs(poly))
 
 
 def lattice_runs(poly: Polyhedron, first_only=False):
-    """The integer points of the polyhedron (dim >= 1) as runs, in lexicographic
-    order: (prefix, lo, hi) stands for prefix + (v,) with lo <= v <= hi, one
-    run per nonempty interval of the last coordinate, in ascending order
-    under each parent node (``_parent_folds``). The folds are read lazily,
-    so first_only stops at the first nonempty child of the first parent
-    that has one. Strict rows are honored strictly. Raises UnboundedRegion
-    when some coordinate is unbounded on a region that is strictly feasible.
-    """
-    for prefix, heads, _, his, neg_los in _parent_folds(poly):
-        for head, h, neg_lo in zip(heads, his, neg_los):
-            if h + neg_lo >= 0:
-                yield prefix + head, -neg_lo, h
-                if first_only:
-                    return
+    """``Plan.runs`` (only the first under first_only). Raises UnboundedRegion
+    when some coordinate is unbounded on a region that is strictly feasible."""
+    return islice(_plan_of(poly).runs(_closure_rhs(poly)), 1 if first_only else None)
 
 
 def lattice_blocks(poly: Polyhedron):
-    """The integer points of the polyhedron (dim >= 1) counted per parent
-    node (``_parent_folds``), in lexicographic order: yields (prefix, v_lo,
-    his, neg_los, count) per parent with count > 0 points. his and neg_los
-    are lists, one entry per child v = v_lo, v_lo + 1, ...: the child's
-    last coordinate runs from -neg_lo to hi, and is empty when hi + neg_lo
-    < 0. The count is summed in C, with no Python step and no tuple per
-    child or point. In dimension 1 the one block has v_lo 0 and stands for
-    the points (w,), not (0, w)."""
-    for prefix, _, v_lo, his, neg_los in _parent_folds(poly):
-        his, neg_los = list(his), list(neg_los)
-        count = sum(map(max, map(add, his, neg_los), repeat(-1))) + len(his)
-        if count:
-            yield prefix, v_lo, his, neg_los, count
+    """``Plan.blocks``: the integer points (dim >= 1) counted per parent."""
+    return _plan_of(poly).blocks(_closure_rhs(poly))
 
 
 def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:

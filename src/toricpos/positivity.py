@@ -1,10 +1,11 @@
 """Cone membership, base loci, q-nef and q-ample decisions, chamber scans.
 
 All decisions are exact, and each cone question has one code path. Each is
-a feasibility question whose row normals depend only on the fan, the subset
-S or cone tau, and H, so Fourier-Motzkin projections cached per normals
-decide it (``polyhedra.closure_nonempty``, ``polyhedra.strictly_feasible``)
-and no decision solves an LP:
+a feasibility question whose rows are picked per ray by the fan, the subset
+S or cone tau, and H, so its plan is looked up once per fan (``Fan.regions``,
+one table per kind below), the divisor supplies only the constants, and
+Fourier-Motzkin projections decide it (``Plan.closure_nonempty``,
+``Plan.strictly_feasible``) with no LP:
 
 * ``_face_nonempty(D, tau)``: is the tau-tight face of the rational polytope
   P_D nonempty? For tau = () this is pseudoeffectivity; over all cones tau
@@ -38,13 +39,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cohomology import bad_subsets, cohomology_dims, subset_region
+from .cohomology import bad_subsets, cohomology_dims, subset_picks
 from .divisor import (
     ToricDivisor,
     anticanonical_divisor,
     is_ample,
     require_integral,
-    section_polyhedron,
     wall_degree,
 )
 from .errors import (
@@ -56,14 +56,7 @@ from .errors import (
 )
 from .fan import Fan, subset_connected
 from .linalg import clear_denominators, content_free
-from .polyhedra import (
-    Polyhedron,
-    closure_nonempty,
-    lattice_points,
-    lp_strict_feasible,
-    ray_rows,
-    strictly_feasible,
-)
+from .polyhedra import lp_strict_feasible, rhs
 
 
 def _require_complete(fan: Fan) -> None:
@@ -72,14 +65,33 @@ def _require_complete(fan: Fan) -> None:
 
 
 @lru_cache(maxsize=None)
+def _ample_anticanonical(fan: Fan) -> ToricDivisor | None:
+    """-K when it is ample, else None; checked once per fan."""
+    h = anticanonical_divisor(fan)
+    return h if fan.rank == 0 or is_ample(h) else None
+
+
 def default_ample(fan: Fan) -> ToricDivisor:
     """The anticanonical divisor, checked ample; the examples are all Fano."""
-    h = anticanonical_divisor(fan)
-    if fan.rank > 0 and not is_ample(h):
+    h = _ample_anticanonical(fan)
+    if h is None:
         raise ToricError(
             "no default ample divisor: -K is not ample on this fan, pass one"
         )
     return h
+
+
+def _reference_ample(fan: Fan, ample: ToricDivisor | None, what: str) -> ToricDivisor:
+    """The ample class a search perturbs by: -K unless one is given, which
+    must live on the fan and be ample. The default object was checked once
+    per fan, so passing it on costs no check."""
+    if ample is None:
+        return default_ample(fan)
+    if ample.fan is not fan and ample.fan != fan:
+        raise ValueError("divisors live on different fans")
+    if ample is not _ample_anticanonical(fan) and not is_ample(ample):
+        raise ToricError(f"{what} needs an ample reference divisor")
+    return ample
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +131,7 @@ def classify_cones(divisor: ToricDivisor) -> ConeFlags:
             ample = False
     pseudoeffective = _face_nonempty(divisor, ())
     big = is_big(divisor)
-    effective = pseudoeffective and bool(
-        lattice_points(section_polyhedron(divisor), first_only=True)
-    )
+    effective = pseudoeffective and _face_has_point(divisor, ())
     return ConeFlags(
         nef=nef,
         ample=ample,
@@ -132,20 +142,27 @@ def classify_cones(divisor: ToricDivisor) -> ConeFlags:
     )
 
 
+def _big_picks(fan: Fan, tau):
+    """The rows of ``is_big``, in ray order: tau's tight, the other rays of
+    Star(tau) negated and strict."""
+    star = fan.stars.get(tau, ())
+    strict, weak = [], []
+    for i in range(fan.n_rays):
+        if i in tau:
+            weak += [(i, 1), (i, -1)]
+        elif i in star:
+            strict.append((i, -1))
+    return strict, weak
+
+
 def is_big(divisor: ToricDivisor, tau=()) -> bool:
     """Is the restriction of D to the orbit closure V(tau) big? For tau = ()
     this is bigness of D. One strict-feasibility question on the fan's own
     rows, in ray order; the module docstring gives the rows."""
     fan = divisor.fan
     _require_complete(fan)
-    star = fan.stars.get(tuple(sorted(tau)), ())
-    strict, weak = [], []
-    for i, (row, negated) in enumerate(divisor.rows):
-        if i in tau:
-            weak += [row, negated]
-        elif i in star:
-            strict.append(negated)
-    return strictly_feasible(Polyhedron(fan.rank, tuple(strict), tuple(weak)))
+    plan, index = fan.regions(_big_picks)[tuple(sorted(tau))]
+    return plan.strictly_feasible(rhs(index, divisor.plain_coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -198,35 +215,43 @@ def _minimalize(cones) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _face_region(divisor: ToricDivisor, tau, flipped=()) -> Polyhedron:
-    """Section polytope cut to the face where tau's rows are tight, with the
-    rows in ``flipped`` reversed (<= 0): the closure of a sign-pattern region
-    whose ``flipped`` rows are strict."""
+def _face_picks(fan: Fan, selection):
+    """(tau, flipped): the section polytope's rows in ray order, tau's tight
+    and those in ``flipped`` reversed (<= 0), the closure of a sign-pattern
+    region whose ``flipped`` rows are strict. (), () is P_D itself."""
+    tau, flipped = selection
     weak = []
-    for i, (row, negated) in enumerate(divisor.rows):
+    for i in range(fan.n_rays):
         if i in flipped:
-            weak.append(negated)
+            weak.append((i, -1))
         else:
-            weak.append(row)
+            weak.append((i, 1))
             if i in tau:
-                weak.append(negated)
-    return Polyhedron(divisor.fan.rank, weak=tuple(weak))
+                weak.append((i, -1))
+    return [], weak
 
 
 def _face_nonempty(divisor: ToricDivisor, tau) -> bool:
     """Is the tau-tight face of the rational polytope P_D nonempty?"""
-    return closure_nonempty(_face_region(divisor, tau))
+    plan, index = divisor.fan.regions(_face_picks)[tau, ()]
+    return plan.closure_nonempty(rhs(index, divisor.plain_coeffs))
+
+
+def _face_has_point(divisor: ToricDivisor, tau) -> bool:
+    """Does the tau-tight face of P_D hold a lattice point?"""
+    plan, index = divisor.fan.regions(_face_picks)[tau, ()]
+    return plan.has_point(rhs(index, divisor.plain_coeffs))
 
 
 def _base_locus_cone_set(divisor: ToricDivisor) -> tuple[set, bool]:
     """All cones tau with no section weight tight on tau (Bs of |D|)."""
     fan = divisor.fan
     bad = set()
-    no_sections = not lattice_points(section_polyhedron(divisor), first_only=True)
+    no_sections = not _face_has_point(divisor, ())
     for tau in fan.cones:
         if no_sections:
             bad.add(tau)
-        elif tau and not lattice_points(_face_region(divisor, tau), first_only=True):
+        elif tau and not _face_has_point(divisor, tau):
             bad.add(tau)
     return bad, no_sections
 
@@ -300,41 +325,29 @@ def stable_base_locus(divisor: ToricDivisor, horizon: int = 24) -> BaseLocusRepo
     raise NoStabilizationDetected(horizon, chain)
 
 
-def _joint_rows(d: ToricDivisor, ample: ToricDivisor):
-    """Per ray, the stored row (u_rho, -h_rho; a_rho) of D - eps*H in
-    (y, eps) and its negation, built once per search."""
-    fan = d.fan
-    normals = [u + (-h,) for u, h in zip(fan.rays, ample.plain_coeffs)]
-    return ray_rows(fan.rank + 1, normals, d.plain_coeffs)
-
-
-def _joint_region(d: ToricDivisor, joint, strict=(), tight=()) -> Polyhedron:
-    """The region of D - eps*H in (y, eps) with eps > 0, the rows in
-    ``strict`` strict (< 0), those in ``tight`` tight (= 0) and the rest weak
-    (>= 0), picked from the joint rows ``joint``."""
-    n = d.fan.rank
-    joint_strict, joint_weak = [], []
-    for i, (row, negated) in enumerate(joint):
-        if i in strict:
-            joint_strict.append(row)
-        else:
-            joint_weak.append(row)
-            if i in tight:
-                joint_weak.append(negated)
-    joint_strict.append(((0,) * n + (-1,), 0))  # eps > 0
-    return Polyhedron(n + 1, tuple(joint_strict), tuple(joint_weak))
+def _joint_picks(fan: Fan, selection):
+    """(strict, tight), strict ascending: the region of D - eps*H in (y, eps)
+    with the rows in ``strict`` strict (< 0), those in ``tight`` tight (= 0)
+    and the rest weak (>= 0), in ray order, then eps > 0 (row n_rays of a
+    joint table): the weak rows are the face's with ``strict`` left out."""
+    strict, tight = selection
+    weak = [(i, s) for i, s in _face_picks(fan, (tight, strict))[1] if i not in strict]
+    return [(i, 1) for i in strict] + [(fan.n_rays, 1)], weak
 
 
 def _persists(d: ToricDivisor, joint, strict=(), tight=()) -> bool:
     """Does the region of D - eps*H with the rows in ``strict`` strict (< 0),
     those in ``tight`` tight (= 0) and the rest weak (>= 0) stay nonempty for
-    arbitrarily small eps > 0? ``joint`` holds the joint rows of D and H. By
-    convexity of the feasible eps-set this holds iff the eps = 0 closure is
-    nonempty and the joint system in (y, eps) with eps > 0 is strictly
-    feasible."""
-    return closure_nonempty(_face_region(d, tight, strict)) and strictly_feasible(
-        _joint_region(d, joint, strict, tight)
-    )
+    arbitrarily small eps > 0? ``joint`` is H's table of joint regions,
+    looked up once per search. By convexity of the feasible eps-set this
+    holds iff the eps = 0 closure is nonempty and the joint system in
+    (y, eps) with eps > 0 is strictly feasible."""
+    a = d.plain_coeffs
+    plan, index = d.fan.regions(_face_picks)[tight, strict]
+    if not plan.closure_nonempty(rhs(index, a)):
+        return False
+    plan, index = joint[strict, tight]
+    return plan.strictly_feasible(rhs(index, a))
 
 
 def augmented_base_locus_exact(
@@ -343,13 +356,8 @@ def augmented_base_locus_exact(
     """B+(D) by the parametric eps-LP characterization, one cone at a time."""
     fan = divisor.fan
     _require_complete(fan)
-    if ample is None:
-        ample = default_ample(fan)
-    elif ample.fan is not fan and ample.fan != fan:
-        raise ValueError("divisors live on different fans")
-    elif not is_ample(ample):
-        raise ToricError("augmented base locus needs an ample reference divisor")
-    joint = _joint_rows(divisor, ample)
+    ample = _reference_ample(fan, ample, "augmented base locus")
+    joint = fan.regions(_joint_picks, ample.plain_coeffs)
     bad = {tau for tau in fan.cones if not _persists(divisor, joint, tight=tau)}
     return BaseLocusReport(minimal_cones=_minimalize(bad))
 
@@ -461,8 +469,8 @@ def _primitive_integral(divisor: ToricDivisor) -> ToricDivisor:
 
 def _obstructions(d: ToricDivisor, joint, index, degrees):
     """Yield (p, S) for every bad subset S of each degree p, in the given
-    order of degrees, whose region persists down to eps = 0; ``joint`` holds
-    the joint rows of D and H."""
+    order of degrees, whose region persists down to eps = 0; ``joint`` is
+    H's joint table."""
     for p in degrees:
         for subset, _ in index[p]:
             if _persists(d, joint, strict=subset):
@@ -471,14 +479,13 @@ def _obstructions(d: ToricDivisor, joint, index, degrees):
 
 def _setup(divisor: ToricDivisor, q: int, ample: ToricDivisor | None):
     """Checks and inputs shared by the q-ample searches: the primitive
-    integral class, the ample class (-K unless given) and the subset index."""
+    integral class, the ample class (-K unless given, else checked ample) and
+    the subset index."""
     fan = divisor.fan
     _require_complete(fan)
     if q < 0:
         raise ToricError(f"q = {q} must be nonnegative")
-    ample = ample if ample is not None else default_ample(fan)
-    if ample.fan is not fan and ample.fan != fan:
-        raise ValueError("divisors live on different fans")
+    ample = _reference_ample(fan, ample, "a q-ample search")
     return _primitive_integral(divisor), ample, bad_subsets(fan)
 
 
@@ -493,10 +500,11 @@ def decide_qample(
     every (p, S) pair ruled out is listed.
     """
     d, ample, index = _setup(divisor, q, ample)
-    joint = _joint_rows(d, ample)
+    joint = divisor.fan.regions(_joint_picks, ample.plain_coeffs)
     degrees = range(q + 1, divisor.fan.rank + 1)
     for p, subset in _obstructions(d, joint, index, degrees):
-        *direction, eps = lp_strict_feasible(_joint_region(d, joint, strict=subset)).witness
+        plan, signed = joint[subset, ()]
+        *direction, eps = lp_strict_feasible(plan.polyhedron(rhs(signed, d.plain_coeffs))).witness
         cert = QAmpleCertificate(degree=p, subset=subset, epsilon=eps, direction=tuple(direction))
         return QAmpleResult(verdict=False, q=q, mode="asymptotic", certificate=cert)
     return QAmpleResult(
@@ -512,7 +520,7 @@ def smallest_qample(divisor: ToricDivisor, ample: ToricDivisor | None = None) ->
     the highest obstructed degree, or 0 when no degree is obstructed."""
     d, ample, index = _setup(divisor, 0, ample)
     degrees = range(divisor.fan.rank, 0, -1)
-    hit = next(_obstructions(d, _joint_rows(d, ample), index, degrees), None)
+    hit = next(_obstructions(d, d.fan.regions(_joint_picks, ample.plain_coeffs), index, degrees), None)
     return hit[0] if hit is not None else 0
 
 
@@ -529,16 +537,15 @@ def _nonvanishing(
     d: ToricDivisor, ample: ToricDivisor, index, q: int, n_mult: int, twists: int
 ):
     """Yield (N, j, p) for each twist 1 <= j <= twists and degree p > q where
-    some bad subset region of N*D - j*H holds a lattice point."""
+    some bad subset region of N*D - j*H holds a lattice point. The regions'
+    plans are looked up once; a twist only reads its constants."""
     fan = d.fan
+    regions = fan.regions(subset_picks)
+    degrees = [(p, [regions[subset] for subset, _ in index[p]]) for p in range(q + 1, fan.rank + 1)]
     for j in range(1, twists + 1):
-        twisted = tuple(n_mult * a - j * h for a, h in zip(d.plain_coeffs, ample.plain_coeffs))
-        rows = ray_rows(fan.rank, fan.rays, twisted)
-        for p in range(q + 1, fan.rank + 1):
-            if any(
-                lattice_points(subset_region(fan, rows, subset), first_only=True)
-                for subset, _ in index[p]
-            ):
+        twisted = [n_mult * a - j * h for a, h in zip(d.plain_coeffs, ample.plain_coeffs)]
+        for p, queries in degrees:
+            if any(plan.has_point(rhs(signed, twisted)) for plan, signed in queries):
                 yield n_mult, j, p
 
 

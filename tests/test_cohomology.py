@@ -19,11 +19,16 @@ from toricpos import (
     section_polyhedron,
     zero_divisor,
 )
-from toricpos.cohomology import Weights, bad_subsets, degree_nonzero, h_p, subset_region
-from toricpos.polyhedra import lattice_blocks, lattice_runs
+from toricpos.cohomology import Weights, bad_subsets, degree_nonzero, h_p
+from toricpos.polyhedra import Plan, lattice_blocks, lattice_runs
 
 from .conftest import product_fan, random_divisors
-from .oracles import box_filter_lattice_points, brute_force_cohomology, certified_weight_box
+from .oracles import (
+    box_filter_lattice_points,
+    brute_force_cohomology,
+    certified_weight_box,
+    coeff_subset_region,
+)
 
 
 def test_reduced_cohomology_conventions(totaro, p2):
@@ -128,20 +133,19 @@ def test_witness_weights_match_box_filter_in_order(totaro):
         box = certified_weight_box(totaro, kd.coeffs)
         assert table.witnesses, kd.coeffs
         for subset, weights, _ in table.witnesses:
-            region = subset_region(totaro, kd.rows, subset)
+            region = coeff_subset_region(totaro, kd.plain_coeffs, subset)
             assert list(weights) == box_filter_lattice_points(region, box), (kd.coeffs, subset)
 
 
 def test_h_p_walks_only_the_subsets_of_its_degree(monkeypatch, example_fans):
-    import toricpos.cohomology
-
     calls = []
+    blocks = Plan.blocks
 
-    def counting(poly):
-        calls.append(poly)
-        return lattice_blocks(poly)
+    def counting(plan, b):
+        calls.append(b)
+        return blocks(plan, b)
 
-    monkeypatch.setattr(toricpos.cohomology, "lattice_blocks", counting)
+    monkeypatch.setattr(Plan, "blocks", counting)
     for fan in example_fans:
         index = bad_subsets(fan)
         for d in random_divisors(fan, 4, seed="h_p"):
@@ -158,7 +162,7 @@ def test_witness_weights_read_like_the_expanded_walk(example_fans):
             kd = 3 * d
             box = certified_weight_box(fan, kd.coeffs)
             for subset, weights, _ in cohomology_dims(kd).witnesses:
-                region = subset_region(fan, kd.rows, subset)
+                region = coeff_subset_region(fan, kd.plain_coeffs, subset)
                 runs = list(lattice_runs(region))
                 assert all(lo <= hi for _, lo, hi in runs), runs
                 assert runs == sorted(runs) and len({p for p, _, _ in runs}) == len(runs)
@@ -192,7 +196,7 @@ def test_weight_blocks_read_like_the_runs_and_the_box_filter(p1, p2, p1xp1, tota
             kd = rng.randint(2, 4) * d
             box = certified_weight_box(fan, kd.coeffs)
             for subset, weights, _ in cohomology_dims(kd).witnesses:
-                region = subset_region(fan, kd.rows, subset)
+                region = coeff_subset_region(fan, kd.plain_coeffs, subset)
                 runs = tuple(lattice_runs(region))
                 points = tuple(p + (v,) for p, lo, hi in runs for v in range(lo, hi + 1))
                 assert list(points) == box_filter_lattice_points(region, box), (fan.rays, subset)
@@ -205,8 +209,16 @@ def test_weight_blocks_read_like_the_runs_and_the_box_filter(p1, p2, p1xp1, tota
                 assert len(weights) == size > 0
                 for i in (0, -1, size // 2, -size):
                     assert weights[i] == points[i], (fan.rays, kd.coeffs, subset, i)
-                for cut in (slice(None), slice(1, -1), slice(size // 2, None, 2), slice(None, None, -3)):
-                    assert weights[cut] == points[cut] and type(weights[cut]) is tuple
+                # steps 1, -1, 3 and -3, from either end and the middle, then
+                # empty and reversed bounds
+                cuts = (slice(None), slice(1, -1), slice(size // 2, None, 2), slice(None, None, -3),
+                        slice(None, None, -1), slice(size // 2, 0, -1), slice(1, None, 3),
+                        slice(-2, None, -3), slice(size // 3, -1, 3), slice(size // 2, size // 2),
+                        slice(-1, 0), slice(0, -1, -1), slice(size, None), slice(-1, 1, 3))
+                for cut in cuts:
+                    read = weights[cut]
+                    assert read == tuple(weights)[cut] == points[cut] and type(read) is tuple, (subset, cut)
+                    seen["empty slice"] += not read
                 for i in (size, -size - 1):
                     with pytest.raises(IndexError):
                         weights[i]
@@ -214,7 +226,7 @@ def test_weight_blocks_read_like_the_runs_and_the_box_filter(p1, p2, p1xp1, tota
                 seen[fan.rank] += 1
                 seen["children", fan.rank] = max(seen["children", fan.rank], *(len(b[2]) for b in blocks))
                 seen["empty children"] += sum(h + neg_lo < 0 for b in blocks for h, neg_lo in zip(b[2], b[3]))
-    assert all(seen[n] for n in range(1, 5)) and seen["empty children"], seen
+    assert all(seen[n] for n in range(1, 5)) and seen["empty children"] and seen["empty slice"], seen
     assert all(seen["children", n] > 1 for n in range(2, 5)), seen
 
 

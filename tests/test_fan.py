@@ -11,6 +11,9 @@ from toricpos import (
     subset_connected,
     validate,
 )
+from toricpos.polyhedra import _plan
+
+from .conftest import product_fan
 
 TOTARO_RAYS = ((0, 0, -1), (0, 0, 1), (1, 0, 1), (0, 1, -1), (-1, 0, 0), (0, -1, 0))
 
@@ -148,3 +151,13 @@ def test_subset_connected(totaro):
     assert subset_connected(totaro, (0, 2, 1))
     with pytest.raises(EmptySet):
         subset_connected(totaro, ())
+
+
+def test_fan_validation_creates_no_plan(p1):
+    # each separation LP builds its tableau rows directly, so building and
+    # validating P1^4 (16 cones, 120 pairs) leaves the region plans alone
+    before = _plan.cache_info()
+    fan = product_fan([(p1.rays, p1.max_cones)] * 4)
+    assert fan.properties.complete and len(fan.max_cones) == 16
+    after = _plan.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)

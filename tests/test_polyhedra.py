@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricpos import ToricDivisor, UnboundedRegion
-from toricpos.cohomology import bad_subsets, subset_region
+from toricpos.cohomology import bad_subsets
 from toricpos.positivity import default_ample
 from toricpos.polyhedra import (
     _plan,
@@ -21,13 +21,17 @@ from toricpos.polyhedra import (
     lp_optimize,
     lp_strict_feasible,
     polyhedron,
-    ray_rows,
     simplex_max,
     strictly_feasible,
 )
 
 from .conftest import random_divisors
-from .oracles import box_filter_lattice_points, certified_weight_box, reference_simplex_max
+from .oracles import (
+    box_filter_lattice_points,
+    certified_weight_box,
+    coeff_subset_region,
+    reference_simplex_max,
+)
 
 
 def test_strict_feasible_interval():
@@ -53,7 +57,7 @@ def test_unbounded_slack_still_reports_feasible_with_witness():
 def test_totaro_double_weight_pattern_feasible(totaro):
     # the all-negative pattern on f3..f6 for twice the example class
     doubled = (6, 6, -2, -2, -2, -2)
-    region = subset_region(totaro, ray_rows(3, totaro.rays, [Fraction(c) for c in doubled]), (2, 3, 4, 5))
+    region = coeff_subset_region(totaro, [Fraction(c) for c in doubled], (2, 3, 4, 5))
     res = lp_strict_feasible(region)
     assert res.feasible
     assert (0, 0, 0) in lattice_points(region)
@@ -260,17 +264,16 @@ def test_projected_bounds_match_lp_on_seeded_corpus():
 
 def scan_twist_regions(fan, count, multiples, twists=(1, 2, 3, 4)):
     """The regions of N*D - j*H the q-ample scan queries, for seeded D on
-    ``fan`` and H = -K: every bad subset of every degree, from the rows of
-    each twist as ``positivity._nonvanishing`` builds them."""
+    ``fan`` and H = -K: every bad subset of every degree, each row of each
+    twist normalized by ``polyhedron()``."""
     ample = default_ample(fan)
     for d in random_divisors(fan, count, lo=-4, hi=4, seed="scan-twists"):
         for n_mult in multiples:
             for j in twists:
                 twisted = tuple(n_mult * a - j * h for a, h in zip(d.plain_coeffs, ample.plain_coeffs))
-                rows = ray_rows(fan.rank, fan.rays, twisted)
                 for entries in bad_subsets(fan):
                     for subset, _ in entries:
-                        yield twisted, subset_region(fan, rows, subset)
+                        yield twisted, coeff_subset_region(fan, twisted, subset)
 
 
 def test_fm_decisions_match_the_lp_on_seeded_corpus(totaro):
@@ -450,7 +453,7 @@ def test_bad_subset_regions_are_walked_without_an_lp(monkeypatch, example_fans):
             box = certified_weight_box(fan, d.coeffs)
             for entries in bad_subsets(fan):
                 for subset, _ in entries:
-                    region = subset_region(fan, d.rows, subset)
+                    region = coeff_subset_region(fan, d.plain_coeffs, subset)
                     with monkeypatch.context() as m:
                         m.setattr(toricpos.polyhedra, "simplex_max", counting)
                         points = lattice_points(region)

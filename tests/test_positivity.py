@@ -34,13 +34,24 @@ from toricpos import (
     zero_divisor,
 )
 
-from toricpos.cohomology import bad_subsets, subset_region
+from toricpos.cohomology import bad_subsets, subset_picks
 from toricpos.divisor import divisor_of_character, section_polyhedron
-from toricpos.polyhedra import _plan, _projection, lattice_points, polyhedron, ray_rows
+from toricpos.errors import UnboundedRegion
+from toricpos.polyhedra import (
+    _plan,
+    _projection,
+    closure_nonempty,
+    lattice_blocks,
+    lattice_points,
+    lattice_runs,
+    polyhedron,
+    rhs,
+    strictly_feasible,
+)
 from toricpos.positivity import (
-    _face_region,
-    _joint_region,
-    _joint_rows,
+    _big_picks,
+    _face_picks,
+    _joint_picks,
     _persists,
     _primitive_integral,
     default_ample,
@@ -48,7 +59,7 @@ from toricpos.positivity import (
     positivity_report,
 )
 
-from .conftest import random_divisors
+from .conftest import product_fan, random_divisors
 from .oracles import (
     coeff_big_region,
     coeff_face_region,
@@ -342,7 +353,7 @@ def test_scan_twists_match_divisor_arithmetic_on_seeded_corpus(example_fans):
                             for p in range(q + 1, fan.rank + 1)
                             if any(
                                 lattice_points(
-                                    subset_region(fan, (n_mult * d - j * ample).rows, s),
+                                    coeff_subset_region(fan, (n_mult * d - j * ample).plain_coeffs, s),
                                     first_only=True,
                                 )
                                 for s, _ in index[p]
@@ -378,6 +389,19 @@ def test_qample_entry_points_reject_an_ample_class_on_another_fan(p2, p1xp1):
                        lambda d, q, h: augmented_base_locus_exact(d, h)):
             with pytest.raises(ValueError, match="different fans"):
                 search(d, 0, ample)
+
+
+def test_qample_entry_points_reject_a_reference_class_that_is_not_ample(p2):
+    d = ToricDivisor(p2, (0, 0, 0))
+    searches = (decide_qample, scan_qample, realization_search, check_mode_agreement,
+                lambda d, q, h: smallest_qample(d, h))
+    for ample in (zero_divisor(p2), -prime_divisor(p2, 0)):
+        for search in searches:
+            with pytest.raises(ToricError, match="ample reference divisor"):
+                search(d, 0, ample)
+    # the default class, passed on explicitly, and another ample class pass
+    assert decide_qample(d, 0, default_ample(p2)) == decide_qample(d, 0)
+    assert smallest_qample(d, ToricDivisor(p2, (2, 0, 0))) == smallest_qample(d)
 
 
 def test_qample_entry_points_reject_an_incomplete_fan(totaro):
@@ -445,8 +469,8 @@ def test_persists_matches_the_lp_on_acceptance_classes(example_fans):
         ample = default_ample(fan)
         patterns = [(s, ()) for entries in bad_subsets(fan) for s, _ in entries]
         patterns += [((), tau) for tau in fan.cones]
+        joint = fan.regions(_joint_picks, ample.plain_coeffs)
         for d in random_divisors(fan, 200, seed="acceptance5"):
-            joint = _joint_rows(d, ample)
             for strict, tight in patterns:
                 fm = _persists(d, joint, strict, tight)
                 assert fm == lp_persists(d, ample, strict, tight), (fan.name, d.coeffs, strict, tight)
@@ -454,15 +478,20 @@ def test_persists_matches_the_lp_on_acceptance_classes(example_fans):
     assert outcomes == {True, False}
 
 
-def test_region_builders_pick_the_rows_polyhedron_stores(monkeypatch, example_fans):
-    # every region built from a divisor's stored rows equals, row for row and
-    # in the same order, the region built by normalizing each row again
-    # (tests/oracles.py keeps those builders): integral and rational classes,
-    # an ample class with a true fraction, and tight, strict and flipped
-    # selections of every cone and bad subset
+def _region(fan, picks, selection, coeffs, ample=None):
+    """A selection table's region for the coefficients, as a Polyhedron."""
+    plan, index = fan.regions(picks, ample and ample.plain_coeffs)[selection]
+    return plan.polyhedron(rhs(index, coeffs))
+
+
+def test_region_builders_pick_the_rows_polyhedron_stores(example_fans):
+    # every region of every selection table, read as a Polyhedron for the
+    # divisor's constants, equals, row for row and in the same order, the
+    # region built by normalizing each row again (tests/oracles.py keeps
+    # those builders): integral and rational classes, an ample class with a
+    # true fraction, and tight, strict and flipped selections of every cone
+    # and bad subset
     rng = random.Random(20265)
-    big_regions = []
-    monkeypatch.setattr(toricpos.positivity, "strictly_feasible", lambda poly: big_regions.append(poly))
     for fan in (*example_fans, P112):
         h = default_ample(fan)
         subsets = [s for entries in bad_subsets(fan) for s, _ in entries]
@@ -473,81 +502,123 @@ def test_region_builders_pick_the_rows_polyhedron_stores(monkeypatch, example_fa
         integral = random_divisors(fan, 3, seed="stored-rows")
         mixed = h + Fraction(1, 2) * prime_divisor(fan, 0)  # -K + F1/2
         for d in (*integral, *rational, Fraction(1, 2) * integral[0], mixed):
-            assert section_polyhedron(d) == coeff_section_polyhedron(d), d.coeffs
+            a = d.plain_coeffs
+            assert section_polyhedron(d) == coeff_section_polyhedron(d) == _region(fan, _face_picks, ((), ()), a)
             for ample in (h, mixed):
-                joint = _joint_rows(d, ample)
                 for s in subsets:
-                    assert _joint_region(d, joint, strict=s) == coeff_joint_region(d, ample, strict=s)
+                    assert _region(fan, _joint_picks, (s, ()), a, ample) == coeff_joint_region(d, ample, strict=s)
                 for tau in fan.cones:
-                    assert _joint_region(d, joint, tight=tau) == coeff_joint_region(d, ample, tight=tau)
+                    assert _region(fan, _joint_picks, ((), tau), a, ample) == coeff_joint_region(d, ample, tight=tau)
             for s in subsets:
-                assert subset_region(fan, d.rows, s) == coeff_subset_region(fan, d.plain_coeffs, s)
+                assert _region(fan, subset_picks, s, a) == coeff_subset_region(fan, a, s)
                 for tau in fan.cones:
-                    assert _face_region(d, tau, s) == coeff_face_region(d, tau, s), (d.coeffs, tau, s)
+                    assert _region(fan, _face_picks, (tau, s), a) == coeff_face_region(d, tau, s), (d.coeffs, tau, s)
             for tau in fan.cones:
-                assert _face_region(d, tau) == coeff_face_region(d, tau)
-                is_big(d, tau)
-                assert big_regions.pop() == coeff_big_region(d, tau), (fan.name, d.coeffs, tau)
+                assert _region(fan, _face_picks, (tau, ()), a) == coeff_face_region(d, tau)
+                assert _region(fan, _big_picks, tau, a) == coeff_big_region(d, tau), (fan.name, d.coeffs, tau)
         twisted = tuple(3 * a - b for a, b in zip(rational[0].plain_coeffs, mixed.plain_coeffs))
-        rows = ray_rows(fan.rank, fan.rays, twisted)
         for s in subsets:
-            assert subset_region(fan, rows, s) == coeff_subset_region(fan, twisted, s)
-    # a row of plain ints is stored as it is and a row with a Fraction goes
-    # through polyhedron(): both routes store what polyhedron() stores, for
-    # the ray rows and the joint rows, on the built-in fans, P(1,1,2) and
-    # quotient fans whose rays are images of the original rays
+            assert _region(fan, subset_picks, s, twisted) == coeff_subset_region(fan, twisted, s)
+    # int constants on a table's primitive normals are stored as they are,
+    # Fraction constants go through polyhedron(): both give what polyhedron()
+    # stores, for the ray rows and the joint rows, on the built-in fans,
+    # P(1,1,2) and quotient fans whose rays are images of the original rays
     totaro = example_fans[-1]
     quotients = [star_quotient(totaro, tau)[0] for tau in ((0,), (2,), (3, 4))]
     for fan in (*example_fans, P112, *quotients):
         h = default_ample(fan)
         joint = [u + (-a,) for u, a in zip(fan.rays, h.plain_coeffs)]
+        eps = [((0,) * fan.rank + (-1,), 0)]
         for d in (*random_divisors(fan, 3, seed="int-rows"), h, -h):
             assert all(type(a) is int for a in d.plain_coeffs)
-            for dim, normals in ((fan.rank, fan.rays), (fan.rank + 1, joint)):
-                stored = polyhedron(dim, weak=tuple(zip(normals, d.coeffs))).weak
-                expected = tuple((row, (tuple(-x for x in row[0]), -row[1])) for row in stored)
-                assert ray_rows(dim, normals, d.plain_coeffs) == expected, (fan.rays, d.coeffs)
-                assert ray_rows(dim, normals, d.coeffs) == expected, (fan.rays, d.coeffs)
+            rays = polyhedron(fan.rank, weak=tuple(zip(fan.rays, d.coeffs)))
+            joints = polyhedron(fan.rank + 1, strict=eps, weak=tuple(zip(joint, d.coeffs)))
+            for a in (d.plain_coeffs, d.coeffs):
+                assert _region(fan, _face_picks, ((), ()), a) == rays, (fan.rays, d.coeffs)
+                assert _region(fan, _joint_picks, ((), ()), a, h) == joints, (fan.rays, d.coeffs)
+
+
+def _walked(runs, blocks):
+    """(first run, per-parent (prefix, count)) of a walk, or "unbounded"."""
+    try:
+        return next(runs(), None), [(block[0], block[-1]) for block in blocks()]
+    except UnboundedRegion:
+        return "unbounded"
+
+
+def test_selection_queries_answer_as_the_oracle_regions(p1, p2, p1xp1, totaro):
+    # each kind of region read as (plan, b) from the fan's tables against the
+    # Polyhedron tests/oracles.py builds with every row normalized: both
+    # Q-decisions, the first lattice point and the points per parent node.
+    # The decisions read rational constants exactly and the walk floors
+    # them; on an unbounded region a floored walk may find no point where the
+    # oracle's walk, on the rational closure, reports the unboundedness
+    gl = product_fan([(p1.rays, p1.max_cones), (p2.rays, p2.max_cones)], ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+    seen = Counter()
+    for fan in (p1, p2, p1xp1, totaro, P112, gl):
+        h = default_ample(fan)
+        subsets = [s for entries in bad_subsets(fan) for s, _ in entries]
+        mixed = h + Fraction(1, 2) * prime_divisor(fan, 0)
+        integral = random_divisors(fan, 2, seed="selections")
+        for d in (*integral, Fraction(1, 2) * integral[0], mixed):
+            a = d.plain_coeffs
+            queries = [(subset_picks, None, s, coeff_subset_region(fan, a, s)) for s in subsets]
+            queries += [(_face_picks, None, ((), s), coeff_face_region(d, (), s)) for s in subsets]
+            for tau in fan.cones:
+                queries.append((_face_picks, None, (tau, ()), coeff_face_region(d, tau)))
+                queries.append((_big_picks, None, tau, coeff_big_region(d, tau)))
+            for ample in (h, mixed):
+                queries += [(_joint_picks, ample, (s, ()), coeff_joint_region(d, ample, strict=s)) for s in subsets]
+                queries += [(_joint_picks, ample, ((), tau), coeff_joint_region(d, ample, tight=tau))
+                            for tau in fan.cones]
+            for picks, ample, selection, oracle in queries:
+                plan, index = fan.regions(picks, ample and ample.plain_coeffs)[selection]
+                b = rhs(index, a)
+                where = (fan.rays, d.coeffs, picks.__name__, selection)
+                assert plan.closure_nonempty(b) == closure_nonempty(oracle), where
+                assert plan.strictly_feasible(b) == strictly_feasible(oracle), where
+                got = _walked(lambda: plan.runs(b), lambda: plan.blocks(b))
+                want = _walked(lambda: lattice_runs(oracle, first_only=True), lambda: lattice_blocks(oracle))
+                rational = any(type(x) is not int for x in b)
+                if want == "unbounded" and rational:
+                    assert got in ("unbounded", (None, [])), where
+                else:
+                    assert got == want, where
+                if got != "unbounded":
+                    first = [] if got[0] is None else [got[0][0] + (got[0][1],)]
+                    assert plan.has_point(b) == bool(first), where
+                    if want != "unbounded":
+                        assert first == lattice_points(oracle, first_only=True), where
+                seen[picks.__name__, rational, got == "unbounded" or bool(got[0])] += 1
+    assert len(seen) == 16, seen  # every kind, int and rational constants, hit and miss
 
 
 def test_rows_are_normalized_a_fixed_number_of_times_per_divisor(monkeypatch, totaro):
-    # ray_rows is the one builder of a divisor's rows. A positivity profile
-    # and both exact base loci on totaro-x build D's rows once (the cone
-    # flags, both loci, and the q-ample searches when D is primitive), the
-    # joint rows once per q and once for B+, and -D's rows once (D keeps its
-    # negation): 6 times, whatever the number of cones and subsets. A class
-    # that is not primitive adds its primitive class's rows once per q: 9.
-    # Every row of an integral class holds plain ints and a primitive ray, so
-    # polyhedron(), the normalizer, is never called.
+    # a divisor's regions build no row: their normals come from the fan's
+    # selection tables and an integral class supplies int constants, so a
+    # positivity profile and both exact base loci call polyhedron(), the
+    # normalizer, no time at all, whatever the number of cones and subsets,
+    # for primitive classes and for multiples (whose q-ample searches run on
+    # the primitive class)
     assert totaro.properties.complete
-    calls, normalized = [], []
-    build, normalize = toricpos.polyhedra.ray_rows, toricpos.polyhedra.polyhedron
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+    normalized = []
+    normalize = toricpos.polyhedra.polyhedron
 
     def counting_normalize(*args, **kwargs):
         normalized.append(args)
         return normalize(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "toricpos":
-            if getattr(module, "ray_rows", None) is build:
-                monkeypatch.setattr(module, "ray_rows", counting)
-            if getattr(module, "polyhedron", None) is normalize:
-                monkeypatch.setattr(module, "polyhedron", counting_normalize)
+        if name.split(".")[0] == "toricpos" and getattr(module, "polyhedron", None) is normalize:
+            monkeypatch.setattr(module, "polyhedron", counting_normalize)
     divisors = random_divisors(totaro, 6, seed="rows-once")
     kinds = Counter()
     for d in (*divisors, 2 * divisors[0]):
-        calls.clear()
         positivity_report(d)
         augmented_base_locus_exact(d)
         stable_base_locus_exact(d)
-        primitive = _primitive_integral(d) is d
-        assert len(calls) == (6 if primitive else 9), (d.coeffs, len(calls))
         assert not normalized, (d.coeffs, normalized)
-        kinds[primitive] += 1
+        kinds[_primitive_integral(d) is d] += 1
     assert kinds[True] and kinds[False]
     assert len(totaro.cones) > 11 and sum(map(len, bad_subsets(totaro))) > 3
 
@@ -555,15 +626,17 @@ def test_rows_are_normalized_a_fixed_number_of_times_per_divisor(monkeypatch, to
 def test_a_linearly_equivalent_representative_reuses_every_plan(totaro):
     # D + div(chi^m) changes the constants of every region of the check (the
     # scan's twists, the joint region, the section polytope) but no normal,
-    # so its check builds no plan and no projection, and answers as D does
+    # so its check adds no entry to the fan's selection tables and builds no
+    # plan and no projection, and answers as D does
     for coeffs, q in (((0, 2, -4, -3, 0, -3), 1), ((4, 0, -2, 0, 3, 3), 1)):
         d = ToricDivisor(totaro, coeffs)
         first = check_mode_agreement(d, q)
+        entries = sum(map(len, totaro._regions.values()))
         plans, projections = _plan.cache_info(), _projection.cache_info()
         shifted = d + divisor_of_character(totaro, (1, -2, 1))
         second = check_mode_agreement(shifted, q)
+        assert sum(map(len, totaro._regions.values())) == entries, coeffs
         assert _plan.cache_info().misses == plans.misses, coeffs
-        assert _plan.cache_info().hits > plans.hits, coeffs
         assert _projection.cache_info().misses == projections.misses, coeffs
         assert second["scan"] == first["scan"] and second["realized"] == first["realized"]
         asym, shifted_asym = first["asymptotic"], second["asymptotic"]

@@ -1,5 +1,6 @@
-"""scripts/region_bench.py replays a scan's regions and counts its caches, then
-times the counts of cohomology's weight regions."""
+"""scripts/region_bench.py records and replays a mode check's (plan, b)
+queries and counts its caches, then times the counts of cohomology's weight
+regions."""
 
 import importlib.util
 from pathlib import Path
@@ -19,14 +20,15 @@ def load_script():
 
 def test_replay_builds_one_plan_per_distinct_normals():
     bench = load_script()
-    regions = bench.scan_regions(seed=5, classes=2)
-    totals, caches = bench.replay(regions, repeat=2)
-    keys = {(r.dim, tuple(u for u, _ in r.strict), tuple(u for u, _ in r.weak)) for r in regions}
-    # each scan region is bounded, so a query looks up its plan exactly once
-    assert caches["plan"].misses == len(keys)
-    assert caches["plan"].hits + caches["plan"].misses == 2 * len(regions)
-    assert sum(count for count, _ in totals.values()) == len(regions)
-    assert totals["hit"][0] and totals["empty over Q"][0]
+    queries = bench.scan_queries(seed=5, classes=2)
+    totals, caches = bench.replay(queries, repeat=2)
+    keys = {(plan.dim, plan.strict, plan.weak) for _, plan, _ in queries}
+    # a query looks up no plan: the replay rebuilds each distinct plan once
+    assert (caches["plan"].hits, caches["plan"].misses) == (0, len(keys))
+    assert sum(count for count, _, _ in totals.values()) == len(queries)
+    assert all(count for count, _, _ in totals.values()), totals
+    count, _, yes = totals["subset"]
+    assert 0 < yes < count  # the scan finds points in some regions, not all
 
 
 def test_report_names_every_kind_and_cache(capsys):
@@ -34,7 +36,8 @@ def test_report_names_every_kind_and_cache(capsys):
     out = capsys.readouterr().out.splitlines()
     assert "from 2 classes on totaro-x (seed 5)" in out[0]
     assert [line.split()[0] for line in out[1:]] == [
-        "kind", "empty", "hit", "empty", "plan", "projection", "count", "weights"]
+        "kind", "subset", "face", "joint", "plan", "projection", "count", "weights"]
+    assert out[1].split() == ["kind", "queries", "us/query", "yes"]
     assert out[-2].split()[1:] == ["regions", "us/region", "parents", "children/parent", "blocks/region"]
     regions, _, parents, per_parent, per_region = out[-1].split()[1:]
     assert int(regions) == 2 * 8 and int(parents) > 0
@@ -43,8 +46,8 @@ def test_report_names_every_kind_and_cache(capsys):
 
 def test_count_replay_walks_every_bad_subset_region():
     bench = load_script()
-    regions = bench.count_regions(seed=5, classes=2)
-    spent, parents, children, blocks = bench.count_replay(regions, repeat=1)
+    queries = bench.count_queries(seed=5, classes=2)
+    spent, parents, children, blocks = bench.count_replay(queries, repeat=1)
     # cohomology_dims counts the region of every bad subset of every degree
-    assert len(regions) == 2 * sum(map(len, bad_subsets(load_workspace("totaro-x").fan)))
+    assert len(queries) == 2 * sum(map(len, bad_subsets(load_workspace("totaro-x").fan)))
     assert spent > 0 and 0 < blocks <= parents <= children
