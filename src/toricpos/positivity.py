@@ -520,7 +520,8 @@ def smallest_qample(divisor: ToricDivisor, ample: ToricDivisor | None = None) ->
     the highest obstructed degree, or 0 when no degree is obstructed."""
     d, ample, index = _setup(divisor, 0, ample)
     degrees = range(divisor.fan.rank, 0, -1)
-    hit = next(_obstructions(d, d.fan.regions(_joint_picks, ample.plain_coeffs), index, degrees), None)
+    joint = d.fan.regions(_joint_picks, ample.plain_coeffs)
+    hit = next(_obstructions(d, joint, index, degrees), None)
     return hit[0] if hit is not None else 0
 
 

@@ -96,8 +96,8 @@ def lp_persists(d, ample, strict=(), tight=()) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# region builders that normalize every row of every region: the rows the
-# builders that pick a divisor's stored rows must reproduce
+# region builders that normalize every row of every region: the rows a
+# fan's selection tables (``Fan.regions``) must reproduce for a divisor
 # ---------------------------------------------------------------------------
 
 

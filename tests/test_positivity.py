@@ -503,16 +503,20 @@ def test_region_builders_pick_the_rows_polyhedron_stores(example_fans):
         mixed = h + Fraction(1, 2) * prime_divisor(fan, 0)  # -K + F1/2
         for d in (*integral, *rational, Fraction(1, 2) * integral[0], mixed):
             a = d.plain_coeffs
-            assert section_polyhedron(d) == coeff_section_polyhedron(d) == _region(fan, _face_picks, ((), ()), a)
+            section = _region(fan, _face_picks, ((), ()), a)
+            assert section_polyhedron(d) == coeff_section_polyhedron(d) == section, d.coeffs
             for ample in (h, mixed):
                 for s in subsets:
-                    assert _region(fan, _joint_picks, (s, ()), a, ample) == coeff_joint_region(d, ample, strict=s)
+                    expected = coeff_joint_region(d, ample, strict=s)
+                    assert _region(fan, _joint_picks, (s, ()), a, ample) == expected
                 for tau in fan.cones:
-                    assert _region(fan, _joint_picks, ((), tau), a, ample) == coeff_joint_region(d, ample, tight=tau)
+                    expected = coeff_joint_region(d, ample, tight=tau)
+                    assert _region(fan, _joint_picks, ((), tau), a, ample) == expected
             for s in subsets:
                 assert _region(fan, subset_picks, s, a) == coeff_subset_region(fan, a, s)
                 for tau in fan.cones:
-                    assert _region(fan, _face_picks, (tau, s), a) == coeff_face_region(d, tau, s), (d.coeffs, tau, s)
+                    expected = coeff_face_region(d, tau, s)
+                    assert _region(fan, _face_picks, (tau, s), a) == expected, (d.coeffs, tau, s)
             for tau in fan.cones:
                 assert _region(fan, _face_picks, (tau, ()), a) == coeff_face_region(d, tau)
                 assert _region(fan, _big_picks, tau, a) == coeff_big_region(d, tau), (fan.name, d.coeffs, tau)
@@ -568,7 +572,8 @@ def test_selection_queries_answer_as_the_oracle_regions(p1, p2, p1xp1, totaro):
                 queries.append((_face_picks, None, (tau, ()), coeff_face_region(d, tau)))
                 queries.append((_big_picks, None, tau, coeff_big_region(d, tau)))
             for ample in (h, mixed):
-                queries += [(_joint_picks, ample, (s, ()), coeff_joint_region(d, ample, strict=s)) for s in subsets]
+                queries += [(_joint_picks, ample, (s, ()), coeff_joint_region(d, ample, strict=s))
+                            for s in subsets]
                 queries += [(_joint_picks, ample, ((), tau), coeff_joint_region(d, ample, tight=tau))
                             for tau in fan.cones]
             for picks, ample, selection, oracle in queries:
