@@ -11,7 +11,9 @@ two questions, the eps = 0 face closure (``Plan.closure_nonempty``) and the
 joint system in (y, eps) (``Plan.strictly_feasible``). It then rebuilds the
 recorded plans from empty plan and projection caches and replays the
 queries ``--repeat`` times, timing each one. The script prints, per kind,
-the queries, microseconds per query and how many answered yes, and the hits
+the queries, microseconds per query on the first replay (which builds each
+plan's projections from the empty caches) and the median over the later
+replays (warm, "-" under ``--repeat 1``), how many answered yes, and the hits
 and misses of the plan and projection caches over the replay (a query looks
 up no plan, so the plan cache misses once per distinct plan and is never
 hit).
@@ -21,8 +23,11 @@ classes on totaro-x, each times a multiple k in 10..20, go through
 ``cohomology_dims``, which counts each bad subset's weight region
 (``Plan.blocks``); the recorded queries are replayed ``--repeat`` times.
 The count line gives microseconds per counted region, the parent nodes
-(depth n - 2) the walk reaches per pass, the children per parent and the
-blocks (parents holding a weight) per region.
+(depth n - 2) the walk reaches per pass, the children per parent (v_hi -
+v_lo + 1 of each parent), the share of parents with a term whose row has a
+last coefficient |a| > 1 (one that ``parent_count`` reads with a floor sum,
+not an arithmetic series), and the blocks (parents holding a weight) per
+region.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import statistics
 import sys
 import time
 
@@ -85,8 +91,9 @@ def scan_queries(seed: int, classes: int):
 
 
 def replay(queries, repeat: int):
-    """Per kind, [queries, total ns, yes answers] over ``repeat`` replays on
-    plans rebuilt from empty caches, and the cache counters of the replay."""
+    """Per kind, [queries, ns of each replay, yes answers] over ``repeat``
+    replays on plans rebuilt from empty caches, and the cache counters of
+    the replay."""
     _plan.cache_clear()
     _projection.cache_clear()
     fresh = {}
@@ -94,18 +101,17 @@ def replay(queries, repeat: int):
         if id(plan) not in fresh:
             fresh[id(plan)] = _plan(plan.dim, plan.strict, plan.weak)
     calls = [(kind, getattr(fresh[id(plan)], KINDS[kind]), b) for kind, plan, b in queries]
-    answers, spent = [None] * len(calls), [0] * len(calls)
+    totals = {kind: [0, [0] * repeat, 0] for kind in KINDS}
+    answers = [None] * len(calls)
     clock = time.perf_counter_ns
-    for _ in range(repeat):
-        for i, (_, ask, b) in enumerate(calls):
+    for r in range(repeat):
+        for i, (kind, ask, b) in enumerate(calls):
             start = clock()
             answers[i] = ask(b)
-            spent[i] += clock() - start
+            totals[kind][1][r] += clock() - start
     caches = {"plan": _plan.cache_info(), "projection": _projection.cache_info()}
-    totals = {kind: [0, 0, 0] for kind in KINDS}
-    for (kind, _, _), answer, ns in zip(calls, answers, spent):
+    for (kind, _, _), answer in zip(calls, answers):
         totals[kind][0] += 1
-        totals[kind][1] += ns
         totals[kind][2] += bool(answer)
     return totals, caches
 
@@ -127,7 +133,7 @@ def count_queries(seed: int, classes: int):
 
 def count_replay(queries, repeat: int):
     """Total ns of ``repeat`` replays of the counts, and the parents, their
-    children and the blocks of one pass."""
+    children, the parents with a |a| > 1 row and the blocks of one pass."""
     clock = time.perf_counter_ns
     spent = 0
     for _ in range(repeat):
@@ -135,13 +141,14 @@ def count_replay(queries, repeat: int):
             start = clock()
             tuple(plan.blocks(b))
             spent += clock() - start
-    parents = children = blocks = 0
+    parents = children = wide = blocks = 0
     for plan, b in queries:
-        for _, _, _, his, _ in plan.parent_folds(b):
+        for _, _, v_lo, v_hi, terms in plan.parent_terms(b):
             parents += 1
-            children += len(list(his))
+            children += v_hi - v_lo + 1
+            wide += any(d > 1 for side in terms for _, _, d in side)
         blocks += sum(1 for _ in plan.blocks(b))
-    return spent, parents, children, blocks
+    return spent, parents, children, wide, blocks
 
 
 def main(argv=None) -> None:
@@ -156,19 +163,20 @@ def main(argv=None) -> None:
     totals, caches = replay(queries, args.repeat)
     print(f"{len(queries)} queries from {args.classes} classes on totaro-x "
           f"(seed {args.seed}), replayed {args.repeat} times")
-    print(f"{'kind':<14}{'queries':>9}{'us/query':>10}{'yes':>7}")
+    print(f"{'kind':<14}{'queries':>9}{'first_us/q':>12}{'warm_us/q':>11}{'yes':>7}")
     for kind, (count, ns, yes) in totals.items():
-        per_query = f"{ns / 1000 / (count * args.repeat):.1f}" if count else "-"
-        print(f"{kind:<14}{count:>9}{per_query:>10}{yes:>7}")
+        first = f"{ns[0] / 1000 / count:.1f}" if count else "-"
+        warm = f"{statistics.median(ns[1:]) / 1000 / count:.1f}" if count and args.repeat > 1 else "-"
+        print(f"{kind:<14}{count:>9}{first:>12}{warm:>11}{yes:>7}")
     for name, info in caches.items():
         print(f"{name + ' cache':<17}hits {info.hits:>6}  misses {info.misses:>5}")
     counted = count_queries(args.seed, args.classes)
-    spent, parents, children, blocks = count_replay(counted, args.repeat)
+    spent, parents, children, wide, blocks = count_replay(counted, args.repeat)
     print(f"{'count':<14}{'regions':>9}{'us/region':>11}{'parents':>9}"
-          f"{'children/parent':>17}{'blocks/region':>15}")
+          f"{'children/parent':>17}{'|a|>1_share':>13}{'blocks/region':>15}")
     print(f"{'weights':<14}{len(counted):>9}{spent / 1000 / (len(counted) * args.repeat):>11.1f}"
-          f"{parents:>9}{children / max(parents, 1):>17.1f}{blocks / len(counted):>15.1f}")
-
+          f"{parents:>9}{children / max(parents, 1):>17.1f}{wide / max(parents, 1):>13.3f}"
+          f"{blocks / len(counted):>15.1f}")
 
 if __name__ == "__main__":
     main()

@@ -14,11 +14,13 @@ The same index powers the exact asymptotic nonvanishing test.
 P_S(D)'s rows are fixed by the fan and S, so each subset's region plan is
 looked up once per fan (``Fan.regions``) and a divisor supplies only its
 constants. The walk hands each region's weights over in blocks, one per
-parent node of the second-to-last coordinate (``Plan.blocks``): the ends of
-each child's last-coordinate interval as two int lists, and the block's
-count. ``Weights`` keeps them that way, so a dimension is a sum of block
-counts, and a weight tuple is built only when it is read. ``degree_nonzero``
-asks only whether a region holds a point (``Plan.has_point``).
+parent node of the second-to-last coordinate (``Plan.blocks``): the
+parent's range of that coordinate, the terms whose mins bound each child's
+last coordinate, and the parent's count, read from the terms in closed form
+(an arithmetic series or a floor sum per binding row). A dimension is a sum
+of block counts; ``Weights`` keeps the blocks and builds a block's children
+(``folds``) only when a reader enters it. ``degree_nonzero`` asks only
+whether a region holds a point (``Plan.has_point``).
 """
 
 from __future__ import annotations
@@ -29,13 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, count, islice, repeat
-from operator import add
 
 from .divisor import ToricDivisor, require_integral
 from .errors import NotComplete, ToricError, UnboundedRegion
 from .fan import Fan, RaySubcomplex, full_subcomplex
 from .linalg import rref
-from .polyhedra import lp_strict_feasible, rhs
+from .polyhedra import child_runs, folds, lp_strict_feasible, rhs
 
 MAX_RAYS_FOR_SUBSET_INDEX = 20
 
@@ -126,52 +127,53 @@ def _require_degree(fan: Fan, p: int) -> None:
 
 class Weights(Sequence):
     """Read-only weights of one region, lexicographic, kept as the walk's
-    blocks (``Plan.blocks``): the children v_lo + j of one parent prefix,
-    child j holding the weights prefix + (v_lo + j, w) for -neg_los[j] <= w
-    <= his[j] (just (w,) in dimension 1). Its length is a sum of block
-    counts, an index or a slice one lookup of its lowest index and a walk on
-    from there, and it is equal to any sequence of the same weights. No
+    blocks (``Plan.blocks``): the children v_lo..v_hi of one parent prefix,
+    child v holding the weights prefix + (v, w) for w between the ends its
+    terms give (just (w,) in dimension 1), and the block's count. Its length
+    is a sum of block counts, and it is equal to any sequence of the same
+    weights. A block's children are folded (``folds``) only when a reader
+    enters it: an index or a slice keeps the runs of the block it starts in,
+    with their running lengths, and iteration folds block by block. No
     weight tuple is built until one is read."""
 
     def __init__(self, blocks, dim):
         self.blocks = tuple(blocks)
         self._nested = dim > 1  # a parent coordinate heads each child
         self._starts = [0, *accumulate(block[-1] for block in self.blocks)]
-        self._ends = {}  # block index -> running widths of its children
+        self._opened = {}  # block index -> its runs and their running lengths
 
     def __len__(self):
         return self._starts[-1]
 
-    def _runs(self, block):
-        prefix, v_lo, his, neg_los, _ = block
-        heads = zip(count(v_lo)) if self._nested else repeat(())
-        for head, h, neg_lo in zip(heads, his, neg_los):
-            if h + neg_lo >= 0:
-                yield prefix + head, -neg_lo, h
+    def _runs(self, blocks):
+        for prefix, v_lo, v_hi, terms, _ in blocks:
+            heads = zip(count(v_lo)) if self._nested else repeat(())
+            yield from child_runs(prefix, heads, *folds(terms, v_lo, v_hi))
 
     @property
     def runs(self):
         """The walk's runs (prefix, lo, hi), as ``Plan.runs`` yields them."""
-        return tuple(run for block in self.blocks for run in self._runs(block))
+        return tuple(self._runs(self.blocks))
 
-    def _points(self, blocks):
-        return (p + (v,) for block in blocks for p, lo, hi in self._runs(block) for v in range(lo, hi + 1))
+    @staticmethod
+    def _points(runs):
+        return (p + (v,) for p, lo, hi in runs for v in range(lo, hi + 1))
 
     def _from(self, k):
         """The weights from index k (0 <= k < len) on: a bisection of the
-        blocks and one of the block's running child widths (summed in C on
-        its first read and kept) find weight k, and the walk goes on."""
+        blocks and one of the block's running run lengths (its runs folded
+        on its first read and kept) find weight k, and the walk goes on."""
         b = bisect_right(self._starts, k) - 1
         k -= self._starts[b]
-        prefix, v_lo, his, neg_los, _ = self.blocks[b]
-        ends = self._ends.get(b)
-        if ends is None:
-            widths = map(add, map(max, map(add, his, neg_los), repeat(-1)), repeat(1))
-            ends = self._ends[b] = list(accumulate(widths))
-        j = bisect_right(ends, k)  # the child holding the weight
-        w = his[j] - (ends[j] - 1 - k)  # the child's last weight his[j] is at ends[j] - 1
-        rest = (prefix, v_lo + j, islice(his, j, None), chain((-w,), islice(neg_los, j + 1, None)), None)
-        return self._points(chain((rest,), islice(self.blocks, b + 1, None)))
+        opened = self._opened.get(b)
+        if opened is None:
+            runs = list(self._runs(self.blocks[b : b + 1]))
+            opened = self._opened[b] = runs, list(accumulate(hi - lo + 1 for _, lo, hi in runs))
+        runs, ends = opened
+        j = bisect_right(ends, k)  # the run holding the weight
+        prefix, _, hi = runs[j]
+        first = (prefix, hi - (ends[j] - 1 - k), hi)  # the run's last weight hi is at ends[j] - 1
+        return self._points(chain((first,), islice(runs, j + 1, None), self._runs(islice(self.blocks, b + 1, None))))
 
     def __getitem__(self, i):
         k = range(len(self))[i]  # negative, out-of-range and slice indices as for a tuple
@@ -184,7 +186,7 @@ class Weights(Sequence):
         return read if k.step > 0 else read[::-1]
 
     def __iter__(self):
-        return self._points(self.blocks)
+        return self._points(self._runs(self.blocks))
 
     def __eq__(self, other):
         return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented

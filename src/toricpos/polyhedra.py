@@ -40,11 +40,12 @@ integer points, so <u, y> + c >= 0 iff <u, y> + floor(c) >= 0, and
 <u, y> + c < 0 iff <u, y> + floor(c) < 0. The box rounds each coordinate's
 projected range inward; the walk visits it one interval per node, each row
 bounding the next coordinate by floor division, and builds a node only when
-it visits it. The last level is read in one batch per parent node (depth
-n - 2): each row's bounds over the parent's range are one ``map`` of floor
-divisions folded with ``min`` (``Plan.parent_folds``). ``Plan.has_point``
-stops at the first nonempty child, ``Plan.runs`` zips the folds into runs
-(prefix, lo, hi), and ``Plan.blocks`` counts each parent's points in C.
+it visits it. It stops at the parent nodes (depth n - 2), where each end of
+a child's last-coordinate interval is a min of terms floor((A - p * v) / d)
+in the child's coordinate v (``Plan.parent_terms``). ``parent_count``
+counts a parent's points from its terms in closed form, whatever its width;
+``Plan.blocks`` and ``Plan.has_point`` read only counts, and ``Plan.runs``
+and a reader of weights build the children's ends as lazy ``folds``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice, repeat
 from math import ceil, floor, gcd
-from operator import add, itemgetter, neg
+from operator import itemgetter, neg
 
 from .errors import UnboundedRegion
 from .linalg import clear_denominators, content_free
@@ -403,6 +404,95 @@ def _parents(cols, tails, lo, hi, vals):
         prefix += (v,)
 
 
+def floor_sum(n, m, a, b):
+    """sum(floor((a * i + b) / m) for i in range(n)) for m >= 1, in O(log m)
+    steps: the AtCoder Library's floor_sum, a Euclid-like recursion
+    (Graham-Knuth-Patashnik, Concrete Mathematics, 3.5)."""
+    total = 0
+    while n > 0:
+        q, a = divmod(a, m)
+        r, b = divmod(b, m)
+        total += n * (n - 1) // 2 * q + n * r
+        top = a * n + b  # now 0 <= a, b < m: count the lattice points under the line
+        if top < m:
+            break
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
+
+
+def _cut(lo, hi, P, R):
+    """The v in [lo, hi] with P * v <= R; empty when lo > hi."""
+    if P > 0:
+        return lo, min(hi, R // P)
+    if P < 0:
+        return max(lo, -(R // -P)), hi
+    return (lo, hi) if R >= 0 else (lo, lo - 1)
+
+
+def _side_sum(side, lo, hi):
+    """Sum over v in [lo, hi] of the min of floor((A - p * v) / d) over the
+    side's terms: term i binds where it is below each earlier term and at
+    most each later one, an interval, so the sum is one arithmetic series
+    (d = 1) or one floor_sum per binding term."""
+    total = 0
+    for i, (a, p, d) in enumerate(side):
+        x, y = lo, hi
+        for k, (c, q, e) in enumerate(side):
+            if k != i:  # (a - p * v) / d <= (c - q * v) / e, strictly for k < i
+                x, y = _cut(x, y, d * q - e * p, d * c - e * a - (k < i))
+        if x <= y:
+            n = y - x + 1
+            total += n * (a - p * x) - p * (n * (n - 1) // 2) if d == 1 else floor_sum(n, d, -p, a - p * x)
+    return total
+
+
+def parent_count(terms, v_lo, v_hi):
+    """The points under one parent: sum over v in [v_lo, v_hi] of the
+    child's width max(U(v) + L(v) + 1, 0), where U and L are the mins of
+    floor((A - p * v) / d) over the upper and the lower side's terms.
+
+    Let g_U and g_L be the real mins, so U = floor(g_U) and L = floor(g_L).
+    Where g_U + g_L >= 0, U + L > g_U + g_L - 2 >= -2, so U + L + 1 >= 0;
+    where g_U + g_L < 0, U + L <= g_U + g_L < 0, so U + L + 1 <= 0. Thus the
+    count is the sum of U + L + 1, unclipped, over the v with g_U + g_L >=
+    0: g_U + g_L is the min of t_i + s_j over pairs of terms, so that set is
+    the interval where each pair's sum, linear in v, is >= 0. Each side's
+    sum over it then splits at the binding terms (``_side_sum``).
+    """
+    upper, lower = terms
+    lo, hi = v_lo, v_hi
+    for a, p, d in upper:
+        for c, q, e in lower:  # (a - p * v) / d + (c - q * v) / e >= 0
+            lo, hi = _cut(lo, hi, e * p + d * q, e * a + d * c)
+    if lo > hi:
+        return 0
+    return hi - lo + 1 + _side_sum(upper, lo, hi) + _side_sum(lower, lo, hi)
+
+
+def folds(terms, v_lo, v_hi):
+    """A parent's (his, neg_los): per child v = v_lo, ..., v_hi, the upper
+    end and the negated lower end of its last coordinate's interval, each a
+    lazy map of floor divisions (for d = 1 the range itself) folded with
+    min, or a list when no term on its side moves with v."""
+    out = []
+    for (const, _, _), *moving in terms:
+        floors = []
+        for a, p, d in moving:
+            rooms = range(a - p * v_lo, a - p * (v_hi + 1), -p)
+            floors.append(rooms if d == 1 else map(d.__rfloordiv__, rooms))
+        out.append(map(min, repeat(const), *floors) if floors else [const] * (v_hi - v_lo + 1))
+    return out
+
+
+def child_runs(prefix, heads, his, neg_los):
+    """The runs (prefix + head, lo, hi) of a parent's nonempty children,
+    read lazily from its heads and folds."""
+    for head, h, neg_lo in zip(heads, his, neg_los):
+        if h + neg_lo >= 0:
+            yield prefix + head, -neg_lo, h
+
+
 _INT = frozenset((int,))
 
 
@@ -444,7 +534,7 @@ class Plan:
 
     @cached_property
     def walk(self):
-        """(cols, pen, sides) for ``parent_folds``. The walk reads the
+        """(cols, pen, sides) for ``parent_terms``. The walk reads the
         closure's rows in ``leq`` order as <u, y> + val <= 0 over Z, and
         cols[d] holds their coefficients at y_d. pen holds the parent
         column of the last level (zeros in dimension 1). Per side of the last
@@ -485,17 +575,17 @@ class Plan:
         t_range = _range(self.t_projection, [*b, 1, 0])
         return t_range is not None and t_range[1][0] > 0
 
-    def parent_folds(self, b):
+    def parent_terms(self, b):
         """The walk (dim >= 1) down to its parent nodes, depth n - 2, in
-        lexicographic order: yields (prefix, heads, v_lo, his, neg_los) per
-        parent whose coordinate takes v in [v_lo, v_hi]. heads holds the
-        tuples (v,) of its children, and his and neg_los are folds (lazy
-        maps, or lists when no row on their side moves with v) giving, child
-        by child, the upper end and the negated lower end of the last
-        coordinate's interval; a child is nonempty when hi + neg_lo >= 0. In
-        dimension 1 the one virtual parent has heads [()] and v_lo 0. Raises
-        UnboundedRegion when some coordinate is unbounded on a region that
-        is strictly feasible.
+        lexicographic order: yields (prefix, heads, v_lo, v_hi, terms) per
+        parent whose coordinate takes v in [v_lo, v_hi], heads holding the
+        tuples (v,) of its children. terms holds, for the upper end and the
+        negated lower end of the last coordinate, the terms (A, p, d) whose
+        min over floor((A - p * v) / d) is that end at child v: first the
+        side's constant (A, 0, 1), then one per row that moves with v. In
+        dimension 1 the one virtual parent has heads [()] and v_lo = v_hi =
+        0. Raises UnboundedRegion when some coordinate is unbounded on a
+        region that is strictly feasible.
 
         Fraction constants are floored first, so the walk runs on ints. The
         box [lo, hi] rounds each coordinate's range (``bounds``) inward; an
@@ -505,10 +595,10 @@ class Plan:
         with u[d] * v <= -val - tails[d + 1] for each row's partial sum val.
         On the last coordinate a row with coefficient a and parent
         coefficient p bounds the child at v by (-val - p * v) // |a|, from
-        above when a > 0 and, negated, from below when a < 0: one map of
-        floor divisions per row over the parent's v-range (for |a| = 1 the
-        range itself), folded with min. A row with a = 0 has tail 0 at the
-        parent, so the parent's interval holds it for every v.
+        above when a > 0 and, negated, from below when a < 0: the term
+        (-val, p, |a|). A row with p = 0 is folded into its side's constant,
+        with the box's end; a row with a = 0 has tail 0 at the parent, so
+        the parent's interval holds it for every v.
         """
         n, nw = self.dim, len(self.weak)
         if not _INT.issuperset(map(type, b)):  # floor each c: b is c on a weak row, -c on a strict one
@@ -541,48 +631,38 @@ class Plan:
         else:
             parents = _parents(cols, tails, lo, hi, vals)
         # the box's bound on each side of the last coordinate; the lower side is
-        # kept negated, so both fold with min
+        # kept negated, so both are mins
         sides = ((hi[-1], *upper_side), (-lo[-1], *lower_side))
         for prefix, vals, heads, v_lo, v_hi in parents:
-            folds = []
+            terms = []
             for bound, fixed, moving in sides:
-                const = min([bound, *(-vals[r] // d for r, d in fixed)])
-                floors = []
-                for r, d, p in moving:
-                    rooms = range(-vals[r] - p * v_lo, -vals[r] - p * (v_hi + 1), -p)
-                    floors.append(rooms if d == 1 else map(d.__rfloordiv__, rooms))
-                folds.append(map(min, repeat(const), *floors) if floors else [const] * (v_hi - v_lo + 1))
-            yield prefix, heads, v_lo, *folds
+                for r, d in fixed:
+                    bound = min(bound, -vals[r] // d)
+                terms.append(((bound, 0, 1), *[(-vals[r], p, d) for r, d, p in moving]))
+            yield prefix, heads, v_lo, v_hi, terms
 
     def has_point(self, b) -> bool:
-        """Does the region hold an integer point? Reads the folds in C and
-        stops at the first nonempty child."""
-        for *_, his, neg_los in self.parent_folds(b):
-            if any(map((-1).__lt__, map(add, his, neg_los))):
-                return True
-        return False
+        """Does the region hold an integer point? Some parent's count is
+        nonzero; no fold is built."""
+        return next(self.blocks(b), None) is not None
 
     def runs(self, b):
         """The integer points (dim >= 1) as runs, in lexicographic order:
         (prefix, lo, hi) stands for prefix + (v,) with lo <= v <= hi, one run
         per nonempty child of each parent node. The folds are read lazily, so
         a reader that stops at a run has walked no further."""
-        for prefix, heads, _, his, neg_los in self.parent_folds(b):
-            for head, h, neg_lo in zip(heads, his, neg_los):
-                if h + neg_lo >= 0:
-                    yield prefix + head, -neg_lo, h
+        for prefix, heads, v_lo, v_hi, terms in self.parent_terms(b):
+            yield from child_runs(prefix, heads, *folds(terms, v_lo, v_hi))
 
     def blocks(self, b):
         """The integer points (dim >= 1) counted per parent node, in
-        lexicographic order: (prefix, v_lo, his, neg_los, count) per parent
-        with count > 0, his and neg_los listing per child v = v_lo, v_lo + 1,
-        ... the ends hi and -lo of its last coordinate, the count summed in C.
-        In dimension 1 the one block stands for the points (w,), not (0, w)."""
-        for prefix, _, v_lo, his, neg_los in self.parent_folds(b):
-            his, neg_los = list(his), list(neg_los)
-            count = sum(map(max, map(add, his, neg_los), repeat(-1))) + len(his)
-            if count:
-                yield prefix, v_lo, his, neg_los, count
+        lexicographic order: (prefix, v_lo, v_hi, terms, count) per parent
+        with count > 0, counted in closed form (``parent_count``). In dimension 1
+        the one block stands for the points (w,), not (0, w)."""
+        for prefix, _, v_lo, v_hi, terms in self.parent_terms(b):
+            n = parent_count(terms, v_lo, v_hi)
+            if n:
+                yield prefix, v_lo, v_hi, terms, n
 
     def polyhedron(self, b) -> Polyhedron:
         """The region as the ``Polyhedron`` a witness LP reads. A selection's

@@ -20,7 +20,7 @@ from toricpos import (
     zero_divisor,
 )
 from toricpos.cohomology import Weights, bad_subsets, degree_nonzero, h_p
-from toricpos.polyhedra import Plan, lattice_blocks, lattice_runs
+from toricpos.polyhedra import Plan, folds, lattice_blocks, lattice_runs
 
 from .conftest import product_fan, random_divisors
 from .oracles import (
@@ -224,10 +224,48 @@ def test_weight_blocks_read_like_the_runs_and_the_box_filter(p1, p2, p1xp1, tota
                         weights[i]
                 assert tuple(weights) == points
                 seen[fan.rank] += 1
-                seen["children", fan.rank] = max(seen["children", fan.rank], *(len(b[2]) for b in blocks))
-                seen["empty children"] += sum(h + neg_lo < 0 for b in blocks for h, neg_lo in zip(b[2], b[3]))
+                seen["children", fan.rank] = max(seen["children", fan.rank], *(v_hi - v_lo + 1 for _, v_lo, v_hi, *_ in blocks))
+                seen["empty children"] += sum(h + neg_lo < 0 for _, v_lo, v_hi, terms, _ in blocks
+                                          for h, neg_lo in zip(*folds(terms, v_lo, v_hi)))
     assert all(seen[n] for n in range(1, 5)) and seen["empty children"] and seen["empty slice"], seen
     assert all(seen["children", n] > 1 for n in range(2, 5)), seen
+
+
+def test_folds_are_built_only_for_the_blocks_a_reader_opens(monkeypatch, totaro):
+    # a count reads each parent's terms in closed form and an existence query
+    # reads the counts, so neither builds a fold; an index builds the folds
+    # of the one block it enters and keeps them for the next index there
+    import toricpos.cohomology
+    import toricpos.polyhedra
+
+    built = []
+    fold = toricpos.polyhedra.folds
+
+    def counting(terms, v_lo, v_hi):
+        built.append((terms, v_lo, v_hi))
+        return fold(terms, v_lo, v_hi)
+
+    for module in (toricpos.polyhedra, toricpos.cohomology):
+        monkeypatch.setattr(module, "folds", counting)
+    opened = 0
+    for d in random_divisors(totaro, 4, lo=-2, hi=2, seed="lazy-folds"):
+        kd = 12 * d
+        table = cohomology_dims(kd)
+        assert [degree_nonzero(kd, p) for p in range(totaro.rank + 1)] == [h > 0 for h in table.dims]
+        assert built == [], kd.coeffs
+        for _, weights, _ in table.witnesses:
+            points = tuple(weights)  # folds every block once, keeping none
+            weights, first = Weights(weights.blocks, totaro.rank), 0
+            for _, v_lo, v_hi, terms, n in weights.blocks:
+                built.clear()
+                assert weights[first + n // 2] == points[first + n // 2]
+                assert built == [(terms, v_lo, v_hi)], (kd.coeffs, first)
+                built.clear()
+                assert weights[first] == points[first] and weights[first + n - 1] == points[first + n - 1]
+                assert built == [], (kd.coeffs, first)
+                first += n
+                opened += 1
+    assert opened > 10, opened
 
 
 def test_counts_build_no_weight(monkeypatch, example_fans):

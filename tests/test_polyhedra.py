@@ -8,28 +8,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricpos import ToricDivisor, UnboundedRegion
-from toricpos.cohomology import bad_subsets
+from toricpos import Fan, ToricDivisor, UnboundedRegion
+from toricpos.cohomology import bad_subsets, subset_picks
 from toricpos.positivity import default_ample
 from toricpos.polyhedra import (
     _plan,
     _projection,
     closure_nonempty,
     coordinate_bounds,
+    floor_sum,
+    folds,
     lattice_points,
     lattice_runs,
     lp_optimize,
     lp_strict_feasible,
+    parent_count,
     polyhedron,
+    rhs,
     simplex_max,
     strictly_feasible,
 )
 
-from .conftest import random_divisors
+from .conftest import product_fan, random_divisors
 from .oracles import (
     box_filter_lattice_points,
     certified_weight_box,
     coeff_subset_region,
+    per_child_count,
     reference_simplex_max,
 )
 
@@ -525,6 +530,52 @@ def test_lattice_runs_match_box_filter_on_seeded_corpus(totaro):
         assert list(lattice_runs(p, first_only=True)) == runs[:1], p
         twist_kinds["hit" if runs else "empty over Z" if closure_nonempty(p) else "empty over Q"] += 1
     assert len(twist_kinds) == 3 and min(twist_kinds.values()) >= 10, twist_kinds
+
+
+def test_floor_sum_matches_the_brute_force_sum():
+    for n in range(13):
+        for m in range(1, 8):
+            for a in range(-20, 21):
+                for b in range(-20, 21):
+                    assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n)), (n, m, a, b)
+
+
+def test_parent_counts_match_the_per_child_sum_on_seeded_corpus(p1, p2, totaro):
+    # every parent the walk reaches on the subset regions of integral classes,
+    # their multiples and their halves: the closed-form count against the
+    # children's widths summed one by one, and the folds against the
+    # children's ends. The corpus reaches terms with d > 1, a side with two
+    # moving rows, moving rows on both sides, and a nonempty real interval
+    # where the sides meet whose children all have width 0
+    p112 = Fan(2, ((1, 0), (-1, -2), (0, 1)), ((0, 1), (1, 2), (0, 2)), name="P(1,1,2)")
+    p1xp2 = [(p1.rays, p1.max_cones), (p2.rays, p2.max_cones)]
+    fans = (p112, product_fan(p1xp2, ((1, 1, 0), (0, 1, 1), (0, 0, 1))),
+            product_fan(p1xp2, ((1, 0, 0), (2, 1, 0), (3, -2, 1))),
+            product_fan([(p1.rays, p1.max_cones)] * 4), totaro)
+    shapes = Counter()
+    for fan in fans:
+        regions = fan.regions(subset_picks)
+        subsets = [s for entries in bad_subsets(fan) for s, _ in entries]
+        for d in random_divisors(fan, 4, lo=-3, hi=3, seed="parent-counts"):
+            for a in (d.plain_coeffs, (3 * d).plain_coeffs, [Fraction(x, 2) for x in d.coeffs]):
+                for subset in subsets:
+                    plan, index = regions[subset]
+                    for _, _, v_lo, v_hi, terms in plan.parent_terms(rhs(index, a)):
+                        count = parent_count(terms, v_lo, v_hi)
+                        assert count == per_child_count(terms, v_lo, v_hi), (fan.rays, a, subset, terms)
+                        ends = [tuple(min((x - p * v) // e for x, p, e in side) for side in terms)
+                                for v in range(v_lo, v_hi + 1)]
+                        assert list(zip(*folds(terms, v_lo, v_hi))) == ends, (fan.rays, a, subset, terms)
+                        upper, lower = terms
+                        shapes["d > 1"] += any(e > 1 for side in terms for _, _, e in side)
+                        shapes["two moving rows"] += max(len(upper), len(lower)) > 2
+                        shapes["both sides move"] += min(len(upper), len(lower)) > 1
+                        meet = [v for v in range(v_lo, v_hi + 1)
+                                if min(Fraction(x - p * v, e) for x, p, e in upper)
+                                + min(Fraction(x - p * v, e) for x, p, e in lower) >= 0]
+                        shapes["met, all widths 0"] += bool(meet) and not count
+                        shapes["parents"] += 1
+    assert len(shapes) == 5 and min(shapes.values()) >= 5, shapes
 
 
 def test_zero_dimensional_polyhedra():

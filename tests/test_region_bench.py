@@ -27,27 +27,35 @@ def test_replay_builds_one_plan_per_distinct_normals():
     assert (caches["plan"].hits, caches["plan"].misses) == (0, len(keys))
     assert sum(count for count, _, _ in totals.values()) == len(queries)
     assert all(count for count, _, _ in totals.values()), totals
+    # each kind is timed per replay, the first (cold) apart from the later
+    assert all(len(ns) == 2 and min(ns) > 0 for _, ns, _ in totals.values()), totals
     count, _, yes = totals["subset"]
     assert 0 < yes < count  # the scan finds points in some regions, not all
 
 
 def test_report_names_every_kind_and_cache(capsys):
-    load_script().main(["--seed", "5", "--classes", "2", "--repeat", "1"])
-    out = capsys.readouterr().out.splitlines()
-    assert "from 2 classes on totaro-x (seed 5)" in out[0]
-    assert [line.split()[0] for line in out[1:]] == [
-        "kind", "subset", "face", "joint", "plan", "projection", "count", "weights"]
-    assert out[1].split() == ["kind", "queries", "us/query", "yes"]
-    assert out[-2].split()[1:] == ["regions", "us/region", "parents", "children/parent", "blocks/region"]
-    regions, _, parents, per_parent, per_region = out[-1].split()[1:]
-    assert int(regions) == 2 * 8 and int(parents) > 0
-    assert float(per_parent) >= 1 and 0 < float(per_region) <= round(int(parents) / int(regions), 1)
+    bench = load_script()
+    for repeat in (1, 2):
+        bench.main(["--seed", "5", "--classes", "2", "--repeat", str(repeat)])
+        out = capsys.readouterr().out.splitlines()
+        assert "from 2 classes on totaro-x (seed 5)" in out[0]
+        assert [line.split()[0] for line in out[1:]] == [
+            "kind", "subset", "face", "joint", "plan", "projection", "count", "weights"]
+        assert out[1].split() == ["kind", "queries", "first_us/q", "warm_us/q", "yes"]
+        for line in out[2:5]:  # one replay has no warm figure
+            _, _, first, warm, _ = line.split()
+            assert float(first) > 0 and (warm == "-" if repeat == 1 else float(warm) > 0), line
+        assert out[-2].split()[1:] == [
+            "regions", "us/region", "parents", "children/parent", "|a|>1_share", "blocks/region"]
+        regions, _, parents, per_parent, share, per_region = out[-1].split()[1:]
+        assert int(regions) == 2 * 8 and int(parents) > 0 and 0 <= float(share) <= 1
+        assert float(per_parent) >= 1 and 0 < float(per_region) <= round(int(parents) / int(regions), 1)
 
 
 def test_count_replay_walks_every_bad_subset_region():
     bench = load_script()
     queries = bench.count_queries(seed=5, classes=2)
-    spent, parents, children, blocks = bench.count_replay(queries, repeat=1)
+    spent, parents, children, wide, blocks = bench.count_replay(queries, repeat=1)
     # cohomology_dims counts the region of every bad subset of every degree
     assert len(queries) == 2 * sum(map(len, bad_subsets(load_workspace("totaro-x").fan)))
-    assert spent > 0 and 0 < blocks <= parents <= children
+    assert spent > 0 and 0 < blocks <= parents <= children and 0 <= wide <= parents
