@@ -178,5 +178,6 @@ def main(argv=None) -> None:
           f"{parents:>9}{children / max(parents, 1):>17.1f}{wide / max(parents, 1):>13.3f}"
           f"{blocks / len(counted):>15.1f}")
 
+
 if __name__ == "__main__":
     main()

@@ -173,7 +173,8 @@ class Weights(Sequence):
         j = bisect_right(ends, k)  # the run holding the weight
         prefix, _, hi = runs[j]
         first = (prefix, hi - (ends[j] - 1 - k), hi)  # the run's last weight hi is at ends[j] - 1
-        return self._points(chain((first,), islice(runs, j + 1, None), self._runs(islice(self.blocks, b + 1, None))))
+        later = self._runs(islice(self.blocks, b + 1, None))
+        return self._points(chain((first,), islice(runs, j + 1, None), later))
 
     def __getitem__(self, i):
         k = range(len(self))[i]  # negative, out-of-range and slice indices as for a tuple

@@ -47,9 +47,11 @@ def per_child_count(terms, v_lo, v_hi):
     """A parent's count (``polyhedra.parent_count``) child by child: each
     child's ends read as the mins of its terms' floors, its width clipped at
     0, the widths summed."""
+    def end(side, v):
+        return min((a - p * v) // d for a, p, d in side)
+
     upper, lower = terms
-    return sum(max(min((a - p * v) // d for a, p, d in upper) + min((a - p * v) // d for a, p, d in lower) + 1, 0)
-               for v in range(v_lo, v_hi + 1))
+    return sum(max(end(upper, v) + end(lower, v) + 1, 0) for v in range(v_lo, v_hi + 1))
 
 
 def certified_weight_box(fan, coeffs):

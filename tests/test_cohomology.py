@@ -224,7 +224,8 @@ def test_weight_blocks_read_like_the_runs_and_the_box_filter(p1, p2, p1xp1, tota
                         weights[i]
                 assert tuple(weights) == points
                 seen[fan.rank] += 1
-                seen["children", fan.rank] = max(seen["children", fan.rank], *(v_hi - v_lo + 1 for _, v_lo, v_hi, *_ in blocks))
+                children = (v_hi - v_lo + 1 for _, v_lo, v_hi, *_ in blocks)
+                seen["children", fan.rank] = max(seen["children", fan.rank], *children)
                 seen["empty children"] += sum(h + neg_lo < 0 for _, v_lo, v_hi, terms, _ in blocks
                                           for h, neg_lo in zip(*folds(terms, v_lo, v_hi)))
     assert all(seen[n] for n in range(1, 5)) and seen["empty children"] and seen["empty slice"], seen
