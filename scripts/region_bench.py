@@ -16,18 +16,21 @@ plan's projections from the empty caches) and the median over the later
 replays (warm, "-" under ``--repeat 1``), how many answered yes, and the hits
 and misses of the plan and projection caches over the replay (a query looks
 up no plan, so the plan cache misses once per distinct plan and is never
-hit).
+hit). The subset line's fallback column reads walked/held: how many
+``has_point`` queries found their dive dead-ended and read the count walk
+(``Plan.blocks``), and how many of those held a point.
 
-It then times the walk's counting layer the same way: ``--classes`` seeded
-classes on totaro-x, each times a multiple k in 10..20, go through
+It then times the walk's counting layer the same way, on two fans:
+``--classes`` seeded classes, each times a multiple k in 10..20, go through
 ``cohomology_dims``, which counts each bad subset's weight region
 (``Plan.blocks``); the recorded queries are replayed ``--repeat`` times.
-The count line gives microseconds per counted region, the parent nodes
-(depth n - 2) the walk reaches per pass, the children per parent (v_hi -
-v_lo + 1 of each parent), the share of parents with a term whose row has a
-last coefficient |a| > 1 (one that ``parent_count`` reads with a floor sum,
-not an arithmetic series), and the blocks (parents holding a weight) per
-region.
+totaro-x is the fan the perfbench workloads run, and P(1,1,2), whose ray
+(-1, -2) gives a row with last coefficient -2, times the floor sums. A count
+line per fan gives microseconds per counted region, the parent nodes (depth
+n - 2) the walk reaches per pass, the children per parent (v_hi - v_lo + 1
+of each parent), the share of parents with a term whose row has a last
+coefficient |a| > 1 (one that ``parent_count`` reads with a floor sum, not
+an arithmetic series), and the blocks (parents holding a weight) per region.
 """
 
 from __future__ import annotations
@@ -43,11 +46,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import toricpos.cohomology  # noqa: E402
 import toricpos.positivity  # noqa: E402
-from toricpos import ModeDisagreement, ToricDivisor, load_workspace  # noqa: E402
+from toricpos import Fan, ModeDisagreement, ToricDivisor, load_workspace  # noqa: E402
 from toricpos.polyhedra import Plan, _plan, _projection  # noqa: E402
 
 # kind -> the Plan method that answers its queries
 KINDS = {"subset": "has_point", "face": "closure_nonempty", "joint": "strictly_feasible"}
+# the count lines' fans; a row of P(1,1,2) has a last coefficient -2
+COUNT_FANS = ("totaro-x", "P(1,1,2)")
 
 
 def recorded(methods, run):
@@ -116,10 +121,24 @@ def replay(queries, repeat: int):
     return totals, caches
 
 
-def count_queries(seed: int, classes: int):
+def fallbacks(queries):
+    """(walked, held): how many subset queries' dives dead-ended and read
+    the count walk, and how many of those held a point."""
+    asks = [(plan, b) for kind, plan, b in queries if kind == "subset"]
+    walked = recorded(("blocks",), lambda: [plan.has_point(b) for plan, b in asks])
+    return len(walked), sum(next(plan.blocks(b), None) is not None for _, plan, b in walked)
+
+
+def count_fan(name: str) -> Fan:
+    if name == "P(1,1,2)":
+        return Fan(2, ((1, 0), (-1, -2), (0, 1)), ((0, 1), (1, 2), (0, 2)), name=name)
+    return load_workspace(name).fan
+
+
+def count_queries(seed: int, classes: int, fan_name: str = "totaro-x"):
     """(plan, b) for every weight region ``cohomology_dims`` counts for each
-    seeded class times a multiple k in 10..20, in order."""
-    fan = load_workspace("totaro-x").fan
+    seeded class on the named fan times a multiple k in 10..20, in order."""
+    fan = count_fan(fan_name)
     rng = random.Random(f"count-bench:{seed}")
 
     def run():
@@ -163,20 +182,23 @@ def main(argv=None) -> None:
     totals, caches = replay(queries, args.repeat)
     print(f"{len(queries)} queries from {args.classes} classes on totaro-x "
           f"(seed {args.seed}), replayed {args.repeat} times")
-    print(f"{'kind':<14}{'queries':>9}{'first_us/q':>12}{'warm_us/q':>11}{'yes':>7}")
+    print(f"{'kind':<14}{'queries':>9}{'first_us/q':>12}{'warm_us/q':>11}{'yes':>7}{'fallback':>10}")
+    walked, held = fallbacks(queries)
     for kind, (count, ns, yes) in totals.items():
         first = f"{ns[0] / 1000 / count:.1f}" if count else "-"
         warm = f"{statistics.median(ns[1:]) / 1000 / count:.1f}" if count and args.repeat > 1 else "-"
-        print(f"{kind:<14}{count:>9}{first:>12}{warm:>11}{yes:>7}")
+        fallback = f"{walked}/{held}" if kind == "subset" else "-"
+        print(f"{kind:<14}{count:>9}{first:>12}{warm:>11}{yes:>7}{fallback:>10}")
     for name, info in caches.items():
         print(f"{name + ' cache':<17}hits {info.hits:>6}  misses {info.misses:>5}")
-    counted = count_queries(args.seed, args.classes)
-    spent, parents, children, wide, blocks = count_replay(counted, args.repeat)
     print(f"{'count':<14}{'regions':>9}{'us/region':>11}{'parents':>9}"
           f"{'children/parent':>17}{'|a|>1_share':>13}{'blocks/region':>15}")
-    print(f"{'weights':<14}{len(counted):>9}{spent / 1000 / (len(counted) * args.repeat):>11.1f}"
-          f"{parents:>9}{children / max(parents, 1):>17.1f}{wide / max(parents, 1):>13.3f}"
-          f"{blocks / len(counted):>15.1f}")
+    for fan_name in COUNT_FANS:
+        counted = count_queries(args.seed, args.classes, fan_name)
+        spent, parents, children, wide, blocks = count_replay(counted, args.repeat)
+        print(f"{fan_name:<14}{len(counted):>9}{spent / 1000 / (len(counted) * args.repeat):>11.1f}"
+              f"{parents:>9}{children / max(parents, 1):>17.1f}{wide / max(parents, 1):>13.3f}"
+              f"{blocks / len(counted):>15.1f}")
 
 
 if __name__ == "__main__":

@@ -44,8 +44,11 @@ it visits it. It stops at the parent nodes (depth n - 2), where each end of
 a child's last-coordinate interval is a min of terms floor((A - p * v) / d)
 in the child's coordinate v (``Plan.parent_terms``). ``parent_count``
 counts a parent's points from its terms in closed form, whatever its width;
-``Plan.blocks`` and ``Plan.has_point`` read only counts, and ``Plan.runs``
-and a reader of weights build the children's ends as lazy ``folds``.
+``Plan.blocks`` reads only counts, and ``Plan.runs`` and a reader of weights
+build the children's ends as lazy ``folds``. ``Plan.has_point`` first dives
+once from the root to a leaf, through the middle of each node's interval:
+the last coordinate's interval is exact, so a dive that reaches it has
+found a point, and only a dive that dead-ends falls back to the counts.
 """
 
 from __future__ import annotations
@@ -533,22 +536,25 @@ class Plan:
         return _projection(self.lifted, self.dim + 1, self.dim)
 
     @cached_property
+    def cols(self):
+        """The walk reads the closure's rows in ``leq`` order as
+        <u, y> + val <= 0 over Z; cols[d] holds their coefficients at y_d."""
+        return tuple(tuple(u[d] for u in self.leq) for d in range(self.dim))
+
+    @cached_property
     def walk(self):
-        """(cols, pen, sides) for ``parent_terms``. The walk reads the
-        closure's rows in ``leq`` order as <u, y> + val <= 0 over Z, and
-        cols[d] holds their coefficients at y_d. pen holds the parent
+        """(pen, sides) for ``parent_terms`` (dim >= 1). pen holds the parent
         column of the last level (zeros in dimension 1). Per side of the last
         coordinate, upper then lower, sides holds the rows with a parent
         coefficient p = 0 as (row, |a|) and the others as (row, |a|, p)."""
-        n = self.dim
-        cols = tuple(tuple(u[d] for u in self.leq) for d in range(n))
-        pen = cols[n - 2] if n > 1 else (0,) * len(self.leq)
+        cols = self.cols
+        pen = cols[-2] if self.dim > 1 else (0,) * len(self.leq)
         sides = []
         for sign in (1, -1):
             side = [(r, sign * a) for r, a in enumerate(cols[-1]) if sign * a > 0]
             sides.append(([(r, d) for r, d in side if not pen[r]],
                           [(r, d, pen[r]) for r, d in side if pen[r]]))
-        return cols, pen, tuple(sides)
+        return pen, tuple(sides)
 
     def bounds(self, b):
         """The exact range of each coordinate over the closure, a list of
@@ -575,6 +581,46 @@ class Plan:
         t_range = _range(self.t_projection, [*b, 1, 0])
         return t_range is not None and t_range[1][0] > 0
 
+    def start(self, b):
+        """The walk's setup for the constants b, shared by ``parent_terms``
+        and ``has_point``: (lo, hi, vals, tails), or None when the box holds
+        no integer point. Raises UnboundedRegion when some coordinate is
+        unbounded on a region that is strictly feasible.
+
+        Fraction constants are floored first, so the walk runs on ints. The
+        box [lo, hi] rounds each coordinate's range (``bounds``) inward; an
+        empty integer range ends the setup before the next coordinate is
+        read. vals holds each row's constant as it reads <u, y> + val <= 0
+        (``cols``), and tails[d] their least values over coordinates d.. of
+        the box, so a node at depth d admits the v with
+        u[d] * v <= -val - tails[d + 1] for each row's partial sum val
+        (``_interval``); tails[n] is zero.
+        """
+        nw = len(self.weak)
+        if not _INT.issuperset(map(type, b)):  # floor each c: b is c on a weak row, -c on a strict one
+            b = [floor(x) for x in b[:nw]] + [ceil(x) for x in b[nw:]]
+        bounds = self.bounds(b)
+        if bounds is None:
+            return None
+        lo, hi = [], []
+        for lower, upper in bounds:
+            if lower is None or upper is None:
+                if self.strictly_feasible(b):
+                    raise UnboundedRegion(f"coordinate {len(lo)} unbounded")
+                return None
+            low, high = -(-lower[0] // lower[1]), upper[0] // upper[1]
+            if low > high:
+                return None
+            lo.append(low)
+            hi.append(high)
+        # a strict row's constant moves by one, as <u, y> + c < 0 means
+        # <u, y> + c + 1 <= 0 over Z
+        vals = [-x for x in b[:nw]] + [1 - x for x in b[nw:]]
+        tails = [[0] * len(vals)]  # each row's least value over the box
+        for low, high, col in zip(reversed(lo), reversed(hi), reversed(self.cols)):
+            tails.insert(0, [t + a * (low if a > 0 else high) for t, a in zip(tails[0], col)])
+        return lo, hi, vals, tails
+
     def parent_terms(self, b):
         """The walk (dim >= 1) down to its parent nodes, depth n - 2, in
         lexicographic order: yields (prefix, heads, v_lo, v_hi, terms) per
@@ -584,52 +630,29 @@ class Plan:
         min over floor((A - p * v) / d) is that end at child v: first the
         side's constant (A, 0, 1), then one per row that moves with v. In
         dimension 1 the one virtual parent has heads [()] and v_lo = v_hi =
-        0. Raises UnboundedRegion when some coordinate is unbounded on a
-        region that is strictly feasible.
+        0. Raises UnboundedRegion as ``start`` does, and ValueError in
+        dimension 0.
 
-        Fraction constants are floored first, so the walk runs on ints. The
-        box [lo, hi] rounds each coordinate's range (``bounds``) inward; an
-        empty integer range ends the walk before the next coordinate is read.
-        Rows read <u, y> + c <= 0 and tails[d] holds their least values over
-        coordinates d.. of the box, so a node at depth d < n - 1 admits the v
-        with u[d] * v <= -val - tails[d + 1] for each row's partial sum val.
-        On the last coordinate a row with coefficient a and parent
-        coefficient p bounds the child at v by (-val - p * v) // |a|, from
-        above when a > 0 and, negated, from below when a < 0: the term
-        (-val, p, |a|). A row with p = 0 is folded into its side's constant,
-        with the box's end; a row with a = 0 has tail 0 at the parent, so
-        the parent's interval holds it for every v.
+        The walk starts from ``start``'s box, vals and tails. On the last
+        coordinate a row with coefficient a and parent coefficient p bounds
+        the child at v by (-val - p * v) // |a|, from above when a > 0 and,
+        negated, from below when a < 0: the term (-val, p, |a|). A row with
+        p = 0 is folded into its side's constant, with the box's end; a row
+        with a = 0 has tail 0 at the parent, so the parent's interval holds
+        it for every v.
         """
-        n, nw = self.dim, len(self.weak)
-        if not _INT.issuperset(map(type, b)):  # floor each c: b is c on a weak row, -c on a strict one
-            b = [floor(x) for x in b[:nw]] + [ceil(x) for x in b[nw:]]
-        bounds = self.bounds(b)
-        if bounds is None:
+        if not self.dim:
+            raise ValueError("the walk needs dim >= 1; Plan.has_point decides a dim-0 region")
+        start = self.start(b)
+        if start is None:
             return
-        lo, hi = [], []
-        for lower, upper in bounds:
-            if lower is None or upper is None:
-                if self.strictly_feasible(b):
-                    raise UnboundedRegion(f"coordinate {len(lo)} unbounded")
-                return
-            low, high = -(-lower[0] // lower[1]), upper[0] // upper[1]
-            if low > high:
-                return
-            lo.append(low)
-            hi.append(high)
-        cols, pen, (upper_side, lower_side) = self.walk
-        # the closure's rows as <u, y> + val <= 0 over Z: a strict row's
-        # constant moves by one, as <u, y> + c < 0 means <u, y> + c + 1 <= 0
-        vals = [-x for x in b[:nw]] + [1 - x for x in b[nw:]]
-        tails = [[0] * len(vals)]
-        for d in range(n - 1, -1, -1):  # each row's least value over the box
-            low, high = lo[d], hi[d]
-            tails.insert(0, [t + a * (low if a > 0 else high) for t, a in zip(tails[0], cols[d])])
-        if n == 1:  # one virtual parent, its coordinate fixed at 0 with column 0
+        lo, hi, vals, tails = start
+        pen, (upper_side, lower_side) = self.walk
+        if self.dim == 1:  # one virtual parent, its coordinate fixed at 0 with column 0
             v_lo, v_hi = _interval(pen, vals, tails[0], 0, 0)
             parents = [((), vals, [()], v_lo, v_hi)] if v_lo <= v_hi else []
         else:
-            parents = _parents(cols, tails, lo, hi, vals)
+            parents = _parents(self.cols, tails, lo, hi, vals)
         # the box's bound on each side of the last coordinate; the lower side is
         # kept negated, so both are mins
         sides = ((hi[-1], *upper_side), (-lo[-1], *lower_side))
@@ -642,9 +665,31 @@ class Plan:
             yield prefix, heads, v_lo, v_hi, terms
 
     def has_point(self, b) -> bool:
-        """Does the region hold an integer point? Some parent's count is
-        nonzero; no fold is built."""
-        return next(self.blocks(b), None) is not None
+        """Does the region hold an integer point? One dive down the walk
+        first (a diving heuristic, Berthold, Primal Heuristics for Mixed
+        Integer Programs, 2006): from ``start``'s box, each depth d takes the
+        middle of the interval ``_interval`` gives the walk's node there.
+        The last coordinate's interval is exact, its tails being zero: every
+        v in it satisfies each row <u, y> + val <= 0 outright, so a dive that
+        finds it nonempty holds a point. Above it the tails only bound the
+        rest of each row from below, so a dead end says nothing of the v the
+        dive passed over: only then are the parents counted (``blocks``), and
+        every "no" comes from the walk. A dim-0
+        region holds () iff its floored constants satisfy every row.
+        Raises UnboundedRegion as ``start`` does."""
+        start = self.start(b)
+        if start is None:
+            return False
+        lo, hi, vals, tails = start
+        if not self.dim:
+            return all(x <= 0 for x in vals)
+        for d, col in enumerate(self.cols):
+            v_lo, v_hi = _interval(col, vals, tails[d + 1], lo[d], hi[d])
+            if v_lo > v_hi:
+                return next(self.blocks(b), None) is not None
+            v = (v_lo + v_hi) // 2
+            vals = [x + a * v for x, a in zip(vals, col)]
+        return True
 
     def runs(self, b):
         """The integer points (dim >= 1) as runs, in lexicographic order:

@@ -12,12 +12,16 @@ from toricpos import Fan, ToricDivisor, UnboundedRegion
 from toricpos.cohomology import bad_subsets, subset_picks
 from toricpos.positivity import default_ample
 from toricpos.polyhedra import (
+    Plan,
+    _closure_rhs,
     _plan,
+    _plan_of,
     _projection,
     closure_nonempty,
     coordinate_bounds,
     floor_sum,
     folds,
+    lattice_blocks,
     lattice_points,
     lattice_runs,
     lp_optimize,
@@ -578,9 +582,48 @@ def test_parent_counts_match_the_per_child_sum_on_seeded_corpus(p1, p2, totaro):
     assert len(shapes) == 5 and min(shapes.values()) >= 5, shapes
 
 
+def test_has_point_dives_and_walks_only_at_a_dead_end(monkeypatch, example_fans, p1, p2):
+    # has_point against "the count walk yields a block" on the regions the
+    # q-ample scan asks about, on the built-in fans, P(1,1,2) and a GL(3,Z)
+    # image of P1 x P2. The dive answers yes at a leaf and reads blocks only
+    # at a dead end; the corpus reaches a leaf, a dead end on a region with a
+    # point and a dead end on an empty one
+    walked = []
+    blocks = Plan.blocks
+
+    def counting(plan, b):
+        walked.append(b)
+        return blocks(plan, b)
+
+    monkeypatch.setattr(Plan, "blocks", counting)
+    p112 = Fan(2, ((1, 0), (-1, -2), (0, 1)), ((0, 1), (1, 2), (0, 2)), name="P(1,1,2)")
+    gl = product_fan([(p1.rays, p1.max_cones), (p2.rays, p2.max_cones)], ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+    outcomes = Counter()
+    for fan in (*example_fans, p112, gl):
+        for _, p in scan_twist_regions(fan, 4, (1, 2, 12)):
+            plan, b = _plan_of(p), _closure_rhs(p)
+            walked.clear()
+            found = plan.has_point(b)
+            assert found == (next(blocks(plan, b), None) is not None), (fan.rays, p)
+            assert len(walked) <= 1, (fan.rays, p)
+            if walked:
+                outcomes["dead end, point" if found else "dead end, empty"] += 1
+            else:
+                outcomes["leaf" if found else "no box"] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 5, outcomes
+
+
 def test_zero_dimensional_polyhedra():
-    assert lattice_points(polyhedron(0, weak=[((), 0)])) == [()]
-    assert lattice_points(polyhedron(0, strict=[((), 0)])) == []
+    # () is the only candidate: has_point reads the constants, and the walk,
+    # whose levels start at dim 1, refuses the region
+    for p, holds in ((polyhedron(0, weak=[((), 0)]), True), (polyhedron(0, weak=[((), 1)]), True),
+                     (polyhedron(0, weak=[((), -1)]), False), (polyhedron(0, strict=[((), 0)]), False),
+                     (polyhedron(0, strict=[((), -1)]), True), (polyhedron(0), True)):
+        assert lattice_points(p) == ([()] if holds else []), p
+        assert _plan_of(p).has_point(_closure_rhs(p)) == holds, p
+        for walk in (lattice_blocks, lattice_runs):
+            with pytest.raises(ValueError, match="dim >= 1"):
+                next(walk(p))
 
 
 # ---------------------------------------------------------------------------

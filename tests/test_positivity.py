@@ -556,7 +556,8 @@ def test_selection_queries_answer_as_the_oracle_regions(p1, p2, p1xp1, totaro):
     # Q-decisions, the first lattice point and the points per parent node.
     # The decisions read rational constants exactly and the walk floors
     # them; on an unbounded region a floored walk may find no point where the
-    # oracle's walk, on the rational closure, reports the unboundedness
+    # oracle's walk, on the rational closure, reports the unboundedness.
+    # has_point answers as the walk does, raising where the walk raises
     gl = product_fan([(p1.rays, p1.max_cones), (p2.rays, p2.max_cones)], ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
     seen = Counter()
     for fan in (p1, p2, p1xp1, totaro, P112, gl):
@@ -589,7 +590,10 @@ def test_selection_queries_answer_as_the_oracle_regions(p1, p2, p1xp1, totaro):
                     assert got in ("unbounded", (None, [])), where
                 else:
                     assert got == want, where
-                if got != "unbounded":
+                if got == "unbounded":
+                    with pytest.raises(UnboundedRegion):
+                        plan.has_point(b)
+                else:
                     first = [] if got[0] is None else [got[0][0] + (got[0][1],)]
                     assert plan.has_point(b) == bool(first), where
                     if want != "unbounded":

@@ -1,11 +1,10 @@
 """scripts/region_bench.py records and replays a mode check's (plan, b)
-queries and counts its caches, then times the counts of cohomology's weight
-regions."""
+queries and counts its caches and the dives that fell back to the walk,
+then times the counts of cohomology's weight regions on two fans."""
 
 import importlib.util
 from pathlib import Path
 
-from toricpos import load_workspace
 from toricpos.cohomology import bad_subsets
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "region_bench.py"
@@ -31,6 +30,10 @@ def test_replay_builds_one_plan_per_distinct_normals():
     assert all(len(ns) == 2 and min(ns) > 0 for _, ns, _ in totals.values()), totals
     count, _, yes = totals["subset"]
     assert 0 < yes < count  # the scan finds points in some regions, not all
+    # a dive that dead-ends reads the walk once; some of those regions hold
+    # a point, and the dive finds every other point
+    walked, held = bench.fallbacks(queries)
+    assert 0 < held < walked < count and yes - held > 0, (walked, held, yes)
 
 
 def test_report_names_every_kind_and_cache(capsys):
@@ -40,22 +43,32 @@ def test_report_names_every_kind_and_cache(capsys):
         out = capsys.readouterr().out.splitlines()
         assert "from 2 classes on totaro-x (seed 5)" in out[0]
         assert [line.split()[0] for line in out[1:]] == [
-            "kind", "subset", "face", "joint", "plan", "projection", "count", "weights"]
-        assert out[1].split() == ["kind", "queries", "first_us/q", "warm_us/q", "yes"]
+            "kind", "subset", "face", "joint", "plan", "projection", "count", "totaro-x", "P(1,1,2)"]
+        assert out[1].split() == ["kind", "queries", "first_us/q", "warm_us/q", "yes", "fallback"]
         for line in out[2:5]:  # one replay has no warm figure
-            _, _, first, warm, _ = line.split()
+            kind, _, first, warm, yes, fallback = line.split()
             assert float(first) > 0 and (warm == "-" if repeat == 1 else float(warm) > 0), line
-        assert out[-2].split()[1:] == [
+            if kind == "subset":
+                walked, held = map(int, fallback.split("/"))
+                assert 0 <= held <= min(walked, int(yes)), line
+            else:
+                assert fallback == "-", line
+        assert out[-3].split()[1:] == [
             "regions", "us/region", "parents", "children/parent", "|a|>1_share", "blocks/region"]
-        regions, _, parents, per_parent, share, per_region = out[-1].split()[1:]
-        assert int(regions) == 2 * 8 and int(parents) > 0 and 0 <= float(share) <= 1
-        assert float(per_parent) >= 1 and 0 < float(per_region) <= round(int(parents) / int(regions), 1)
+        # each class counts the region of every bad subset: 8 on totaro-x, 2 on
+        # P(1,1,2), where every parent has a term with |a| > 1
+        for line, subsets in zip(out[-2:], (8, 2)):
+            regions, _, parents, per_parent, share, per_region = line.split()[1:]
+            assert int(regions) == 2 * subsets and int(parents) > 0 and 0 <= float(share) <= 1
+            assert float(per_parent) >= 1 and 0 < float(per_region) <= round(int(parents) / int(regions), 1)
+        assert float(out[-2].split()[5]) == 0 and float(out[-1].split()[5]) == 1
 
 
 def test_count_replay_walks_every_bad_subset_region():
     bench = load_script()
-    queries = bench.count_queries(seed=5, classes=2)
-    spent, parents, children, wide, blocks = bench.count_replay(queries, repeat=1)
-    # cohomology_dims counts the region of every bad subset of every degree
-    assert len(queries) == 2 * sum(map(len, bad_subsets(load_workspace("totaro-x").fan)))
-    assert spent > 0 and 0 < blocks <= parents <= children and 0 <= wide <= parents
+    for name in bench.COUNT_FANS:
+        queries = bench.count_queries(seed=5, classes=2, fan_name=name)
+        spent, parents, children, wide, blocks = bench.count_replay(queries, repeat=1)
+        # cohomology_dims counts the region of every bad subset of every degree
+        assert len(queries) == 2 * sum(map(len, bad_subsets(bench.count_fan(name)))), name
+        assert spent > 0 and 0 < blocks <= parents <= children and 0 <= wide <= parents, name
