@@ -135,7 +135,7 @@ def count_fan(name: str) -> Fan:
     return load_workspace(name).fan
 
 
-def count_queries(seed: int, classes: int, fan_name: str = "totaro-x"):
+def count_queries(seed: int, classes: int, fan_name: str):
     """(plan, b) for every weight region ``cohomology_dims`` counts for each
     seeded class on the named fan times a multiple k in 10..20, in order."""
     fan = count_fan(fan_name)

@@ -20,7 +20,9 @@ last coordinate, and the parent's count, read from the terms in closed form
 (an arithmetic series or a floor sum per binding row). A dimension is a sum
 of block counts; ``Weights`` keeps the blocks and builds a block's children
 (``folds``) only when a reader enters it. ``degree_nonzero`` asks only
-whether a region holds a point (``Plan.has_point``).
+whether a region holds a point (``Plan.has_point``): one dive down the
+walk answers yes, and the parents are counted only when the dive
+dead-ends.
 """
 
 from __future__ import annotations

@@ -665,18 +665,15 @@ class Plan:
             yield prefix, heads, v_lo, v_hi, terms
 
     def has_point(self, b) -> bool:
-        """Does the region hold an integer point? One dive down the walk
-        first (a diving heuristic, Berthold, Primal Heuristics for Mixed
-        Integer Programs, 2006): from ``start``'s box, each depth d takes the
-        middle of the interval ``_interval`` gives the walk's node there.
-        The last coordinate's interval is exact, its tails being zero: every
-        v in it satisfies each row <u, y> + val <= 0 outright, so a dive that
-        finds it nonempty holds a point. Above it the tails only bound the
-        rest of each row from below, so a dead end says nothing of the v the
-        dive passed over: only then are the parents counted (``blocks``), and
-        every "no" comes from the walk. A dim-0
-        region holds () iff its floored constants satisfy every row.
-        Raises UnboundedRegion as ``start`` does."""
+        """Does the region hold an integer point? One dive first (a diving
+        heuristic, Berthold, Primal Heuristics for Mixed Integer Programs,
+        2006): each depth takes the middle of its node's interval
+        (``_interval``). The last interval is exact, its tails being zero, so
+        a dive that reaches it holds a point. Above it the tails only bound
+        the rest of each row from below, so a dead end proves nothing; only
+        then are the parents counted (``blocks``), and every "no" comes from
+        the walk. A dim-0 region holds () iff its floored constants satisfy
+        every row. Raises UnboundedRegion as ``start`` does."""
         start = self.start(b)
         if start is None:
             return False
