@@ -9,15 +9,12 @@ identical inputs and tool version; wall-clock timings only appear under
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import sys
 import time
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
-from typing import NoReturn
-
-import click
+from typing import NamedTuple, NoReturn
 
 from . import __version__
 from .cohomology import asymptotic_nonvanishing, bad_subsets, cohomology_dims
@@ -129,68 +126,132 @@ def _parse_cone(ws: Workspace, text: str) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="toricpos")
-def main() -> None:
-    """Exact positivity and cohomology decisions on complete simplicial toric varieties."""
-
-
 def _fail(code: int, kind: str, message) -> NoReturn:
-    click.echo(json.dumps({"error": {"kind": kind, "message": str(message)}}, indent=2))
+    print(json.dumps({"error": {"kind": kind, "message": str(message)}}, indent=2))
     sys.exit(code)
 
 
-def command(name: str):
-    """Register ``body(ws, workspace_ref, **options) -> (args, result)`` as a command.
+class Option(NamedTuple):
+    names: tuple[str, ...]
+    dest: str
+    type: type = str  # int, str or bool (a flag)
+    default: object = None  # None: the option is required
+    choices: tuple = ()
+    help: str = ""
 
-    The runner adds --workspace and --timings, loads the workspace, times the
-    call, maps library errors to exit codes and prints the report. A body may
-    return a third item: the exit code to end with once the report is printed.
-    """
+
+COMMANDS = {}  # name -> (body, options), in the order of --help
+WORKSPACE = Option(("--workspace", "-w"), "workspace_ref", str, "totaro-x",
+                   help=f"built-in name ({', '.join(sorted(BUILTIN_WORKSPACES))}) or JSON path")
+TIMINGS = Option(("--timings",), "timings", bool, False,
+                 help="append wall-clock timing (not byte-stable)")
+DIVISOR = Option(("--divisor", "-d"), "divisor", help="divisor expression, e.g. 'L' or 'F1+F2'")
+Q = Option(("--q",), "q", int)
+
+
+def command(name: str, *options: Option):
+    """Register ``body(ws, workspace_ref, **options) -> (args, result)`` as a
+    command taking --workspace, the options and --timings. A body may return
+    a third item: the exit code to end with once the report is printed."""
 
     def register(body):
-        @functools.wraps(body)
-        def run(workspace_ref: str, timings: bool, **options) -> None:
-            start = time.monotonic()
-            try:
-                ws = load_workspace(workspace_ref)
-                args, result, *exit_code = body(ws, workspace_ref, **options)
-            except (ModeDisagreement, UnboundedRegion) as exc:
-                _fail(3, "internal-consistency", exc)
-            except NoStabilizationDetected as exc:
-                _fail(
-                    2,
-                    "input",
-                    f"no stabilization within horizon {exc.horizon}; "
-                    f"partial chain {exc.chain} (raise --horizon)",
-                )
-            except ToricError as exc:
-                _fail(2, "input", exc)
-            report = _report(ws, name, args, result)
-            if timings:
-                elapsed = round(time.monotonic() - start, 3)
-                report["timings"] = {"wall_seconds": elapsed, "byte_stable": False}
-            click.echo(json.dumps(_jsonable(report), indent=2, sort_keys=True))
-            if exit_code:
-                sys.exit(exit_code[0])
-
-        # click lists options in reverse order of attachment: --workspace
-        # first, then the body's own options, then --timings
-        run.__click_params__ = [
-            click.Option(
-                ["--timings"], is_flag=True, help="append wall-clock timing (not byte-stable)"
-            ),
-            *getattr(body, "__click_params__", ()),
-            click.Option(
-                ["--workspace", "-w", "workspace_ref"],
-                default="totaro-x",
-                show_default=True,
-                help=f"built-in name ({', '.join(sorted(BUILTIN_WORKSPACES))}) or JSON path",
-            ),
-        ]
-        return main.command(name)(run)
+        COMMANDS[name] = body, (WORKSPACE, *options, TIMINGS)
+        return body
 
     return register
+
+
+def _usage(prog: str, message: str) -> NoReturn:
+    print(f"usage: {prog} [--version] COMMAND [OPTIONS]; see {prog} --help\nerror: {message}",
+          file=sys.stderr)
+    sys.exit(2)
+
+
+def _help(prog: str, name=None) -> NoReturn:
+    """Print the commands, or one command's doc and options, and exit 0."""
+    if name is None:
+        print(f"usage: {prog} [--version] COMMAND [OPTIONS]\n\n{__doc__}\ncommands:")
+        for n, (body, _) in COMMANDS.items():
+            summary = " ".join(body.__doc__.partition("\n\n")[0].split())
+            print(f"  {n:<17}{summary}")
+    else:
+        body, options = COMMANDS[name]
+        doc = "\n".join(map(str.strip, body.__doc__.splitlines()))
+        print(f"usage: {prog} {name} [OPTIONS]\n\n{doc}\n\noptions:")
+        for o in options:
+            arg = "" if o.type is bool else " " + ("|".join(o.choices) or o.type.__name__.upper())
+            note = "required" if o.default is None else o.default and f"default: {o.default}"
+            print(f"  {', '.join(o.names)}{arg}\n      {'; '.join(filter(None, (o.help, note)))}")
+    sys.exit(0)
+
+
+def _parse(prog: str, argv: list[str]):
+    """(command, option values). A value option takes the next token
+    verbatim, even one that starts with '-' (``-d -H``, ``--q -1``), or its
+    value after '=' (``--divisor=-H``) or attached to a short name (``-dL``).
+    Names are never abbreviated, and a token that fits no rule exits 2."""
+    name = argv[0] if argv else None
+    if name == "--version":
+        print(f"toricpos, version {__version__}")
+        sys.exit(0)
+    if name == "--help":
+        _help(prog)
+    if name not in COMMANDS:
+        _usage(prog, f"no such command {name!r}" if name else "missing command")
+    options = COMMANDS[name][1]
+    by_name = {n: o for o in options for n in o.names}
+    values = {o.dest: o.default for o in options}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--help":
+            _help(prog, name)
+        # attached: the '=' of a long name, or the value glued to a short one
+        long = token[:2] == "--"
+        key, attached, value = token.partition("=") if long else (token[:2], token[2:], token[2:])
+        opt = by_name.get(key) or _usage(prog, f"no such option {token!r} for {name}")
+        if opt.type is bool:
+            if attached:
+                _usage(prog, f"option {key} takes no value")
+            values[opt.dest] = True
+            continue
+        if not attached and (value := next(tokens, None)) is None:
+            _usage(prog, f"option {key} needs a value")
+        if opt.choices and value not in opt.choices:
+            _usage(prog, f"option {key}: {value!r} is not one of {', '.join(opt.choices)}")
+        try:
+            values[opt.dest] = opt.type(value)
+        except ValueError:
+            _usage(prog, f"option {key}: {value!r} is not an integer")
+    missing = [o.names[0] for o in options if values[o.dest] is None]
+    if missing:
+        _usage(prog, f"missing option {', '.join(missing)} for {name}")
+    return name, values
+
+
+def main(argv=None, prog_name: str = "toricpos") -> None:
+    """Run the command argv (default ``sys.argv[1:]``) names and print its
+    report; a nonzero exit code, a usage error's 2 included, leaves through
+    SystemExit."""
+    name, options = _parse(prog_name, sys.argv[1:] if argv is None else list(argv))
+    workspace_ref, timings = options.pop("workspace_ref"), options.pop("timings")
+    start = time.monotonic()
+    try:
+        ws = load_workspace(workspace_ref)
+        args, result, *exit_code = COMMANDS[name][0](ws, workspace_ref, **options)
+    except (ModeDisagreement, UnboundedRegion) as exc:
+        _fail(3, "internal-consistency", exc)
+    except NoStabilizationDetected as exc:
+        _fail(2, "input", f"no stabilization within horizon {exc.horizon}; "
+              f"partial chain {exc.chain} (raise --horizon)")
+    except ToricError as exc:
+        _fail(2, "input", exc)
+    report = _report(ws, name, args, result)
+    if timings:
+        report["timings"] = {"wall_seconds": round(time.monotonic() - start, 3),
+                             "byte_stable": False}
+    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    if exit_code:
+        sys.exit(exit_code[0])
 
 
 @command("validate")
@@ -210,9 +271,8 @@ def validate_cmd(ws, workspace_ref):
     }
 
 
-@command("cohomology")
-@click.option("--divisor", "-d", required=True, help="divisor expression, e.g. 'L' or 'F1+F2'")
-@click.option("--weights", is_flag=True, help="include contributing weight vectors")
+@command("cohomology", DIVISOR,
+         Option(("--weights",), "weights", bool, False, help="include contributing weight vectors"))
 def cohomology(ws, workspace_ref, divisor, weights):
     """Dimensions of H^0..H^n(X, O(D))."""
     d = ws.divisor(divisor)
@@ -237,8 +297,7 @@ def cohomology(ws, workspace_ref, divisor, weights):
     }
 
 
-@command("classify")
-@click.option("--divisor", "-d", required=True)
+@command("classify", DIVISOR)
 def classify(ws, workspace_ref, divisor):
     """Nef/ample/effective/big/pseudoeffective flags."""
     d = ws.divisor(divisor)
@@ -258,17 +317,10 @@ def classify(ws, workspace_ref, divisor):
     return {"divisor": divisor}, result
 
 
-@command("qample")
-@click.option("--divisor", "-d", required=True)
-@click.option("--q", "q", type=int, required=True)
-@click.option(
-    "--mode",
-    type=click.Choice(["asymptotic", "scan", "both"]),
-    default="asymptotic",
-    show_default=True,
-)
-@click.option("--scan-max-n", type=int, default=12, show_default=True)
-@click.option("--scan-twists", type=int, default=4, show_default=True)
+@command("qample", DIVISOR, Q,
+         Option(("--mode",), "mode", str, "asymptotic", ("asymptotic", "scan", "both")),
+         Option(("--scan-max-n",), "scan_max_n", int, 12),
+         Option(("--scan-twists",), "scan_twists", int, 4))
 def qample(ws, workspace_ref, divisor, q, mode, scan_max_n, scan_twists):
     """Decide q-amplitude (asymptotic mode is authoritative; scan is an oracle)."""
     d = ws.divisor(divisor)
@@ -310,9 +362,7 @@ def qample(ws, workspace_ref, divisor, q, mode, scan_max_n, scan_twists):
     return args, result
 
 
-@command("qnef")
-@click.option("--divisor", "-d", required=True)
-@click.option("--q", "q", type=int, required=True)
+@command("qnef", DIVISOR, Q)
 def qnef(ws, workspace_ref, divisor, q):
     """Torus-invariant q-nef test: -D restricted to every (q+1)-dimensional
     orbit closure must not be big."""
@@ -331,15 +381,9 @@ def qnef(ws, workspace_ref, divisor, q):
     }
 
 
-@command("baselocus")
-@click.option("--divisor", "-d", required=True)
-@click.option(
-    "--kind",
-    type=click.Choice(["bs", "stable", "augmented"]),
-    default="stable",
-    show_default=True,
-)
-@click.option("--horizon", type=int, default=24, show_default=True)
+@command("baselocus", DIVISOR,
+         Option(("--kind",), "kind", str, "stable", ("bs", "stable", "augmented")),
+         Option(("--horizon",), "horizon", int, 24))
 def baselocus(ws, workspace_ref, divisor, kind, horizon):
     """Base locus of |D|, the stable base locus, or the augmented one."""
     d = ws.divisor(divisor)
@@ -352,9 +396,8 @@ def baselocus(ws, workspace_ref, divisor, kind, horizon):
     return {"divisor": divisor, "kind": kind, "horizon": horizon}, _locus_json(ws, rep)
 
 
-@command("restrict")
-@click.option("--divisor", "-d", required=True)
-@click.option("--cone", "-c", required=True, help="comma list of rays, e.g. 'f1' or 'f1,f3'")
+@command("restrict", DIVISOR,
+         Option(("--cone", "-c"), "cone", help="comma list of rays, e.g. 'f1' or 'f1,f3'"))
 def restrict_cmd(ws, workspace_ref, divisor, cone):
     """Restrict O(D) to the orbit closure of a cone."""
     d = ws.divisor(divisor)
@@ -380,8 +423,7 @@ def restrict_cmd(ws, workspace_ref, divisor, cone):
     }
 
 
-@command("connectivity")
-@click.option("--divisor", "-d", required=True)
+@command("connectivity", DIVISOR)
 def connectivity(ws, workspace_ref, divisor):
     """Disconnected-section criterion for effective torus-invariant divisors."""
     d = ws.divisor(divisor)
@@ -439,12 +481,14 @@ def _svg(chamber_map) -> str:
     return "\n".join(rows) + "\n"
 
 
-@command("chambers")
-@click.option("--dir1", required=True, help="first direction divisor expression")
-@click.option("--dir2", required=True, help="second direction divisor expression")
-@click.option("--origin", default="", help="origin divisor expression (default 0)")
-@click.option("--resolution", type=int, default=2, show_default=True)
-@click.option("--emit-plot", "plot_path", default="", help="write an SVG raster here")
+@command(
+    "chambers",
+    Option(("--dir1",), "dir1", help="first direction divisor expression"),
+    Option(("--dir2",), "dir2", help="second direction divisor expression"),
+    Option(("--origin",), "origin", str, "", help="origin divisor expression (default 0)"),
+    Option(("--resolution",), "resolution", int, 2),
+    Option(("--emit-plot",), "plot_path", str, "", help="write an SVG raster here"),
+)
 def chambers(ws, workspace_ref, dir1, dir2, origin, resolution, plot_path):
     """Sample a plane in N^1 and label each class with its smallest q."""
     d1 = ws.divisor(dir1)
@@ -456,12 +500,7 @@ def chambers(ws, workspace_ref, dir1, dir2, origin, resolution, plot_path):
         cmap = chamber_scan(base, d1, d2, resolution=resolution)
         if plot:
             plot.write(_svg(cmap))
-    args = {
-        "dir1": dir1,
-        "dir2": dir2,
-        "origin": origin,
-        "resolution": resolution,
-    }
+    args = {"dir1": dir1, "dir2": dir2, "origin": origin, "resolution": resolution}
     return args, {
         "samples": [
             {

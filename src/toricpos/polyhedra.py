@@ -621,7 +621,7 @@ class Plan:
             tails.insert(0, [t + a * (low if a > 0 else high) for t, a in zip(tails[0], col)])
         return lo, hi, vals, tails
 
-    def parent_terms(self, b):
+    def parent_terms(self, b, start=None):
         """The walk (dim >= 1) down to its parent nodes, depth n - 2, in
         lexicographic order: yields (prefix, heads, v_lo, v_hi, terms) per
         parent whose coordinate takes v in [v_lo, v_hi], heads holding the
@@ -633,7 +633,8 @@ class Plan:
         0. Raises UnboundedRegion as ``start`` does, and ValueError in
         dimension 0.
 
-        The walk starts from ``start``'s box, vals and tails. On the last
+        The walk starts from ``start``'s box, vals and tails (pass them as
+        start when ``self.start(b)`` has run already). On the last
         coordinate a row with coefficient a and parent coefficient p bounds
         the child at v by (-val - p * v) // |a|, from above when a > 0 and,
         negated, from below when a < 0: the term (-val, p, |a|). A row with
@@ -643,7 +644,7 @@ class Plan:
         """
         if not self.dim:
             raise ValueError("the walk needs dim >= 1; Plan.has_point decides a dim-0 region")
-        start = self.start(b)
+        start = start or self.start(b)
         if start is None:
             return
         lo, hi, vals, tails = start
@@ -672,8 +673,9 @@ class Plan:
         a dive that reaches it holds a point. Above it the tails only bound
         the rest of each row from below, so a dead end proves nothing; only
         then are the parents counted (``blocks``), and every "no" comes from
-        the walk. A dim-0 region holds () iff its floored constants satisfy
-        every row. Raises UnboundedRegion as ``start`` does."""
+        the walk, from the dive's own start. A dim-0 region holds () iff its
+        floored constants satisfy every row. Raises UnboundedRegion as
+        ``start`` does."""
         start = self.start(b)
         if start is None:
             return False
@@ -683,7 +685,7 @@ class Plan:
         for d, col in enumerate(self.cols):
             v_lo, v_hi = _interval(col, vals, tails[d + 1], lo[d], hi[d])
             if v_lo > v_hi:
-                return next(self.blocks(b), None) is not None
+                return next(self.blocks(b, start), None) is not None
             v = (v_lo + v_hi) // 2
             vals = [x + a * v for x, a in zip(vals, col)]
         return True
@@ -696,12 +698,13 @@ class Plan:
         for prefix, heads, v_lo, v_hi, terms in self.parent_terms(b):
             yield from child_runs(prefix, heads, *folds(terms, v_lo, v_hi))
 
-    def blocks(self, b):
+    def blocks(self, b, start=None):
         """The integer points (dim >= 1) counted per parent node, in
         lexicographic order: (prefix, v_lo, v_hi, terms, count) per parent
         with count > 0, counted in closed form (``parent_count``). In dimension 1
-        the one block stands for the points (w,), not (0, w)."""
-        for prefix, _, v_lo, v_hi, terms in self.parent_terms(b):
+        the one block stands for the points (w,), not (0, w). start as in
+        ``parent_terms``."""
+        for prefix, _, v_lo, v_hi, terms in self.parent_terms(b, start):
             n = parent_count(terms, v_lo, v_hi)
             if n:
                 yield prefix, v_lo, v_hi, terms, n

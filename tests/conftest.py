@@ -1,8 +1,12 @@
+import contextlib
+import io
 import random
+from typing import NamedTuple
 
 import pytest
 
 from toricpos import Fan, ToricDivisor
+from toricpos.cli import main
 
 
 @pytest.fixture(scope="session")
@@ -72,3 +76,22 @@ def product_fan(factors, matrix=None):
     if matrix is not None:
         rays = [tuple(sum(a * x for a, x in zip(row, r)) for row in matrix) for r in rays]
     return Fan(rank, tuple(rays), tuple(cones))
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str
+
+
+def run_cli(*args) -> CliResult:
+    """Run ``toricpos.cli.main`` in this process on the arguments: the exit
+    code (0 when main returns, else its SystemExit code) and what it printed
+    to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            main(list(args))
+            code = 0
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return CliResult(code, out.getvalue())

@@ -8,9 +8,7 @@ report, re-record with ``PYTHONPATH=src python -m tests.test_golden_cli``.
 
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from toricpos.cli import main
+from .conftest import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -76,7 +74,7 @@ CASES = {
 
 
 def _run(argv):
-    result = CliRunner().invoke(main, argv)
+    result = run_cli(*argv)
     assert result.exit_code == 0, (argv, result.output)
     return result.output
 

@@ -582,35 +582,61 @@ def test_parent_counts_match_the_per_child_sum_on_seeded_corpus(p1, p2, totaro):
     assert len(shapes) == 5 and min(shapes.values()) >= 5, shapes
 
 
+def _scan_regions(example_fans, p1, p2):
+    """(fan, region) for the regions the q-ample scan asks about, on the
+    built-in fans, P(1,1,2) and a GL(3,Z) image of P1 x P2."""
+    p112 = Fan(2, ((1, 0), (-1, -2), (0, 1)), ((0, 1), (1, 2), (0, 2)), name="P(1,1,2)")
+    gl = product_fan([(p1.rays, p1.max_cones), (p2.rays, p2.max_cones)], ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+    for fan in (*example_fans, p112, gl):
+        for _, p in scan_twist_regions(fan, 4, (1, 2, 12)):
+            yield fan, p
+
+
 def test_has_point_dives_and_walks_only_at_a_dead_end(monkeypatch, example_fans, p1, p2):
-    # has_point against "the count walk yields a block" on the regions the
-    # q-ample scan asks about, on the built-in fans, P(1,1,2) and a GL(3,Z)
-    # image of P1 x P2. The dive answers yes at a leaf and reads blocks only
-    # at a dead end; the corpus reaches a leaf, a dead end on a region with a
-    # point and a dead end on an empty one
+    # has_point against "the count walk yields a block" on the scan regions.
+    # The dive answers yes at a leaf and reads blocks only at a dead end; the
+    # corpus reaches a leaf, a dead end on a region with a point and a dead
+    # end on an empty one
     walked = []
     blocks = Plan.blocks
 
-    def counting(plan, b):
+    def counting(plan, b, *start):
         walked.append(b)
-        return blocks(plan, b)
+        return blocks(plan, b, *start)
 
     monkeypatch.setattr(Plan, "blocks", counting)
-    p112 = Fan(2, ((1, 0), (-1, -2), (0, 1)), ((0, 1), (1, 2), (0, 2)), name="P(1,1,2)")
-    gl = product_fan([(p1.rays, p1.max_cones), (p2.rays, p2.max_cones)], ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
     outcomes = Counter()
-    for fan in (*example_fans, p112, gl):
-        for _, p in scan_twist_regions(fan, 4, (1, 2, 12)):
-            plan, b = _plan_of(p), _closure_rhs(p)
-            walked.clear()
-            found = plan.has_point(b)
-            assert found == (next(blocks(plan, b), None) is not None), (fan.rays, p)
-            assert len(walked) <= 1, (fan.rays, p)
-            if walked:
-                outcomes["dead end, point" if found else "dead end, empty"] += 1
-            else:
-                outcomes["leaf" if found else "no box"] += 1
+    for fan, p in _scan_regions(example_fans, p1, p2):
+        plan, b = _plan_of(p), _closure_rhs(p)
+        walked.clear()
+        found = plan.has_point(b)
+        assert found == (next(blocks(plan, b), None) is not None), (fan.rays, p)
+        assert len(walked) <= 1, (fan.rays, p)
+        if walked:
+            outcomes["dead end, point" if found else "dead end, empty"] += 1
+        else:
+            outcomes["leaf" if found else "no box"] += 1
     assert len(outcomes) == 4 and min(outcomes.values()) >= 5, outcomes
+
+
+def test_has_point_sets_the_walk_up_once(monkeypatch, example_fans, p1, p2):
+    # a dead-end dive hands its own start to the count walk, so every query,
+    # leaf, dead end or empty box, runs Plan.start exactly once
+    starts = []
+    start = Plan.start
+
+    def counting(plan, b):
+        starts.append(b)
+        return start(plan, b)
+
+    monkeypatch.setattr(Plan, "start", counting)
+    queries = 0
+    for fan, p in _scan_regions(example_fans, p1, p2):
+        starts.clear()
+        _plan_of(p).has_point(_closure_rhs(p))
+        assert len(starts) == 1, (fan.rays, p)
+        queries += 1
+    assert queries >= 20
 
 
 def test_zero_dimensional_polyhedra():

@@ -1,7 +1,6 @@
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from toricpos import (
     ModeDisagreement,
@@ -12,8 +11,9 @@ from toricpos import (
     parse_workspace,
     serialize_workspace,
 )
-from toricpos.cli import main
 from toricpos.workspace import BUILTIN_WORKSPACES
+
+from .conftest import run_cli
 
 
 def test_builtin_workspaces_load():
@@ -90,10 +90,6 @@ def test_divisor_expressions():
         ws.divisor("Q")
     with pytest.raises(WorkspaceError):
         ws.divisor("L L")
-
-
-def run_cli(*args):
-    return CliRunner().invoke(main, list(args))
 
 
 def test_cli_validate():
