@@ -17,8 +17,11 @@ replays (warm, "-" under ``--repeat 1``), how many answered yes, and the hits
 and misses of the plan and projection caches over the replay (a query looks
 up no plan, so the plan cache misses once per distinct plan and is never
 hit). The subset line's fallback column reads walked/held: how many
-``has_point`` queries found their dive dead-ended and read the count walk
-(``Plan.blocks``), and how many of those held a point.
+``has_point`` dives stopped at an integer gap, a level whose range holds no
+integer, and read the count walk (``Plan.blocks``), and how many of those
+held a point. Each kind's line also gives the size of the chain of levels
+(``Plan.levels``) its distinct plans would walk: their rows summed
+(level_rows) and the rows of the largest level (max_level).
 
 It then times the walk's counting layer the same way, on two fans:
 ``--classes`` seeded classes, each times a multiple k in 10..20, go through
@@ -129,6 +132,17 @@ def fallbacks(queries):
     return len(walked), sum(next(plan.blocks(b), None) is not None for _, plan, b in walked)
 
 
+def level_sizes(queries):
+    """Per kind, (rows, largest): the rows of the levels of its distinct
+    plans summed, and the rows of its largest level."""
+    plans = {kind: {} for kind in KINDS}
+    for kind, plan, _ in queries:
+        plans[kind][id(plan)] = plan
+    sizes = {kind: [sum(map(len, level)) for plan in kept.values() for level in plan.levels]
+             for kind, kept in plans.items()}
+    return {kind: (sum(rows), max(rows, default=0)) for kind, rows in sizes.items()}
+
+
 def count_fan(name: str) -> Fan:
     if name == "P(1,1,2)":
         return Fan(2, ((1, 0), (-1, -2), (0, 1)), ((0, 1), (1, 2), (0, 2)), name=name)
@@ -182,13 +196,16 @@ def main(argv=None) -> None:
     totals, caches = replay(queries, args.repeat)
     print(f"{len(queries)} queries from {args.classes} classes on totaro-x "
           f"(seed {args.seed}), replayed {args.repeat} times")
-    print(f"{'kind':<14}{'queries':>9}{'first_us/q':>12}{'warm_us/q':>11}{'yes':>7}{'fallback':>10}")
+    print(f"{'kind':<14}{'queries':>9}{'first_us/q':>12}{'warm_us/q':>11}{'yes':>7}{'fallback':>10}"
+          f"{'level_rows':>12}{'max_level':>11}")
     walked, held = fallbacks(queries)
+    levels = level_sizes(queries)
     for kind, (count, ns, yes) in totals.items():
         first = f"{ns[0] / 1000 / count:.1f}" if count else "-"
         warm = f"{statistics.median(ns[1:]) / 1000 / count:.1f}" if count and args.repeat > 1 else "-"
         fallback = f"{walked}/{held}" if kind == "subset" else "-"
-        print(f"{kind:<14}{count:>9}{first:>12}{warm:>11}{yes:>7}{fallback:>10}")
+        rows, largest = levels[kind]
+        print(f"{kind:<14}{count:>9}{first:>12}{warm:>11}{yes:>7}{fallback:>10}{rows:>12}{largest:>11}")
     for name, info in caches.items():
         print(f"{name + ' cache':<17}hits {info.hits:>6}  misses {info.misses:>5}")
     print(f"{'count':<14}{'regions':>9}{'us/region':>11}{'parents':>9}"

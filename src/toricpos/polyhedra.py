@@ -21,13 +21,15 @@ is (plan, b).
 Fourier-Motzkin decides. A ``Plan`` holds what one (dim, strict normals,
 weak normals) fixes (``_plan``, cached), each part built on first use: the
 closure's rows <u, y> <= b, the lifted (y, t) system whose largest t decides
-strict feasibility, their projections onto single coordinates
-(``_projection``, Schrijver 12.2) and the walk's layout. A query reads only
-its constants, one dot product per projected row, exactly (a rational
-class's constants are Fractions): ``closure_nonempty`` projects onto y_0,
-``bounds`` onto each coordinate and ``strictly_feasible`` onto t. The
-``Polyhedron`` entry points are thin wrappers over (``_plan_of(poly)``,
-``_closure_rhs(poly)``), so there is one core.
+strict feasibility, the walk's layout and one chain of levels. Level d is
+the closure's rows on coordinates d.. projected onto y_d (``_projection``,
+Schrijver 12.2): with y_0..y_{d-1} fixed and their share taken out of b, it
+gives y_d's exact range. A query reads only its constants, one dot product
+per projected row, exactly (a rational class's constants are Fractions):
+``closure_nonempty`` reads level 0 and ``strictly_feasible`` the lifted
+system's projection onto t. The ``Polyhedron`` entry points are thin
+wrappers over (``_plan_of(poly)``, ``_closure_rhs(poly)``), so there is one
+core.
 
 The simplex only writes witnesses (``lp_strict_feasible``, ``lp_optimize``,
 which build their rows directly and create no plan). It is a two-phase
@@ -37,18 +39,19 @@ reads are those of the rational tableau, and results are read as Fractions.
 
 Lattice enumeration floors each constant once: <u, y> is an integer on
 integer points, so <u, y> + c >= 0 iff <u, y> + floor(c) >= 0, and
-<u, y> + c < 0 iff <u, y> + floor(c) < 0. The box rounds each coordinate's
-projected range inward; the walk visits it one interval per node, each row
-bounding the next coordinate by floor division, and builds a node only when
-it visits it. It stops at the parent nodes (depth n - 2), where each end of
-a child's last-coordinate interval is a min of terms floor((A - p * v) / d)
-in the child's coordinate v (``Plan.parent_terms``). ``parent_count``
-counts a parent's points from its terms in closed form, whatever its width;
-``Plan.blocks`` reads only counts, and ``Plan.runs`` and a reader of weights
-build the children's ends as lazy ``folds``. ``Plan.has_point`` first dives
-once from the root to a leaf, through the middle of each node's interval:
-the last coordinate's interval is exact, so a dive that reaches it has
-found a point, and only a dive that dead-ends falls back to the counts.
+<u, y> + c < 0 iff <u, y> + floor(c) + 1 <= 0. The walk visits one
+coordinate per depth: a node at depth d reads level d on the constants left
+by its prefix and rounds y_d's exact range inward, and a node is built only
+when the walk visits it. It stops at the parent nodes (depth n - 2), where
+each end of a child's last-coordinate interval is a min of terms
+floor((A - p * v) / d) in the child's coordinate v (``Plan.parent_terms``).
+``parent_count`` counts a parent's points from its terms in closed form,
+whatever its width; ``Plan.blocks`` reads only counts, and ``Plan.runs`` and
+a reader of weights build the children's ends as lazy ``folds``.
+``Plan.has_point`` first dives once from the root to a leaf, through the
+middle of each node's interval: every interval is exact, so the dive stops
+short of a point only at an integer gap, a nonempty range that holds no
+integer, and only then falls back to the counts.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice, repeat
 from math import ceil, floor, gcd
-from operator import itemgetter, neg
+from operator import itemgetter, neg, sub
 
 from .errors import UnboundedRegion
 from .linalg import clear_denominators, content_free
@@ -287,9 +290,10 @@ def _primitive(u, lam):
     return (u, lam) if g == 1 else (tuple(x // g for x in u), tuple((i, l // g) for i, l in lam))
 
 
-# Asked once per plan and coordinate (the plan keeps what it read); hit only
-# when two plans share their closure normals or a plan is rebuilt after
-# eviction: 2 hits in 28 asks over three scan-oracle passes (seed 71).
+# Asked once per plan and level, and once more for level 0 by a plan that
+# also answers closure_nonempty (``Plan.top``); hit when two plans share a
+# level's rows or a plan is rebuilt after eviction: 2 hits in 32 asks over
+# three scan-oracle passes (seed 71) and the warm-up, for 18 plans.
 @lru_cache(maxsize=2048)
 def _projection(normals, dim, k):
     """Closure rows <normals[i], y> <= b_i projected onto coordinate y_k.
@@ -362,49 +366,46 @@ def _range(projection, b):
 # ---------------------------------------------------------------------------
 
 
-def _interval(col, vals, tail, v_lo, v_hi):
-    """The v in [v_lo, v_hi] that a node may pick for its coordinate: each row
-    <u, y> + c <= 0 with partial sum val, coefficient a = col[r] and least
-    tail t needs a * v <= -val - t. An empty answer has v_lo > v_hi."""
-    for a, val, t in zip(col, vals, tail):
-        room = -val - t
-        if a > 0:
-            v_hi = min(v_hi, room // a)
-        elif a < 0:
-            v_lo = max(v_lo, -(room // -a))
-        elif room < 0:
-            return v_lo, v_lo - 1
-    return v_lo, v_hi
+def _integers(level, rest):
+    """The integers (lo, hi) in the range ``_range`` reads from a level on
+    the constants rest, empty when lo > hi; a side is None when unbounded."""
+    span = _range(level, rest)
+    if span is None:
+        return 0, -1
+    lower, upper = span
+    return lower and -(-lower[0] // lower[1]), upper and upper[0] // upper[1]
 
 
-def _parents(cols, tails, lo, hi, vals):
-    """The walk down to depth n - 2 (n >= 2), in lexicographic order: yields
-    (prefix, partial sums, heads, v_lo, v_hi) per node whose coordinate takes
-    v in [v_lo, v_hi], heads holding the tuples (v,). The stack holds one
-    range of v per level above the node, and a child is built only when the
-    walk visits it, so a caller that stops early has built no node it did
-    not visit. The stack is explicit because a recursive closure forms a
-    cycle that keeps the answer alive."""
+def _parents(cols, levels, v_lo, v_hi, rest):
+    """The walk down to depth n - 2 (n >= 2) from the root's interval
+    [v_lo, v_hi], in lexicographic order: yields (prefix, constants, heads,
+    v_lo, v_hi) per node whose coordinate takes v in [v_lo, v_hi], heads
+    holding the tuples (v,). A child's constants are its parent's less
+    v * cols[d], and it reads level d + 1 on them. The stack holds one range
+    of v per depth above the node, and a child is built only when the walk
+    visits it, so a caller that stops early has built no node it did not
+    visit. The stack is explicit because a recursive closure forms a cycle
+    that keeps the answer alive."""
     last = len(cols) - 2
     stack = []
     prefix = ()
     while True:
-        d = len(prefix)
-        v_lo, v_hi = _interval(cols[d], vals, tails[d + 1], lo[d], hi[d])
-        if d < last:
-            stack.append((prefix, vals, iter(range(v_lo, v_hi + 1))))
+        if len(prefix) < last:
+            stack.append((prefix, rest, iter(range(v_lo, v_hi + 1))))
         elif v_lo <= v_hi:
-            yield prefix, vals, zip(range(v_lo, v_hi + 1)), v_lo, v_hi
+            yield prefix, rest, zip(range(v_lo, v_hi + 1)), v_lo, v_hi
         while stack:  # the next node: the next v of the deepest open level
-            prefix, vals, vs = stack[-1]
+            prefix, rest, vs = stack[-1]
             v = next(vs, None)
             if v is not None:
                 break
             stack.pop()
         else:
             return
-        vals = [x + a * v for x, a in zip(vals, cols[len(prefix)])]
+        d = len(prefix)
+        rest = [x - a * v for x, a in zip(rest, cols[d])]
         prefix += (v,)
+        v_lo, v_hi = _integers(levels[d + 1], rest)
 
 
 def floor_sum(n, m, a, b):
@@ -505,29 +506,53 @@ class Plan:
     the closure's rows <u, y> <= b: each weak row negated, then each strict
     row. ``lifted`` holds the same rows in (y, t), each strict one shifted by
     t, then t <= 1 and t >= 0 (constants b, 1, 0): its largest t decides
-    strict feasibility. Projections and the walk layout are built on first
-    use, so a plan that only answers ``closure_nonempty`` projects once."""
+    strict feasibility. ``levels`` is the walk's chain, level d the rows on
+    coordinates d.. projected onto y_d. Each part is built on first use, so a
+    plan that only answers ``closure_nonempty`` eliminates once, for level
+    0."""
 
     def __init__(self, dim, strict, weak):
         self.dim = dim
         self.strict, self.weak = strict, weak
-        self.projections = [None] * dim
 
     @cached_property
     def leq(self):
         return tuple(tuple(-x for x in u) for u in self.weak) + self.strict
 
-    def projection(self, k):
-        """The closure's projection onto y_k."""
-        proj = self.projections[k]
-        if proj is None:
-            proj = self.projections[k] = _projection(self.leq, self.dim, k)
-        return proj
+    @cached_property
+    def top(self):
+        """Level 0, the closure's projection onto y_0, all that
+        ``closure_nonempty`` reads."""
+        return _projection(self.leq, self.dim, 0)
+
+    @cached_property
+    def levels(self):
+        """levels[d] is ``_projection`` of the rows' parts on coordinates d..
+        onto y_d, its multipliers indexing the rows of ``leq``; level 0 has
+        ``top``'s cache key. With y_0..y_{d-1} fixed, the constants
+        b less the prefix's share give y_d's exact range over the closure
+        (``_range``), as the level projects the fiber over the prefix."""
+        leq = self.leq
+        return tuple(_projection(tuple(u[d:] for u in leq), self.dim - d, 0) for d in range(self.dim))
+
+    @cached_property
+    def bounded(self):
+        """Is every nonempty closure of the plan bounded? It is iff every
+        level has an upper and a lower row: level by level, they pin a
+        recession direction's coordinates to 0, and a level missing a side
+        leaves its coordinate unbounded on that side over every prefix with
+        a nonempty fiber."""
+        return all(uppers and lowers for _, uppers, lowers in self.levels)
+
+    @cached_property
+    def shifts(self):
+        """1 per strict row of ``leq`` and 0 per weak one."""
+        return (0,) * len(self.weak) + (1,) * len(self.strict)
 
     @cached_property
     def lifted(self):
-        n, nw = self.dim, len(self.weak)
-        rows = tuple((*u, int(r >= nw)) for r, u in enumerate(self.leq))
+        n = self.dim
+        rows = tuple((*u, t) for u, t in zip(self.leq, self.shifts))
         return rows + ((0,) * n + (1,), (0,) * n + (-1,))
 
     @cached_property
@@ -537,43 +562,30 @@ class Plan:
 
     @cached_property
     def cols(self):
-        """The walk reads the closure's rows in ``leq`` order as
-        <u, y> + val <= 0 over Z; cols[d] holds their coefficients at y_d."""
+        """cols[d] holds the coefficients at y_d of the closure's rows in
+        ``leq`` order: fixing y_d = v takes v * cols[d] off the constants."""
         return tuple(tuple(u[d] for u in self.leq) for d in range(self.dim))
 
     @cached_property
-    def walk(self):
-        """(pen, sides) for ``parent_terms`` (dim >= 1). pen holds the parent
-        column of the last level (zeros in dimension 1). Per side of the last
-        coordinate, upper then lower, sides holds the rows with a parent
-        coefficient p = 0 as (row, |a|) and the others as (row, |a|, p)."""
-        cols = self.cols
-        pen = cols[-2] if self.dim > 1 else (0,) * len(self.leq)
+    def sides(self):
+        """Per side of the last coordinate (dim >= 1), upper then lower, the
+        rows with a parent coefficient p = 0 as (row, |a|) and the others as
+        (row, |a|, p), where a is the row's last coefficient; in dimension 1
+        every p is 0."""
+        pen = self.cols[-2] if self.dim > 1 else (0,) * len(self.leq)
         sides = []
         for sign in (1, -1):
-            side = [(r, sign * a) for r, a in enumerate(cols[-1]) if sign * a > 0]
+            side = [(r, sign * a) for r, a in enumerate(self.cols[-1]) if sign * a > 0]
             sides.append(([(r, d) for r, d in side if not pen[r]],
                           [(r, d, pen[r]) for r, d in side if pen[r]]))
-        return pen, tuple(sides)
-
-    def bounds(self, b):
-        """The exact range of each coordinate over the closure, a list of
-        _range's (lower, upper) pairs, or None when the closure is empty
-        (found at the first coordinate, as each projection is exact)."""
-        bounds = []
-        for k in range(self.dim):
-            bound = _range(self.projection(k), b)
-            if bound is None:
-                return None
-            bounds.append(bound)
-        return bounds
+        return tuple(sides)
 
     def closure_nonempty(self, b) -> bool:
         """Is the closure (strict rows relaxed to weak) nonempty? Its
         projection onto the first coordinate is."""
         if self.dim == 0:
             return all(x >= 0 for x in b)
-        return _range(self.projection(0), b) is not None
+        return _range(self.top, b) is not None
 
     def strictly_feasible(self, b) -> bool:
         """lp_strict_feasible's verdict with no LP: the lifted system's range
@@ -583,43 +595,32 @@ class Plan:
 
     def start(self, b):
         """The walk's setup for the constants b, shared by ``parent_terms``
-        and ``has_point``: (lo, hi, vals, tails), or None when the box holds
-        no integer point. Raises UnboundedRegion when some coordinate is
-        unbounded on a region that is strictly feasible.
+        and ``has_point``: (v_lo, v_hi, rest), y_0's integers and the integer
+        constants, or None when y_0 has no integer. In dimension 0 it is
+        (0, 0, rest), or None when () breaks a row. Raises UnboundedRegion
+        when y_0 has an integer on an unbounded plan whose region is
+        strictly feasible, and gives None on one that is not.
 
-        Fraction constants are floored first, so the walk runs on ints. The
-        box [lo, hi] rounds each coordinate's range (``bounds``) inward; an
-        empty integer range ends the setup before the next coordinate is
-        read. vals holds each row's constant as it reads <u, y> + val <= 0
-        (``cols``), and tails[d] their least values over coordinates d.. of
-        the box, so a node at depth d admits the v with
-        u[d] * v <= -val - tails[d + 1] for each row's partial sum val
-        (``_interval``); tails[n] is zero.
+        Fraction constants are floored first, so the walk runs on ints, and
+        a strict row's constant moves by one, as <u, y> < b means
+        <u, y> <= b - 1 over Z. rest holds the resulting constants in
+        ``leq`` order, and y_0's integers round level 0's range on them
+        inward.
         """
-        nw = len(self.weak)
         if not _INT.issuperset(map(type, b)):  # floor each c: b is c on a weak row, -c on a strict one
+            nw = len(self.weak)
             b = [floor(x) for x in b[:nw]] + [ceil(x) for x in b[nw:]]
-        bounds = self.bounds(b)
-        if bounds is None:
+        rest = list(map(sub, b, self.shifts))
+        if not self.dim:
+            return (0, 0, rest) if all(x >= 0 for x in rest) else None
+        v_lo, v_hi = _integers(self.levels[0], rest)
+        if v_lo is not None and v_hi is not None and v_lo > v_hi:
             return None
-        lo, hi = [], []
-        for lower, upper in bounds:
-            if lower is None or upper is None:
-                if self.strictly_feasible(b):
-                    raise UnboundedRegion(f"coordinate {len(lo)} unbounded")
-                return None
-            low, high = -(-lower[0] // lower[1]), upper[0] // upper[1]
-            if low > high:
-                return None
-            lo.append(low)
-            hi.append(high)
-        # a strict row's constant moves by one, as <u, y> + c < 0 means
-        # <u, y> + c + 1 <= 0 over Z
-        vals = [-x for x in b[:nw]] + [1 - x for x in b[nw:]]
-        tails = [[0] * len(vals)]  # each row's least value over the box
-        for low, high, col in zip(reversed(lo), reversed(hi), reversed(self.cols)):
-            tails.insert(0, [t + a * (low if a > 0 else high) for t, a in zip(tails[0], col)])
-        return lo, hi, vals, tails
+        if not self.bounded:
+            if self.strictly_feasible(b):
+                raise UnboundedRegion(f"unbounded region of dimension {self.dim}")
+            return None
+        return v_lo, v_hi, rest
 
     def parent_terms(self, b, start=None):
         """The walk (dim >= 1) down to its parent nodes, depth n - 2, in
@@ -633,61 +634,59 @@ class Plan:
         0. Raises UnboundedRegion as ``start`` does, and ValueError in
         dimension 0.
 
-        The walk starts from ``start``'s box, vals and tails (pass them as
+        The walk starts from ``start``'s interval and constants (pass them as
         start when ``self.start(b)`` has run already). On the last
-        coordinate a row with coefficient a and parent coefficient p bounds
-        the child at v by (-val - p * v) // |a|, from above when a > 0 and,
-        negated, from below when a < 0: the term (-val, p, |a|). A row with
-        p = 0 is folded into its side's constant, with the box's end; a row
-        with a = 0 has tail 0 at the parent, so the parent's interval holds
-        it for every v.
+        coordinate a row with coefficient a, parent coefficient p and
+        constant A at the parent bounds the child at v by (A - p * v) // |a|,
+        from above when a > 0 and, negated, from below when a < 0: the term
+        (A, p, |a|). The rows with p = 0 are folded into their side's
+        constant, their min. A side with none takes the larger end over
+        [v_lo, v_hi] of its first moving term, which is monotone in v, so the
+        constant never binds below it. A row with a = 0 is in the parent's
+        level, so the parent's interval holds it for every v.
         """
         if not self.dim:
             raise ValueError("the walk needs dim >= 1; Plan.has_point decides a dim-0 region")
         start = start or self.start(b)
         if start is None:
             return
-        lo, hi, vals, tails = start
-        pen, (upper_side, lower_side) = self.walk
-        if self.dim == 1:  # one virtual parent, its coordinate fixed at 0 with column 0
-            v_lo, v_hi = _interval(pen, vals, tails[0], 0, 0)
-            parents = [((), vals, [()], v_lo, v_hi)] if v_lo <= v_hi else []
+        v_lo, v_hi, rest = start
+        if self.dim == 1:  # one virtual parent, its coordinate fixed at 0
+            parents = [((), rest, [()], 0, 0)]
         else:
-            parents = _parents(self.cols, tails, lo, hi, vals)
-        # the box's bound on each side of the last coordinate; the lower side is
-        # kept negated, so both are mins
-        sides = ((hi[-1], *upper_side), (-lo[-1], *lower_side))
-        for prefix, vals, heads, v_lo, v_hi in parents:
+            parents = _parents(self.cols, self.levels, v_lo, v_hi, rest)
+        for prefix, rest, heads, v_lo, v_hi in parents:
             terms = []
-            for bound, fixed, moving in sides:
-                for r, d in fixed:
-                    bound = min(bound, -vals[r] // d)
-                terms.append(((bound, 0, 1), *[(-vals[r], p, d) for r, d, p in moving]))
+            for fixed, moving in self.sides:  # the lower side is kept negated, so both are mins
+                moves = [(rest[r], p, d) for r, d, p in moving]
+                if fixed:
+                    bound = min(rest[r] // d for r, d in fixed)
+                else:
+                    a, p, d = moves[0]
+                    bound = (a - p * (v_lo if p > 0 else v_hi)) // d
+                terms.append(((bound, 0, 1), *moves))
             yield prefix, heads, v_lo, v_hi, terms
 
     def has_point(self, b) -> bool:
-        """Does the region hold an integer point? One dive first (a diving
-        heuristic, Berthold, Primal Heuristics for Mixed Integer Programs,
-        2006): each depth takes the middle of its node's interval
-        (``_interval``). The last interval is exact, its tails being zero, so
-        a dive that reaches it holds a point. Above it the tails only bound
-        the rest of each row from below, so a dead end proves nothing; only
-        then are the parents counted (``blocks``), and every "no" comes from
-        the walk, from the dive's own start. A dim-0 region holds () iff its
-        floored constants satisfy every row. Raises UnboundedRegion as
-        ``start`` does."""
+        """Does the region hold an integer point? One dive first (Berthold,
+        Primal Heuristics for Mixed Integer Programs, 2006): each depth takes
+        the middle integer of its node's interval. The levels give each
+        coordinate's exact range over the prefix's fiber, so a dive that
+        reaches the last level holds a point, and one that stops short of it
+        stops at an integer gap. Only then are the parents counted
+        (``blocks``, from the dive's own start), so every "no" comes from
+        the walk. A dim-0 region holds () iff its floored constants satisfy
+        every row. Raises UnboundedRegion as ``start`` does."""
         start = self.start(b)
-        if start is None:
-            return False
-        lo, hi, vals, tails = start
-        if not self.dim:
-            return all(x <= 0 for x in vals)
-        for d, col in enumerate(self.cols):
-            v_lo, v_hi = _interval(col, vals, tails[d + 1], lo[d], hi[d])
+        if start is None or not self.dim:
+            return start is not None
+        v_lo, v_hi, rest = start
+        for col, level in zip(self.cols, self.levels[1:]):
+            v = (v_lo + v_hi) // 2
+            rest = [x - a * v for x, a in zip(rest, col)]
+            v_lo, v_hi = _integers(level, rest)
             if v_lo > v_hi:
                 return next(self.blocks(b, start), None) is not None
-            v = (v_lo + v_hi) // 2
-            vals = [x + a * v for x, a in zip(vals, col)]
         return True
 
     def runs(self, b):
@@ -774,18 +773,6 @@ def _plan_of(poly: Polyhedron) -> Plan:
 def _closure_rhs(poly: Polyhedron):
     """The constants b of the closure rows <u, y> <= b, in ``leq`` order."""
     return [c for _, c in poly.weak] + [-c for _, c in poly.strict]
-
-
-def coordinate_bounds(poly: Polyhedron):
-    """The exact range of each coordinate over the closure, in order, as
-    Fraction pairs (lower, upper), a side None when unbounded; or None once
-    when the closure is empty."""
-    bounds = _plan_of(poly).bounds(_closure_rhs(poly))
-    if bounds is None:
-        yield None
-        return
-    for bound in bounds:
-        yield tuple(None if x is None else Fraction(*x) for x in bound)
 
 
 def closure_nonempty(poly: Polyhedron) -> bool:

@@ -7,6 +7,7 @@ import pytest
 
 from toricpos import Fan, ToricDivisor
 from toricpos.cli import main
+from toricpos.polyhedra import polyhedron
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +62,27 @@ def random_divisors(fan, count, lo=-5, hi=5, seed=0):
         ToricDivisor(fan, tuple(rng.randint(lo, hi) for _ in range(fan.n_rays)))
         for _ in range(count)
     ]
+
+
+def gap_regions():
+    """(region, box) for slivers with integer gaps in dimensions 2-4:
+    0 <= y_{n-2} <= w and c * y_{n-1} - y_{n-2} = r, the first n - 2
+    coordinates in [0, 1], and a box holding the sliver. It holds a point
+    iff some y_{n-2} in [0, w] is -r mod c: 0 <= y0 <= 2, 3 * y1 - y0 = 1
+    holds (2, 1), though the middle y0 = 1 gives y1 = 2/3, and its
+    0 <= y0 <= 1 twin holds none."""
+    for n in (2, 3, 4):
+        def e(k, s=1):
+            return tuple(s * (j == k) for j in range(n))
+
+        for c in (2, 3, 5):
+            sliver = tuple(c * (j == n - 1) - (j == n - 2) for j in range(n))
+            for w in range(c):
+                for r in range(c):
+                    weak = [(e(k), 0) for k in range(n - 1)] + [(e(k, -1), 1) for k in range(n - 2)]
+                    weak += [(e(n - 2, -1), w), (sliver, -r), (tuple(-x for x in sliver), r)]
+                    box = [(0, 1)] * (n - 2) + [(0, w), (0, (w + r) // c + 1)]
+                    yield polyhedron(n, weak=weak), box
 
 
 def product_fan(factors, matrix=None):

@@ -17,7 +17,16 @@ from math import ceil, floor
 from toricpos import full_subcomplex, reduced_cohomology
 from toricpos.cohomology import bad_subsets
 from toricpos.linalg import dot, solve_linear
-from toricpos.polyhedra import Polyhedron, lp_optimize, lp_strict_feasible, polyhedron
+from toricpos.polyhedra import (
+    Polyhedron,
+    _closure_rhs,
+    _plan_of,
+    _projection,
+    _range,
+    lp_optimize,
+    lp_strict_feasible,
+    polyhedron,
+)
 
 
 def box_filter_lattice_points(poly: Polyhedron, box):
@@ -41,6 +50,19 @@ def box_filter_lattice_points(poly: Polyhedron, box):
         if ok:
             out.append(point)
     return out
+
+
+def coordinate_bounds(poly: Polyhedron):
+    """The exact range of each coordinate over the closure, in order, as
+    Fraction pairs (lower, upper), a side None when unbounded; or [None]
+    when the closure is empty. One Fourier-Motzkin projection per coordinate
+    (``polyhedra._projection`` onto y_k), which the walk never builds: the
+    tests check these ranges against ``lp_optimize``."""
+    leq, b = _plan_of(poly).leq, _closure_rhs(poly)
+    bounds = [_range(_projection(leq, poly.dim, k), b) for k in range(poly.dim)]
+    if None in bounds:
+        return [None]
+    return [tuple(None if x is None else Fraction(*x) for x in bound) for bound in bounds]
 
 
 def per_child_count(terms, v_lo, v_hi):

@@ -22,7 +22,7 @@ from toricpos import (
 from toricpos.cohomology import Weights, bad_subsets, degree_nonzero, h_p
 from toricpos.polyhedra import Plan, folds, lattice_blocks, lattice_runs
 
-from .conftest import product_fan, random_divisors
+from .conftest import gap_regions, product_fan, random_divisors
 from .oracles import (
     box_filter_lattice_points,
     brute_force_cohomology,
@@ -187,47 +187,55 @@ def test_weight_blocks_read_like_the_runs_and_the_box_filter(p1, p2, p1xp1, tota
     # the points under each parent (the first n - 2 coordinates), and every
     # read of Weights (length, indices, slices, iteration, runs) agrees with
     # the expanded runs and with the box filter; in dimension 1 the one
-    # block stands for the weights (w,)
+    # block stands for the weights (w,). The slivers with integer gaps
+    # (``gap_regions``) give parents with empty children
     p1_4 = product_fan([(p1.rays, p1.max_cones)] * 4)
     rng = random.Random("weight-blocks")
-    seen = Counter()
+    regions = []
     for fan, divisors in ((p1, 4), (p2, 3), (p1xp1, 3), (totaro, 3), (p1_4, 2)):
         for d in random_divisors(fan, divisors, lo=-2, hi=2, seed="weight-blocks"):
             kd = rng.randint(2, 4) * d
             box = certified_weight_box(fan, kd.coeffs)
-            for subset, weights, _ in cohomology_dims(kd).witnesses:
-                region = coeff_subset_region(fan, kd.plain_coeffs, subset)
-                runs = tuple(lattice_runs(region))
-                points = tuple(p + (v,) for p, lo, hi in runs for v in range(lo, hi + 1))
-                assert list(points) == box_filter_lattice_points(region, box), (fan.rays, subset)
-                per_parent = Counter(m[: max(fan.rank - 2, 0)] for m in points)
-                blocks = tuple(lattice_blocks(region))
-                assert weights.blocks == blocks
-                assert [(prefix, count) for prefix, *_, count in blocks] == list(per_parent.items())
-                assert weights.runs == runs
-                size = len(points)
-                assert len(weights) == size > 0
-                for i in (0, -1, size // 2, -size):
-                    assert weights[i] == points[i], (fan.rays, kd.coeffs, subset, i)
-                # steps 1, -1, 3 and -3, from either end and the middle, then
-                # empty and reversed bounds
-                cuts = (slice(None), slice(1, -1), slice(size // 2, None, 2), slice(None, None, -3),
-                        slice(None, None, -1), slice(size // 2, 0, -1), slice(1, None, 3),
-                        slice(-2, None, -3), slice(size // 3, -1, 3), slice(size // 2, size // 2),
-                        slice(-1, 0), slice(0, -1, -1), slice(size, None), slice(-1, 1, 3))
-                for cut in cuts:
-                    read = weights[cut]
-                    assert read == tuple(weights)[cut] == points[cut] and type(read) is tuple, (subset, cut)
-                    seen["empty slice"] += not read
-                for i in (size, -size - 1):
-                    with pytest.raises(IndexError):
-                        weights[i]
-                assert tuple(weights) == points
-                seen[fan.rank] += 1
-                children = (v_hi - v_lo + 1 for _, v_lo, v_hi, *_ in blocks)
-                seen["children", fan.rank] = max(seen["children", fan.rank], *children)
-                seen["empty children"] += sum(h + neg_lo < 0 for _, v_lo, v_hi, terms, _ in blocks
-                                          for h, neg_lo in zip(*folds(terms, v_lo, v_hi)))
+            regions += [(coeff_subset_region(fan, kd.plain_coeffs, subset), weights, box)
+                        for subset, weights, _ in cohomology_dims(kd).witnesses]
+    for region, box in gap_regions():
+        weights = Weights(lattice_blocks(region), region.dim)
+        if weights:
+            regions.append((region, weights, box))
+    seen = Counter()
+    for region, weights, box in regions:
+        rank = region.dim
+        runs = tuple(lattice_runs(region))
+        points = tuple(p + (v,) for p, lo, hi in runs for v in range(lo, hi + 1))
+        assert list(points) == box_filter_lattice_points(region, box), region
+        per_parent = Counter(m[: max(rank - 2, 0)] for m in points)
+        blocks = tuple(lattice_blocks(region))
+        assert weights.blocks == blocks
+        assert [(prefix, count) for prefix, *_, count in blocks] == list(per_parent.items())
+        assert weights.runs == runs
+        size = len(points)
+        assert len(weights) == size > 0
+        for i in (0, -1, size // 2, -size):
+            assert weights[i] == points[i], (region, i)
+        # steps 1, -1, 3 and -3, from either end and the middle, then
+        # empty and reversed bounds
+        cuts = (slice(None), slice(1, -1), slice(size // 2, None, 2), slice(None, None, -3),
+                slice(None, None, -1), slice(size // 2, 0, -1), slice(1, None, 3),
+                slice(-2, None, -3), slice(size // 3, -1, 3), slice(size // 2, size // 2),
+                slice(-1, 0), slice(0, -1, -1), slice(size, None), slice(-1, 1, 3))
+        for cut in cuts:
+            read = weights[cut]
+            assert read == tuple(weights)[cut] == points[cut] and type(read) is tuple, (region, cut)
+            seen["empty slice"] += not read
+        for i in (size, -size - 1):
+            with pytest.raises(IndexError):
+                weights[i]
+        assert tuple(weights) == points
+        seen[rank] += 1
+        children = (v_hi - v_lo + 1 for _, v_lo, v_hi, *_ in blocks)
+        seen["children", rank] = max(seen["children", rank], *children)
+        seen["empty children"] += sum(h + neg_lo < 0 for _, v_lo, v_hi, terms, _ in blocks
+                                      for h, neg_lo in zip(*folds(terms, v_lo, v_hi)))
     assert all(seen[n] for n in range(1, 5)) and seen["empty children"] and seen["empty slice"], seen
     assert all(seen["children", n] > 1 for n in range(2, 5)), seen
 

@@ -17,8 +17,8 @@ from toricpos.polyhedra import (
     _plan,
     _plan_of,
     _projection,
+    _range,
     closure_nonempty,
-    coordinate_bounds,
     floor_sum,
     folds,
     lattice_blocks,
@@ -33,11 +33,12 @@ from toricpos.polyhedra import (
     strictly_feasible,
 )
 
-from .conftest import product_fan, random_divisors
+from .conftest import gap_regions, product_fan, random_divisors
 from .oracles import (
     box_filter_lattice_points,
     certified_weight_box,
     coeff_subset_region,
+    coordinate_bounds,
     per_child_count,
     reference_simplex_max,
 )
@@ -102,6 +103,28 @@ def test_strictly_empty_unbounded_closure_is_empty_not_error():
     q = polyhedron(2, weak=[((1, 0), Fraction(-1, 5)), ((-1, 0), Fraction(4, 5)), ((0, 1), 0)])
     assert lp_strict_feasible(q).feasible
     assert lattice_points(q) == []
+
+
+def test_unbounded_region_raises_whichever_coordinate_is_unbounded():
+    # boundedness is the plan's: a strictly feasible region on an unbounded
+    # plan raises once y_0's range holds an integer, whether y_k is free or
+    # open above or below. A later coordinate's empty integer range does not
+    # hide it: y1 has no integer in [1/5, 4/5] below, and y2 is unbounded
+    for n in range(1, 5):
+        for k in range(n):
+            for sides in ((1,), (-1,), ()):
+                weak = [(tuple(s * (j == i) for j in range(n)), 2 if s < 0 else 0)
+                        for i in range(n) for s in ((1, -1) if i != k else sides)]
+                p = polyhedron(n, weak=weak)
+                assert lp_strict_feasible(p).feasible
+                for ask in (lattice_points, lambda p: next(lattice_blocks(p)),
+                            lambda p: _plan_of(p).has_point(_closure_rhs(p))):
+                    with pytest.raises(UnboundedRegion):
+                        ask(p)
+    gap = [((0, 1, 0), Fraction(-1, 5)), ((0, -1, 0), Fraction(4, 5))]
+    q = polyhedron(3, weak=[((1, 0, 0), 0), ((-1, 0, 0), 1), ((0, 0, 1), 0), *gap])
+    with pytest.raises(UnboundedRegion):
+        lattice_points(q)
 
 
 def test_lp_optimize_statuses():
@@ -434,17 +457,17 @@ def test_integer_rows_store_as_their_fraction_forms_on_seeded_corpus():
 
 def test_positively_scaled_rows_share_one_projection_entry():
     # plans are keyed by the stored normals, so rows that differ by a
-    # positive factor reach the same plan, and the plan holds the projections
-    # its first query built: the second query builds nothing
+    # positive factor reach the same plan, and the plan keeps the levels its
+    # first walk built: the second walk asks the projection cache nothing
     window = [((0, 1), 4), ((0, -1), 4), ((-1, 0), 5)]
     first = polyhedron(2, weak=[((Fraction(1, 2), 0), Fraction(1, 3))] + window)
     second = polyhedron(2, weak=[((3, 0), 2)] + window)
-    bounds = list(coordinate_bounds(first))
+    points = lattice_points(first)
     plans, projections = _plan.cache_info(), _projection.cache_info()
-    assert list(coordinate_bounds(second)) == bounds
+    assert lattice_points(second) == points and len(points) == 6 * 9
     after = _plan.cache_info()
     assert (after.hits, after.misses) == (plans.hits + 1, plans.misses)
-    assert _projection.cache_info().misses == projections.misses
+    assert _projection.cache_info() == projections
 
 
 def test_bad_subset_regions_are_walked_without_an_lp(monkeypatch, example_fans):
@@ -582,21 +605,25 @@ def test_parent_counts_match_the_per_child_sum_on_seeded_corpus(p1, p2, totaro):
     assert len(shapes) == 5 and min(shapes.values()) >= 5, shapes
 
 
-def _scan_regions(example_fans, p1, p2):
-    """(fan, region) for the regions the q-ample scan asks about, on the
-    built-in fans, P(1,1,2) and a GL(3,Z) image of P1 x P2."""
+def _scan_regions(example_fans, p1, p2, count=4, multiples=(1, 2, 12)):
+    """(where, region) for the regions the q-ample scan asks about, for
+    ``count`` seeded classes and their ``multiples``, on the built-in fans,
+    P(1,1,2) and a GL(3,Z) image of P1 x P2, then the slivers with integer
+    gaps (``gap_regions``)."""
     p112 = Fan(2, ((1, 0), (-1, -2), (0, 1)), ((0, 1), (1, 2), (0, 2)), name="P(1,1,2)")
     gl = product_fan([(p1.rays, p1.max_cones), (p2.rays, p2.max_cones)], ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
     for fan in (*example_fans, p112, gl):
-        for _, p in scan_twist_regions(fan, 4, (1, 2, 12)):
-            yield fan, p
+        for _, p in scan_twist_regions(fan, count, multiples):
+            yield fan.rays, p
+    for p, _ in gap_regions():
+        yield "sliver", p
 
 
 def test_has_point_dives_and_walks_only_at_a_dead_end(monkeypatch, example_fans, p1, p2):
     # has_point against "the count walk yields a block" on the scan regions.
-    # The dive answers yes at a leaf and reads blocks only at a dead end; the
-    # corpus reaches a leaf, a dead end on a region with a point and a dead
-    # end on an empty one
+    # The dive answers yes at a leaf and reads blocks only at a dead end, an
+    # integer gap; the slivers reach a dead end on a region with a point and
+    # a dead end on an empty one
     walked = []
     blocks = Plan.blocks
 
@@ -606,22 +633,22 @@ def test_has_point_dives_and_walks_only_at_a_dead_end(monkeypatch, example_fans,
 
     monkeypatch.setattr(Plan, "blocks", counting)
     outcomes = Counter()
-    for fan, p in _scan_regions(example_fans, p1, p2):
+    for where, p in _scan_regions(example_fans, p1, p2):
         plan, b = _plan_of(p), _closure_rhs(p)
         walked.clear()
         found = plan.has_point(b)
-        assert found == (next(blocks(plan, b), None) is not None), (fan.rays, p)
-        assert len(walked) <= 1, (fan.rays, p)
+        assert found == (next(blocks(plan, b), None) is not None), (where, p)
+        assert len(walked) <= 1, (where, p)
         if walked:
             outcomes["dead end, point" if found else "dead end, empty"] += 1
         else:
-            outcomes["leaf" if found else "no box"] += 1
+            outcomes["leaf" if found else "no start"] += 1
     assert len(outcomes) == 4 and min(outcomes.values()) >= 5, outcomes
 
 
 def test_has_point_sets_the_walk_up_once(monkeypatch, example_fans, p1, p2):
     # a dead-end dive hands its own start to the count walk, so every query,
-    # leaf, dead end or empty box, runs Plan.start exactly once
+    # leaf, dead end or empty start, runs Plan.start exactly once
     starts = []
     start = Plan.start
 
@@ -631,12 +658,93 @@ def test_has_point_sets_the_walk_up_once(monkeypatch, example_fans, p1, p2):
 
     monkeypatch.setattr(Plan, "start", counting)
     queries = 0
-    for fan, p in _scan_regions(example_fans, p1, p2):
+    for where, p in _scan_regions(example_fans, p1, p2):
         starts.clear()
         _plan_of(p).has_point(_closure_rhs(p))
-        assert len(starts) == 1, (fan.rays, p)
+        assert len(starts) == 1, (where, p)
         queries += 1
     assert queries >= 20
+
+
+def _range_by_lp(rows, rest, d):
+    """y_d's range over {y : <u[d:], y[d:]> <= rest_i per row u} by the
+    reference simplex on free variables split in two: Fraction (lower,
+    upper), a side None when unbounded, or None when the set is empty."""
+    m = len(rows[0]) - d
+    a = [list(u[d:]) + [-x for x in u[d:]] for u in rows]
+    ends = []
+    for sign in (-1, 1):
+        cost = [0] * (2 * m)
+        cost[0], cost[m] = sign, -sign
+        status, _, value = reference_simplex_max(a, rest, cost)
+        if status == "infeasible":
+            return None
+        ends.append(None if status == "unbounded" else sign * value)
+    return tuple(ends)
+
+
+def _random_polytopes(count):
+    """Seeded bounded regions in dimensions 1-4: a window per coordinate and
+    up to three more rows with entries in -3..3 through a point of the
+    window, some strict, some with Fraction constants."""
+    rng = random.Random(20267)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        box = [(a, a + rng.randint(0, 5)) for a in (rng.randint(-3, 3) for _ in range(n))]
+        weak = []
+        for k, (a, b) in enumerate(box):
+            e = tuple(int(j == k) for j in range(n))
+            weak += [(e, -a), (tuple(-x for x in e), b)]
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            u = tuple(rng.randint(-3, 3) for _ in range(n))
+            near = [rng.randint(a, b) for a, b in box]
+            c = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) - sum(x * y for x, y in zip(u, near))
+            rows.append((u, c))
+        cut = rng.randint(0, len(rows))
+        yield polyhedron(n, strict=rows[:cut], weak=weak + rows[cut:])
+
+
+def test_levels_give_every_visited_node_its_exact_range(monkeypatch, example_fans, p1, p2):
+    # at every node the count walk and the dive visit (the root in
+    # Plan.start), the level's range on the node's constants is y_d's range
+    # over the closure with the prefix fixed, by the reference simplex; and
+    # every dive dead end is an integer gap, a nonempty range that holds no
+    # integer
+    import toricpos.polyhedra as polyhedra
+
+    visited, dead_ends = [], []
+    integers, blocks = polyhedra._integers, Plan.blocks
+
+    def recording(level, rest):
+        visited.append((level, list(rest)))
+        return integers(level, rest)
+
+    def dead_end(plan, b, *start):
+        dead_ends.append(visited[-1])
+        return blocks(plan, b, *start)
+
+    monkeypatch.setattr(polyhedra, "_integers", recording)
+    monkeypatch.setattr(Plan, "blocks", dead_end)
+    regions = [p for _, p in _scan_regions(example_fans, p1, p2, 2, (1, 3))] + list(_random_polytopes(80))
+    seen = Counter()
+    for p in regions:
+        plan, b = _plan_of(p), _closure_rhs(p)
+        visited.clear()
+        dead_ends.clear()
+        list(lattice_runs(p))
+        plan.has_point(b)
+        depth = {id(level): d for d, level in enumerate(plan.levels)}
+        for level, rest in visited:
+            span = _range(level, rest)
+            got = None if span is None else tuple(None if x is None else Fraction(*x) for x in span)
+            assert got == _range_by_lp(plan.leq, rest, depth[id(level)]), (p, rest)
+            seen["empty" if got is None else "node"] += 1
+        for level, rest in dead_ends:
+            (lower, upper) = _range(level, rest)
+            assert -(-lower[0] // lower[1]) > upper[0] // upper[1], (p, rest)
+            seen["dead end"] += 1
+    assert seen["node"] >= 2000 and seen["empty"] >= 50 and seen["dead end"] >= 20, seen
 
 
 def test_zero_dimensional_polyhedra():
@@ -740,13 +848,14 @@ def test_simplex_drives_a_degenerate_artificial_out():
 
 
 def test_first_only_walk_builds_only_the_nodes_it_visits(monkeypatch):
-    # a node's partial sums are built from its parent's column and each visit
-    # reads the node's own column once, so the column reads beyond the visits
-    # count the built nodes; every built node is visited, so a walk that
-    # stops at its first run has built one node per visit but the root. At
-    # the last level a first_only walk reads every child of each empty
-    # parent and, in the parent of its first point, stops at that point's
-    # child: the children it draws count the folds it reads
+    # a node's constants are built from its parent's column, and each visit
+    # reads the node's level once (the root's in Plan.start), so the column
+    # reads count the built nodes and the level reads the visits; every built
+    # node is visited, so a walk that stops at its first run has built one
+    # node per visit but the root. At the last level a first_only walk reads
+    # every child of each empty parent and, in the parent of its first
+    # point, stops at that point's child: the children it draws count the
+    # folds it reads
     import toricpos.polyhedra as polyhedra
 
     reads, visits, drawn = [0], [0], []
@@ -756,11 +865,11 @@ def test_first_only_walk_builds_only_the_nodes_it_visits(monkeypatch):
             reads[0] += 1
             return super().__iter__()
 
-    walk, interval = polyhedra._parents, polyhedra._interval
+    walk, integers = polyhedra._parents, polyhedra._integers
 
-    def counted_interval(*args):
+    def counted_integers(*args):
         visits[0] += 1
-        return interval(*args)
+        return integers(*args)
 
     def counted(heads, parent):
         for head in heads:
@@ -773,7 +882,7 @@ def test_first_only_walk_builds_only_the_nodes_it_visits(monkeypatch):
             yield prefix, vals, counted(heads, drawn[-1]), v_lo, v_hi
 
     monkeypatch.setattr(polyhedra, "_parents", counted_parents)
-    monkeypatch.setattr(polyhedra, "_interval", counted_interval)
+    monkeypatch.setattr(polyhedra, "_integers", counted_integers)
     rng = random.Random(20266)
     stopped_early = stopped_inside = 0
     for _ in range(300):
@@ -795,7 +904,7 @@ def test_first_only_walk_builds_only_the_nodes_it_visits(monkeypatch):
             reads[0] = visits[0] = 0
             drawn.clear()
             points = lattice_points(p, first_only=first_only)
-            built = reads[0] - visits[0]
+            built = reads[0]
             assert built == max(visits[0] - 1, 0), (p, first_only, built, visits[0])
             *empty, last = drawn or [[(), 0, -1, 0]]
             assert all(count == v_hi - v_lo + 1 for _, v_lo, v_hi, count in empty), (p, drawn)

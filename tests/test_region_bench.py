@@ -1,11 +1,16 @@
 """scripts/region_bench.py records and replays a mode check's (plan, b)
-queries and counts its caches and the dives that fell back to the walk,
-then times the counts of cohomology's weight regions on two fans."""
+queries and counts its caches, its plans' levels and the dives that fell
+back to the walk, then times the counts of cohomology's weight regions on
+two fans."""
 
 import importlib.util
 from pathlib import Path
 
+import toricpos.polyhedra as polyhedra
 from toricpos.cohomology import bad_subsets
+from toricpos.polyhedra import Plan, _closure_rhs, _plan_of, _range
+
+from .conftest import gap_regions
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "region_bench.py"
 
@@ -17,7 +22,7 @@ def load_script():
     return module
 
 
-def test_replay_builds_one_plan_per_distinct_normals():
+def test_replay_builds_one_plan_per_distinct_normals(monkeypatch):
     bench = load_script()
     queries = bench.scan_queries(seed=5, classes=2)
     totals, caches = bench.replay(queries, repeat=2)
@@ -30,10 +35,28 @@ def test_replay_builds_one_plan_per_distinct_normals():
     assert all(len(ns) == 2 and min(ns) > 0 for _, ns, _ in totals.values()), totals
     count, _, yes = totals["subset"]
     assert 0 < yes < count  # the scan finds points in some regions, not all
-    # a dive that dead-ends reads the walk once; some of those regions hold
-    # a point, and the dive finds every other point
-    walked, held = bench.fallbacks(queries)
-    assert 0 < held < walked < count and yes - held > 0, (walked, held, yes)
+    # a dive reads the walk only where it stops at an integer gap, a level
+    # whose nonempty range holds no integer; the slivers (``gap_regions``)
+    # stop at one on regions with and without a point
+    slivers = [("subset", _plan_of(p), _closure_rhs(p)) for p, _ in gap_regions()]
+    stops, last = [], []
+    integers, blocks = polyhedra._integers, Plan.blocks
+
+    def reading(level, rest):
+        last[:] = [(level, rest)]
+        return integers(level, rest)
+
+    def stopping(plan, b, *start):  # has_point hands the walk its start
+        stops.extend(last if start else ())
+        return blocks(plan, b, *start)
+
+    monkeypatch.setattr(polyhedra, "_integers", reading)
+    monkeypatch.setattr(Plan, "blocks", stopping)
+    walked, held = bench.fallbacks(queries + slivers)
+    assert walked == len(stops) and 0 < held < walked < count and yes > held, (walked, held, yes)
+    for level, rest in stops:
+        (lo_num, lo_den), (up_num, up_den) = _range(level, rest)
+        assert -(-lo_num // lo_den) > up_num // up_den, (level, rest)
 
 
 def test_report_names_every_kind_and_cache(capsys):
@@ -44,10 +67,12 @@ def test_report_names_every_kind_and_cache(capsys):
         assert "from 2 classes on totaro-x (seed 5)" in out[0]
         assert [line.split()[0] for line in out[1:]] == [
             "kind", "subset", "face", "joint", "plan", "projection", "count", "totaro-x", "P(1,1,2)"]
-        assert out[1].split() == ["kind", "queries", "first_us/q", "warm_us/q", "yes", "fallback"]
+        assert out[1].split() == [
+            "kind", "queries", "first_us/q", "warm_us/q", "yes", "fallback", "level_rows", "max_level"]
         for line in out[2:5]:  # one replay has no warm figure
-            kind, _, first, warm, yes, fallback = line.split()
+            kind, _, first, warm, yes, fallback, rows, largest = line.split()
             assert float(first) > 0 and (warm == "-" if repeat == 1 else float(warm) > 0), line
+            assert int(rows) >= int(largest) > 0, line
             if kind == "subset":
                 walked, held = map(int, fallback.split("/"))
                 assert 0 <= held <= min(walked, int(yes)), line
