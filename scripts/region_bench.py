@@ -176,7 +176,7 @@ def count_replay(queries, repeat: int):
             spent += clock() - start
     parents = children = wide = blocks = 0
     for plan, b in queries:
-        for _, _, v_lo, v_hi, terms in plan.parent_terms(b):
+        for _, v_lo, v_hi, terms in plan.parent_terms(b):
             parents += 1
             children += v_hi - v_lo + 1
             wide += any(d > 1 for side in terms for _, _, d in side)

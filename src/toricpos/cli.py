@@ -34,7 +34,6 @@ from .errors import (
     UnboundedRegion,
     WorkspaceError,
 )
-from .fan import validate
 from .positivity import (
     _face_nonempty,
     augmented_base_locus,
@@ -257,7 +256,7 @@ def main(argv=None, prog_name: str = "toricpos") -> None:
 @command("validate")
 def validate_cmd(ws, workspace_ref):
     """Validate a workspace: fan structure, completeness, smoothness."""
-    props = validate(ws.fan)
+    props = ws.fan.properties
     text = serialize_workspace(ws)
     return {"workspace": workspace_ref}, {
         "simplicial": props.simplicial,
@@ -533,7 +532,7 @@ def replicate_paper(ws, workspace_ref):
             {"name": name, "expected": expected, "actual": actual, "pass": expected == actual}
         )
 
-    props = validate(fan)
+    props = fan.properties
     check("fan smooth+complete+simplicial", (True, True, True),
           (props.smooth, props.complete, props.simplicial))
     check("picard rank", 3, picard_rank(fan))

@@ -18,27 +18,25 @@ parent node of the second-to-last coordinate (``Plan.blocks``): the
 parent's range of that coordinate, the terms whose mins bound each child's
 last coordinate, and the parent's count, read from the terms in closed form
 (an arithmetic series or a floor sum per binding row). A dimension is a sum
-of block counts; ``Weights`` keeps the blocks and builds a block's children
-(``folds``) only when a reader enters it. ``degree_nonzero`` asks only
-whether a region holds a point (``Plan.has_point``): one dive down the
-walk answers yes, and the parents are counted only when the dive
-dead-ends.
+of block counts. A table's witnesses hold each region's blocks as
+``polyhedra.Weights``, the blocks' one reader, which folds a block's
+children only when a reader enters it. ``degree_nonzero`` asks only whether
+a region holds a point (``Plan.has_point``): one dive down the walk answers
+yes, and the parents are counted only when the dive dead-ends.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, count, islice, repeat
+from itertools import combinations
 
 from .divisor import ToricDivisor, require_integral
 from .errors import NotComplete, ToricError, UnboundedRegion
 from .fan import Fan, RaySubcomplex, full_subcomplex
 from .linalg import rref
-from .polyhedra import child_runs, folds, lp_strict_feasible, rhs
+from .polyhedra import Weights, lp_strict_feasible, rhs
 
 MAX_RAYS_FOR_SUBSET_INDEX = 20
 
@@ -125,77 +123,6 @@ def _require_degree(fan: Fan, p: int) -> None:
     _require_complete(fan)
     if not 0 <= p <= fan.rank:
         raise ToricError(f"degree p = {p} must lie in 0..{fan.rank}")
-
-
-class Weights(Sequence):
-    """Read-only weights of one region, lexicographic, kept as the walk's
-    blocks (``Plan.blocks``): the children v_lo..v_hi of one parent prefix,
-    child v holding the weights prefix + (v, w) for w between the ends its
-    terms give (just (w,) in dimension 1), and the block's count. Its length
-    is a sum of block counts, and it is equal to any sequence of the same
-    weights. A block's children are folded (``folds``) only when a reader
-    enters it: an index or a slice keeps the runs of the block it starts in,
-    with their running lengths, and iteration folds block by block. No
-    weight tuple is built until one is read."""
-
-    def __init__(self, blocks, dim):
-        self.blocks = tuple(blocks)
-        self._nested = dim > 1  # a parent coordinate heads each child
-        self._starts = [0, *accumulate(block[-1] for block in self.blocks)]
-        self._opened = {}  # block index -> its runs and their running lengths
-
-    def __len__(self):
-        return self._starts[-1]
-
-    def _runs(self, blocks):
-        for prefix, v_lo, v_hi, terms, _ in blocks:
-            heads = zip(count(v_lo)) if self._nested else repeat(())
-            yield from child_runs(prefix, heads, *folds(terms, v_lo, v_hi))
-
-    @property
-    def runs(self):
-        """The walk's runs (prefix, lo, hi), as ``Plan.runs`` yields them."""
-        return tuple(self._runs(self.blocks))
-
-    @staticmethod
-    def _points(runs):
-        return (p + (v,) for p, lo, hi in runs for v in range(lo, hi + 1))
-
-    def _from(self, k):
-        """The weights from index k (0 <= k < len) on: a bisection of the
-        blocks and one of the block's running run lengths (its runs folded
-        on its first read and kept) find weight k, and the walk goes on."""
-        b = bisect_right(self._starts, k) - 1
-        k -= self._starts[b]
-        opened = self._opened.get(b)
-        if opened is None:
-            runs = list(self._runs(self.blocks[b : b + 1]))
-            opened = self._opened[b] = runs, list(accumulate(hi - lo + 1 for _, lo, hi in runs))
-        runs, ends = opened
-        j = bisect_right(ends, k)  # the run holding the weight
-        prefix, _, hi = runs[j]
-        first = (prefix, hi - (ends[j] - 1 - k), hi)  # the run's last weight hi is at ends[j] - 1
-        later = self._runs(islice(self.blocks, b + 1, None))
-        return self._points(chain((first,), islice(runs, j + 1, None), later))
-
-    def __getitem__(self, i):
-        k = range(len(self))[i]  # negative, out-of-range and slice indices as for a tuple
-        if not isinstance(k, range):
-            return next(self._from(k))
-        if not k:
-            return ()
-        step = abs(k.step)  # read up from the lowest index, every step-th weight
-        read = tuple(islice(self._from(min(k[0], k[-1])), 0, (len(k) - 1) * step + 1, step))
-        return read if k.step > 0 else read[::-1]
-
-    def __iter__(self):
-        return self._points(self._runs(self.blocks))
-
-    def __eq__(self, other):
-        return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
 
 
 @dataclass(frozen=True)

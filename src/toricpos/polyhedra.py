@@ -27,9 +27,9 @@ Schrijver 12.2): with y_0..y_{d-1} fixed and their share taken out of b, it
 gives y_d's exact range. A query reads only its constants, one dot product
 per projected row, exactly (a rational class's constants are Fractions):
 ``closure_nonempty`` reads level 0 and ``strictly_feasible`` the lifted
-system's projection onto t. The ``Polyhedron`` entry points are thin
-wrappers over (``_plan_of(poly)``, ``_closure_rhs(poly)``), so there is one
-core.
+system's projection onto t. ``lattice_points``, the one ``Polyhedron`` entry
+point to the walk, reads the plan of (``_plan_of(poly)``,
+``_closure_rhs(poly)``), so there is one core.
 
 The simplex only writes witnesses (``lp_strict_feasible``, ``lp_optimize``,
 which build their rows directly and create no plan). It is a two-phase
@@ -46,8 +46,10 @@ when the walk visits it. It stops at the parent nodes (depth n - 2), where
 each end of a child's last-coordinate interval is a min of terms
 floor((A - p * v) / d) in the child's coordinate v (``Plan.parent_terms``).
 ``parent_count`` counts a parent's points from its terms in closed form,
-whatever its width; ``Plan.blocks`` reads only counts, and ``Plan.runs`` and
-a reader of weights build the children's ends as lazy ``folds``.
+whatever its width, and ``Plan.blocks``, the walk's one output, yields the
+parents with a point. ``Weights`` is their one reader: a sequence of the
+points, which builds a block's children's ends as lazy ``folds`` only when
+a reader enters it.
 ``Plan.has_point`` first dives once from the root to a leaf, through the
 middle of each node's interval: every interval is exact, so the dive stops
 short of a point only at an integer gap, a nonempty range that holds no
@@ -56,10 +58,12 @@ integer, and only then falls back to the counts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from math import ceil, floor, gcd
 from operator import itemgetter, neg, sub
 
@@ -378,13 +382,12 @@ def _integers(level, rest):
 
 def _parents(cols, levels, v_lo, v_hi, rest):
     """The walk down to depth n - 2 (n >= 2) from the root's interval
-    [v_lo, v_hi], in lexicographic order: yields (prefix, constants, heads,
-    v_lo, v_hi) per node whose coordinate takes v in [v_lo, v_hi], heads
-    holding the tuples (v,). A child's constants are its parent's less
-    v * cols[d], and it reads level d + 1 on them. The stack holds one range
-    of v per depth above the node, and a child is built only when the walk
-    visits it, so a caller that stops early has built no node it did not
-    visit. The stack is explicit because a recursive closure forms a cycle
+    [v_lo, v_hi], in lexicographic order: yields (prefix, constants, v_lo,
+    v_hi) per node whose coordinate takes v in [v_lo, v_hi]. A child's
+    constants are its parent's less v * cols[d], and it reads level d + 1 on
+    them. The stack holds one range of v per depth above the node, and a
+    child is built only when the walk visits it, so a caller that stops early
+    has built no node it did not visit. The stack is explicit because a recursive closure forms a cycle
     that keeps the answer alive."""
     last = len(cols) - 2
     stack = []
@@ -393,7 +396,7 @@ def _parents(cols, levels, v_lo, v_hi, rest):
         if len(prefix) < last:
             stack.append((prefix, rest, iter(range(v_lo, v_hi + 1))))
         elif v_lo <= v_hi:
-            yield prefix, rest, zip(range(v_lo, v_hi + 1)), v_lo, v_hi
+            yield prefix, rest, v_lo, v_hi
         while stack:  # the next node: the next v of the deepest open level
             prefix, rest, vs = stack[-1]
             v = next(vs, None)
@@ -489,12 +492,74 @@ def folds(terms, v_lo, v_hi):
     return out
 
 
-def child_runs(prefix, heads, his, neg_los):
-    """The runs (prefix + head, lo, hi) of a parent's nonempty children,
-    read lazily from its heads and folds."""
-    for head, h, neg_lo in zip(heads, his, neg_los):
-        if h + neg_lo >= 0:
-            yield prefix + head, -neg_lo, h
+class Weights(Sequence):
+    """Read-only integer points of one region, lexicographic, kept as the
+    walk's blocks (``Plan.blocks``): the children v_lo..v_hi of one parent
+    prefix, child v holding the points prefix + (v, w) for w between the
+    ends its terms give (just (w,) in dimension 1), and the block's count.
+    Its length is a sum of block counts, and it is equal to any sequence of
+    the same points. A block's children are folded (``folds``) only when a
+    reader enters it: an index or a slice keeps the runs (prefix, lo, hi) of
+    the block it starts in, with their running lengths, and iteration folds
+    block by block. No point tuple is built until one is read."""
+
+    def __init__(self, blocks, dim):
+        self.blocks = tuple(blocks)
+        self._nested = dim > 1  # a parent coordinate heads each child
+        self._starts = [0, *accumulate(block[-1] for block in self.blocks)]
+        self._opened = {}  # block index -> its runs and their running lengths
+
+    def __len__(self):
+        return self._starts[-1]
+
+    def _runs(self, blocks):
+        """The runs (prefix + head, lo, hi) of the blocks' nonempty children,
+        read lazily from their folds."""
+        for prefix, v_lo, v_hi, terms, _ in blocks:
+            heads = zip(count(v_lo)) if self._nested else repeat(())
+            for head, h, neg_lo in zip(heads, *folds(terms, v_lo, v_hi)):
+                if h + neg_lo >= 0:
+                    yield prefix + head, -neg_lo, h
+
+    @staticmethod
+    def _points(runs):
+        return (p + (v,) for p, lo, hi in runs for v in range(lo, hi + 1))
+
+    def _from(self, k):
+        """The points from index k (0 <= k < len) on: a bisection of the
+        blocks and one of the block's running run lengths (its runs folded
+        on its first read and kept) find point k, and the walk goes on."""
+        b = bisect_right(self._starts, k) - 1
+        k -= self._starts[b]
+        opened = self._opened.get(b)
+        if opened is None:
+            runs = list(self._runs(self.blocks[b : b + 1]))
+            opened = self._opened[b] = runs, list(accumulate(hi - lo + 1 for _, lo, hi in runs))
+        runs, ends = opened
+        j = bisect_right(ends, k)  # the run holding the point
+        prefix, _, hi = runs[j]
+        first = (prefix, hi - (ends[j] - 1 - k), hi)  # the run's last point hi is at ends[j] - 1
+        later = self._runs(islice(self.blocks, b + 1, None))
+        return self._points(chain((first,), islice(runs, j + 1, None), later))
+
+    def __getitem__(self, i):
+        k = range(len(self))[i]  # negative, out-of-range and slice indices as for a tuple
+        if not isinstance(k, range):
+            return next(self._from(k))
+        if not k:
+            return ()
+        step = abs(k.step)  # read up from the lowest index, every step-th point
+        read = tuple(islice(self._from(min(k[0], k[-1])), 0, (len(k) - 1) * step + 1, step))
+        return read if k.step > 0 else read[::-1]
+
+    def __iter__(self):
+        return self._points(self._runs(self.blocks))
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
 
 
 _INT = frozenset((int,))
@@ -624,15 +689,14 @@ class Plan:
 
     def parent_terms(self, b, start=None):
         """The walk (dim >= 1) down to its parent nodes, depth n - 2, in
-        lexicographic order: yields (prefix, heads, v_lo, v_hi, terms) per
-        parent whose coordinate takes v in [v_lo, v_hi], heads holding the
-        tuples (v,) of its children. terms holds, for the upper end and the
-        negated lower end of the last coordinate, the terms (A, p, d) whose
-        min over floor((A - p * v) / d) is that end at child v: first the
-        side's constant (A, 0, 1), then one per row that moves with v. In
-        dimension 1 the one virtual parent has heads [()] and v_lo = v_hi =
-        0. Raises UnboundedRegion as ``start`` does, and ValueError in
-        dimension 0.
+        lexicographic order: yields (prefix, v_lo, v_hi, terms) per parent
+        whose coordinate takes v in [v_lo, v_hi]. terms holds, for the upper
+        end and the negated lower end of the last coordinate, the terms
+        (A, p, d) whose min over floor((A - p * v) / d) is that end at child
+        v: first the side's constant (A, 0, 1), then one per row that moves
+        with v. In dimension 1 the one virtual parent has prefix () and
+        v_lo = v_hi = 0. Raises UnboundedRegion as ``start`` does, and
+        ValueError in dimension 0.
 
         The walk starts from ``start``'s interval and constants (pass them as
         start when ``self.start(b)`` has run already). On the last
@@ -652,10 +716,10 @@ class Plan:
             return
         v_lo, v_hi, rest = start
         if self.dim == 1:  # one virtual parent, its coordinate fixed at 0
-            parents = [((), rest, [()], 0, 0)]
+            parents = [((), rest, 0, 0)]
         else:
             parents = _parents(self.cols, self.levels, v_lo, v_hi, rest)
-        for prefix, rest, heads, v_lo, v_hi in parents:
+        for prefix, rest, v_lo, v_hi in parents:
             terms = []
             for fixed, moving in self.sides:  # the lower side is kept negated, so both are mins
                 moves = [(rest[r], p, d) for r, d, p in moving]
@@ -665,7 +729,7 @@ class Plan:
                     a, p, d = moves[0]
                     bound = (a - p * (v_lo if p > 0 else v_hi)) // d
                 terms.append(((bound, 0, 1), *moves))
-            yield prefix, heads, v_lo, v_hi, terms
+            yield prefix, v_lo, v_hi, terms
 
     def has_point(self, b) -> bool:
         """Does the region hold an integer point? One dive first (Berthold,
@@ -689,21 +753,13 @@ class Plan:
                 return next(self.blocks(b, start), None) is not None
         return True
 
-    def runs(self, b):
-        """The integer points (dim >= 1) as runs, in lexicographic order:
-        (prefix, lo, hi) stands for prefix + (v,) with lo <= v <= hi, one run
-        per nonempty child of each parent node. The folds are read lazily, so
-        a reader that stops at a run has walked no further."""
-        for prefix, heads, v_lo, v_hi, terms in self.parent_terms(b):
-            yield from child_runs(prefix, heads, *folds(terms, v_lo, v_hi))
-
     def blocks(self, b, start=None):
         """The integer points (dim >= 1) counted per parent node, in
         lexicographic order: (prefix, v_lo, v_hi, terms, count) per parent
         with count > 0, counted in closed form (``parent_count``). In dimension 1
         the one block stands for the points (w,), not (0, w). start as in
-        ``parent_terms``."""
-        for prefix, _, v_lo, v_hi, terms in self.parent_terms(b, start):
+        ``parent_terms``. ``Weights`` reads the blocks as points."""
+        for prefix, v_lo, v_hi, terms in self.parent_terms(b, start):
             n = parent_count(terms, v_lo, v_hi)
             if n:
                 yield prefix, v_lo, v_hi, terms, n
@@ -759,7 +815,7 @@ def rhs(index, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# Polyhedron entry points: one plan lookup, then the plan's core
+# the Polyhedron entry point to the walk: one plan lookup, then the plan's core
 # ---------------------------------------------------------------------------
 
 
@@ -775,29 +831,10 @@ def _closure_rhs(poly: Polyhedron):
     return [c for _, c in poly.weak] + [-c for _, c in poly.strict]
 
 
-def closure_nonempty(poly: Polyhedron) -> bool:
-    return _plan_of(poly).closure_nonempty(_closure_rhs(poly))
-
-
-def strictly_feasible(poly: Polyhedron) -> bool:
-    return _plan_of(poly).strictly_feasible(_closure_rhs(poly))
-
-
-def lattice_runs(poly: Polyhedron, first_only=False):
-    """``Plan.runs`` (only the first under first_only). Raises UnboundedRegion
-    when some coordinate is unbounded on a region that is strictly feasible."""
-    return islice(_plan_of(poly).runs(_closure_rhs(poly)), 1 if first_only else None)
-
-
-def lattice_blocks(poly: Polyhedron):
-    """``Plan.blocks``: the integer points (dim >= 1) counted per parent."""
-    return _plan_of(poly).blocks(_closure_rhs(poly))
-
-
-def lattice_points(poly: Polyhedron, first_only=False) -> list[tuple[int, ...]]:
-    """All integer points of the polyhedron in lexicographic order, or the
-    first one under first_only: the runs of lattice_runs, expanded."""
+def lattice_points(poly: Polyhedron) -> list[tuple[int, ...]]:
+    """All integer points of the polyhedron in lexicographic order, the
+    plan's blocks read as ``Weights``. Raises UnboundedRegion as
+    ``Plan.start`` does."""
     if poly.dim == 0:
         return [()] if poly.satisfied_by(()) else []
-    points = (p + (v,) for p, lo, hi in lattice_runs(poly, first_only) for v in range(lo, hi + 1))
-    return list(islice(points, 1 if first_only else None))
+    return list(Weights(_plan_of(poly).blocks(_closure_rhs(poly)), poly.dim))

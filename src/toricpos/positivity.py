@@ -291,12 +291,7 @@ def stable_base_locus(divisor: ToricDivisor, horizon: int = 24) -> BaseLocusRepo
     """
     _require_complete(divisor.fan)
     require_integral(divisor, "stable base locus")
-    exact = stable_base_locus_exact(divisor)
-    exact_set = {
-        c
-        for c in divisor.fan.cones
-        if any(set(t) <= set(c) for t in exact.minimal_cones)
-    }
+    exact_set = stable_base_locus_exact(divisor).cone_set(divisor.fan)
     running: set | None = None
     chain = []
     milestones = [m for m in _STABLE_MILESTONES if m <= horizon]
@@ -307,7 +302,7 @@ def stable_base_locus(divisor: ToricDivisor, horizon: int = 24) -> BaseLocusRepo
         if k in milestones:
             record = frozenset(running)
             chain.append((k, _minimalize(record)))
-            if previous_record == record and record == frozenset(exact_set):
+            if previous_record == record and record == exact_set:
                 return BaseLocusReport(
                     minimal_cones=_minimalize(record),
                     no_sections=(() in record),
@@ -315,7 +310,7 @@ def stable_base_locus(divisor: ToricDivisor, horizon: int = 24) -> BaseLocusRepo
                     horizon=horizon,
                 )
             previous_record = record
-    if running is not None and frozenset(running) == frozenset(exact_set):
+    if running is not None and running == exact_set:
         return BaseLocusReport(
             minimal_cones=_minimalize(running),
             no_sections=(() in running),
@@ -615,7 +610,6 @@ def check_mode_agreement(
     bounded scan exhibits an obstruction pattern the asymptotic mode missed.
     Also reports whether an asymptotic failure certificate is realized by a
     scanned nonvanishing group."""
-    _, ample, _ = _setup(divisor, q, ample)
     asymptotic = decide_qample(divisor, q, ample)
     scan = scan_qample(divisor, q, ample, multiples=multiples, twists=twists)
     if scan.obstructed and asymptotic.verdict:

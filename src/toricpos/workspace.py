@@ -44,6 +44,14 @@ def _require_fields(obj: dict, allowed: set, where: str) -> None:
         raise WorkspaceError(f"unknown field(s) {sorted(unknown)} in {where}")
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple; a float, a string or a bool in it
+    is refused, as int() would round or parse it."""
+    if not isinstance(values, list) or not all(type(x) is int for x in values):
+        raise WorkspaceError(f"malformed fan block: {what} must be a list of integers, got {values!r}")
+    return tuple(values)
+
+
 def parse_workspace(text: str, known_fan: Fan | None = None) -> Workspace:
     """Parse and validate a workspace.
 
@@ -70,10 +78,17 @@ def parse_workspace(text: str, known_fan: Fan | None = None) -> Workspace:
     for key in ("lattice_rank", "rays", "max_cones"):
         if key not in fan_block:
             raise WorkspaceError(f"fan block needs field {key!r}")
+    complete = fan_block.get("complete", False)
+    if not isinstance(complete, bool):
+        raise WorkspaceError(f"malformed fan block: complete must be true or false, got {complete!r}")
+    rank, rays, cones = (fan_block[key] for key in ("lattice_rank", "rays", "max_cones"))
+    if type(rank) is not int:
+        raise WorkspaceError(f"malformed fan block: lattice_rank must be an integer, got {rank!r}")
+    if not isinstance(rays, list) or not isinstance(cones, list):
+        raise WorkspaceError("malformed fan block: rays and max_cones must be lists")
+    rays = tuple(_integers(r, "a ray") for r in rays)
+    max_cones = tuple(tuple(sorted(_integers(c, "a maximal cone"))) for c in cones)
     try:
-        rank = int(fan_block["lattice_rank"])
-        rays = tuple(tuple(int(x) for x in r) for r in fan_block["rays"])
-        max_cones = tuple(tuple(sorted(int(i) for i in c)) for c in fan_block["max_cones"])
         name = str(data.get("name", ""))
         if known_fan is not None and (rank, rays, max_cones, name) == (
             known_fan.rank, known_fan.rays, known_fan.max_cones, known_fan.name
@@ -81,7 +96,7 @@ def parse_workspace(text: str, known_fan: Fan | None = None) -> Workspace:
             fan = known_fan
         else:
             fan = Fan(rank=rank, rays=rays, max_cones=max_cones, name=name)
-        validate(fan, require_complete=bool(fan_block.get("complete", False)))
+        validate(fan, require_complete=complete)
     except InvalidFan as exc:
         raise WorkspaceError(f"fan validation failed: {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -19,8 +19,8 @@ from toricpos import (
     section_polyhedron,
     zero_divisor,
 )
-from toricpos.cohomology import Weights, bad_subsets, degree_nonzero, h_p
-from toricpos.polyhedra import Plan, folds, lattice_blocks, lattice_runs
+from toricpos.cohomology import bad_subsets, degree_nonzero, h_p
+from toricpos.polyhedra import Plan, Weights, _closure_rhs, _plan_of, folds
 
 from .conftest import gap_regions, product_fan, random_divisors
 from .oracles import (
@@ -163,16 +163,12 @@ def test_witness_weights_read_like_the_expanded_walk(example_fans):
             box = certified_weight_box(fan, kd.coeffs)
             for subset, weights, _ in cohomology_dims(kd).witnesses:
                 region = coeff_subset_region(fan, kd.plain_coeffs, subset)
-                runs = list(lattice_runs(region))
-                assert all(lo <= hi for _, lo, hi in runs), runs
-                assert runs == sorted(runs) and len({p for p, _, _ in runs}) == len(runs)
-                points = tuple(lattice_points(region))
-                assert isinstance(weights, Weights) and weights.runs == tuple(runs)
+                points = tuple(box_filter_lattice_points(region, box))
+                assert isinstance(weights, Weights)
                 assert weights == points and points == weights
-                assert list(weights) == box_filter_lattice_points(region, box)
                 assert weights != points[:-1] and weights != points[:-1] + (points[-1] + (0,),)
                 size = len(points)
-                assert len(weights) == size == sum(hi - lo + 1 for _, lo, hi in runs)
+                assert len(weights) == size
                 for i in (0, -1, size // 2, size - 1, -size):
                     assert weights[i] == points[i], (fan.name, kd.coeffs, subset, i)
                 for cut in (slice(None), slice(1, -1), slice(size // 2, None, 2), slice(None, None, -3)):
@@ -182,12 +178,12 @@ def test_witness_weights_read_like_the_expanded_walk(example_fans):
                         weights[i]
 
 
-def test_weight_blocks_read_like_the_runs_and_the_box_filter(p1, p2, p1xp1, totaro):
-    # per witness region in dimensions 1-4, the blocks Weights holds count
-    # the points under each parent (the first n - 2 coordinates), and every
-    # read of Weights (length, indices, slices, iteration, runs) agrees with
-    # the expanded runs and with the box filter; in dimension 1 the one
-    # block stands for the weights (w,). The slivers with integer gaps
+def test_weight_blocks_read_like_the_box_filter(p1, p2, p1xp1, totaro):
+    # per witness region in dimensions 1-4, the blocks Weights holds are the
+    # walk's blocks of the oracle's region and count the points under each
+    # parent (the first n - 2 coordinates), and every read of Weights
+    # (length, indices, slices, iteration) agrees with the box filter; in
+    # dimension 1 the one block stands for the weights (w,). The slivers with integer gaps
     # (``gap_regions``) give parents with empty children
     p1_4 = product_fan([(p1.rays, p1.max_cones)] * 4)
     rng = random.Random("weight-blocks")
@@ -199,20 +195,17 @@ def test_weight_blocks_read_like_the_runs_and_the_box_filter(p1, p2, p1xp1, tota
             regions += [(coeff_subset_region(fan, kd.plain_coeffs, subset), weights, box)
                         for subset, weights, _ in cohomology_dims(kd).witnesses]
     for region, box in gap_regions():
-        weights = Weights(lattice_blocks(region), region.dim)
+        weights = Weights(_plan_of(region).blocks(_closure_rhs(region)), region.dim)
         if weights:
             regions.append((region, weights, box))
     seen = Counter()
     for region, weights, box in regions:
         rank = region.dim
-        runs = tuple(lattice_runs(region))
-        points = tuple(p + (v,) for p, lo, hi in runs for v in range(lo, hi + 1))
-        assert list(points) == box_filter_lattice_points(region, box), region
+        points = tuple(box_filter_lattice_points(region, box))
         per_parent = Counter(m[: max(rank - 2, 0)] for m in points)
-        blocks = tuple(lattice_blocks(region))
+        blocks = tuple(_plan_of(region).blocks(_closure_rhs(region)))
         assert weights.blocks == blocks
         assert [(prefix, count) for prefix, *_, count in blocks] == list(per_parent.items())
-        assert weights.runs == runs
         size = len(points)
         assert len(weights) == size > 0
         for i in (0, -1, size // 2, -size):
@@ -244,7 +237,6 @@ def test_folds_are_built_only_for_the_blocks_a_reader_opens(monkeypatch, totaro)
     # a count reads each parent's terms in closed form and an existence query
     # reads the counts, so neither builds a fold; an index builds the folds
     # of the one block it enters and keeps them for the next index there
-    import toricpos.cohomology
     import toricpos.polyhedra
 
     built = []
@@ -254,8 +246,7 @@ def test_folds_are_built_only_for_the_blocks_a_reader_opens(monkeypatch, totaro)
         built.append((terms, v_lo, v_hi))
         return fold(terms, v_lo, v_hi)
 
-    for module in (toricpos.polyhedra, toricpos.cohomology):
-        monkeypatch.setattr(module, "folds", counting)
+    monkeypatch.setattr(toricpos.polyhedra, "folds", counting)
     opened = 0
     for d in random_divisors(totaro, 4, lo=-2, hi=2, seed="lazy-folds"):
         kd = 12 * d

@@ -13,24 +13,21 @@ from toricpos.cohomology import bad_subsets, subset_picks
 from toricpos.positivity import default_ample
 from toricpos.polyhedra import (
     Plan,
+    Weights,
     _closure_rhs,
     _plan,
     _plan_of,
     _projection,
     _range,
-    closure_nonempty,
     floor_sum,
     folds,
-    lattice_blocks,
     lattice_points,
-    lattice_runs,
     lp_optimize,
     lp_strict_feasible,
     parent_count,
     polyhedron,
     rhs,
     simplex_max,
-    strictly_feasible,
 )
 
 from .conftest import gap_regions, product_fan, random_divisors
@@ -42,6 +39,23 @@ from .oracles import (
     per_child_count,
     reference_simplex_max,
 )
+
+
+def _query(p):
+    """The polyhedron as a plan query (plan, b)."""
+    return _plan_of(p), _closure_rhs(p)
+
+
+def _blocks(p):
+    """The walk's blocks of the polyhedron (``Plan.blocks``)."""
+    return _plan_of(p).blocks(_closure_rhs(p))
+
+
+def _first_block_points(p):
+    """The points of the walk's first block, the block has_point's fallback
+    reads, or [] when the walk yields none."""
+    first = next(_blocks(p), None)
+    return list(Weights([first] if first else [], p.dim))
 
 
 def test_strict_feasible_interval():
@@ -117,7 +131,7 @@ def test_unbounded_region_raises_whichever_coordinate_is_unbounded():
                         for i in range(n) for s in ((1, -1) if i != k else sides)]
                 p = polyhedron(n, weak=weak)
                 assert lp_strict_feasible(p).feasible
-                for ask in (lattice_points, lambda p: next(lattice_blocks(p)),
+                for ask in (lattice_points, lambda p: next(_blocks(p)),
                             lambda p: _plan_of(p).has_point(_closure_rhs(p))):
                     with pytest.raises(UnboundedRegion):
                         ask(p)
@@ -228,7 +242,8 @@ def test_lattice_points_match_box_filter_in_three_and_four_dimensions(drawn):
     p, box = drawn
     points = lattice_points(p)
     assert points == box_filter_lattice_points(p, box)
-    assert lattice_points(p, first_only=True) == points[:1]
+    first = _first_block_points(p)
+    assert points[: len(first)] == first and bool(first) == bool(points)
 
 
 def test_lattice_points_leaves_no_reference_cycle():
@@ -239,7 +254,8 @@ def test_lattice_points_leaves_no_reference_cycle():
     gc.disable()
     try:
         assert len(lattice_points(p)) == 9**3
-        assert lattice_points(p, first_only=True) == [(-4, -4, -4)]
+        assert next(_blocks(p))[:3] == ((-4,), -4, 4)  # a walk left open
+        assert _first_block_points(p)[0] == (-4, -4, -4)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -341,8 +357,9 @@ def test_fm_decisions_match_the_lp_on_seeded_corpus(totaro):
         p = polyhedron(n, strict=strict, weak=weak)
         strict_lp = lp_strict_feasible(p).feasible
         closure_lp = lp_optimize(p, (0,) * n)[0] == "optimal"
-        assert strictly_feasible(p) == strict_lp, p
-        assert closure_nonempty(p) == closure_lp, p
+        plan, b = _query(p)
+        assert plan.strictly_feasible(b) == strict_lp, p
+        assert plan.closure_nonempty(b) == closure_lp, p
         if not closure_lp:
             kinds["empty"] += 1
         elif not strict_lp:
@@ -359,8 +376,9 @@ def test_fm_decisions_match_the_lp_on_seeded_corpus(totaro):
     for _, p in scan_twist_regions(totaro, 12, (1, 2, 12)):
         strict_lp = lp_strict_feasible(p).feasible
         closure_lp = lp_optimize(p, (0,) * p.dim)[0] == "optimal"
-        assert strictly_feasible(p) == strict_lp, p
-        assert closure_nonempty(p) == closure_lp, p
+        plan, b = _query(p)
+        assert plan.strictly_feasible(b) == strict_lp, p
+        assert plan.closure_nonempty(b) == closure_lp, p
         twist_kinds["strictly feasible" if strict_lp else "closure only" if closure_lp else "empty"] += 1
     assert len(twist_kinds) == 3 and min(twist_kinds.values()) >= 15, twist_kinds
 
@@ -533,12 +551,13 @@ def test_lattice_runs_match_box_filter_on_seeded_corpus(totaro):
         strict = [row() for _ in range(rng.randint(0, 3))]
         p = polyhedron(n, strict=strict, weak=weak + [row() for _ in range(rng.randint(0, 3))])
         expected = box_filter_lattice_points(p, box)
-        runs = list(lattice_runs(p))
+        weights = Weights(_blocks(p), n)
+        runs = list(weights._runs(weights.blocks))
         assert all(lo <= hi for _, lo, hi in runs), (p, runs)
         assert all(a[0] < b[0] for a, b in zip(runs, runs[1:])), (p, runs)
-        assert [q + (v,) for q, lo, hi in runs for v in range(lo, hi + 1)] == expected, p
-        assert lattice_points(p, first_only=True) == expected[:1], p
-        assert list(lattice_runs(p, first_only=True)) == runs[:1], p
+        assert list(weights) == expected and len(weights) == len(expected), p
+        first = _first_block_points(p)
+        assert expected[: len(first)] == first and bool(first) == bool(expected), p
         kinds[f"dim {n}"] += 1
         kinds["strict"] += bool(strict)
         kinds["fraction constant"] += any(c.denominator > 1 for _, c in strict)
@@ -552,10 +571,10 @@ def test_lattice_runs_match_box_filter_on_seeded_corpus(totaro):
         if twisted not in boxes:
             boxes[twisted] = certified_weight_box(totaro, twisted)
         expected = box_filter_lattice_points(p, boxes[twisted])
-        runs = list(lattice_runs(p))
-        assert [q + (v,) for q, lo, hi in runs for v in range(lo, hi + 1)] == expected, p
-        assert list(lattice_runs(p, first_only=True)) == runs[:1], p
-        twist_kinds["hit" if runs else "empty over Z" if closure_nonempty(p) else "empty over Q"] += 1
+        plan, b = _query(p)
+        weights = Weights(plan.blocks(b), p.dim)
+        assert list(weights) == expected and plan.has_point(b) == bool(expected), p
+        twist_kinds["hit" if weights else "empty over Z" if plan.closure_nonempty(b) else "empty over Q"] += 1
     assert len(twist_kinds) == 3 and min(twist_kinds.values()) >= 10, twist_kinds
 
 
@@ -587,7 +606,7 @@ def test_parent_counts_match_the_per_child_sum_on_seeded_corpus(p1, p2, totaro):
             for a in (d.plain_coeffs, (3 * d).plain_coeffs, [Fraction(x, 2) for x in d.coeffs]):
                 for subset in subsets:
                     plan, index = regions[subset]
-                    for _, _, v_lo, v_hi, terms in plan.parent_terms(rhs(index, a)):
+                    for _, v_lo, v_hi, terms in plan.parent_terms(rhs(index, a)):
                         count = parent_count(terms, v_lo, v_hi)
                         assert count == per_child_count(terms, v_lo, v_hi), (fan.rays, a, subset, terms)
                         ends = [tuple(min((x - p * v) // e for x, p, e in side) for side in terms)
@@ -732,7 +751,7 @@ def test_levels_give_every_visited_node_its_exact_range(monkeypatch, example_fan
         plan, b = _plan_of(p), _closure_rhs(p)
         visited.clear()
         dead_ends.clear()
-        list(lattice_runs(p))
+        list(plan.parent_terms(b))
         plan.has_point(b)
         depth = {id(level): d for d, level in enumerate(plan.levels)}
         for level, rest in visited:
@@ -755,9 +774,8 @@ def test_zero_dimensional_polyhedra():
                      (polyhedron(0, strict=[((), -1)]), True), (polyhedron(0), True)):
         assert lattice_points(p) == ([()] if holds else []), p
         assert _plan_of(p).has_point(_closure_rhs(p)) == holds, p
-        for walk in (lattice_blocks, lattice_runs):
-            with pytest.raises(ValueError, match="dim >= 1"):
-                next(walk(p))
+        with pytest.raises(ValueError, match="dim >= 1"):
+            next(_blocks(p))
 
 
 # ---------------------------------------------------------------------------
@@ -851,11 +869,10 @@ def test_first_only_walk_builds_only_the_nodes_it_visits(monkeypatch):
     # a node's constants are built from its parent's column, and each visit
     # reads the node's level once (the root's in Plan.start), so the column
     # reads count the built nodes and the level reads the visits; every built
-    # node is visited, so a walk that stops at its first run has built one
-    # node per visit but the root. At the last level a first_only walk reads
-    # every child of each empty parent and, in the parent of its first
-    # point, stops at that point's child: the children it draws count the
-    # folds it reads
+    # node is visited, so a walk that stops at its first block, as the
+    # fallback of has_point does, has built one node per visit but the root.
+    # Every parent it reaches before that block is empty, and the block is
+    # the parent of the first point
     import toricpos.polyhedra as polyhedra
 
     reads, visits, drawn = [0], [0], []
@@ -871,20 +888,15 @@ def test_first_only_walk_builds_only_the_nodes_it_visits(monkeypatch):
         visits[0] += 1
         return integers(*args)
 
-    def counted(heads, parent):
-        for head in heads:
-            parent[-1] += 1
-            yield head
-
     def counted_parents(cols, *args):
-        for prefix, vals, heads, v_lo, v_hi in walk([Column(c) for c in cols], *args):
-            drawn.append([prefix, v_lo, v_hi, 0])
-            yield prefix, vals, counted(heads, drawn[-1]), v_lo, v_hi
+        for prefix, vals, v_lo, v_hi in walk([Column(c) for c in cols], *args):
+            drawn.append(prefix)
+            yield prefix, vals, v_lo, v_hi
 
     monkeypatch.setattr(polyhedra, "_parents", counted_parents)
     monkeypatch.setattr(polyhedra, "_integers", counted_integers)
     rng = random.Random(20266)
-    stopped_early = stopped_inside = 0
+    stopped_early = 0
     for _ in range(300):
         n = rng.randint(2, 5)
         box = []
@@ -900,20 +912,19 @@ def test_first_only_walk_builds_only_the_nodes_it_visits(monkeypatch):
             near = [rng.randint(a, b) for a, b in box]
             weak.append((u, rng.randint(-3, 6) - sum(x * y for x, y in zip(u, near))))
         p = polyhedron(n, weak=weak)
-        for first_only in (True, False):
+        plan, b = _query(p)
+        points = box_filter_lattice_points(p, box)
+        walked = []
+        for read in (lambda: next(plan.blocks(b), None), lambda: list(plan.blocks(b))):
             reads[0] = visits[0] = 0
             drawn.clear()
-            points = lattice_points(p, first_only=first_only)
-            built = reads[0]
-            assert built == max(visits[0] - 1, 0), (p, first_only, built, visits[0])
-            *empty, last = drawn or [[(), 0, -1, 0]]
-            assert all(count == v_hi - v_lo + 1 for _, v_lo, v_hi, count in empty), (p, drawn)
-            prefix, v_lo, v_hi, count = last
-            if first_only and points:
-                assert points[0][:-2] == prefix and count == points[0][-2] - v_lo + 1, (p, drawn)
-                stopped_inside += count < v_hi - v_lo + 1
-            else:
-                assert count == v_hi - v_lo + 1, (p, drawn)
-        assert points == box_filter_lattice_points(p, box)
-        stopped_early += len(points) > 1
-    assert stopped_early > 100 and stopped_inside > 50, (stopped_early, stopped_inside)
+            got = read()
+            assert reads[0] == max(visits[0] - 1, 0), (p, reads[0], visits[0])
+            walked.append((got, list(drawn), visits[0]))
+        (first, reached, first_visits), (blocks, _, all_visits) = walked
+        assert list(Weights(blocks, n)) == points
+        assert first == (blocks[0] if blocks else None), p
+        assert not {q[: n - 2] for q in points} & set(reached[:-1] if points else reached), (p, reached)
+        assert not points or reached[-1] == points[0][: n - 2], (p, reached)
+        stopped_early += first_visits < all_visits
+    assert stopped_early > 100, stopped_early

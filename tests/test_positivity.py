@@ -38,15 +38,14 @@ from toricpos.cohomology import bad_subsets, subset_picks
 from toricpos.divisor import divisor_of_character, section_polyhedron
 from toricpos.errors import UnboundedRegion
 from toricpos.polyhedra import (
+    Weights,
+    _closure_rhs,
     _plan,
+    _plan_of,
     _projection,
-    closure_nonempty,
-    lattice_blocks,
     lattice_points,
-    lattice_runs,
     polyhedron,
     rhs,
-    strictly_feasible,
 )
 from toricpos.positivity import (
     _big_picks,
@@ -331,6 +330,12 @@ def test_qample_searches_agree_on_seeded_corpus(example_fans):
                     assert realization_search(d, q) == first, (fan.name, d.coeffs, q)
 
 
+def _walk_finds_a_point(region):
+    """Does the count walk of the region yield a block? The scan asks
+    ``Plan.has_point``, which dives first."""
+    return next(_plan_of(region).blocks(_closure_rhs(region)), None) is not None
+
+
 def test_scan_twists_match_divisor_arithmetic_on_seeded_corpus(example_fans):
     # the scan forms each twist N*D - j*H from plain coefficients; the
     # reference builds it through ToricDivisor arithmetic, and reads every
@@ -352,9 +357,8 @@ def test_scan_twists_match_divisor_arithmetic_on_seeded_corpus(example_fans):
                             for j in range(1, 5)
                             for p in range(q + 1, fan.rank + 1)
                             if any(
-                                lattice_points(
-                                    coeff_subset_region(fan, (n_mult * d - j * ample).plain_coeffs, s),
-                                    first_only=True,
+                                _walk_finds_a_point(
+                                    coeff_subset_region(fan, (n_mult * d - j * ample).plain_coeffs, s)
                                 )
                                 for s, _ in index[p]
                             )
@@ -542,12 +546,13 @@ def test_region_builders_pick_the_rows_polyhedron_stores(example_fans):
                 assert _region(fan, _joint_picks, ((), ()), a, h) == joints, (fan.rays, d.coeffs)
 
 
-def _walked(runs, blocks):
-    """(first run, per-parent (prefix, count)) of a walk, or "unbounded"."""
+def _walked(plan, b):
+    """(first point, per-parent (prefix, count)) of a walk, or "unbounded"."""
     try:
-        return next(runs(), None), [(block[0], block[-1]) for block in blocks()]
+        weights = Weights(plan.blocks(b), plan.dim)
     except UnboundedRegion:
         return "unbounded"
+    return weights[0] if weights else None, [(block[0], block[-1]) for block in weights.blocks]
 
 
 def test_selection_queries_answer_as_the_oracle_regions(p1, p2, p1xp1, totaro):
@@ -581,10 +586,10 @@ def test_selection_queries_answer_as_the_oracle_regions(p1, p2, p1xp1, totaro):
                 plan, index = fan.regions(picks, ample and ample.plain_coeffs)[selection]
                 b = rhs(index, a)
                 where = (fan.rays, d.coeffs, picks.__name__, selection)
-                assert plan.closure_nonempty(b) == closure_nonempty(oracle), where
-                assert plan.strictly_feasible(b) == strictly_feasible(oracle), where
-                got = _walked(lambda: plan.runs(b), lambda: plan.blocks(b))
-                want = _walked(lambda: lattice_runs(oracle, first_only=True), lambda: lattice_blocks(oracle))
+                oracle_plan, oracle_b = _plan_of(oracle), _closure_rhs(oracle)
+                assert plan.closure_nonempty(b) == oracle_plan.closure_nonempty(oracle_b), where
+                assert plan.strictly_feasible(b) == oracle_plan.strictly_feasible(oracle_b), where
+                got, want = _walked(plan, b), _walked(oracle_plan, oracle_b)
                 rational = any(type(x) is not int for x in b)
                 if want == "unbounded" and rational:
                     assert got in ("unbounded", (None, [])), where
@@ -594,10 +599,9 @@ def test_selection_queries_answer_as_the_oracle_regions(p1, p2, p1xp1, totaro):
                     with pytest.raises(UnboundedRegion):
                         plan.has_point(b)
                 else:
-                    first = [] if got[0] is None else [got[0][0] + (got[0][1],)]
-                    assert plan.has_point(b) == bool(first), where
+                    assert plan.has_point(b) == (got[0] is not None), where
                     if want != "unbounded":
-                        assert first == lattice_points(oracle, first_only=True), where
+                        assert got[0] == (lattice_points(oracle) or [None])[0], where
                 seen[picks.__name__, rational, got == "unbounded" or bool(got[0])] += 1
     assert len(seen) == 16, seen  # every kind, int and rational constants, hit and miss
 

@@ -216,6 +216,18 @@ def test_cli_input_error_exit_code(tmp_path):
     data["fan"] = {"lattice_rank": 0, "rays": [], "max_cones": [[]], "complete": True}
     data["divisors"] = {"Z": []}
     point.write_text(json.dumps(data))
+    # fan data that int() or bool() would round, parse or overflow on: all
+    # but the infinite ray read as p1xp1 itself
+    retyped = []
+    for key, i, value in (("rays", 0, [1.9, 0]), ("rays", 0, "10"), ("rays", 0, [float("inf"), 0]),
+                          ("max_cones", 2, [2, 3.7]), ("complete", None, "no")):
+        data = json.loads(serialize_workspace(load_workspace("p1xp1")))
+        if i is None:
+            data["fan"][key] = value
+        else:
+            data["fan"][key][i] = value
+        retyped.append(tmp_path / f"retyped-{len(retyped)}.json")
+        retyped[-1].write_text(json.dumps(data))
     named = {
         "restrict": ["f3", "f5"],
         "replicate-paper": ["unknown divisor 'L'"],
@@ -223,6 +235,7 @@ def test_cli_input_error_exit_code(tmp_path):
         str(not_utf8): [str(not_utf8), "UTF-8"],
         str(no_dir_plot): [str(no_dir_plot)],
         str(point): ["rank >= 1"],
+        **{str(path): ["malformed fan block"] for path in retyped},
         "1/0*H": ["'1/0'", "denominator 0"],
         "0/0*H": ["'0/0'", "denominator 0"],
     }
@@ -245,6 +258,7 @@ def test_cli_input_error_exit_code(tmp_path):
         ("qample", "-w", str(point), "-d", "Z", "--q", "0"),
         ("classify", "-w", "p2", "-d", "1/0*H"),
         ("classify", "-w", "p2", "-d", "0/0*H"),
+        *(("validate", "-w", str(path)) for path in retyped),
     ):
         result = run_cli(*args)
         assert result.exit_code == 2, (args, result.output)
