@@ -35,7 +35,7 @@ from itertools import combinations
 from .divisor import ToricDivisor, require_integral
 from .errors import NotComplete, ToricError, UnboundedRegion
 from .fan import Fan, RaySubcomplex, full_subcomplex
-from .linalg import rref
+from .linalg import matrix_rank
 from .polyhedra import Weights, lp_strict_feasible, rhs
 
 MAX_RAYS_FOR_SUBSET_INDEX = 20
@@ -59,12 +59,11 @@ def reduced_cohomology(complex_: RaySubcomplex, up_to: int) -> tuple[int, ...]:
         index = {f: i for i, f in enumerate(lower)}
         rows = []
         for g in upper:
-            row = [Fraction(0)] * len(lower)
+            row = [0] * len(lower)
             for pos in range(len(g)):
-                face = g[:pos] + g[pos + 1 :]
-                row[index[face]] = Fraction(-1) ** pos
+                row[index[g[:pos] + g[pos + 1 :]]] = -1 if pos % 2 else 1
             rows.append(row)
-        return len(rref(rows)[1])
+        return matrix_rank(rows)
 
     # augmentation delta^-1 : C^-1 -> C^0 is the all-ones map
     dims = []

@@ -118,10 +118,7 @@ def _picard_data(fan: Fan):
     """
     if fan.rank == 0:
         return (), tuple(range(fan.n_rays))
-    transposed = [
-        [Fraction(fan.rays[i][j]) for i in range(fan.n_rays)] for j in range(fan.rank)
-    ]
-    _, pivots = rref(transposed)
+    _, pivots = rref(list(zip(*fan.rays)))
     basis = tuple(i for i in range(fan.n_rays) if i not in pivots)
     return tuple(pivots), basis
 
@@ -136,12 +133,8 @@ def class_of(divisor: ToricDivisor) -> DivisorClass:
     pivots, basis = _picard_data(fan)
     # solve a = V m + sum_{i in basis} c_i e_i exactly
     n, r = fan.rank, fan.n_rays
-    a_mat = [
-        [Fraction(fan.rays[i][j]) for j in range(n)]
-        + [Fraction(1) if i == b else Fraction(0) for b in basis]
-        for i in range(r)
-    ]
-    sol = solve_linear(a_mat, list(divisor.coeffs))
+    a_mat = [[*fan.rays[i], *(int(i == b) for b in basis)] for i in range(r)]
+    sol = solve_linear(a_mat, divisor.plain_coeffs)
     if sol is None:
         raise ToricError("class computation failed; rays do not span")
     return DivisorClass(coords=tuple(sol[n:]), basis_rays=basis)
@@ -151,8 +144,7 @@ def is_linearly_equivalent(d1: ToricDivisor, d2: ToricDivisor):
     """(equivalent?, witness m with d1 - d2 = div(chi^m), witness integral?)."""
     fan = d1.fan
     diff = [a - b for a, b in zip(d1.coeffs, d2.coeffs)]
-    mat = [[Fraction(x) for x in u] for u in fan.rays]
-    m = solve_linear(mat, diff)
+    m = solve_linear(fan.rays, diff)
     if m is None:
         return False, None, False
     integral = all(x.denominator == 1 for x in m)
@@ -203,8 +195,7 @@ def restrict(divisor: ToricDivisor, tau) -> Restriction:
     quot, ray_map = star_quotient(fan, tau)  # raises NotACone first
     if not tau:
         return Restriction(divisor, (Fraction(0),) * fan.rank, ray_map, tau)
-    mat = [[Fraction(x) for x in fan.rays[i]] for i in tau]
-    m = solve_linear(mat, [divisor.coeffs[i] for i in tau])
+    m = solve_linear([fan.rays[i] for i in tau], [divisor.plain_coeffs[i] for i in tau])
     shifted = divisor - divisor_of_character(fan, m)
     coeffs: list[Fraction | None] = [None] * quot.n_rays
     for i, (idx, mult) in ray_map.items():

@@ -4,7 +4,8 @@ A fan is stored as primitive integer rays plus maximal cones given by ray
 index sets; every ray lies in some maximal cone. Validation is exact and finite: the fan condition is checked
 pairwise by a separating-functional LP, completeness by wall counting
 (every codimension-1 cone of a complete fan borders exactly two maximal
-cones and the support has no boundary facet), smoothness by |det| = 1.
+cones and the support has no boundary facet), smoothness by the Smith normal
+form.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from math import gcd
 from .errors import EmptySet, InvalidFan, NotACone
 from .linalg import (
     clear_denominators,
-    det,
     matrix_rank,
     primitive_vector,
     smith_normal_form,
@@ -140,8 +140,29 @@ class Fan:
         return table
 
     @cached_property
+    def _incompleteness(self) -> str | None:
+        """Why the fan is not complete, or None when it is: complete means
+        every maximal cone full-dimensional, every wall shared by exactly two
+        maximal cones and the adjacency graph connected."""
+        if self.rank == 0:
+            return None
+        if not self.max_cones or any(len(c) != self.rank for c in self.max_cones):
+            return "fan is not complete"
+        for w, nbrs in self.wall_neighbors.items():
+            if len(nbrs) != 2:
+                return (f"fan is not complete: wall {w} borders {len(nbrs)} "
+                        "maximal cones, expected 2")
+        if not _connected(self.max_cones, self.wall_neighbors.values()):
+            return "fan is not complete"
+        return None
+
+    @cached_property
     def properties(self) -> FanProperties:
-        return validate(self)
+        """The simplicial/complete/smooth triple, computed once per fan.
+        Simpliciality holds by construction: dependent-ray cones are
+        rejected at build time."""
+        smooth = all(_cone_smooth(self, c) for c in self.max_cones)
+        return FanProperties(True, self._incompleteness is None, smooth)
 
     def ray_name(self, i: int) -> str:
         return f"f{i + 1}"
@@ -201,58 +222,37 @@ def _check_structure(fan: Fan) -> None:
 
 
 def validate(fan: Fan, require_complete: bool = False) -> FanProperties:
-    """Compute the simplicial/complete/smooth property triple.
-
-    Simpliciality holds by construction (dependent-ray cones are rejected at
-    build time). Completeness: all maximal cones full-dimensional, every wall
-    shared by exactly two maximal cones, adjacency graph connected.
-    """
-    n = fan.rank
-    if n == 0:
-        return FanProperties(True, True, True)
-    full_dim = all(len(c) == n for c in fan.max_cones) and bool(fan.max_cones)
-    complete = full_dim
-    bad_wall = None
-    if full_dim:
-        for w, nbrs in fan.wall_neighbors.items():
-            if len(nbrs) != 2:
-                complete = False
-                bad_wall = (w, len(nbrs))
-                break
-        if complete:
-            adj = {c: set() for c in fan.max_cones}
-            for nbrs in fan.wall_neighbors.values():
-                adj[nbrs[0]].add(nbrs[1])
-                adj[nbrs[1]].add(nbrs[0])
-            seen = set()
-            stack = [fan.max_cones[0]]
-            while stack:
-                c = stack.pop()
-                if c in seen:
-                    continue
-                seen.add(c)
-                stack.extend(adj[c])
-            complete = len(seen) == len(fan.max_cones)
-    smooth = all(_cone_smooth(fan, c) for c in fan.max_cones)
-    if require_complete and not complete:
-        if bad_wall is not None:
-            raise InvalidFan(
-                f"fan is not complete: wall {bad_wall[0]} borders "
-                f"{bad_wall[1]} maximal cones, expected 2"
-            )
-        raise InvalidFan("fan is not complete")
-    return FanProperties(True, complete, smooth)
+    """The fan's property triple (``Fan.properties``); with
+    ``require_complete``, raises ``InvalidFan`` saying why a fan is not
+    complete."""
+    props = fan.properties
+    if require_complete and not props.complete:
+        raise InvalidFan(fan._incompleteness)
+    return props
 
 
 def _cone_smooth(fan: Fan, cone) -> bool:
-    """A simplicial cone is smooth iff its rays extend to a Z-basis."""
-    mat = [fan.rays[i] for i in cone]
-    if not mat:
-        return True
-    if len(cone) == fan.rank:
-        return abs(det(mat)) == 1
-    s, _, _ = smith_normal_form([list(r) for r in mat])
+    """A simplicial cone is smooth iff its rays extend to a Z-basis: every
+    Smith normal form diagonal entry of its ray matrix is 1."""
+    s, _, _ = smith_normal_form([fan.rays[i] for i in cone])
     return all(s[i][i] == 1 for i in range(len(cone)))
+
+
+def _connected(nodes, edges) -> bool:
+    """Is the graph on the (nonempty) nodes with these edges connected?"""
+    adj = {v: [] for v in nodes}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == len(adj)
 
 
 def quotient_projection(fan: Fan, tau: tuple[int, ...]):
@@ -331,18 +331,4 @@ def subset_connected(fan: Fan, subset) -> bool:
     s = set(subset)
     if not s:
         raise EmptySet("connectivity of an empty ray set is undefined")
-    edges = [c for c in fan.cones if len(c) == 2 and set(c) <= s]
-    adj = {i: set() for i in s}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    start = min(s)
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen == s
+    return _connected(s, (c for c in fan.cones if len(c) == 2 and set(c) <= s))

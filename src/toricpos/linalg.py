@@ -1,8 +1,12 @@
 """Exact linear algebra over Q and Z.
 
 Everything here works on plain lists of ``Fraction``/``int``; no floating
-point exists anywhere in the library. The Smith normal form returns the
-unimodular transforms so callers can build quotient-lattice projections.
+point exists anywhere in the library. Elimination runs on integer rows:
+``rref`` clears each row of denominators once, and every step replaces a row
+by ``_eliminate``, the positive multiple p*row - f*pivot_row divided by its
+content, the same row operation the simplex's pivots make. The Smith normal
+form returns the unimodular transforms so callers can build quotient-lattice
+projections.
 """
 
 from __future__ import annotations
@@ -10,40 +14,47 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Vector = tuple[Fraction, ...]
-Matrix = list[list[Fraction]]
-
-
-def fraction_matrix(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def dot(u, v) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
-def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    a = [row[:] for row in mat]
+def _eliminate(row, prow, col):
+    """``row`` with column ``col`` cleared by ``prow`` (prow[col] > 0): the
+    positive multiple prow[col]*row - row[col]*prow, divided by its content.
+    The one row operation of ``rref`` and of the simplex's pivots."""
+    p, f = prow[col], row[col]
+    return content_free([p * x - f * y for x, y in zip(row, prow)])
+
+
+def rref(mat) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination on integer rows; returns (R, pivot columns).
+
+    Row i of R, divided by its positive entry R[i][pivots[i]], is row i of
+    the reduced row echelon form over Q; every row of R is content-free. The
+    pivot in each column is the first row from the current one on with a
+    nonzero entry there."""
+    a = [content_free(clear_denominators(row)[0]) for row in mat]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
         if pivot_row is None:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        prow = a[pivot_row]
+        if prow[c] < 0:
+            prow = [-x for x in prow]
+        a[pivot_row] = a[r]
+        a[r] = prow
         for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            if i != r and a[i][c]:
+                a[i] = _eliminate(a[i], prow, c)
         pivots.append(c)
         r += 1
         if r == rows:
@@ -52,47 +63,21 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def matrix_rank(mat) -> int:
-    return len(rref(fraction_matrix(mat))[1]) if mat else 0
+    return len(rref(mat)[1])
 
 
 def solve_linear(mat, rhs) -> list[Fraction] | None:
     """One exact solution x of mat @ x = rhs, or None. Free variables are 0."""
-    a = fraction_matrix(mat)
-    b = [Fraction(x) for x in rhs]
-    if not a:
-        return [] if all(x == 0 for x in b) else None
-    aug = [row + [bi] for row, bi in zip(a, b)]
-    red, pivots = rref(aug)
-    cols = len(a[0])
+    if not mat:
+        return [] if all(x == 0 for x in rhs) else None
+    cols = len(mat[0])
+    red, pivots = rref([[*row, b] for row, b in zip(mat, rhs)])
     if cols in pivots:  # pivot in the augmented column: inconsistent
         return None
     x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = red[i][cols]
+    for row, c in zip(red, pivots):
+        x[c] = Fraction(row[cols], row[c])
     return x
-
-
-def det(mat) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    a = fraction_matrix(mat)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:

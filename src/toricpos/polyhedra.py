@@ -68,7 +68,7 @@ from math import ceil, floor, gcd
 from operator import itemgetter, neg, sub
 
 from .errors import UnboundedRegion
-from .linalg import clear_denominators, content_free
+from .linalg import _eliminate, clear_denominators, content_free
 
 Row = tuple[tuple[int, ...], int]  # integers with content 1, or all zero
 
@@ -118,30 +118,27 @@ def polyhedron(dim, strict=(), weak=()) -> Polyhedron:
 # positive entry d, the row stands for itself divided by d, and any positive
 # multiple of it stands for the same equation. An objective row holds the
 # reduced costs, then -value, then its positive denominator. Every pivot keeps
-# the basic entries positive and divides each row by its content, and the
-# signs and ratios Bland's rule reads are those of the rational tableau.
+# the basic entries positive and replaces each other row by
+# ``linalg._eliminate``, the row operation of ``rref``: a positive multiple
+# divided by its content. The signs and ratios Bland's rule reads are those
+# of the rational tableau.
 
 
 def _price_out(obj, prow, col):
     """Objective row with column ``col`` eliminated by ``prow`` (prow[col] > 0)."""
-    f = obj[col]
-    if not f:
+    if not obj[col]:
         return obj
-    p = prow[col]
-    return content_free([p * x - f * y for x, y in zip(obj, prow)] + [p * obj[-1]])
+    return _eliminate(obj, [*prow, 0], col)  # the denominator slot scales by prow[col]
 
 
 def _pivot(rows, basis, objs, col, r):
     """Pivot column ``col`` into the basis at row ``r``, objective rows too."""
     prow = rows[r]
-    p = prow[col]
-    if p < 0:  # only when driving out an artificial, whose rhs is 0
+    if prow[col] < 0:  # only when driving out an artificial, whose rhs is 0
         prow = rows[r] = [-x for x in prow]
-        p = -p
     for i, row in enumerate(rows):
-        f = row[col]
-        if f and i != r:
-            rows[i] = content_free([p * x - f * y for x, y in zip(row, prow)])
+        if row[col] and i != r:
+            rows[i] = _eliminate(row, prow, col)
     objs[:] = [_price_out(obj, prow, col) for obj in objs]
     basis[r] = col
 

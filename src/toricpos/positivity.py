@@ -367,8 +367,8 @@ def augmented_base_locus(
     fan = divisor.fan
     _require_complete(fan)
     require_integral(divisor, "augmented base locus")
+    ample = _reference_ample(fan, ample, "augmented base locus")
     exact = augmented_base_locus_exact(divisor, ample)
-    ample = ample if ample is not None else default_ample(fan)
     chain = []
     previous = None
     k = 2
@@ -656,7 +656,6 @@ def positivity_report(
 ) -> PositivityReport:
     fan = divisor.fan
     _require_complete(fan)
-    ample = ample if ample is not None else default_ample(fan)
     qample_results = tuple(
         decide_qample(divisor, q, ample) for q in range(fan.rank)
     )
@@ -742,7 +741,6 @@ def chamber_scan(
     _require_complete(fan)
     if resolution < 0:
         raise ToricError(f"resolution = {resolution} must be nonnegative")
-    ample = ample if ample is not None else default_ample(fan)
     samples = []
     for i in range(-resolution, resolution + 1):
         for j in range(-resolution, resolution + 1):

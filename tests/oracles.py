@@ -4,8 +4,9 @@ These deliberately take the dumb route: filter every integer point of an
 explicit box, walk every weight of a certified box and classify its sign
 pattern one weight at a time, decide a cone question by the LP instead of
 the cached projections, run the simplex on ``Fraction`` rows, solve a
-wall's linear system again for every divisor, or build every region's rows
-from the coefficients again, each row normalized by ``polyhedron()``.
+wall's linear system again for every divisor by ``Fraction`` elimination,
+or build every region's rows from the coefficients again, each row
+normalized by ``polyhedron()``.
 They share only the exact arithmetic layer with the implementations they
 check.
 """
@@ -16,7 +17,7 @@ from math import ceil, floor
 
 from toricpos import full_subcomplex, reduced_cohomology
 from toricpos.cohomology import bad_subsets
-from toricpos.linalg import dot, solve_linear
+from toricpos.linalg import dot
 from toricpos.polyhedra import (
     Polyhedron,
     _closure_rhs,
@@ -208,7 +209,7 @@ def solve_wall_degree(divisor, wall):
     the opposite ray of the other neighbour."""
     fan = divisor.fan
     sigma, sigma2 = fan.wall_neighbors[wall]
-    m = solve_linear([fan.rays[i] for i in sigma], [divisor.coeffs[i] for i in sigma])
+    m = reference_solve_linear([fan.rays[i] for i in sigma], [divisor.coeffs[i] for i in sigma])
     other = next(i for i in sigma2 if i not in wall)
     return divisor.coeffs[other] - dot(m, fan.rays[other])
 
@@ -352,3 +353,73 @@ def reference_simplex_max(a_rows, b_vals, cost):
             z[bvar] = rhs[i]
     _, value = _recompute_objective(rows, rhs, basis, cost2, slack)
     return "optimal", z, value
+
+
+# ---------------------------------------------------------------------------
+# reference linear algebra: the Fraction eliminations the integer rref replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_rref(mat):
+    """Reduced row echelon form by Fraction Gauss-Jordan; returns (R, pivot
+    columns), the pivot in each column the first nonzero row from the current
+    one on."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = Fraction(1) / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def reference_solve_linear(mat, rhs):
+    """One solution of mat @ x = rhs read off ``reference_rref`` (free
+    variables 0), or None."""
+    if not mat:
+        return [] if all(x == 0 for x in rhs) else None
+    cols = len(mat[0])
+    red, pivots = reference_rref([[*row, b] for row, b in zip(mat, rhs)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for i, c in enumerate(pivots):
+        x[c] = red[i][cols]
+    return x
+
+
+def reference_det(mat):
+    """Determinant of a square matrix by Fraction Gaussian elimination."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            result = -result
+        result *= a[c][c]
+        inv = Fraction(1) / a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return result

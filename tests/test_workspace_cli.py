@@ -101,6 +101,32 @@ def test_cli_validate():
     assert payload["sign_convention"] == "paper"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("validate", "-w", "totaro-x"),
+        ("classify", "-w", "totaro-x", "-d", "L"),
+        ("qample", "-w", "totaro-x", "-d", "L", "--q", "1"),
+    ],
+)
+def test_cli_computes_the_fan_properties_once(monkeypatch, args):
+    import toricpos.fan
+
+    smooth = toricpos.fan._cone_smooth
+    calls = []
+
+    def counting(fan, cone):
+        calls.append(fan.rays)
+        return smooth(fan, cone)
+
+    monkeypatch.setattr(toricpos.fan, "_cone_smooth", counting)
+    fan = load_workspace("totaro-x").fan
+    calls.clear()
+    assert run_cli(*args).exit_code == 0
+    # one property triple: one smoothness check per maximal cone
+    assert calls.count(fan.rays) == len(fan.max_cones)
+
+
 def test_cli_cohomology_matches_serre_value():
     result = run_cli("cohomology", "-w", "p2", "--divisor=-4H")
     assert result.exit_code == 0
