@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Fan-level cost at growing size: building a fan and its bad-subset index.
+
+    python scripts/scale_bench.py [--k 3 4 5 6]
+
+For each k, takes P1^k (2k rays, 2^k maximal cones) and one seeded GL(k,Z)
+image of it (the same fan in other coordinates), and times ``Fan(...)`` (ray,
+simpliciality, completeness and fan-condition checks) and
+``cohomology.bad_subsets`` (the 2^(2k)-subset index, its cache bypassed) on a
+fresh fan, each the minimum of three runs. Prints one JSON object: per fan
+its name, rays, maximal cones, bad subsets (the same for a fan and its
+image) and the two times in seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import sys
+import time
+from itertools import product
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from toricpos import Fan  # noqa: E402
+from toricpos.cohomology import bad_subsets  # noqa: E402
+
+SEED = 71
+REPEAT = 3  # each time is the minimum over this many runs
+
+
+def unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """A seeded matrix in GL(n, Z): row operations on the identity, shuffled."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        a[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(a[i], a[j])]
+    rng.shuffle(a)
+    return a
+
+
+def p1_power(k: int, matrix=None) -> tuple:
+    """(rank, rays, cones) of P1^k: rays e_1, -e_1, e_2, ... moved by
+    ``matrix``, one maximal cone per choice of sign in each factor."""
+    rays = [tuple(s * (i == j) for j in range(k)) for i in range(k) for s in (1, -1)]
+    if matrix is not None:
+        rays = [tuple(sum(a * x for a, x in zip(row, r)) for row in matrix) for r in rays]
+    cones = [tuple(2 * i + s for i, s in enumerate(signs)) for signs in product((0, 1), repeat=k)]
+    return k, tuple(rays), tuple(cones)
+
+
+def best_of(run) -> tuple[float, object]:
+    """The least wall time of REPEAT calls of ``run`` and its last result."""
+    times = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        out = run()
+        times.append(time.perf_counter() - start)
+    return min(times), out
+
+
+def measure(name: str, rank: int, rays, cones) -> dict:
+    fan_s, fan = best_of(lambda: Fan(rank, rays, cones))
+    index_s, index = best_of(lambda: bad_subsets.__wrapped__(fan))
+    return {"fan": name, "rays": len(rays), "max_cones": len(cones), "bad_subsets": sum(map(len, index)),
+            "fan_s": round(fan_s, 6), "bad_subsets_s": round(index_s, 6)}
+
+
+def main(argv=None) -> dict:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--k", type=int, nargs="+", default=[3, 4, 5, 6],
+                        help="the powers k of P1^k to time (default 3 4 5 6)")
+    args = parser.parse_args(argv)
+    if min(args.k) < 2:
+        parser.error("--k takes powers k >= 2")
+    rng = random.Random(SEED)
+    rows = []
+    for k in args.k:
+        rows.append(measure(f"P1^{k}", *p1_power(k)))
+        rows.append(measure(f"GL.P1^{k}", *p1_power(k, unimodular(rng, k))))
+    report = {"seed": SEED, "repeat": REPEAT, "python": sys.version.split()[0], "rows": rows}
+    print(json.dumps(report))
+    return report
+
+
+if __name__ == "__main__":
+    main()

@@ -1,15 +1,17 @@
 """Command-line surface: JSON reports over the built-in or user workspaces.
 
 Exit codes: 0 success, 1 expected-verdict mismatch (replicate-paper),
-2 input error, 3 internal consistency failure. Reports are byte-stable for
-identical inputs and tool version; wall-clock timings only appear under
---timings and are explicitly excluded from the stability contract.
+2 input error or an unwritable report, 3 internal consistency failure.
+Reports are byte-stable for identical inputs and tool version; wall-clock
+timings only appear under --timings and are explicitly excluded from the
+stability contract.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -126,8 +128,26 @@ def _parse_cone(ws: Workspace, text: str) -> tuple[int, ...]:
 
 
 def _fail(code: int, kind: str, message) -> NoReturn:
-    print(json.dumps({"error": {"kind": kind, "message": str(message)}}, indent=2))
-    sys.exit(code)
+    _emit(json.dumps({"error": {"kind": kind, "message": str(message)}}, indent=2), code)
+
+
+def _emit(text: str, code: int) -> None:
+    """Print a report or an error to stdout and end with ``code`` (return
+    when it is 0). A reader that closed the pipe ends the run quietly with
+    the same code; any other failed write exits 2 with one line on stderr,
+    as a failed ``--emit-plot`` write (``OutputError``) exits 2."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # nothing more can reach stdout: point it at devnull so that the
+        # interpreter's last flush does not raise again (see the note on
+        # SIGPIPE in the docs of ``signal``)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the report to stdout: {exc}", file=sys.stderr)
+            code = 2
+    if code:
+        sys.exit(code)
 
 
 class Option(NamedTuple):
@@ -248,9 +268,7 @@ def main(argv=None, prog_name: str = "toricpos") -> None:
     if timings:
         report["timings"] = {"wall_seconds": round(time.monotonic() - start, 3),
                              "byte_stable": False}
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
-    if exit_code:
-        sys.exit(exit_code[0])
+    _emit(json.dumps(_jsonable(report), indent=2, sort_keys=True), exit_code[0] if exit_code else 0)
 
 
 @command("validate")
@@ -266,7 +284,7 @@ def validate_cmd(ws, workspace_ref):
         "maximal_cones": len(ws.fan.max_cones),
         "picard_rank": picard_rank(ws.fan),
         "divisors": sorted(ws.divisors),
-        "roundtrip": serialize_workspace(parse_workspace(text, known_fan=ws.fan)) == text,
+        "roundtrip": serialize_workspace(parse_workspace(text)) == text,
     }
 
 

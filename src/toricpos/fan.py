@@ -1,11 +1,35 @@
 """Complete simplicial fans and their combinatorics.
 
 A fan is stored as primitive integer rays plus maximal cones given by ray
-index sets; every ray lies in some maximal cone. Validation is exact and finite: the fan condition is checked
-pairwise by a separating-functional LP, completeness by wall counting
-(every codimension-1 cone of a complete fan borders exactly two maximal
-cones and the support has no boundary facet), smoothness by the Smith normal
-form.
+index sets; every ray lies in some maximal cone. Validation is exact and
+finite: rays and simpliciality first, then completeness by wall counting
+(every maximal cone full-dimensional, every codimension-1 cone bordering
+exactly two maximal cones, the cones connected through their walls), then
+the fan condition (maximal cones meet in common faces). Smoothness is read
+from the Smith normal form.
+
+A complete fan's condition is read from its walls, with no LP; this is the
+covering argument for triangulations (De Loera-Rambau-Santos,
+*Triangulations*, 2010, ch. 4). It checks (a) at every wall that the two
+cones lie on opposite sides: the off-wall ray of the second has a negative
+coefficient on the first's off-wall ray (``Fan.wall_forms``); and (b) that
+p, the sum of the rays of ``max_cones[0]`` and so interior to it, lies in
+no other closed maximal cone. Why these suffice: call a point generic when
+it lies on no wall, and let N(y) count the maximal cones holding y. The
+codimension-2 cones do not disconnect space, so any two generic points are
+joined by a path that crosses walls only at points on one wall hyperplane.
+Each wall met there borders two cones, one on either side by (a), so N is
+the same on both sides: N is constant on generic points, and 1 by (b). Now
+let x lie in cones s and s', and let A and B be their faces whose
+relative interiors hold x. In a small ball around x, each wall of a cone of
+A's star (the cones containing A) passes through x, so contains A, and its
+other cone is in the star too. By the same crossing argument, N counted
+over A's star alone is constant, and at least 1, on the ball's generic
+points; so is B's. Were A != B, no cone would contain both (a simplicial cone's
+faces have disjoint relative interiors), the stars would share no cone and
+N >= 2 near x. So A = B: maximal cones meet in common faces. A fan that is
+not complete has no such count, and keeps the pairwise test, one
+separating-functional LP per pair of maximal cones.
 """
 
 from __future__ import annotations
@@ -140,10 +164,11 @@ class Fan:
         return table
 
     @cached_property
-    def _incompleteness(self) -> str | None:
+    def incompleteness(self) -> str | None:
         """Why the fan is not complete, or None when it is: complete means
         every maximal cone full-dimensional, every wall shared by exactly two
-        maximal cones and the adjacency graph connected."""
+        maximal cones and the adjacency graph connected. Known once the fan
+        is built, as it picks the fan-condition check."""
         if self.rank == 0:
             return None
         if not self.max_cones or any(len(c) != self.rank for c in self.max_cones):
@@ -162,7 +187,7 @@ class Fan:
         Simpliciality holds by construction: dependent-ray cones are
         rejected at build time."""
         smooth = all(_cone_smooth(self, c) for c in self.max_cones)
-        return FanProperties(True, self._incompleteness is None, smooth)
+        return FanProperties(True, self.incompleteness is None, smooth)
 
     def ray_name(self, i: int) -> str:
         return f"f{i + 1}"
@@ -200,25 +225,51 @@ def _check_structure(fan: Fan) -> None:
     for i, r in enumerate(fan.rays):
         if i not in used:
             raise InvalidFan(f"ray {i} = {r} lies in no maximal cone")
-    # fan condition: distinct maximal cones intersect in a common face,
-    # certified by a separating linear functional per pair
+    if len(set(fan.max_cones)) != len(fan.max_cones):
+        twice = next(c for k, c in enumerate(fan.max_cones) if c in fan.max_cones[:k])
+        raise InvalidFan(f"cone {twice} listed twice")
+    if fan.incompleteness is None:
+        _check_walls(fan)
+    else:
+        _check_pairs(fan)
+
+
+def _overlap(a, b) -> InvalidFan:
+    return InvalidFan(f"cones {a} and {b} overlap beyond a common face")
+
+
+def _check_walls(fan: Fan) -> None:
+    """The fan condition of a complete fan, from checks (a) and (b) of the
+    module docstring: one sign per wall and one solve per maximal cone."""
+    if fan.rank == 0:
+        return
+    for w, (sigma, c, _, _) in fan.wall_forms.items():
+        if next(x for i, x in zip(sigma, c) if i not in w) >= 0:
+            raise _overlap(*fan.wall_neighbors[w])
+    first, *rest = fan.max_cones
+    p = [sum(fan.rays[i][j] for i in first) for j in range(fan.rank)]
+    for cone in rest:
+        transposed = [[fan.rays[i][j] for i in cone] for j in range(fan.rank)]
+        if all(x >= 0 for x in solve_linear(transposed, p)):
+            raise _overlap(first, cone)
+
+
+def _check_pairs(fan: Fan) -> None:
+    """The fan condition, pair by pair: distinct maximal cones intersect in a
+    common face, certified by a separating linear functional per pair."""
     for a, b in combinations(fan.max_cones, 2):
         common = sorted(set(a) & set(b))
         only_a = [i for i in a if i not in common]
         only_b = [i for i in b if i not in common]
-        if not only_a and not only_b:
-            raise InvalidFan(f"cone {tuple(a)} listed twice")
         if not only_a or not only_b:
             raise InvalidFan(f"cone {tuple(a)} and {tuple(b)} are nested")
         strict = [(tuple(fan.rays[i]), 1) for i in only_a]
         strict += [(tuple(-x for x in fan.rays[i]), 1) for i in only_b]
         weak = [(tuple(fan.rays[i]), 0) for i in common]
         weak += [(tuple(-x for x in fan.rays[i]), 0) for i in common]
-        sep = polyhedron(n, strict=strict, weak=weak)
+        sep = polyhedron(fan.rank, strict=strict, weak=weak)
         if not lp_strict_feasible(sep).feasible:
-            raise InvalidFan(
-                f"cones {tuple(a)} and {tuple(b)} overlap beyond a common face"
-            )
+            raise _overlap(a, b)
 
 
 def validate(fan: Fan, require_complete: bool = False) -> FanProperties:
@@ -227,7 +278,7 @@ def validate(fan: Fan, require_complete: bool = False) -> FanProperties:
     complete."""
     props = fan.properties
     if require_complete and not props.complete:
-        raise InvalidFan(fan._incompleteness)
+        raise InvalidFan(fan.incompleteness)
     return props
 
 

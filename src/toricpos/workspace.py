@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .divisor import ToricDivisor
 from .errors import InvalidFan, WorkspaceError
-from .fan import Fan, validate
+from .fan import Fan
 
 SCHEMA = "toricpos-workspace/1"
 CONVENTIONS = ("paper", "internal")
@@ -52,13 +52,9 @@ def _integers(values, what: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def parse_workspace(text: str, known_fan: Fan | None = None) -> Workspace:
-    """Parse and validate a workspace.
-
-    ``known_fan`` is a fan already built (and so already checked); when the
-    fan block describes exactly that fan it is reused instead of being built
-    again, which skips the pairwise separation LPs of the fan check.
-    """
+def parse_workspace(text: str) -> Workspace:
+    """Parse and validate a workspace. A complete fan is checked by its walls
+    with no LP (see ``fan``), so parsing a fan again is cheap."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -87,16 +83,11 @@ def parse_workspace(text: str, known_fan: Fan | None = None) -> Workspace:
     if not isinstance(rays, list) or not isinstance(cones, list):
         raise WorkspaceError("malformed fan block: rays and max_cones must be lists")
     rays = tuple(_integers(r, "a ray") for r in rays)
-    max_cones = tuple(tuple(sorted(_integers(c, "a maximal cone"))) for c in cones)
+    max_cones = tuple(_integers(c, "a maximal cone") for c in cones)
     try:
-        name = str(data.get("name", ""))
-        if known_fan is not None and (rank, rays, max_cones, name) == (
-            known_fan.rank, known_fan.rays, known_fan.max_cones, known_fan.name
-        ):
-            fan = known_fan
-        else:
-            fan = Fan(rank=rank, rays=rays, max_cones=max_cones, name=name)
-        validate(fan, require_complete=complete)
+        fan = Fan(rank=rank, rays=rays, max_cones=max_cones, name=str(data.get("name", "")))
+        if complete and fan.incompleteness:
+            raise InvalidFan(fan.incompleteness)
     except InvalidFan as exc:
         raise WorkspaceError(f"fan validation failed: {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -146,7 +137,7 @@ def serialize_workspace(ws: Workspace) -> str:
             "lattice_rank": ws.fan.rank,
             "rays": [list(r) for r in ws.fan.rays],
             "max_cones": [list(c) for c in ws.fan.max_cones],
-            "complete": ws.fan.properties.complete,
+            "complete": ws.fan.incompleteness is None,
         },
         "divisors": {
             name: [coeff(c) for c in d.coeffs] for name, d in sorted(ws.divisors.items())

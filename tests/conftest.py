@@ -85,6 +85,16 @@ def gap_regions():
                     yield polyhedron(n, weak=weak), box
 
 
+def unimodular(rng, n):
+    """A seeded matrix in GL(n, Z): row operations on the identity, shuffled."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        a[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(a[i], a[j])]
+    rng.shuffle(a)
+    return a
+
+
 def product_fan(factors, matrix=None):
     """The product of (rays, cones) factors, its rays moved by ``matrix``
     (the identity when None)."""

@@ -98,6 +98,47 @@ def test_the_bench_child_entry_keeps_every_exit_code():
     assert json.loads(live.stdout)["error"]["kind"] == "internal-consistency"
 
 
+# a 168 KB report: more than a pipe and the reader's buffer hold, so the
+# process is still writing when a reader that took one line leaves
+LARGE_REPORT = ("chambers", "-w", "p1xp1", "--dir1", "F1", "--dir2", "F2", "--resolution", "16")
+
+
+def _closed_pipe_run(argv, lines):
+    """(exit code, stderr) of the entry on argv, its stdout a pipe whose
+    reader takes ``lines`` lines and closes."""
+    child = subprocess.Popen([sys.executable, ENTRY, *argv], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True, cwd=ROOT)
+    for _ in range(lines):
+        assert child.stdout.readline() == "{\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    return child.wait(timeout=60), err
+
+
+def test_a_closed_pipe_ends_the_run_quietly_with_its_exit_code():
+    # the report, and an input error (exit 2) whose reader left before it
+    for argv, lines, code in ((LARGE_REPORT, 1, 0), (("qnef", "-w", "p2", "-d", "H", "--q", "5"), 0, 2)):
+        assert _closed_pipe_run(argv, lines) == (code, ""), argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_failed_report_write_exits_2_with_one_line_on_stderr():
+    for argv in (LARGE_REPORT, ("validate", "-w", "p2"), ("qnef", "-w", "p2", "-d", "H", "--q", "5")):
+        with open("/dev/full", "w") as full:
+            out = subprocess.run([sys.executable, ENTRY, *argv], stdout=full, stderr=subprocess.PIPE,
+                                 text=True, cwd=ROOT, timeout=60)
+        assert out.returncode == 2, argv
+        assert out.stderr.startswith("error: cannot write the report to stdout: ") and \
+            out.stderr.count("\n") == 1, out.stderr
+
+
+def test_a_report_that_reaches_stdout_is_the_golden_one():
+    out = _entry("validate", "-w", "p2")
+    golden = os.path.join(ROOT, "tests", "golden", "validate-p2.json")
+    with open(golden, encoding="utf-8") as fh:
+        assert (out.returncode, out.stderr, out.stdout) == (0, "", fh.read())
+
+
 def test_the_cli_imports_no_click():
     code = "import sys, toricpos.cli; print('click' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,

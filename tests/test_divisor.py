@@ -25,7 +25,7 @@ from toricpos import (
     zero_divisor,
 )
 
-from .conftest import product_fan
+from .conftest import product_fan, unimodular
 from .oracles import solve_wall_degree
 
 
@@ -142,16 +142,6 @@ def test_wall_degree_on_p2(p2):
     assert all(wall_degree(h, w) == 1 for w in p2.walls)
 
 
-def _unimodular(rng, n):
-    """A seeded matrix in GL(n, Z): row operations on the identity, shuffled."""
-    a = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        i, j = rng.sample(range(n), 2)
-        a[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(a[i], a[j])]
-    rng.shuffle(a)
-    return a
-
-
 def test_wall_forms_match_the_per_divisor_solve(example_fans):
     # Fan.wall_forms is solved once per fan; every degree it gives must be
     # the per-divisor solve's, for integral and rational classes alike
@@ -162,7 +152,7 @@ def test_wall_forms_match_the_per_divisor_solve(example_fans):
     for factors in ([p1] * 3, [p1] * 4, [p2, p1, p1]):
         for _ in range(2):
             n = sum(len(rays[0]) for rays, _ in factors)
-            fans.append(product_fan(factors, _unimodular(rng, n)))
+            fans.append(product_fan(factors, unimodular(rng, n)))
     # weighted projective spaces P(1,1,2) and P(1,1,1,3) are simplicial, not
     # smooth; a wall whose first neighbour is singular has a form with a
     # denominator

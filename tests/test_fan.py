@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+import toricpos.fan as fan_module
+import toricpos.polyhedra as polyhedra
 from toricpos import (
     EmptySet,
     Fan,
@@ -9,11 +13,13 @@ from toricpos import (
     reduced_cohomology,
     star_quotient,
     subset_connected,
+    load_workspace,
     validate,
 )
 from toricpos.polyhedra import _plan
+from toricpos.workspace import BUILTIN_WORKSPACES
 
-from .conftest import product_fan
+from .conftest import product_fan, unimodular
 
 TOTARO_RAYS = ((0, 0, -1), (0, 0, 1), (1, 0, 1), (0, 1, -1), (-1, 0, 0), (0, -1, 0))
 
@@ -153,11 +159,77 @@ def test_subset_connected(totaro):
         subset_connected(totaro, ())
 
 
-def test_fan_validation_creates_no_plan(p1):
-    # each separation LP builds its tableau rows directly, so building and
-    # validating P1^4 (16 cones, 120 pairs) leaves the region plans alone
+P1 = (((1,), (-1,)), ((0,), (1,)))
+
+# fans that are no fans, each with its message: (rank, rays, cones, match)
+BROKEN = {
+    "overlap": (2, ((1, 0), (0, 1), (1, 2)), ((0, 1), (1, 2), (0, 2)), "overlap"),
+    # every wall has its two cones on opposite sides, yet the cones wind
+    # twice round the origin
+    "winds-twice": (2, ((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)),
+                    ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), "overlap"),
+    # P2 plus cone(f1, (1, 1)), whose wall (1, 1) lies in that cone only
+    "hanging-facet": (2, ((1, 0), (0, 1), (-1, -1), (1, 1)),
+                      ((0, 1), (1, 2), (0, 2), (0, 3)), "overlap"),
+    "duplicate": (2, ((1, 0), (0, 1)), ((0, 1), (0, 1)), r"cone \(0, 1\) listed twice"),
+    "nested": (2, ((1, 0), (0, 1)), ((0, 1), (0,)), r"cone \(0, 1\) and \(0,\) are nested"),
+}
+
+
+def complete_fans(max_k):
+    """Complete fans built afresh: the built-in workspaces' fans and P1^k for
+    2 <= k <= max_k, a seeded GL(n,Z) image of each of rank n > 1, and every
+    star quotient of the built-in fans."""
+    rng = random.Random(26)
+    builtin = [load_workspace(name).fan for name in BUILTIN_WORKSPACES]
+    fans = list(builtin)
+    for factors in [[(f.rays, f.max_cones)] for f in builtin] + [[P1] * k for k in range(2, max_k + 1)]:
+        n = sum(len(rays[0]) for rays, _ in factors)
+        fans.append(product_fan(factors))
+        if n > 1:
+            fans.append(product_fan(factors, unimodular(rng, n)))
+    fans += [star_quotient(f, tau)[0] for f in builtin for tau in f.cones if tau]
+    return fans
+
+
+def test_the_wall_pass_and_the_pairwise_check_accept_every_complete_fan():
+    fans = complete_fans(5)
+    for fan in fans:
+        assert fan.properties.complete, fan
+        fan_module._check_pairs(fan)
+
+
+@pytest.mark.parametrize("name", list(BROKEN))
+def test_a_broken_fan_fails_the_wall_pass_and_the_pairwise_check(name, monkeypatch):
+    rank, rays, cones, match = BROKEN[name]
+    with pytest.raises(InvalidFan, match=match):
+        Fan(rank, rays, cones)
+    monkeypatch.setattr(fan_module, "_check_walls", fan_module._check_pairs)
+    with pytest.raises(InvalidFan, match=match):
+        Fan(rank, rays, cones)
+
+
+def test_only_the_covering_count_catches_a_fan_winding_twice():
+    # (0, 1) and (3, 4) share no wall: only check (b) can name them
+    rank, rays, cones, _ = BROKEN["winds-twice"]
+    with pytest.raises(InvalidFan, match=r"cones \(0, 1\) and \(3, 4\) overlap"):
+        Fan(rank, rays, cones)
+
+
+def test_fan_validation_creates_no_plan(monkeypatch):
+    # a complete fan's condition is read from its walls, so building every
+    # complete fan of the corpus, P1^6's 64 cones included, solves no LP and
+    # leaves the region plans alone; a fan that is not complete still goes
+    # pair by pair through the separation LPs
+    def no_lp(*args):
+        raise AssertionError("a fan build solved an LP")
+
+    monkeypatch.setattr(polyhedra, "simplex_max", no_lp)
     before = _plan.cache_info()
-    fan = product_fan([(p1.rays, p1.max_cones)] * 4)
-    assert fan.properties.complete and len(fan.max_cones) == 16
+    fans = complete_fans(6)
+    assert all(fan.properties.complete for fan in fans)
+    assert max(len(fan.max_cones) for fan in fans) == 64
     after = _plan.cache_info()
     assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+    with pytest.raises(AssertionError, match="solved an LP"):
+        Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))

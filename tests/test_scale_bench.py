@@ -1,0 +1,22 @@
+"""scripts/scale_bench.py times ``Fan(...)`` and ``bad_subsets`` on P1^k and
+a seeded GL(k,Z) image of it."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "scale_bench.py"
+
+
+def test_scale_bench_times_p1_cubed_and_its_image(capsys):
+    spec = importlib.util.spec_from_file_location("scale_bench", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    report = bench.main(["--k", "3"])
+    assert json.loads(capsys.readouterr().out) == report
+    assert [row["fan"] for row in report["rows"]] == ["P1^3", "GL.P1^3"]
+    for row in report["rows"]:
+        # P1^3's subset index: the empty set, and {e_i, -e_i} in each factor
+        # with every union of them
+        assert (row["rays"], row["max_cones"], row["bad_subsets"]) == (6, 8, 8), row
+        assert row["fan_s"] > 0 and row["bad_subsets_s"] > 0, row
