@@ -132,10 +132,10 @@ def _fail(code: int, kind: str, message) -> NoReturn:
 
 
 def _emit(text: str, code: int) -> None:
-    """Print a report or an error to stdout and end with ``code`` (return
-    when it is 0). A reader that closed the pipe ends the run quietly with
-    the same code; any other failed write exits 2 with one line on stderr,
-    as a failed ``--emit-plot`` write (``OutputError``) exits 2."""
+    """Print a report, an error or help to stdout and end with ``code``
+    (return when it is 0). A reader that closed the pipe ends the run
+    quietly with the same code; any other failed write exits 2 with one line
+    on stderr, as a failed ``--emit-plot`` write (``OutputError``) exits 2."""
     try:
         print(text, flush=True)
     except OSError as exc:
@@ -144,7 +144,7 @@ def _emit(text: str, code: int) -> None:
         # SIGPIPE in the docs of ``signal``)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write the report to stdout: {exc}", file=sys.stderr)
+            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
             code = 2
     if code:
         sys.exit(code)
@@ -189,18 +189,19 @@ def _usage(prog: str, message: str) -> NoReturn:
 def _help(prog: str, name=None) -> NoReturn:
     """Print the commands, or one command's doc and options, and exit 0."""
     if name is None:
-        print(f"usage: {prog} [--version] COMMAND [OPTIONS]\n\n{__doc__}\ncommands:")
+        lines = [f"usage: {prog} [--version] COMMAND [OPTIONS]\n\n{__doc__}\ncommands:"]
         for n, (body, _) in COMMANDS.items():
             summary = " ".join(body.__doc__.partition("\n\n")[0].split())
-            print(f"  {n:<17}{summary}")
+            lines.append(f"  {n:<17}{summary}")
     else:
         body, options = COMMANDS[name]
         doc = "\n".join(map(str.strip, body.__doc__.splitlines()))
-        print(f"usage: {prog} {name} [OPTIONS]\n\n{doc}\n\noptions:")
+        lines = [f"usage: {prog} {name} [OPTIONS]\n\n{doc}\n\noptions:"]
         for o in options:
             arg = "" if o.type is bool else " " + ("|".join(o.choices) or o.type.__name__.upper())
             note = "required" if o.default is None else o.default and f"default: {o.default}"
-            print(f"  {', '.join(o.names)}{arg}\n      {'; '.join(filter(None, (o.help, note)))}")
+            lines.append(f"  {', '.join(o.names)}{arg}\n      {'; '.join(filter(None, (o.help, note)))}")
+    _emit("\n".join(lines), 0)
     sys.exit(0)
 
 
@@ -211,7 +212,7 @@ def _parse(prog: str, argv: list[str]):
     Names are never abbreviated, and a token that fits no rule exits 2."""
     name = argv[0] if argv else None
     if name == "--version":
-        print(f"toricpos, version {__version__}")
+        _emit(f"toricpos, version {__version__}", 0)
         sys.exit(0)
     if name == "--help":
         _help(prog)

@@ -128,7 +128,8 @@ class Fan:
         D = sum a_rho F_rho has D . V(wall) = (den * a_other - sum_k c[k] *
         a_sigma[k]) / den. Here c / den = A^-T u_other for A the rays of
         sigma, so c depends on the fan alone and is solved once per wall
-        (Cox-Little-Schenck, Toric Varieties, Prop. 6.4.4)."""
+        (Cox-Little-Schenck, Toric Varieties, Prop. 6.4.4). A complete fan's
+        build checks that c is negative on sigma's off-wall ray."""
         out = {}
         for w, nbrs in self.wall_neighbors.items():
             if len(nbrs) != 2:

@@ -123,12 +123,13 @@ def test_a_closed_pipe_ends_the_run_quietly_with_its_exit_code():
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 def test_a_failed_report_write_exits_2_with_one_line_on_stderr():
-    for argv in (LARGE_REPORT, ("validate", "-w", "p2"), ("qnef", "-w", "p2", "-d", "H", "--q", "5")):
+    for argv in (LARGE_REPORT, ("validate", "-w", "p2"), ("qnef", "-w", "p2", "-d", "H", "--q", "5"),
+                 ("--help",)):
         with open("/dev/full", "w") as full:
             out = subprocess.run([sys.executable, ENTRY, *argv], stdout=full, stderr=subprocess.PIPE,
                                  text=True, cwd=ROOT, timeout=60)
         assert out.returncode == 2, argv
-        assert out.stderr.startswith("error: cannot write the report to stdout: ") and \
+        assert out.stderr.startswith("error: cannot write to stdout: ") and \
             out.stderr.count("\n") == 1, out.stderr
 
 
