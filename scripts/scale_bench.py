@@ -7,9 +7,12 @@ For each k, takes P1^k (2k rays, 2^k maximal cones) and one seeded GL(k,Z)
 image of it (the same fan in other coordinates), and times ``Fan(...)`` (ray,
 simpliciality, completeness and fan-condition checks) and
 ``cohomology.bad_subsets`` (the 2^(2k)-subset index, its cache bypassed) on a
-fresh fan, each the minimum of three runs. Prints one JSON object: per fan
-its name, rays, maximal cones, bad subsets (the same for a fan and its
-image) and the two times in seconds.
+fresh fan, each the minimum of three runs. Then it times ``Fan(...)`` alone
+on both fans less their first maximal cone: a fan that is not complete,
+whose condition is checked pair by pair of maximal cones. Prints one JSON
+object: per fan its name, rays, maximal cones, bad subsets (the same for a
+fan and its image; None for a fan that is not complete) and the times in
+seconds.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from toricpos import Fan  # noqa: E402
 from toricpos.cohomology import bad_subsets  # noqa: E402
+from toricpos.polyhedra import _projection  # noqa: E402
 
 SEED = 71
 REPEAT = 3  # each time is the minimum over this many runs
@@ -61,11 +65,22 @@ def best_of(run) -> tuple[float, object]:
     return min(times), out
 
 
+def build(rank: int, rays, cones) -> Fan:
+    """``Fan(...)`` on an empty projection cache, as in a fresh process: the
+    pairwise check of a fan that is not complete projects one system per
+    pair of maximal cones, and a repeat would find them all cached."""
+    _projection.cache_clear()
+    return Fan(rank, rays, cones)
+
+
 def measure(name: str, rank: int, rays, cones) -> dict:
-    fan_s, fan = best_of(lambda: Fan(rank, rays, cones))
-    index_s, index = best_of(lambda: bad_subsets.__wrapped__(fan))
-    return {"fan": name, "rays": len(rays), "max_cones": len(cones), "bad_subsets": sum(map(len, index)),
-            "fan_s": round(fan_s, 6), "bad_subsets_s": round(index_s, 6)}
+    fan_s, fan = best_of(lambda: build(rank, rays, cones))
+    row = {"fan": name, "rays": len(rays), "max_cones": len(cones), "bad_subsets": None,
+           "fan_s": round(fan_s, 6), "bad_subsets_s": None}
+    if fan.incompleteness is None:
+        index_s, index = best_of(lambda: bad_subsets.__wrapped__(fan))
+        row.update(bad_subsets=sum(map(len, index)), bad_subsets_s=round(index_s, 6))
+    return row
 
 
 def main(argv=None) -> dict:
@@ -78,8 +93,10 @@ def main(argv=None) -> dict:
     rng = random.Random(SEED)
     rows = []
     for k in args.k:
-        rows.append(measure(f"P1^{k}", *p1_power(k)))
-        rows.append(measure(f"GL.P1^{k}", *p1_power(k, unimodular(rng, k))))
+        fans = {f"P1^{k}": p1_power(k), f"GL.P1^{k}": p1_power(k, unimodular(rng, k))}
+        rows += [measure(name, *fan) for name, fan in fans.items()]
+        rows += [measure(f"{name} less a cone", rank, rays, cones[1:])
+                 for name, (rank, rays, cones) in fans.items()]
     report = {"seed": SEED, "repeat": REPEAT, "python": sys.version.split()[0], "rows": rows}
     print(json.dumps(report))
     return report

@@ -63,7 +63,6 @@ from .positivity import (
     BaseLocusReport,
     ChamberMap,
     ConeFlags,
-    PositivityReport,
     QAmpleResult,
     QnefResult,
     augmented_base_locus,
@@ -76,7 +75,6 @@ from .positivity import (
     default_ample,
     disconnected_section_criterion,
     is_qnef,
-    positivity_report,
     realization_search,
     scan_qample,
     smallest_qample,

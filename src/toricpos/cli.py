@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from typing import NamedTuple, NoReturn
 
@@ -64,14 +63,10 @@ from .workspace import (
 def _jsonable(value):
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(asdict(value))
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(_jsonable(v) for v in value)
     return value
 
 
@@ -131,21 +126,29 @@ def _fail(code: int, kind: str, message) -> NoReturn:
     _emit(json.dumps({"error": {"kind": kind, "message": str(message)}}, indent=2), code)
 
 
+def _write(stream, text: str) -> OSError | None:
+    """Print text to stream; return the error of a failed write. Nothing
+    more can reach that stream then, so it is pointed at devnull, and the
+    interpreter's last flush does not raise again (see the note on SIGPIPE in
+    the docs of ``signal``)."""
+    try:
+        print(text, file=stream, flush=True)
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc
+    return None
+
+
 def _emit(text: str, code: int) -> None:
     """Print a report, an error or help to stdout and end with ``code``
     (return when it is 0). A reader that closed the pipe ends the run
     quietly with the same code; any other failed write exits 2 with one line
-    on stderr, as a failed ``--emit-plot`` write (``OutputError``) exits 2."""
-    try:
-        print(text, flush=True)
-    except OSError as exc:
-        # nothing more can reach stdout: point it at devnull so that the
-        # interpreter's last flush does not raise again (see the note on
-        # SIGPIPE in the docs of ``signal``)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
-            code = 2
+    on stderr, if stderr takes it, as a failed ``--emit-plot`` write
+    (``OutputError``) exits 2."""
+    exc = _write(sys.stdout, text)
+    if exc is not None and not isinstance(exc, BrokenPipeError):
+        _write(sys.stderr, f"error: cannot write to stdout: {exc}")
+        code = 2
     if code:
         sys.exit(code)
 
@@ -181,8 +184,8 @@ def command(name: str, *options: Option):
 
 
 def _usage(prog: str, message: str) -> NoReturn:
-    print(f"usage: {prog} [--version] COMMAND [OPTIONS]; see {prog} --help\nerror: {message}",
-          file=sys.stderr)
+    _write(sys.stderr,
+           f"usage: {prog} [--version] COMMAND [OPTIONS]; see {prog} --help\nerror: {message}")
     sys.exit(2)
 
 

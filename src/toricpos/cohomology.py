@@ -20,21 +20,20 @@ last coordinate, and the parent's count, read from the terms in closed form
 (an arithmetic series or a floor sum per binding row). A dimension is a sum
 of block counts. A table's witnesses hold each region's blocks as
 ``polyhedra.Weights``, the blocks' one reader, which folds a block's
-children only when a reader enters it. ``degree_nonzero`` asks only whether
-a region holds a point (``Plan.has_point``): one dive down the walk answers
-yes, and the parents are counted only when the dive dead-ends.
+children only when a reader enters it. Whether a region holds a weight at
+all is ``Plan.has_point``, the q-ample scan's query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 from .divisor import ToricDivisor, require_integral
-from .errors import NotComplete, ToricError, UnboundedRegion
-from .fan import Fan, RaySubcomplex, full_subcomplex
+from .errors import ToricError, UnboundedRegion
+from .fan import Fan, RaySubcomplex, full_subcomplex, require_complete
 from .linalg import matrix_rank
 from .polyhedra import Weights, lp_strict_feasible, rhs
 
@@ -112,16 +111,7 @@ def subset_picks(fan: Fan, subset):
     return [(i, 1) for i in rays if i in inside], [(i, 1) for i in rays if i not in inside]
 
 
-def _require_complete(fan: Fan) -> None:
-    if not fan.properties.complete:
-        raise NotComplete("cohomology needs a complete fan")
-
-
-def _require_degree(fan: Fan, p: int) -> None:
-    """A complete fan and a degree p in 0..n."""
-    _require_complete(fan)
-    if not 0 <= p <= fan.rank:
-        raise ToricError(f"degree p = {p} must lie in 0..{fan.rank}")
+_require_complete = partial(require_complete, message="cohomology needs a complete fan")
 
 
 @dataclass(frozen=True)
@@ -130,37 +120,27 @@ class CohomologyTable:
     witnesses: tuple[tuple[tuple[int, ...], Weights, int], ...]
     # flat (subset, weights, complex dim) records, grouped by degree below
 
-    def h(self, p: int) -> int:
-        return self.dims[p]
-
     @property
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * d for p, d in enumerate(self.dims))
 
 
-def _walk(divisor: ToricDivisor, p: int, walk):
-    """Yield (subset, walk(plan, b), complex dim) for each bad subset of
-    degree p whose weight region holds a lattice point."""
+def _degree_regions(divisor: ToricDivisor, p: int):
+    """Yield (subset, Weights, complex dim) for each bad subset of degree p
+    whose weight region holds a lattice point."""
     fan = divisor.fan
     regions, a = fan.regions(subset_picks), divisor.plain_coeffs
     for subset, dim in bad_subsets(fan)[p]:
         plan, index = regions[subset]
         try:
-            found = walk(plan, rhs(index, a))
+            blocks = tuple(plan.blocks(rhs(index, a)))
         except UnboundedRegion as exc:
             raise UnboundedRegion(
                 f"region for subset {subset} unbounded on a complete fan; "
                 f"internal consistency failure: {exc}"
             ) from exc
-        if found:
-            yield subset, found, dim
-
-
-def _degree_regions(divisor: ToricDivisor, p: int):
-    """Yield (subset, Weights, complex dim) for each bad subset of degree p
-    whose weight region holds a lattice point."""
-    for subset, blocks, dim in _walk(divisor, p, lambda plan, b: tuple(plan.blocks(b))):
-        yield subset, Weights(blocks, divisor.fan.rank), dim
+        if blocks:
+            yield subset, Weights(blocks, fan.rank), dim
 
 
 def cohomology_dims(divisor: ToricDivisor) -> CohomologyTable:
@@ -173,20 +153,6 @@ def cohomology_dims(divisor: ToricDivisor) -> CohomologyTable:
         dims.append(sum(dim * len(weights) for _, weights, dim in found))
         witnesses.extend(found)
     return CohomologyTable(dims=tuple(dims), witnesses=tuple(witnesses))
-
-
-def h_p(divisor: ToricDivisor, p: int) -> int:
-    """dim H^p(X, O(D)), enumerating only the bad subsets of degree p."""
-    _require_degree(divisor.fan, p)
-    require_integral(divisor, "cohomology")
-    return sum(dim * len(weights) for _, weights, dim in _degree_regions(divisor, p))
-
-
-def degree_nonzero(divisor: ToricDivisor, p: int) -> bool:
-    """Does H^p(X, O(D)) contain anything? Early-exits on the first weight."""
-    _require_degree(divisor.fan, p)
-    require_integral(divisor, "cohomology")
-    return any(_walk(divisor, p, lambda plan, b: plan.has_point(b)))
 
 
 @dataclass(frozen=True)
@@ -204,7 +170,9 @@ def asymptotic_nonvanishing(divisor: ToricDivisor, p: int):
     the projections decide each subset, and one LP writes the witness.
     """
     fan = divisor.fan
-    _require_degree(fan, p)
+    _require_complete(fan)
+    if not 0 <= p <= fan.rank:
+        raise ToricError(f"degree p = {p} must lie in 0..{fan.rank}")
     regions, a = fan.regions(subset_picks), divisor.plain_coeffs
     for subset, _ in bad_subsets(fan)[p]:
         plan, index = regions[subset]

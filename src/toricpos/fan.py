@@ -28,8 +28,10 @@ over A's star alone is constant, and at least 1, on the ball's generic
 points; so is B's. Were A != B, no cone would contain both (a simplicial cone's
 faces have disjoint relative interiors), the stars would share no cone and
 N >= 2 near x. So A = B: maximal cones meet in common faces. A fan that is
-not complete has no such count, and keeps the pairwise test, one
-separating-functional LP per pair of maximal cones.
+not complete has no such count, and keeps the pairwise test: per pair of
+maximal cones, a separating linear functional, whose existence is a
+strict-feasibility question decided by Fourier-Motzkin elimination
+(``Plan.strictly_feasible``). No check solves an LP.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import cached_property, partial
 from itertools import combinations
 from math import gcd
 
-from .errors import EmptySet, InvalidFan, NotACone
+from .errors import EmptySet, InvalidFan, NotACone, NotComplete
 from .linalg import (
     clear_denominators,
     matrix_rank,
@@ -47,7 +49,7 @@ from .linalg import (
     smith_normal_form,
     solve_linear,
 )
-from .polyhedra import Selections, lp_strict_feasible, polyhedron
+from .polyhedra import Plan, Selections
 
 
 @dataclass(frozen=True)
@@ -257,19 +259,19 @@ def _check_walls(fan: Fan) -> None:
 
 def _check_pairs(fan: Fan) -> None:
     """The fan condition, pair by pair: distinct maximal cones intersect in a
-    common face, certified by a separating linear functional per pair."""
+    common face iff some y has <y, u> = 0 on their common rays, < 0 on the
+    other rays of the first and > 0 on those of the second. That system is
+    homogeneous, so its plan reads it with every constant 0."""
     for a, b in combinations(fan.max_cones, 2):
-        common = sorted(set(a) & set(b))
+        common = [i for i in a if i in b]
         only_a = [i for i in a if i not in common]
         only_b = [i for i in b if i not in common]
         if not only_a or not only_b:
             raise InvalidFan(f"cone {tuple(a)} and {tuple(b)} are nested")
-        strict = [(tuple(fan.rays[i]), 1) for i in only_a]
-        strict += [(tuple(-x for x in fan.rays[i]), 1) for i in only_b]
-        weak = [(tuple(fan.rays[i]), 0) for i in common]
-        weak += [(tuple(-x for x in fan.rays[i]), 0) for i in common]
-        sep = polyhedron(fan.rank, strict=strict, weak=weak)
-        if not lp_strict_feasible(sep).feasible:
+        strict = [fan.rays[i] for i in only_a] + [tuple(-x for x in fan.rays[i]) for i in only_b]
+        weak = [fan.rays[i] for i in common] + [tuple(-x for x in fan.rays[i]) for i in common]
+        sep = Plan(fan.rank, tuple(strict), tuple(weak))
+        if not sep.strictly_feasible([0] * (len(weak) + len(strict))):
             raise _overlap(a, b)
 
 
@@ -281,6 +283,13 @@ def validate(fan: Fan, require_complete: bool = False) -> FanProperties:
     if require_complete and not props.complete:
         raise InvalidFan(fan.incompleteness)
     return props
+
+
+def require_complete(fan: Fan, message: str) -> None:
+    """Raise ``NotComplete(message)`` unless the fan is complete, read from
+    ``Fan.incompleteness``: no smoothness check."""
+    if fan.incompleteness is not None:
+        raise NotComplete(message)
 
 
 def _cone_smooth(fan: Fan, cone) -> bool:

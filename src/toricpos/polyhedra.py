@@ -31,10 +31,9 @@ system's projection onto t. ``lattice_points``, the one ``Polyhedron`` entry
 point to the walk, reads the plan of (``_plan_of(poly)``,
 ``_closure_rhs(poly)``), so there is one core.
 
-The simplex writes witnesses (``lp_strict_feasible``, ``lp_optimize``,
-which build their rows directly and create no plan) and decides only the
-fan condition of a fan that is not complete, pair by pair of maximal cones
-(``fan._check_pairs``). It is a two-phase
+The simplex only writes witnesses (``lp_strict_feasible``, ``lp_optimize``,
+which build their rows directly and create no plan); no decision, the fan
+condition included, solves an LP. It is a two-phase
 tableau of integer rows with Bland's rule: each pivot is a multiply-subtract
 pass and a gcd content reduction per row, the signs and ratios Bland's rule
 reads are those of the rational tableau, and results are read as Fractions.
@@ -269,8 +268,8 @@ def lp_strict_feasible(poly: Polyhedron) -> StrictFeasibility:
 
     Slack contract: maximize t with strict rows shifted by t; t is capped at 1
     so an unbounded slack still reports feasible with a concrete witness.
-    The rows are built here, so a witness LP (the separation LP of a pair
-    of cones of a fan that is not complete is one) creates no plan.
+    Only a witness calls it (``Plan.strictly_feasible`` decides); its rows
+    are built here, so it creates no plan.
     """
     n = poly.dim
     rows = [(*u, 1) for u, _ in poly.strict] + [(*(-x for x in u), 0) for u, _ in poly.weak]

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .cohomology import bad_subsets, cohomology_dims, subset_picks
 from .divisor import (
@@ -50,18 +50,15 @@ from .divisor import (
 from .errors import (
     ModeDisagreement,
     NoStabilizationDetected,
-    NotComplete,
     NotEffectiveSupport,
     ToricError,
 )
-from .fan import Fan, subset_connected
+from .fan import Fan, require_complete, subset_connected
 from .linalg import clear_denominators, content_free
 from .polyhedra import lp_strict_feasible, rhs
 
 
-def _require_complete(fan: Fan) -> None:
-    if not fan.properties.complete:
-        raise NotComplete("positivity decisions need a complete fan")
+_require_complete = partial(require_complete, message="positivity decisions need a complete fan")
 
 
 @lru_cache(maxsize=None)
@@ -633,40 +630,6 @@ def check_mode_agreement(
 # ---------------------------------------------------------------------------
 # disconnected sections and chamber scans
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    """One-stop summary: cone flags plus per-q verdicts with certificates.
-
-    Invariants (asserted in the test suite): ample implies nef, big implies
-    pseudoeffective, q_ample is monotone nondecreasing in q, and q_ample[q]
-    implies q_nef[q].
-    """
-
-    flags: ConeFlags
-    q_nef: tuple[bool, ...]
-    q_ample: tuple[bool, ...]
-    qample_results: tuple[QAmpleResult, ...]
-    qnef_results: tuple[QnefResult, ...]
-
-
-def positivity_report(
-    divisor: ToricDivisor, ample: ToricDivisor | None = None
-) -> PositivityReport:
-    fan = divisor.fan
-    _require_complete(fan)
-    qample_results = tuple(
-        decide_qample(divisor, q, ample) for q in range(fan.rank)
-    )
-    qnef_results = tuple(is_qnef(divisor, q) for q in range(fan.rank))
-    return PositivityReport(
-        flags=classify_cones(divisor),
-        q_nef=tuple(r.verdict for r in qnef_results),
-        q_ample=tuple(r.verdict for r in qample_results),
-        qample_results=qample_results,
-        qnef_results=qnef_results,
-    )
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,17 @@ def test_a_failed_report_write_exits_2_with_one_line_on_stderr():
             out.stderr.count("\n") == 1, out.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_an_unwritable_stderr_keeps_exit_code_2():
+    # a failed report write, and a usage error, whose stderr line cannot be
+    # written either
+    for argv, stdout in ((("validate", "-w", "p2"), "/dev/full"), (("nosuch",), os.devnull)):
+        with open(stdout, "w") as out, open("/dev/full", "w") as full:
+            code = subprocess.run([sys.executable, ENTRY, *argv], stdout=out, stderr=full, cwd=ROOT,
+                                  timeout=60).returncode
+        assert code == 2, argv
+
+
 def test_a_report_that_reaches_stdout_is_the_golden_one():
     out = _entry("validate", "-w", "p2")
     golden = os.path.join(ROOT, "tests", "golden", "validate-p2.json")

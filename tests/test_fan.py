@@ -21,6 +21,17 @@ from toricpos.workspace import BUILTIN_WORKSPACES
 
 from .conftest import product_fan, unimodular
 
+
+@pytest.fixture(autouse=True)
+def no_simplex(monkeypatch):
+    """No fan check solves an LP: every fan of this module, complete or not,
+    builds or is rejected with the simplex taken away."""
+    def no_lp(*args):
+        raise AssertionError("a fan check solved an LP")
+
+    monkeypatch.setattr(polyhedra, "simplex_max", no_lp)
+
+
 TOTARO_RAYS = ((0, 0, -1), (0, 0, 1), (1, 0, 1), (0, 1, -1), (-1, 0, 0), (0, -1, 0))
 
 
@@ -173,7 +184,16 @@ BROKEN = {
                       ((0, 1), (1, 2), (0, 2), (0, 3)), "overlap"),
     "duplicate": (2, ((1, 0), (0, 1)), ((0, 1), (0, 1)), r"cone \(0, 1\) listed twice"),
     "nested": (2, ((1, 0), (0, 1)), ((0, 1), (0,)), r"cone \(0, 1\) and \(0,\) are nested"),
+    # not complete: the ray (1, 1, 1) lies inside the first cone
+    "inner-ray": (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), ((0, 1, 2), (0, 1, 3)),
+                  r"cones \(0, 1, 2\) and \(0, 1, 3\) overlap"),
+    # not complete: two cones with no common ray that cross
+    "crossing": (2, ((1, 0), (1, 2), (2, 1), (0, 1)), ((0, 1), (2, 3)),
+                 r"cones \(0, 1\) and \(2, 3\) overlap"),
+    "nested-facet": (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2), (0, 1)),
+                     r"cone \(0, 1, 2\) and \(0, 1\) are nested"),
 }
+NOT_COMPLETE = ("hanging-facet", "nested", "inner-ray", "crossing", "nested-facet")
 
 
 def complete_fans(max_k):
@@ -209,6 +229,17 @@ def test_a_broken_fan_fails_the_wall_pass_and_the_pairwise_check(name, monkeypat
         Fan(rank, rays, cones)
 
 
+@pytest.mark.parametrize("name", NOT_COMPLETE)
+def test_a_broken_fan_that_is_not_complete_fails_the_pairwise_check(name, monkeypatch):
+    def no_walls(fan):
+        raise AssertionError("a fan that is not complete reached the wall pass")
+
+    monkeypatch.setattr(fan_module, "_check_walls", no_walls)
+    rank, rays, cones, match = BROKEN[name]
+    with pytest.raises(InvalidFan, match=match):
+        Fan(rank, rays, cones)
+
+
 def test_only_the_covering_count_catches_a_fan_winding_twice():
     # (0, 1) and (3, 4) share no wall: only check (b) can name them
     rank, rays, cones, _ = BROKEN["winds-twice"]
@@ -216,20 +247,20 @@ def test_only_the_covering_count_catches_a_fan_winding_twice():
         Fan(rank, rays, cones)
 
 
-def test_fan_validation_creates_no_plan(monkeypatch):
+def test_fan_validation_creates_no_plan():
     # a complete fan's condition is read from its walls, so building every
-    # complete fan of the corpus, P1^6's 64 cones included, solves no LP and
-    # leaves the region plans alone; a fan that is not complete still goes
-    # pair by pair through the separation LPs
-    def no_lp(*args):
-        raise AssertionError("a fan build solved an LP")
-
-    monkeypatch.setattr(polyhedra, "simplex_max", no_lp)
+    # complete fan of the corpus, P1^6's 64 cones included, leaves the region
+    # plans alone; a fan that is not complete builds one plan per pair of
+    # maximal cones, outside the plan cache, and P1^k less one cone, in its
+    # own coordinates and in a GL(k,Z) image, passes the pairwise check
     before = _plan.cache_info()
     fans = complete_fans(6)
     assert all(fan.properties.complete for fan in fans)
     assert max(len(fan.max_cones) for fan in fans) == 64
+    rng = random.Random(27)
+    for k in range(2, 5):
+        for matrix in (None, unimodular(rng, k)):
+            full = product_fan([P1] * k, matrix)
+            assert Fan(k, full.rays, full.max_cones[1:]).incompleteness, (k, matrix)
     after = _plan.cache_info()
     assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
-    with pytest.raises(AssertionError, match="solved an LP"):
-        Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))

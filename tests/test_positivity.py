@@ -55,7 +55,6 @@ from toricpos.positivity import (
     _primitive_integral,
     default_ample,
     is_big,
-    positivity_report,
 )
 
 from .conftest import product_fan, random_divisors
@@ -282,20 +281,21 @@ def test_chamber_labels_at_key_classes(totaro, totaro_L, totaro_H):
         )
 
 
-def test_positivity_report_invariants(totaro, totaro_L, totaro_H):
-    from toricpos import positivity_report
-
+def test_positivity_decisions_keep_their_invariants(totaro, totaro_L, totaro_H):
+    # ample implies nef, big implies pseudoeffective, q-ample is monotone in
+    # q and implies q-nef
     for d in (totaro_L, totaro_H, -totaro_H, zero_divisor(totaro)):
-        rep = positivity_report(d)
-        assert (not rep.flags.ample) or rep.flags.nef
-        assert (not rep.flags.big) or rep.flags.pseudoeffective
-        for a, b in zip(rep.q_ample, rep.q_ample[1:]):
+        flags = classify_cones(d)
+        q_ample = [decide_qample(d, q).verdict for q in range(totaro.rank)]
+        q_nef = [is_qnef(d, q).verdict for q in range(totaro.rank)]
+        assert (not flags.ample) or flags.nef
+        assert (not flags.big) or flags.pseudoeffective
+        for a, b in zip(q_ample, q_ample[1:]):
             assert (not a) or b
-        for qa, qn in zip(rep.q_ample, rep.q_nef):
+        for qa, qn in zip(q_ample, q_nef):
             assert (not qa) or qn
-    rep = positivity_report(totaro_L)
-    assert rep.q_ample == (False, False, True)
-    assert rep.q_nef == (False, True, True)
+        if d is totaro_L:
+            assert (q_ample, q_nef) == ([False, False, True], [False, True, True])
 
 
 def test_mode_agreement_on_key_divisors(totaro, totaro_L, totaro_H):
@@ -627,7 +627,10 @@ def test_rows_are_normalized_a_fixed_number_of_times_per_divisor(monkeypatch, to
     divisors = random_divisors(totaro, 6, seed="rows-once")
     kinds = Counter()
     for d in (*divisors, 2 * divisors[0]):
-        positivity_report(d)
+        classify_cones(d)
+        for q in range(totaro.rank):
+            decide_qample(d, q)
+            is_qnef(d, q)
         augmented_base_locus_exact(d)
         stable_base_locus_exact(d)
         assert not normalized, (d.coeffs, normalized)

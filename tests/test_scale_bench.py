@@ -1,5 +1,5 @@
 """scripts/scale_bench.py times ``Fan(...)`` and ``bad_subsets`` on P1^k and
-a seeded GL(k,Z) image of it."""
+a seeded GL(k,Z) image of it, and ``Fan(...)`` on both less a cone."""
 
 import importlib.util
 import json
@@ -14,9 +14,15 @@ def test_scale_bench_times_p1_cubed_and_its_image(capsys):
     spec.loader.exec_module(bench)
     report = bench.main(["--k", "3"])
     assert json.loads(capsys.readouterr().out) == report
-    assert [row["fan"] for row in report["rows"]] == ["P1^3", "GL.P1^3"]
-    for row in report["rows"]:
+    assert [row["fan"] for row in report["rows"]] == \
+        ["P1^3", "GL.P1^3", "P1^3 less a cone", "GL.P1^3 less a cone"]
+    complete, not_complete = report["rows"][:2], report["rows"][2:]
+    for row in complete:
         # P1^3's subset index: the empty set, and {e_i, -e_i} in each factor
         # with every union of them
         assert (row["rays"], row["max_cones"], row["bad_subsets"]) == (6, 8, 8), row
         assert row["fan_s"] > 0 and row["bad_subsets_s"] > 0, row
+    for row in not_complete:
+        assert (row["rays"], row["max_cones"], row["bad_subsets"], row["bad_subsets_s"]) == \
+            (6, 7, None, None), row
+        assert row["fan_s"] > 0, row
