@@ -8,15 +8,14 @@ workspace and runs ``check_mode_agreement`` on each, recording every region
 query it asks as (plan, b): the scan's existence queries on the subset
 regions of each twist N*D - j*H (``Plan.has_point``), and ``_persists``'s
 two questions, the eps = 0 face closure (``Plan.closure_nonempty``) and the
-joint system in (y, eps) (``Plan.strictly_feasible``). It then rebuilds the
-recorded plans from empty plan and projection caches and replays the
-queries ``--repeat`` times, timing each one. The script prints, per kind,
-the queries, microseconds per query on the first replay (which builds each
-plan's projections from the empty caches) and the median over the later
-replays (warm, "-" under ``--repeat 1``), how many answered yes, and the hits
-and misses of the plan and projection caches over the replay (a query looks
-up no plan, so the plan cache misses once per distinct plan and is never
-hit). The subset line's fallback column reads walked/held: how many
+joint system in (y, eps) (``Plan.strictly_feasible``). It then builds each
+recorded plan afresh (``Plan(...)``) and replays the queries ``--repeat``
+times, timing each one. The script prints, per kind, the queries,
+microseconds per query on the first replay (which builds each plan's
+projections) and the median over the later replays (warm, "-" under
+``--repeat 1``), and how many answered yes; then the plans built for the
+replay and the projections (``_projection`` calls) it made, each kept by the
+plan that asked for it. The subset line's fallback column reads walked/held: how many
 ``has_point`` dives stopped at an integer gap, a level whose range holds no
 integer, and read the count walk (``Plan.blocks``), and how many of those
 held a point. Each kind's line also gives the size of the chain of levels
@@ -48,9 +47,10 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 import toricpos.cohomology  # noqa: E402
+import toricpos.polyhedra as polyhedra  # noqa: E402
 import toricpos.positivity  # noqa: E402
 from toricpos import Fan, ModeDisagreement, ToricDivisor, load_workspace  # noqa: E402
-from toricpos.polyhedra import Plan, _plan, _projection  # noqa: E402
+from toricpos.polyhedra import Plan  # noqa: E402
 
 # kind -> the Plan method that answers its queries
 KINDS = {"subset": "has_point", "face": "closure_nonempty", "joint": "strictly_feasible"}
@@ -100,28 +100,35 @@ def scan_queries(seed: int, classes: int):
 
 def replay(queries, repeat: int):
     """Per kind, [queries, ns of each replay, yes answers] over ``repeat``
-    replays on plans rebuilt from empty caches, and the cache counters of
-    the replay."""
-    _plan.cache_clear()
-    _projection.cache_clear()
+    replays on a fresh copy of each recorded plan, the number of plans built
+    and the ``_projection`` calls of the replay."""
     fresh = {}
     for _, plan, _ in queries:
         if id(plan) not in fresh:
-            fresh[id(plan)] = _plan(plan.dim, plan.strict, plan.weak)
+            fresh[id(plan)] = Plan(plan.dim, plan.strict, plan.weak)
     calls = [(kind, getattr(fresh[id(plan)], KINDS[kind]), b) for kind, plan, b in queries]
     totals = {kind: [0, [0] * repeat, 0] for kind in KINDS}
     answers = [None] * len(calls)
     clock = time.perf_counter_ns
-    for r in range(repeat):
-        for i, (kind, ask, b) in enumerate(calls):
-            start = clock()
-            answers[i] = ask(b)
-            totals[kind][1][r] += clock() - start
-    caches = {"plan": _plan.cache_info(), "projection": _projection.cache_info()}
+    project, projections = polyhedra._projection, []
+
+    def counting(*args):
+        projections.append(args)
+        return project(*args)
+
+    polyhedra._projection = counting
+    try:
+        for r in range(repeat):
+            for i, (kind, ask, b) in enumerate(calls):
+                start = clock()
+                answers[i] = ask(b)
+                totals[kind][1][r] += clock() - start
+    finally:
+        polyhedra._projection = project
     for (kind, _, _), answer in zip(calls, answers):
         totals[kind][0] += 1
         totals[kind][2] += bool(answer)
-    return totals, caches
+    return totals, len(fresh), len(projections)
 
 
 def fallbacks(queries):
@@ -193,7 +200,7 @@ def main(argv=None) -> None:
     if args.classes < 1 or args.repeat < 1:
         parser.error("--classes and --repeat must be positive")
     queries = scan_queries(args.seed, args.classes)
-    totals, caches = replay(queries, args.repeat)
+    totals, plans, projections = replay(queries, args.repeat)
     print(f"{len(queries)} queries from {args.classes} classes on totaro-x "
           f"(seed {args.seed}), replayed {args.repeat} times")
     print(f"{'kind':<14}{'queries':>9}{'first_us/q':>12}{'warm_us/q':>11}{'yes':>7}{'fallback':>10}"
@@ -206,8 +213,8 @@ def main(argv=None) -> None:
         fallback = f"{walked}/{held}" if kind == "subset" else "-"
         rows, largest = levels[kind]
         print(f"{kind:<14}{count:>9}{first:>12}{warm:>11}{yes:>7}{fallback:>10}{rows:>12}{largest:>11}")
-    for name, info in caches.items():
-        print(f"{name + ' cache':<17}hits {info.hits:>6}  misses {info.misses:>5}")
+    print(f"{'plans built':<14}{plans:>9}")
+    print(f"{'projections':<14}{projections:>9}")
     print(f"{'count':<14}{'regions':>9}{'us/region':>11}{'parents':>9}"
           f"{'children/parent':>17}{'|a|>1_share':>13}{'blocks/region':>15}")
     for fan_name in COUNT_FANS:

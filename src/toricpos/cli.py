@@ -28,7 +28,7 @@ from .divisor import (
     restrict,
 )
 from .errors import (
-    ModeDisagreement,
+    InternalInconsistency,
     NoStabilizationDetected,
     OutputError,
     ToricError,
@@ -261,7 +261,7 @@ def main(argv=None, prog_name: str = "toricpos") -> None:
     try:
         ws = load_workspace(workspace_ref)
         args, result, *exit_code = COMMANDS[name][0](ws, workspace_ref, **options)
-    except (ModeDisagreement, UnboundedRegion) as exc:
+    except (InternalInconsistency, UnboundedRegion) as exc:
         _fail(3, "internal-consistency", exc)
     except NoStabilizationDetected as exc:
         _fail(2, "input", f"no stabilization within horizon {exc.horizon}; "

@@ -178,6 +178,5 @@ def asymptotic_nonvanishing(divisor: ToricDivisor, p: int):
         plan, index = regions[subset]
         b = rhs(index, a)
         if plan.strictly_feasible(b):
-            witness = lp_strict_feasible(plan.polyhedron(b)).witness
-            return True, AsymptoticWitness(subset=subset, direction=witness)
+            return True, AsymptoticWitness(subset, lp_strict_feasible(plan.polyhedron(b)))
     return False, None

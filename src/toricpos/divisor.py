@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .errors import NotACone, NotIntegral, ToricError
+from .errors import InternalInconsistency, NotACone, NotIntegral, ToricError
 from .fan import Fan, star_quotient
-from .linalg import dot, rref, solve_linear
+from .linalg import dot, solve_linear
 from .polyhedra import Polyhedron, polyhedron
 
 
@@ -108,29 +108,14 @@ class DivisorClass:
         return all(c == 0 for c in self.coords)
 
 
-@lru_cache(maxsize=None)
-def _picard_data(fan: Fan):
-    """(pivot ray indices, basis ray indices) for N^1 = Q^rays / image(M).
-
-    The image of M is the column space of the ray matrix; the reduced-echelon
-    pivot rows index rays whose classes are eliminated, the complement gives
-    the cached basis.
-    """
-    if fan.rank == 0:
-        return (), tuple(range(fan.n_rays))
-    _, pivots = rref(list(zip(*fan.rays)))
-    basis = tuple(i for i in range(fan.n_rays) if i not in pivots)
-    return tuple(pivots), basis
-
-
 def picard_rank(fan: Fan) -> int:
-    return len(_picard_data(fan)[1])
+    return len(fan.class_basis)
 
 
 def class_of(divisor: ToricDivisor) -> DivisorClass:
-    """Image of the divisor in N^1(X) x Q, deterministic basis per fan."""
+    """Image of the divisor in N^1(X) x Q, in the basis ``Fan.class_basis``."""
     fan = divisor.fan
-    pivots, basis = _picard_data(fan)
+    basis = fan.class_basis
     # solve a = V m + sum_{i in basis} c_i e_i exactly
     n, r = fan.rank, fan.n_rays
     a_mat = [[*fan.rays[i], *(int(i == b) for b in basis)] for i in range(r)]
@@ -203,7 +188,7 @@ def restrict(divisor: ToricDivisor, tau) -> Restriction:
         if coeffs[idx] is None:
             coeffs[idx] = value
         elif coeffs[idx] != value:
-            raise ToricError(
+            raise InternalInconsistency(
                 f"inconsistent push of coefficients to quotient ray {idx}"
             )
     return Restriction(

@@ -48,7 +48,11 @@ class NoStabilizationDetected(ToricError):
         )
 
 
-class ModeDisagreement(ToricError):
+class InternalInconsistency(ToricError):
+    """Two computations that must agree did not: a library defect, not an input error."""
+
+
+class ModeDisagreement(InternalInconsistency):
     """The two q-ample decision modes produced contradictory evidence."""
 
 

@@ -46,6 +46,7 @@ from .linalg import (
     clear_denominators,
     matrix_rank,
     primitive_vector,
+    rref,
     smith_normal_form,
     solve_linear,
 )
@@ -142,6 +143,15 @@ class Fan:
             c, den = clear_denominators(solve_linear(transposed, self.rays[other]))
             out[w] = (sigma, tuple(c), other, den)
         return out
+
+    @cached_property
+    def class_basis(self) -> tuple[int, ...]:
+        """The rays whose classes form the basis of N^1 = Q^rays / image(M)
+        that ``divisor.class_of`` writes coordinates in. The image of M is
+        the column space of the ray matrix; its reduced-echelon pivots index
+        the rays whose classes are eliminated, and the rest form the basis."""
+        pivots = rref(list(zip(*self.rays)))[1]
+        return tuple(i for i in range(self.n_rays) if i not in pivots)
 
     @cached_property
     def _regions(self) -> dict:

@@ -19,17 +19,17 @@ region's closure constants b out of a coefficient vector (``rhs``). A query
 is (plan, b).
 
 Fourier-Motzkin decides. A ``Plan`` holds what one (dim, strict normals,
-weak normals) fixes (``_plan``, cached), each part built on first use: the
-closure's rows <u, y> <= b, the lifted (y, t) system whose largest t decides
-strict feasibility, the walk's layout and one chain of levels. Level d is
-the closure's rows on coordinates d.. projected onto y_d (``_projection``,
-Schrijver 12.2): with y_0..y_{d-1} fixed and their share taken out of b, it
-gives y_d's exact range. A query reads only its constants, one dot product
-per projected row, exactly (a rational class's constants are Fractions):
-``closure_nonempty`` reads level 0 and ``strictly_feasible`` the lifted
-system's projection onto t. ``lattice_points``, the one ``Polyhedron`` entry
-point to the walk, reads the plan of (``_plan_of(poly)``,
-``_closure_rhs(poly)``), so there is one core.
+weak normals) fixes, each part built on first use and kept by the plan
+alone, so a fan's plans go with its tables: the closure's rows <u, y> <= b,
+the lifted (y, t) system whose largest t decides strict feasibility, the
+walk's layout and one chain of levels. Level d is the closure's rows on
+coordinates d.. projected onto y_d (``_projection``, Schrijver 12.2): with
+y_0..y_{d-1} fixed and their share taken out of b, it gives y_d's exact
+range. A query reads only its constants, one dot product per projected row,
+exactly (a rational class's constants are Fractions): ``closure_nonempty``
+reads level 0 and ``strictly_feasible`` the lifted system's projection onto
+t. ``lattice_points``, the one ``Polyhedron`` entry point to the walk,
+builds the plan of (``_plan_of(poly)``, ``_closure_rhs(poly)``).
 
 The simplex only writes witnesses (``lp_strict_feasible``, ``lp_optimize``,
 which build their rows directly and create no plan); no decision, the fan
@@ -63,7 +63,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, chain, count, islice, repeat
 from math import ceil, floor, gcd
 from operator import itemgetter, neg, sub
@@ -257,17 +257,11 @@ def lp_optimize(poly: Polyhedron, objective, sense="max"):
     return "optimal", tuple(y), value if sense == "max" else -value
 
 
-@dataclass(frozen=True)
-class StrictFeasibility:
-    feasible: bool
-    witness: tuple[Fraction, ...] | None
-
-
-def lp_strict_feasible(poly: Polyhedron) -> StrictFeasibility:
-    """Decide strict feasibility and produce a rational witness.
+def lp_strict_feasible(poly: Polyhedron) -> tuple[Fraction, ...] | None:
+    """A rational point satisfying every row, or None when there is none.
 
     Slack contract: maximize t with strict rows shifted by t; t is capped at 1
-    so an unbounded slack still reports feasible with a concrete witness.
+    so an unbounded slack still gives a concrete witness.
     Only a witness calls it (``Plan.strictly_feasible`` decides); its rows
     are built here, so it creates no plan.
     """
@@ -277,8 +271,8 @@ def lp_strict_feasible(poly: Polyhedron) -> StrictFeasibility:
     rhs = [-c for _, c in poly.strict] + [c for _, c in poly.weak] + [1, 0]
     status, y, value = lp_free_max(rows, rhs, [0] * n + [1])
     if status != "optimal" or value <= 0:
-        return StrictFeasibility(False, None)
-    return StrictFeasibility(True, tuple(y[:n]))
+        return None
+    return tuple(y[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +286,6 @@ def _primitive(u, lam):
     return (u, lam) if g == 1 else (tuple(x // g for x in u), tuple((i, l // g) for i, l in lam))
 
 
-# Asked once per plan and level, and once more for level 0 by a plan that
-# also answers closure_nonempty (``Plan.top``); hit when two plans share a
-# level's rows or a plan is rebuilt after eviction: 2 hits in 32 asks over
-# three scan-oracle passes (seed 71) and the warm-up, for 18 plans.
-@lru_cache(maxsize=2048)
 def _projection(normals, dim, k):
     """Closure rows <normals[i], y> <= b_i projected onto coordinate y_k.
 
@@ -591,12 +580,13 @@ class Plan:
     @cached_property
     def levels(self):
         """levels[d] is ``_projection`` of the rows' parts on coordinates d..
-        onto y_d, its multipliers indexing the rows of ``leq``; level 0 has
-        ``top``'s cache key. With y_0..y_{d-1} fixed, the constants
-        b less the prefix's share give y_d's exact range over the closure
-        (``_range``), as the level projects the fiber over the prefix."""
+        onto y_d, its multipliers indexing the rows of ``leq``; level 0 is
+        ``top``. With y_0..y_{d-1} fixed, the constants b less the prefix's
+        share give y_d's exact range over the closure (``_range``), as the
+        level projects the fiber over the prefix."""
         leq = self.leq
-        return tuple(_projection(tuple(u[d:] for u in leq), self.dim - d, 0) for d in range(self.dim))
+        return tuple(_projection(tuple(u[d:] for u in leq), self.dim - d, 0) if d else self.top
+                     for d in range(self.dim))
 
     @cached_property
     def bounded(self):
@@ -773,14 +763,6 @@ class Plan:
         return polyhedron(self.dim, strict, weak)
 
 
-# One entry per distinct normals, asked once per selection table entry and
-# per Polyhedron query: three passes of the bench panels build 87, 8 and 18
-# plans, a P1^5 workout of every entry point 815.
-@lru_cache(maxsize=2048)
-def _plan(dim, strict, weak) -> Plan:
-    return Plan(dim, strict, weak)
-
-
 class Selections(dict):
     """One kind of region over fixed rows (``Fan.regions``): selection ->
     (plan, index), built on first use. Row i has the normal normals[i] and,
@@ -802,7 +784,7 @@ class Selections(dict):
             return tuple(normals[i] if s > 0 else tuple(-x for x in normals[i]) for i, s in picked)
 
         index = [(i, s * scales[i]) for i, s in weak] + [(i, -s * scales[i]) for i, s in strict]
-        plan = _plan(self.dim, rows(strict), rows(weak))
+        plan = Plan(self.dim, rows(strict), rows(weak))
         entry = self[selection] = plan, tuple((i, f) if f else (0, 0) for i, f in index)
         return entry
 
@@ -813,7 +795,7 @@ def rhs(index, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# the Polyhedron entry point to the walk: one plan lookup, then the plan's core
+# the Polyhedron entry point to the walk: a plan of its own, then the plan's core
 # ---------------------------------------------------------------------------
 
 
@@ -821,7 +803,7 @@ _normal = itemgetter(0)
 
 
 def _plan_of(poly: Polyhedron) -> Plan:
-    return _plan(poly.dim, tuple(map(_normal, poly.strict)), tuple(map(_normal, poly.weak)))
+    return Plan(poly.dim, tuple(map(_normal, poly.strict)), tuple(map(_normal, poly.weak)))
 
 
 def _closure_rhs(poly: Polyhedron):

@@ -48,6 +48,7 @@ from .divisor import (
     wall_degree,
 )
 from .errors import (
+    InternalInconsistency,
     ModeDisagreement,
     NoStabilizationDetected,
     NotEffectiveSupport,
@@ -496,7 +497,7 @@ def decide_qample(
     degrees = range(q + 1, divisor.fan.rank + 1)
     for p, subset in _obstructions(d, joint, index, degrees):
         plan, signed = joint[subset, ()]
-        *direction, eps = lp_strict_feasible(plan.polyhedron(rhs(signed, d.plain_coeffs))).witness
+        *direction, eps = lp_strict_feasible(plan.polyhedron(rhs(signed, d.plain_coeffs)))
         cert = QAmpleCertificate(degree=p, subset=subset, epsilon=eps, direction=tuple(direction))
         return QAmpleResult(verdict=False, q=q, mode="asymptotic", certificate=cert)
     return QAmpleResult(
@@ -656,7 +657,7 @@ def disconnected_section_criterion(divisor: ToricDivisor) -> DisconnectionResult
         return DisconnectionResult(applies=False, support=support, conclusion=None)
     h1s = tuple(cohomology_dims(-m * divisor).dims[1] for m in (1, 2, 3, 4))
     if any(h == 0 for h in h1s):
-        raise ToricError(
+        raise InternalInconsistency(
             "internal consistency failure: disconnected support without "
             f"h^1(-mD) witnesses ({h1s})"
         )

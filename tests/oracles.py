@@ -126,7 +126,7 @@ def lp_persists(d, ample, strict=(), tight=()) -> bool:
             closure.append((tuple(-x for x in u), -a))
     joint = polyhedron(n + 1, strict=joint_strict, weak=joint_weak)
     closure_status = lp_optimize(polyhedron(n, weak=closure), (0,) * n)[0]
-    return lp_strict_feasible(joint).feasible and closure_status == "optimal"
+    return lp_strict_feasible(joint) is not None and closure_status == "optimal"
 
 
 # ---------------------------------------------------------------------------

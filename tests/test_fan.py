@@ -16,7 +16,6 @@ from toricpos import (
     load_workspace,
     validate,
 )
-from toricpos.polyhedra import _plan
 from toricpos.workspace import BUILTIN_WORKSPACES
 
 from .conftest import product_fan, unimodular
@@ -235,20 +234,28 @@ def test_only_the_covering_count_catches_a_fan_winding_twice():
         Fan(rank, rays, cones)
 
 
-def test_fan_validation_creates_no_plan():
+def test_fan_validation_creates_no_plan(monkeypatch):
     # a complete fan's condition is read from its walls, so building every
-    # complete fan of the corpus, P1^6's 64 cones included, leaves the region
-    # plans alone; a fan that is not complete builds one plan per pair of
-    # maximal cones, outside the plan cache, and P1^k less one cone, in its
-    # own coordinates and in a GL(k,Z) image, passes the pairwise check
-    before = _plan.cache_info()
+    # complete fan of the corpus, P1^6's 64 cones included, builds no region
+    # plan; a fan that is not complete builds one plan per pair of maximal
+    # cones, and P1^k less one cone, in its own coordinates and in a GL(k,Z)
+    # image, passes the pairwise check
+    built = []
+    plan_init = polyhedra.Plan.__init__
+
+    def counting(plan, *args):
+        built.append(args)
+        plan_init(plan, *args)
+
+    monkeypatch.setattr(polyhedra.Plan, "__init__", counting)
     fans = complete_fans(6)
-    assert all(fan.properties.complete for fan in fans)
+    assert all(fan.properties.complete for fan in fans) and not built
     assert max(len(fan.max_cones) for fan in fans) == 64
     rng = random.Random(27)
     for k in range(2, 5):
         for matrix in (None, unimodular(rng, k)):
             full = product_fan([P1] * k, matrix)
+            built.clear()
             assert Fan(k, full.rays, full.max_cones[1:]).incompleteness, (k, matrix)
-    after = _plan.cache_info()
-    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+            pairs = (2**k - 1) * (2**k - 2) // 2
+            assert len(built) == pairs, (k, matrix, len(built))

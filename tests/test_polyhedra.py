@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -8,16 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricpos import Fan, ToricDivisor, UnboundedRegion
+import toricpos.polyhedra as polyhedra
+from toricpos import Fan, ToricDivisor, UnboundedRegion, classify_cones, is_qnef
 from toricpos.cohomology import bad_subsets, subset_picks
 from toricpos.positivity import default_ample
 from toricpos.polyhedra import (
     Plan,
     Weights,
     _closure_rhs,
-    _plan,
     _plan_of,
-    _projection,
     _range,
     floor_sum,
     folds,
@@ -61,29 +61,27 @@ def _first_block_points(p):
 def test_strict_feasible_interval():
     # y < 0 and y >= -1
     p = polyhedron(1, strict=[((1,), 0)], weak=[((1,), 1)])
-    res = lp_strict_feasible(p)
-    assert res.feasible
-    assert p.satisfied_by(res.witness)
+    witness = lp_strict_feasible(p)
+    assert witness is not None and p.satisfied_by(witness)
 
 
 def test_strict_infeasible_half_open_clash():
     # y < 0 and y >= 0
     p = polyhedron(1, strict=[((1,), 0)], weak=[((1,), 0)])
-    assert not lp_strict_feasible(p).feasible
+    assert lp_strict_feasible(p) is None
 
 
 def test_unbounded_slack_still_reports_feasible_with_witness():
     p = polyhedron(1, strict=[((1,), 0)])  # the open half-line y < 0
-    res = lp_strict_feasible(p)
-    assert res.feasible and p.satisfied_by(res.witness)
+    witness = lp_strict_feasible(p)
+    assert witness is not None and p.satisfied_by(witness)
 
 
 def test_totaro_double_weight_pattern_feasible(totaro):
     # the all-negative pattern on f3..f6 for twice the example class
     doubled = (6, 6, -2, -2, -2, -2)
     region = coeff_subset_region(totaro, [Fraction(c) for c in doubled], (2, 3, 4, 5))
-    res = lp_strict_feasible(region)
-    assert res.feasible
+    assert lp_strict_feasible(region) is not None
     assert (0, 0, 0) in lattice_points(region)
 
 
@@ -115,7 +113,7 @@ def test_strictly_empty_unbounded_closure_is_empty_not_error():
     # y0 has no integer in [1/5, 4/5], so the walk stops there before it
     # looks at y1, which is unbounded on a strictly feasible region
     q = polyhedron(2, weak=[((1, 0), Fraction(-1, 5)), ((-1, 0), Fraction(4, 5)), ((0, 1), 0)])
-    assert lp_strict_feasible(q).feasible
+    assert lp_strict_feasible(q) is not None
     assert lattice_points(q) == []
 
 
@@ -130,7 +128,7 @@ def test_unbounded_region_raises_whichever_coordinate_is_unbounded():
                 weak = [(tuple(s * (j == i) for j in range(n)), 2 if s < 0 else 0)
                         for i in range(n) for s in ((1, -1) if i != k else sides)]
                 p = polyhedron(n, weak=weak)
-                assert lp_strict_feasible(p).feasible
+                assert lp_strict_feasible(p) is not None
                 for ask in (lattice_points, lambda p: next(_blocks(p)),
                             lambda p: _plan_of(p).has_point(_closure_rhs(p))):
                     with pytest.raises(UnboundedRegion):
@@ -171,9 +169,9 @@ def test_strict_witness_satisfies_every_row(strict_rows, weak_rows):
         strict=[(tuple(u), c) for u, c in strict_rows],
         weak=[(tuple(u), c) for u, c in weak_rows],
     )
-    res = lp_strict_feasible(p)
-    if res.feasible:
-        assert p.satisfied_by(res.witness)
+    witness = lp_strict_feasible(p)
+    if witness is not None:
+        assert p.satisfied_by(witness)
 
 
 @settings(max_examples=80, deadline=None)
@@ -259,6 +257,40 @@ def test_lattice_points_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_dropped_fan_frees_its_plans():
+    # each plan lives in its fan's selection tables alone, so once the fan
+    # is gone no plan of its regions is left
+    def answered():
+        fan = Fan(2, ((1, 0), (-1, 0), (0, 1), (0, -1)), ((0, 2), (0, 3), (1, 2), (1, 3)))
+        d = ToricDivisor(fan, (1, -2, 0, 1))
+        classify_cones(d)
+        for q in range(fan.rank):
+            is_qnef(d, q)
+        return [weakref.ref(plan) for table in fan._regions.values() for plan, _ in table.values()]
+
+    plans = answered()
+    gc.collect()
+    assert plans and not any(ref() for ref in plans), len(plans)
+
+
+def test_level_zero_is_the_top_projection(monkeypatch):
+    # closure_nonempty's projection is the walk's first level, so a plan
+    # that reads both eliminates once per level
+    calls = []
+    project = polyhedra._projection
+
+    def counting(*args):
+        calls.append(args)
+        return project(*args)
+
+    monkeypatch.setattr(polyhedra, "_projection", counting)
+    for p, _ in gap_regions():
+        plan = _plan_of(p)
+        calls.clear()
+        assert plan.closure_nonempty(_closure_rhs(p)) and plan.levels[0] is plan.top
+        assert len(plan.levels) == len(calls) == p.dim, calls
 
 
 def test_projected_bounds_match_lp_on_seeded_corpus():
@@ -355,7 +387,7 @@ def test_fm_decisions_match_the_lp_on_seeded_corpus(totaro):
                 for sign in (1, -1):
                     weak.append((tuple(sign if j == k else 0 for j in range(n)), rng.randint(0, 4)))
         p = polyhedron(n, strict=strict, weak=weak)
-        strict_lp = lp_strict_feasible(p).feasible
+        strict_lp = lp_strict_feasible(p) is not None
         closure_lp = lp_optimize(p, (0,) * n)[0] == "optimal"
         plan, b = _query(p)
         assert plan.strictly_feasible(b) == strict_lp, p
@@ -374,7 +406,7 @@ def test_fm_decisions_match_the_lp_on_seeded_corpus(totaro):
     # the regions the scan oracle asks about, read from shared plans
     twist_kinds = Counter()
     for _, p in scan_twist_regions(totaro, 12, (1, 2, 12)):
-        strict_lp = lp_strict_feasible(p).feasible
+        strict_lp = lp_strict_feasible(p) is not None
         closure_lp = lp_optimize(p, (0,) * p.dim)[0] == "optimal"
         plan, b = _query(p)
         assert plan.strictly_feasible(b) == strict_lp, p
@@ -473,19 +505,15 @@ def test_integer_rows_store_as_their_fraction_forms_on_seeded_corpus():
     assert len(kinds) == 4 and min(kinds.values()) >= 40, kinds
 
 
-def test_positively_scaled_rows_share_one_projection_entry():
-    # plans are keyed by the stored normals, so rows that differ by a
-    # positive factor reach the same plan, and the plan keeps the levels its
-    # first walk built: the second walk asks the projection cache nothing
+def test_positively_scaled_rows_store_one_row():
+    # rows that differ by a positive factor are stored as the same
+    # content-free row, so both polyhedra hold the same rows and points
     window = [((0, 1), 4), ((0, -1), 4), ((-1, 0), 5)]
     first = polyhedron(2, weak=[((Fraction(1, 2), 0), Fraction(1, 3))] + window)
     second = polyhedron(2, weak=[((3, 0), 2)] + window)
+    assert first.weak == second.weak and first.weak[0] == ((3, 0), 2)
     points = lattice_points(first)
-    plans, projections = _plan.cache_info(), _projection.cache_info()
     assert lattice_points(second) == points and len(points) == 6 * 9
-    after = _plan.cache_info()
-    assert (after.hits, after.misses) == (plans.hits + 1, plans.misses)
-    assert _projection.cache_info() == projections
 
 
 def test_bad_subset_regions_are_walked_without_an_lp(monkeypatch, example_fans):

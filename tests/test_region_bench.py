@@ -1,7 +1,7 @@
 """scripts/region_bench.py records and replays a mode check's (plan, b)
-queries and counts its caches, its plans' levels and the dives that fell
-back to the walk, then times the counts of cohomology's weight regions on
-two fans."""
+queries and counts the plans and projections the replay builds, its plans'
+levels and the dives that fell back to the walk, then times the counts of
+cohomology's weight regions on two fans."""
 
 import importlib.util
 from pathlib import Path
@@ -22,13 +22,17 @@ def load_script():
     return module
 
 
-def test_replay_builds_one_plan_per_distinct_normals(monkeypatch):
+def test_replay_builds_each_recorded_plan_once(monkeypatch):
     bench = load_script()
     queries = bench.scan_queries(seed=5, classes=2)
-    totals, caches = bench.replay(queries, repeat=2)
-    keys = {(plan.dim, plan.strict, plan.weak) for _, plan, _ in queries}
-    # a query looks up no plan: the replay rebuilds each distinct plan once
-    assert (caches["plan"].hits, caches["plan"].misses) == (0, len(keys))
+    totals, plans, projections = bench.replay(queries, repeat=2)
+    recorded = {id(plan): plan for _, plan, _ in queries}.values()
+    # a query looks up no plan: the replay builds each recorded plan once,
+    # and its projections are those the recorded plans had built
+    assert plans == len(recorded)
+    assert projections == sum(
+        len(plan.__dict__.get("levels", ())) + ("t_projection" in plan.__dict__)
+        + ("top" in plan.__dict__ and "levels" not in plan.__dict__) for plan in recorded)
     assert sum(count for count, _, _ in totals.values()) == len(queries)
     assert all(count for count, _, _ in totals.values()), totals
     # each kind is timed per replay, the first (cold) apart from the later
@@ -59,14 +63,14 @@ def test_replay_builds_one_plan_per_distinct_normals(monkeypatch):
         assert -(-lo_num // lo_den) > up_num // up_den, (level, rest)
 
 
-def test_report_names_every_kind_and_cache(capsys):
+def test_report_names_every_kind_and_count(capsys):
     bench = load_script()
     for repeat in (1, 2):
         bench.main(["--seed", "5", "--classes", "2", "--repeat", str(repeat)])
         out = capsys.readouterr().out.splitlines()
         assert "from 2 classes on totaro-x (seed 5)" in out[0]
         assert [line.split()[0] for line in out[1:]] == [
-            "kind", "subset", "face", "joint", "plan", "projection", "count", "totaro-x", "P(1,1,2)"]
+            "kind", "subset", "face", "joint", "plans", "projections", "count", "totaro-x", "P(1,1,2)"]
         assert out[1].split() == [
             "kind", "queries", "first_us/q", "warm_us/q", "yes", "fallback", "level_rows", "max_level"]
         for line in out[2:5]:  # one replay has no warm figure

@@ -334,6 +334,29 @@ def test_cli_internal_errors_exit_3(monkeypatch, error):
     assert json.loads(result.output)["error"] == {"kind": "internal-consistency", "message": "forced"}
 
 
+def test_cli_forced_consistency_failures_exit_3(monkeypatch):
+    # a disconnected support whose h^1(-mD) witness is missing, and a push of
+    # coefficients that two star rays give different values, are defects of
+    # the library, not of the input
+    import toricpos.divisor
+    import toricpos.positivity
+    from toricpos import CohomologyTable
+
+    monkeypatch.setattr(toricpos.positivity, "cohomology_dims",
+                        lambda divisor: CohomologyTable(dims=(1, 0, 0, 0), witnesses=()))
+    quotient = toricpos.divisor.star_quotient
+    monkeypatch.setattr(toricpos.divisor, "star_quotient",
+                        lambda fan, tau: (quotient(fan, tau)[0], {i: (0, 1) for i in range(fan.n_rays)}))
+    for args, message in (
+        (("connectivity", "-w", "totaro-x", "-d", "F1+F2"), "internal consistency failure: disconnected"),
+        (("restrict", "-w", "totaro-x", "-d", "L", "-c", "f1"), "inconsistent push of coefficients"),
+    ):
+        result = run_cli(*args)
+        assert result.exit_code == 3, result.output
+        error = json.loads(result.output)["error"]
+        assert error["kind"] == "internal-consistency" and error["message"].startswith(message), error
+
+
 def test_cli_mode_disagreement_prints_report_coefficients():
     result = run_cli(
         "qample", "-w", "totaro-x", "-d", "3F1+3F2-3F3+2F4+F5+F6", "--q", "1", "--mode", "both"
