@@ -14,11 +14,11 @@ times, timing each one. The script prints, per kind, the queries,
 microseconds per query on the first replay (which builds each plan's
 projections) and the median over the later replays (warm, "-" under
 ``--repeat 1``), and how many answered yes; then the plans built for the
-replay and the projections (``_projection`` calls) it made, each kept by the
-plan that asked for it. The subset line's fallback column reads walked/held: how many
-``has_point`` dives stopped at an integer gap, a level whose range holds no
-integer, and read the count walk (``Plan.blocks``), and how many of those
-held a point. Each kind's line also gives the size of the chain of levels
+replay and the projections (``_projection`` calls) it made, each kept by
+the plan that asked for it. The subset line's fallback column reads
+walked/held: how many ``has_point`` dives stopped at an integer gap, a level
+whose range holds no integer, and read the count walk (``Plan.blocks``),
+and how many of those held a point. Each kind's line also gives the size of the chain of levels
 (``Plan.levels``) its distinct plans would walk: their rows summed
 (level_rows) and the rows of the largest level (max_level).
 

@@ -24,15 +24,15 @@ def load_script():
 
 def test_replay_builds_each_recorded_plan_once(monkeypatch):
     bench = load_script()
-    queries = bench.scan_queries(seed=5, classes=2)
+    built, project = [], polyhedra._projection
+    with monkeypatch.context() as m:
+        m.setattr(polyhedra, "_projection", lambda *args: built.append(args) or project(*args))
+        queries = bench.scan_queries(seed=5, classes=2)
     totals, plans, projections = bench.replay(queries, repeat=2)
-    recorded = {id(plan): plan for _, plan, _ in queries}.values()
     # a query looks up no plan: the replay builds each recorded plan once,
-    # and its projections are those the recorded plans had built
-    assert plans == len(recorded)
-    assert projections == sum(
-        len(plan.__dict__.get("levels", ())) + ("t_projection" in plan.__dict__)
-        + ("top" in plan.__dict__ and "levels" not in plan.__dict__) for plan in recorded)
+    # and makes the projections the mode checks made on a fresh fan
+    assert plans == len({id(plan) for _, plan, _ in queries})
+    assert projections == len(built) > 0
     assert sum(count for count, _, _ in totals.values()) == len(queries)
     assert all(count for count, _, _ in totals.values()), totals
     # each kind is timed per replay, the first (cold) apart from the later
