@@ -7,10 +7,11 @@ Draws ``--classes`` seeded (class, q) pairs on the built-in totaro-x
 workspace and runs ``check_mode_agreement`` on each, recording every region
 query it asks as (plan, b): the scan's existence queries on the subset
 regions of each twist N*D - j*H (``Plan.has_point``), and ``_persists``'s
-two questions, the eps = 0 face closure (``Plan.closure_nonempty``) and the
-joint system in (y, eps) (``Plan.strictly_feasible``). It then builds each
-recorded plan afresh (``Plan(...)``) and replays the queries ``--repeat``
-times, timing each one. The script prints, per kind, the queries,
+two questions, the eps = 0 closure of D's subset region
+(``Plan.closure_nonempty``, kind "face") and the joint system in (y, eps)
+(``Plan.strictly_feasible``). It then builds each recorded plan afresh
+(``Plan(...)``), once however many kinds ask it, and replays the queries
+``--repeat`` times, timing each one. The script prints, per kind, the queries,
 microseconds per query on the first replay (which builds each plan's
 projections) and the median over the later replays (warm, "-" under
 ``--repeat 1``), and how many answered yes; then the plans built for the
@@ -20,7 +21,9 @@ walked/held: how many ``has_point`` dives stopped at an integer gap, a level
 whose range holds no integer, and read the count walk (``Plan.blocks``),
 and how many of those held a point. Each kind's line also gives the size of the chain of levels
 (``Plan.levels``) its distinct plans would walk: their rows summed
-(level_rows) and the rows of the largest level (max_level).
+(level_rows) and the rows of the largest level (max_level). A subset's
+plan answers both its scan queries and its closure, so it counts under
+both the subset and the face kind.
 
 It then times the walk's counting layer the same way, on two fans:
 ``--classes`` seeded classes, each times a multiple k in 10..20, go through

@@ -39,7 +39,8 @@ def unimodular(rng: random.Random, n: int) -> list[list[int]]:
     a = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(2 * n):
         i, j = rng.sample(range(n), 2)
-        a[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(a[i], a[j])]
+        s = rng.choice((-1, 1))
+        a[i] = [x + s * y for x, y in zip(a[i], a[j])]
     rng.shuffle(a)
     return a
 

@@ -12,13 +12,14 @@ the infinite weight sum collapses to finitely many lattice point counts.
 The same index powers the exact asymptotic nonvanishing test.
 
 P_S(D)'s rows are fixed by the fan and S, so each subset's region plan is
-looked up once per fan (``Fan.regions``) and a divisor supplies only its
-constants. The walk hands each region's weights over in blocks, one per
-parent node of the second-to-last coordinate (``Plan.blocks``): the
-parent's range of that coordinate, the terms whose mins bound each child's
-last coordinate, and the parent's count, read from the terms in closed form
-(an arithmetic series or a floor sum per binding row). A dimension is a sum
-of block counts. A table's witnesses hold each region's blocks as
+looked up once per fan (``Fan.regions``, the sign-pattern table
+``positivity`` shares) and a divisor supplies only its constants. The walk
+hands each region's weights over in blocks, one per parent node of the
+second-to-last coordinate (``Plan.blocks``): the parent's range of that
+coordinate, the terms whose mins bound each child's last coordinate, and
+the parent's count, read from the terms in closed form (an arithmetic
+series or a floor sum per binding row). A dimension is a sum of block
+counts. A table's witnesses hold each region's blocks as
 ``polyhedra.Weights``, the blocks' one reader, which folds a block's
 children only when a reader enters it. Whether a region holds a weight at
 all is ``Plan.has_point``, the q-ample scan's query.
@@ -103,12 +104,21 @@ def bad_subsets(fan: Fan) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
     return tuple(tuple(entries) for entries in out)
 
 
-def subset_picks(fan: Fan, subset):
-    """P_S(D) for ``Fan.regions``: strict rows on S, weak rows off S, each in
-    ray order."""
-    inside = set(subset)
-    rays = range(fan.n_rays)
-    return [(i, 1) for i in rays if i in inside], [(i, 1) for i in rays if i not in inside]
+def sign_picks(fan: Fan, selection):
+    """(strict, tight) for ``Fan.regions``: the rows in ``strict`` strict
+    (< 0), those in ``tight`` tight (= 0) and the rest weak (>= 0), each in
+    ray order, a row in both strict. P_S(D) is (S, ()), the tau-face of the
+    section polytope P_D is ((), tau) and P_D is ((), ())."""
+    strict, tight = selection
+    picked, weak = [], []
+    for i in range(fan.n_rays):
+        if i in strict:
+            picked.append((i, 1))
+        else:
+            weak.append((i, 1))
+            if i in tight:
+                weak.append((i, -1))
+    return picked, weak
 
 
 _require_complete = partial(require_complete, message="cohomology needs a complete fan")
@@ -129,9 +139,9 @@ def _degree_regions(divisor: ToricDivisor, p: int):
     """Yield (subset, Weights, complex dim) for each bad subset of degree p
     whose weight region holds a lattice point."""
     fan = divisor.fan
-    regions, a = fan.regions(subset_picks), divisor.plain_coeffs
+    regions, a = fan.regions(sign_picks), divisor.plain_coeffs
     for subset, dim in bad_subsets(fan)[p]:
-        plan, index = regions[subset]
+        plan, index = regions[subset, ()]
         try:
             blocks = tuple(plan.blocks(rhs(index, a)))
         except UnboundedRegion as exc:
@@ -173,9 +183,9 @@ def asymptotic_nonvanishing(divisor: ToricDivisor, p: int):
     _require_complete(fan)
     if not 0 <= p <= fan.rank:
         raise ToricError(f"degree p = {p} must lie in 0..{fan.rank}")
-    regions, a = fan.regions(subset_picks), divisor.plain_coeffs
+    regions, a = fan.regions(sign_picks), divisor.plain_coeffs
     for subset, _ in bad_subsets(fan)[p]:
-        plan, index = regions[subset]
+        plan, index = regions[subset, ()]
         b = rhs(index, a)
         if plan.strictly_feasible(b):
             return True, AsymptoticWitness(subset, lp_strict_feasible(plan.polyhedron(b)))

@@ -158,11 +158,11 @@ class Fan:
         return {}
 
     def regions(self, picks, ample=None) -> Selections:
-        """The ``polyhedra.Selections`` of one kind of region, kept per kind:
-        ``picks(fan, selection)`` picks among the ray rows (u_rho, a_rho) or,
-        given H's coefficients h, the joint rows (u_rho, -h_rho; a_rho) of
-        D - eps*H times h_rho's denominator (primitive, as u_rho is) and row
-        n_rays, eps > 0."""
+        """The ``polyhedra.Selections`` of one kind of region (sign patterns,
+        bigness, joint regions), kept per kind: ``picks(fan, selection)``
+        picks among the ray rows (u_rho, a_rho) or, given H's coefficients h,
+        the joint rows (u_rho, -h_rho; a_rho) of D - eps*H times h_rho's
+        denominator (primitive, as u_rho is) and row n_rays, eps > 0."""
         key = picks, ample
         table = self._regions.get(key)
         if table is None:

@@ -3,9 +3,9 @@
 All decisions are exact, and each cone question has one code path. Each is
 a feasibility question whose rows are picked per ray by the fan, the subset
 S or cone tau, and H, so its plan is looked up once per fan (``Fan.regions``,
-one table per kind below), the divisor supplies only the constants, and
-Fourier-Motzkin projections decide it (``Plan.closure_nonempty``,
-``Plan.strictly_feasible``) with no LP:
+one table per kind; cohomology shares the sign-pattern one), the divisor
+supplies only the constants, and Fourier-Motzkin projections decide it
+(``Plan.closure_nonempty``, ``Plan.strictly_feasible``) with no LP:
 
 * ``_face_nonempty(D, tau)``: is the tau-tight face of the rational polytope
   P_D nonempty? For tau = () this is pseudoeffectivity; over all cones tau
@@ -17,12 +17,12 @@ Fourier-Motzkin projections decide it (``Plan.closure_nonempty``,
   and rays outside Star(tau) give none. No quotient fan is built (dividing a
   row by a ray image's multiplicity is a positive scaling). For tau = ()
   this asks whether P_D has interior points.
-* ``_persists(D, H, strict, tight)``: does the region of D - eps*H with the
-  rows in ``strict`` strict, those in ``tight`` tight and the rest weak stay
-  nonempty for arbitrarily small eps > 0? The feasible eps-set is the
-  projection of a polyhedron in (y, eps), hence convex, so this holds iff
-  the joint system with eps > 0 is strictly feasible and its eps = 0 closure
-  is nonempty.
+* ``_persists(D, joint, (strict, tight))``: does the region of D - eps*H
+  with the rows in ``strict`` strict, those in ``tight`` tight and the rest
+  weak stay nonempty for arbitrarily small eps > 0? The feasible eps-set, a
+  projection of a polyhedron in (y, eps), is convex, so this holds iff the
+  joint system with eps > 0 is strictly feasible and D's own region (eps = 0,
+  the plan ``cohomology_dims`` walks for (S, ())) has a nonempty closure.
 
 By the openness of the q-ample cone, D fails to be q-ample exactly when the
 region persists for some degree p > q with a bad ray subset S strict, so
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .cohomology import bad_subsets, cohomology_dims, subset_picks
+from .cohomology import bad_subsets, cohomology_dims, sign_picks
 from .divisor import (
     ToricDivisor,
     anticanonical_divisor,
@@ -213,31 +213,15 @@ def _minimalize(cones) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _face_picks(fan: Fan, selection):
-    """(tau, flipped): the section polytope's rows in ray order, tau's tight
-    and those in ``flipped`` reversed (<= 0), the closure of a sign-pattern
-    region whose ``flipped`` rows are strict. (), () is P_D itself."""
-    tau, flipped = selection
-    weak = []
-    for i in range(fan.n_rays):
-        if i in flipped:
-            weak.append((i, -1))
-        else:
-            weak.append((i, 1))
-            if i in tau:
-                weak.append((i, -1))
-    return [], weak
-
-
 def _face_nonempty(divisor: ToricDivisor, tau) -> bool:
     """Is the tau-tight face of the rational polytope P_D nonempty?"""
-    plan, index = divisor.fan.regions(_face_picks)[tau, ()]
+    plan, index = divisor.fan.regions(sign_picks)[(), tau]
     return plan.closure_nonempty(rhs(index, divisor.plain_coeffs))
 
 
 def _face_has_point(divisor: ToricDivisor, tau) -> bool:
     """Does the tau-tight face of P_D hold a lattice point?"""
-    plan, index = divisor.fan.regions(_face_picks)[tau, ()]
+    plan, index = divisor.fan.regions(sign_picks)[(), tau]
     return plan.has_point(rhs(index, divisor.plain_coeffs))
 
 
@@ -319,27 +303,24 @@ def stable_base_locus(divisor: ToricDivisor, horizon: int = 24) -> BaseLocusRepo
 
 
 def _joint_picks(fan: Fan, selection):
-    """(strict, tight), strict ascending: the region of D - eps*H in (y, eps)
-    with the rows in ``strict`` strict (< 0), those in ``tight`` tight (= 0)
-    and the rest weak (>= 0), in ray order, then eps > 0 (row n_rays of a
-    joint table): the weak rows are the face's with ``strict`` left out."""
-    strict, tight = selection
-    weak = [(i, s) for i, s in _face_picks(fan, (tight, strict))[1] if i not in strict]
-    return [(i, 1) for i in strict] + [(fan.n_rays, 1)], weak
+    """(strict, tight): the sign-pattern region's rows (``sign_picks``) in
+    (y, eps) for D - eps*H, then eps > 0 (row n_rays of a joint table)."""
+    strict, weak = sign_picks(fan, selection)
+    return strict + [(fan.n_rays, 1)], weak
 
 
-def _persists(d: ToricDivisor, joint, strict=(), tight=()) -> bool:
-    """Does the region of D - eps*H with the rows in ``strict`` strict (< 0),
-    those in ``tight`` tight (= 0) and the rest weak (>= 0) stay nonempty for
-    arbitrarily small eps > 0? ``joint`` is H's table of joint regions,
-    looked up once per search. By convexity of the feasible eps-set this
-    holds iff the eps = 0 closure is nonempty and the joint system in
-    (y, eps) with eps > 0 is strictly feasible."""
+def _persists(d: ToricDivisor, joint, selection) -> bool:
+    """Does the sign-pattern region (strict, tight) of D - eps*H stay
+    nonempty for arbitrarily small eps > 0? ``joint`` is H's table of joint
+    regions, looked up once per search. By convexity of the feasible eps-set
+    this holds iff the eps = 0 closure, that of D's own sign-pattern region
+    (``Plan.closure_nonempty`` relaxes its strict rows), is nonempty and the
+    joint system in (y, eps) with eps > 0 is strictly feasible."""
     a = d.plain_coeffs
-    plan, index = d.fan.regions(_face_picks)[tight, strict]
+    plan, index = d.fan.regions(sign_picks)[selection]
     if not plan.closure_nonempty(rhs(index, a)):
         return False
-    plan, index = joint[strict, tight]
+    plan, index = joint[selection]
     return plan.strictly_feasible(rhs(index, a))
 
 
@@ -351,7 +332,7 @@ def augmented_base_locus_exact(
     _require_complete(fan)
     ample = _reference_ample(fan, ample, "augmented base locus")
     joint = fan.regions(_joint_picks, ample.plain_coeffs)
-    bad = {tau for tau in fan.cones if not _persists(divisor, joint, tight=tau)}
+    bad = {tau for tau in fan.cones if not _persists(divisor, joint, ((), tau))}
     return BaseLocusReport(minimal_cones=_minimalize(bad))
 
 
@@ -445,7 +426,6 @@ class QAmpleCertificate:
 class QAmpleResult:
     verdict: bool
     q: int
-    mode: str
     certificate: QAmpleCertificate | None = None
     checked: tuple = ()
 
@@ -466,7 +446,7 @@ def _obstructions(d: ToricDivisor, joint, index, degrees):
     H's joint table."""
     for p in degrees:
         for subset, _ in index[p]:
-            if _persists(d, joint, strict=subset):
+            if _persists(d, joint, (subset, ())):
                 yield p, subset
 
 
@@ -499,11 +479,10 @@ def decide_qample(
         plan, signed = joint[subset, ()]
         *direction, eps = lp_strict_feasible(plan.polyhedron(rhs(signed, d.plain_coeffs)))
         cert = QAmpleCertificate(degree=p, subset=subset, epsilon=eps, direction=tuple(direction))
-        return QAmpleResult(verdict=False, q=q, mode="asymptotic", certificate=cert)
+        return QAmpleResult(verdict=False, q=q, certificate=cert)
     return QAmpleResult(
         verdict=True,
         q=q,
-        mode="asymptotic",
         checked=tuple((p, subset) for p in degrees for subset, _ in index[p]),
     )
 
@@ -534,8 +513,8 @@ def _nonvanishing(
     some bad subset region of N*D - j*H holds a lattice point. The regions'
     plans are looked up once; a twist only reads its constants."""
     fan = d.fan
-    regions = fan.regions(subset_picks)
-    degrees = [(p, [regions[subset] for subset, _ in index[p]]) for p in range(q + 1, fan.rank + 1)]
+    regions = fan.regions(sign_picks)
+    degrees = [(p, [regions[subset, ()] for subset, _ in index[p]]) for p in range(q + 1, fan.rank + 1)]
     for j in range(1, twists + 1):
         twisted = [n_mult * a - j * h for a, h in zip(d.plain_coeffs, ample.plain_coeffs)]
         for p, queries in degrees:

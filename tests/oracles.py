@@ -146,10 +146,7 @@ def coeff_section_polyhedron(divisor) -> Polyhedron:
 
 def coeff_subset_region(fan, coeffs, subset) -> Polyhedron:
     """P_S(D): strict rows on S, weak rows off S, in M-coordinates."""
-    s = set(subset)
-    strict = [(fan.rays[i], coeffs[i]) for i in range(fan.n_rays) if i in s]
-    weak = [(fan.rays[i], coeffs[i]) for i in range(fan.n_rays) if i not in s]
-    return polyhedron(fan.rank, strict=strict, weak=weak)
+    return coeff_sign_region(fan, coeffs, strict=subset)
 
 
 def coeff_big_region(divisor, tau=()) -> Polyhedron:
@@ -167,21 +164,21 @@ def coeff_big_region(divisor, tau=()) -> Polyhedron:
     return polyhedron(fan.rank, strict=strict, weak=weak)
 
 
-def coeff_face_region(divisor, tau, flipped=()) -> Polyhedron:
-    """Section polytope cut to the face where tau's rows are tight, with the
-    rows in ``flipped`` reversed (<= 0)."""
-    fan = divisor.fan
-    weak = []
+def coeff_sign_region(fan, coeffs, strict=(), tight=()) -> Polyhedron:
+    """The rows in ``strict`` strict (< 0), those in ``tight`` tight (= 0)
+    and the rest weak (>= 0), in ray order; a row in both is strict. With
+    ``strict`` empty it is the face of the section polytope where the rows
+    of ``tight`` are tight."""
+    strict_rows, weak = [], []
     for i in range(fan.n_rays):
-        u, a = fan.rays[i], divisor.plain_coeffs[i]
-        negated = (tuple(-x for x in u), -a)
-        if i in flipped:
-            weak.append(negated)
-        else:
-            weak.append((u, a))
-            if i in tau:
-                weak.append(negated)
-    return polyhedron(fan.rank, weak=weak)
+        u, a = fan.rays[i], coeffs[i]
+        if i in strict:
+            strict_rows.append((u, a))
+            continue
+        weak.append((u, a))
+        if i in tight:
+            weak.append((tuple(-x for x in u), -a))
+    return polyhedron(fan.rank, strict=strict_rows, weak=weak)
 
 
 def coeff_joint_region(d, ample, strict=(), tight=()) -> Polyhedron:

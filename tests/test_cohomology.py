@@ -19,7 +19,7 @@ from toricpos import (
     section_polyhedron,
     zero_divisor,
 )
-from toricpos.cohomology import bad_subsets, subset_picks
+from toricpos.cohomology import bad_subsets, sign_picks
 from toricpos.polyhedra import Plan, Weights, _closure_rhs, _plan_of, folds, rhs
 
 from .conftest import gap_regions, product_fan, random_divisors
@@ -158,9 +158,9 @@ def test_cohomology_dims_walks_each_bad_subset_once(monkeypatch, example_fans):
 def degree_has_weight(d, p):
     """Is H^p(X, O(D)) nonzero? Does the region of some bad subset of degree
     p hold a point (``Plan.has_point``, the q-ample scan's query)?"""
-    regions = d.fan.regions(subset_picks)
+    regions = d.fan.regions(sign_picks)
     return any(plan.has_point(rhs(index, d.plain_coeffs))
-               for plan, index in (regions[s] for s, _ in bad_subsets(d.fan)[p]))
+               for plan, index in (regions[s, ()] for s, _ in bad_subsets(d.fan)[p]))
 
 
 def test_witness_weights_read_like_the_expanded_walk(example_fans):

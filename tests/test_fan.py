@@ -19,6 +19,7 @@ from toricpos import (
 from toricpos.workspace import BUILTIN_WORKSPACES
 
 from .conftest import product_fan, unimodular
+from .oracles import reference_det
 
 
 @pytest.fixture(autouse=True)
@@ -208,6 +209,16 @@ def complete_fans(max_k):
             fans.append(product_fan(factors, unimodular(rng, n)))
     fans += [star_quotient(f, tau)[0] for f in builtin for tau in f.cones if tau]
     return fans
+
+
+def test_unimodular_draws_are_in_gl_n_z():
+    # one sign per row operation: each step adds +-(another row), which
+    # keeps the determinant, so every seeded draw has determinant +-1
+    rng = random.Random(0)
+    for n in range(2, 7):
+        for _ in range(50):
+            matrix = unimodular(rng, n)
+            assert abs(reference_det(matrix)) == 1, matrix
 
 
 def test_the_wall_pass_and_the_pairwise_check_accept_every_complete_fan():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import toricpos.polyhedra as polyhedra
 from toricpos import Fan, ToricDivisor, UnboundedRegion, classify_cones, is_qnef
-from toricpos.cohomology import bad_subsets, subset_picks
+from toricpos.cohomology import bad_subsets, sign_picks
 from toricpos.positivity import default_ample
 from toricpos.polyhedra import (
     Plan,
@@ -628,12 +628,12 @@ def test_parent_counts_match_the_per_child_sum_on_seeded_corpus(p1, p2, totaro):
             product_fan([(p1.rays, p1.max_cones)] * 4), totaro)
     shapes = Counter()
     for fan in fans:
-        regions = fan.regions(subset_picks)
+        regions = fan.regions(sign_picks)
         subsets = [s for entries in bad_subsets(fan) for s, _ in entries]
         for d in random_divisors(fan, 4, lo=-3, hi=3, seed="parent-counts"):
             for a in (d.plain_coeffs, (3 * d).plain_coeffs, [Fraction(x, 2) for x in d.coeffs]):
                 for subset in subsets:
-                    plan, index = regions[subset]
+                    plan, index = regions[subset, ()]
                     for _, v_lo, v_hi, terms in plan.parent_terms(rhs(index, a)):
                         count = parent_count(terms, v_lo, v_hi)
                         assert count == per_child_count(terms, v_lo, v_hi), (fan.rays, a, subset, terms)

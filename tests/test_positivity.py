@@ -20,6 +20,7 @@ from toricpos import (
     chamber_scan,
     check_mode_agreement,
     classify_cones,
+    cohomology_dims,
     decide_qample,
     disconnected_section_criterion,
     is_qnef,
@@ -34,10 +35,11 @@ from toricpos import (
     zero_divisor,
 )
 
-from toricpos.cohomology import bad_subsets, subset_picks
+from toricpos.cohomology import bad_subsets, sign_picks
 from toricpos.divisor import divisor_of_character, section_polyhedron
 from toricpos.errors import UnboundedRegion
 from toricpos.polyhedra import (
+    Plan,
     Weights,
     _closure_rhs,
     _plan_of,
@@ -47,7 +49,6 @@ from toricpos.polyhedra import (
 )
 from toricpos.positivity import (
     _big_picks,
-    _face_picks,
     _joint_picks,
     _persists,
     _primitive_integral,
@@ -58,9 +59,9 @@ from toricpos.positivity import (
 from .conftest import product_fan, random_divisors
 from .oracles import (
     coeff_big_region,
-    coeff_face_region,
     coeff_joint_region,
     coeff_section_polyhedron,
+    coeff_sign_region,
     coeff_subset_region,
     lp_persists,
 )
@@ -474,7 +475,7 @@ def test_persists_matches_the_lp_on_acceptance_classes(example_fans):
         joint = fan.regions(_joint_picks, ample.plain_coeffs)
         for d in random_divisors(fan, 200, seed="acceptance5"):
             for strict, tight in patterns:
-                fm = _persists(d, joint, strict, tight)
+                fm = _persists(d, joint, (strict, tight))
                 assert fm == lp_persists(d, ample, strict, tight), (fan.name, d.coeffs, strict, tight)
                 outcomes.add(fm)
     assert outcomes == {True, False}
@@ -491,8 +492,8 @@ def test_region_builders_pick_the_rows_polyhedron_stores(example_fans):
     # divisor's constants, equals, row for row and in the same order, the
     # region built by normalizing each row again (tests/oracles.py keeps
     # those builders): integral and rational classes, an ample class with a
-    # true fraction, and tight, strict and flipped selections of every cone
-    # and bad subset
+    # true fraction, and tight and strict selections of every cone and bad
+    # subset, alone and together
     rng = random.Random(20265)
     for fan in (*example_fans, P112):
         h = default_ample(fan)
@@ -505,7 +506,7 @@ def test_region_builders_pick_the_rows_polyhedron_stores(example_fans):
         mixed = h + Fraction(1, 2) * prime_divisor(fan, 0)  # -K + F1/2
         for d in (*integral, *rational, Fraction(1, 2) * integral[0], mixed):
             a = d.plain_coeffs
-            section = _region(fan, _face_picks, ((), ()), a)
+            section = _region(fan, sign_picks, ((), ()), a)
             assert section_polyhedron(d) == coeff_section_polyhedron(d) == section, d.coeffs
             for ample in (h, mixed):
                 for s in subsets:
@@ -515,16 +516,16 @@ def test_region_builders_pick_the_rows_polyhedron_stores(example_fans):
                     expected = coeff_joint_region(d, ample, tight=tau)
                     assert _region(fan, _joint_picks, ((), tau), a, ample) == expected
             for s in subsets:
-                assert _region(fan, subset_picks, s, a) == coeff_subset_region(fan, a, s)
+                assert _region(fan, sign_picks, (s, ()), a) == coeff_subset_region(fan, a, s)
                 for tau in fan.cones:
-                    expected = coeff_face_region(d, tau, s)
-                    assert _region(fan, _face_picks, (tau, s), a) == expected, (d.coeffs, tau, s)
+                    expected = coeff_sign_region(fan, a, s, tau)
+                    assert _region(fan, sign_picks, (s, tau), a) == expected, (d.coeffs, s, tau)
             for tau in fan.cones:
-                assert _region(fan, _face_picks, (tau, ()), a) == coeff_face_region(d, tau)
+                assert _region(fan, sign_picks, ((), tau), a) == coeff_sign_region(fan, a, (), tau)
                 assert _region(fan, _big_picks, tau, a) == coeff_big_region(d, tau), (fan.name, d.coeffs, tau)
         twisted = tuple(3 * a - b for a, b in zip(rational[0].plain_coeffs, mixed.plain_coeffs))
         for s in subsets:
-            assert _region(fan, subset_picks, s, twisted) == coeff_subset_region(fan, twisted, s)
+            assert _region(fan, sign_picks, (s, ()), twisted) == coeff_subset_region(fan, twisted, s)
     # int constants on a table's primitive normals are stored as they are,
     # Fraction constants go through polyhedron(): both give what polyhedron()
     # stores, for the ray rows and the joint rows, on the built-in fans,
@@ -540,7 +541,7 @@ def test_region_builders_pick_the_rows_polyhedron_stores(example_fans):
             rays = polyhedron(fan.rank, weak=tuple(zip(fan.rays, d.coeffs)))
             joints = polyhedron(fan.rank + 1, strict=eps, weak=tuple(zip(joint, d.coeffs)))
             for a in (d.plain_coeffs, d.coeffs):
-                assert _region(fan, _face_picks, ((), ()), a) == rays, (fan.rays, d.coeffs)
+                assert _region(fan, sign_picks, ((), ()), a) == rays, (fan.rays, d.coeffs)
                 assert _region(fan, _joint_picks, ((), ()), a, h) == joints, (fan.rays, d.coeffs)
 
 
@@ -570,10 +571,9 @@ def test_selection_queries_answer_as_the_oracle_regions(p1, p2, p1xp1, totaro):
         integral = random_divisors(fan, 2, seed="selections")
         for d in (*integral, Fraction(1, 2) * integral[0], mixed):
             a = d.plain_coeffs
-            queries = [(subset_picks, None, s, coeff_subset_region(fan, a, s)) for s in subsets]
-            queries += [(_face_picks, None, ((), s), coeff_face_region(d, (), s)) for s in subsets]
+            queries = [(sign_picks, None, (s, ()), coeff_subset_region(fan, a, s)) for s in subsets]
             for tau in fan.cones:
-                queries.append((_face_picks, None, (tau, ()), coeff_face_region(d, tau)))
+                queries.append((sign_picks, None, ((), tau), coeff_sign_region(fan, a, (), tau)))
                 queries.append((_big_picks, None, tau, coeff_big_region(d, tau)))
             for ample in (h, mixed):
                 queries += [(_joint_picks, ample, (s, ()), coeff_joint_region(d, ample, strict=s))
@@ -601,7 +601,7 @@ def test_selection_queries_answer_as_the_oracle_regions(p1, p2, p1xp1, totaro):
                     if want != "unbounded":
                         assert got[0] == (lattice_points(oracle) or [None])[0], where
                 seen[picks.__name__, rational, got == "unbounded" or bool(got[0])] += 1
-    assert len(seen) == 16, seen  # every kind, int and rational constants, hit and miss
+    assert len(seen) == 12, seen  # every kind, int and rational constants, hit and miss
 
 
 def test_rows_are_normalized_a_fixed_number_of_times_per_divisor(monkeypatch, totaro):
@@ -668,3 +668,45 @@ def test_a_linearly_equivalent_representative_reuses_every_plan(monkeypatch, tot
         if cert is not None:
             assert (shifted_cert.degree, shifted_cert.subset, shifted_cert.epsilon) == (
                 cert.degree, cert.subset, cert.epsilon)
+
+
+def test_a_profile_search_and_cohomology_build_one_plan_per_region(totaro):
+    # the section polytope's faces, the q-ample closures and the weight
+    # regions share the fan's sign-pattern table, so no two plans of the
+    # fan's tables eliminate the same rows
+    fan = Fan(totaro.rank, totaro.rays, totaro.max_cones)
+    d = ToricDivisor(fan, (3, 3, -1, -1, -1, -1))
+    classify_cones(d)
+    decide_qample(d, 1)
+    cohomology_dims(d)
+    plans = [plan for table in fan._regions.values() for plan, _ in table.values()]
+    assert len({(plan.dim, plan.strict, plan.weak) for plan in plans}) == len(plans) == 10
+
+
+def test_the_q_ample_closures_read_the_plans_the_scan_walks(monkeypatch, totaro):
+    # decide_qample reads a bad subset's eps = 0 closure from the plan of
+    # the subset's own region, the one the scan asks for lattice points: for
+    # the ample -K at q = 0 every subset of degree 1..3 is read both ways
+    read = {"closure_nonempty": [], "has_point": []}
+
+    def recording(method, calls):
+        def record(plan, b, *rest):
+            calls.append(plan)
+            return method(plan, b, *rest)
+        return record
+
+    for name, calls in read.items():
+        monkeypatch.setattr(Plan, name, recording(getattr(Plan, name), calls))
+    for coeffs, q in (((1,) * 6, 0), ((3, 3, -1, -1, -1, -1), 1)):
+        fan = Fan(totaro.rank, totaro.rays, totaro.max_cones)
+        for calls in read.values():
+            calls.clear()
+        check_mode_agreement(ToricDivisor(fan, coeffs), q)
+        table = fan.regions(sign_picks)
+        subsets = [s for p in range(q + 1, fan.rank + 1) for s, _ in bad_subsets(fan)[p]]
+        shared = [table[s, ()][0] for s in subsets]
+        closures, walked = read["closure_nonempty"], read["has_point"]
+        assert closures and all(any(plan is c for plan in shared) for c in closures), coeffs
+        assert all(any(c is w for w in walked) for c in closures), coeffs
+        if q == 0:
+            assert all(any(plan is c for c in closures) for plan in shared)

@@ -3,15 +3,32 @@ a seeded GL(k,Z) image of it, and ``Fan(...)`` on both less a cone."""
 
 import importlib.util
 import json
+import random
 from pathlib import Path
+
+from .oracles import reference_det
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "scale_bench.py"
 
 
-def test_scale_bench_times_p1_cubed_and_its_image(capsys):
+def load_script():
     spec = importlib.util.spec_from_file_location("scale_bench", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_scale_bench_images_are_in_gl_k_z():
+    bench = load_script()
+    rng = random.Random(bench.SEED)
+    for k in range(2, 7):
+        for _ in range(50):
+            matrix = bench.unimodular(rng, k)
+            assert abs(reference_det(matrix)) == 1, matrix
+
+
+def test_scale_bench_times_p1_cubed_and_its_image(capsys):
+    bench = load_script()
     report = bench.main(["--k", "3"])
     assert json.loads(capsys.readouterr().out) == report
     assert [row["fan"] for row in report["rows"]] == \
