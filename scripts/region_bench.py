@@ -6,10 +6,11 @@
 Draws ``--classes`` seeded (class, q) pairs on the built-in totaro-x
 workspace and runs ``check_mode_agreement`` on each, recording every region
 query it asks as (plan, b): the scan's existence queries on the subset
-regions of each twist N*D - j*H (``Plan.has_point``), and ``_persists``'s
+regions of each twist N*D - j*H (``Plan.has_point``), ``_persists``'s
 two questions, the eps = 0 closure of D's subset region
 (``Plan.closure_nonempty``, kind "face") and the joint system in (y, eps)
-(``Plan.strictly_feasible``). It then builds each recorded plan afresh
+(``Plan.strictly_feasible``), and the (eps, y) point a failure certificate
+prints (``Plan.point``, kind "witness"). It then builds each recorded plan afresh
 (``Plan(...)``), once however many kinds ask it, and replays the queries
 ``--repeat`` times, timing each one. The script prints, per kind, the queries,
 microseconds per query on the first replay (which builds each plan's
@@ -19,11 +20,14 @@ replay and the projections (``_projection`` calls) it made, each kept by
 the plan that asked for it. The subset line's fallback column reads
 walked/held: how many ``has_point`` dives stopped at an integer gap, a level
 whose range holds no integer, and read the count walk (``Plan.blocks``),
-and how many of those held a point. Each kind's line also gives the size of the chain of levels
-(``Plan.levels``) its distinct plans would walk: their rows summed
-(level_rows) and the rows of the largest level (max_level). A subset's
+and how many of those held a point. Each kind's line also gives the size
+of the projections its queries read on its distinct plans: a closure reads
+level 0 (``Plan.top``), a strict-feasibility question the projection onto
+t (``Plan.t_projection``), a walk the chain of levels (``Plan.levels``) and
+a witness both t's projection and the chain. The line sums their rows
+(level_rows) and gives the rows of the largest (max_level). A subset's
 plan answers both its scan queries and its closure, so it counts under
-both the subset and the face kind.
+both the subset and the face kind, with the levels each reads.
 
 It then times the walk's counting layer the same way, on two fans:
 ``--classes`` seeded classes, each times a multiple k in 10..20, go through
@@ -56,7 +60,15 @@ from toricpos import Fan, ModeDisagreement, ToricDivisor, load_workspace  # noqa
 from toricpos.polyhedra import Plan  # noqa: E402
 
 # kind -> the Plan method that answers its queries
-KINDS = {"subset": "has_point", "face": "closure_nonempty", "joint": "strictly_feasible"}
+KINDS = {"subset": "has_point", "face": "closure_nonempty", "joint": "strictly_feasible",
+         "witness": "point"}
+# kind -> the projections of a plan that its queries read
+READS = {
+    "subset": lambda plan: plan.levels,
+    "face": lambda plan: (plan.top,),
+    "joint": lambda plan: (plan.t_projection,),
+    "witness": lambda plan: (plan.t_projection, *plan.levels),
+}
 # the count lines' fans; a row of P(1,1,2) has a last coefficient -2
 COUNT_FANS = ("totaro-x", "P(1,1,2)")
 
@@ -143,12 +155,13 @@ def fallbacks(queries):
 
 
 def level_sizes(queries):
-    """Per kind, (rows, largest): the rows of the levels of its distinct
-    plans summed, and the rows of its largest level."""
+    """Per kind, (rows, largest): the rows of the projections its queries
+    read (``READS``) on its distinct plans summed, and the rows of the
+    largest of them."""
     plans = {kind: {} for kind in KINDS}
     for kind, plan, _ in queries:
         plans[kind][id(plan)] = plan
-    sizes = {kind: [sum(map(len, level)) for plan in kept.values() for level in plan.levels]
+    sizes = {kind: [sum(map(len, level)) for plan in kept.values() for level in READS[kind](plan)]
              for kind, kept in plans.items()}
     return {kind: (sum(rows), max(rows, default=0)) for kind, rows in sizes.items()}
 

@@ -57,7 +57,6 @@ from .linalg import smith_normal_form
 from .polyhedra import (
     Polyhedron,
     lattice_points,
-    lp_strict_feasible,
     polyhedron,
 )
 from .positivity import (

@@ -9,7 +9,7 @@ where P_S(D) = {m : <m,u_rho> + a_rho < 0 on S, >= 0 off S}. Only subsets
 with nonvanishing reduced cohomology (the bad subset index, cached per fan)
 are ever enumerated; each of their regions is bounded on a complete fan, so
 the infinite weight sum collapses to finitely many lattice point counts.
-The same index powers the exact asymptotic nonvanishing test.
+The same index powers the exact asymptotic nonvanishing test, with no LP.
 
 P_S(D)'s rows are fixed by the fan and S, so each subset's region plan is
 looked up once per fan (``Fan.regions``, the sign-pattern table
@@ -36,7 +36,7 @@ from .divisor import ToricDivisor, require_integral
 from .errors import ToricError, UnboundedRegion
 from .fan import Fan, RaySubcomplex, full_subcomplex, require_complete
 from .linalg import matrix_rank
-from .polyhedra import Weights, lp_strict_feasible, rhs
+from .polyhedra import Weights, rhs
 
 MAX_RAYS_FOR_SUBSET_INDEX = 20
 
@@ -177,7 +177,7 @@ def asymptotic_nonvanishing(divisor: ToricDivisor, p: int):
     Scaling makes the weight regions homogeneous: H^p(mD) has a contributing
     weight iff the region Q_S(D) (same rows, unscaled) has a rational point
     satisfying the strict rows strictly. Returns (verdict, witness or None);
-    the projections decide each subset, and one LP writes the witness.
+    the projections decide each subset, and ``Plan.point`` the witness.
     """
     fan = divisor.fan
     _require_complete(fan)
@@ -188,5 +188,5 @@ def asymptotic_nonvanishing(divisor: ToricDivisor, p: int):
         plan, index = regions[subset, ()]
         b = rhs(index, a)
         if plan.strictly_feasible(b):
-            return True, AsymptoticWitness(subset, lp_strict_feasible(plan.polyhedron(b)))
+            return True, AsymptoticWitness(subset, plan.point(b))
     return False, None

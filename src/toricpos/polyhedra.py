@@ -27,13 +27,13 @@ coordinates d.. projected onto y_d (``_projection``, Schrijver 12.2): with
 y_0..y_{d-1} fixed and their share taken out of b, it gives y_d's exact
 range. A query reads only its constants, one dot product per projected row,
 exactly (a rational class's constants are Fractions): ``closure_nonempty``
-reads level 0 and ``strictly_feasible`` the lifted system's projection onto
-t. ``lattice_points``, the one ``Polyhedron`` entry point to the walk,
-builds the plan of (``_plan_of(poly)``, ``_closure_rhs(poly)``).
+reads level 0, ``strictly_feasible`` the lifted system's projection onto t
+and ``point``, which writes a witness, both. ``lattice_points``, the one
+``Polyhedron`` entry point to the walk, asks (``_plan_of(poly)``, ``_closure_rhs(poly)``).
 
-The simplex only writes witnesses (``lp_strict_feasible``, ``lp_optimize``,
-which build their rows directly and create no plan); no decision, the fan
-condition included, solves an LP. It is a two-phase
+The simplex below builds its rows directly and creates no plan. It is the
+tests' reference; no library path, fan condition and witnesses included,
+solves an LP. It is a two-phase
 tableau of integer rows with Bland's rule: each pivot is a multiply-subtract
 pass and a gcd content reduction per row, the signs and ratios Bland's rule
 reads are those of the rational tableau, and results are read as Fractions.
@@ -65,8 +65,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, count, islice, repeat
-from math import ceil, floor, gcd
-from operator import itemgetter, neg, sub
+from math import ceil, floor, gcd, lcm
+from operator import itemgetter, sub
 
 from .errors import UnboundedRegion
 from .linalg import _eliminate, clear_denominators, content_free
@@ -262,7 +262,7 @@ def lp_strict_feasible(poly: Polyhedron) -> tuple[Fraction, ...] | None:
 
     Slack contract: maximize t with strict rows shifted by t; t is capped at 1
     so an unbounded slack still gives a concrete witness.
-    Only a witness calls it (``Plan.strictly_feasible`` decides); its rows
+    No library path calls it (``Plan.point`` writes the witness); its rows
     are built here, so it creates no plan.
     """
     n = poly.dim
@@ -350,6 +350,25 @@ def _range(projection, b):
     if lower is not None and upper is not None and lower[0] * upper[1] > upper[0] * lower[1]:
         return None
     return lower, upper
+
+
+def _simplest(lower, upper):
+    """The simplest rational (p, q), q > 0 and coprime to p, in the closed
+    interval [lower, upper] with sides as ``_range`` gives them: the integer
+    nearest 0 if it holds one, else the one of least denominator, found down
+    the Stern-Brocot tree (Graham-Knuth-Patashnik, Concrete Mathematics, 4.5):
+    an interval inside (n, n + 1) holds n + 1/r for r in the flipped one."""
+    if upper is not None and upper[0] < 0:
+        p, q = _simplest((-upper[0], upper[1]), lower and (-lower[0], lower[1]))
+        return -p, q
+    if lower is None or lower[0] <= 0:
+        return 0, 1
+    (a, b), (c, d) = lower, upper or (1, 0)  # (1, 0) stands for +infinity
+    P, Q, R, S = 1, 0, 0, 1  # the answer is (P * r + Q) / (R * r + S)
+    while (r := -(-a // b)) * d > c:  # no integer in [a/b, c/d]: it is inside (r - 1, r)
+        a, b, c, d = d, c - (r - 1) * d, b, a - (r - 1) * b
+        P, Q, R, S = P * (r - 1) + Q, P, R * (r - 1) + S, R
+    return P * r + Q, R * r + S
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +660,8 @@ class Plan:
         return _range(self.top, b) is not None
 
     def strictly_feasible(self, b) -> bool:
-        """lp_strict_feasible's verdict with no LP: the lifted system's range
-        of t is nonempty with a positive upper end."""
+        """Does some point meet every row, strict rows strictly? Iff the
+        lifted system's range of t is nonempty with a positive upper end."""
         t_range = _range(self.t_projection, [*b, 1, 0])
         return t_range is not None and t_range[1][0] > 0
 
@@ -752,15 +771,27 @@ class Plan:
             if n:
                 yield prefix, v_lo, v_hi, terms, n
 
-    def polyhedron(self, b) -> Polyhedron:
-        """The region as the ``Polyhedron`` a witness LP reads. A selection's
-        normals are primitive, so rows with int constants are stored as they
-        are; Fraction constants go through polyhedron()."""
-        nw = len(self.weak)
-        strict, weak = tuple(zip(self.strict, map(neg, b[nw:]))), tuple(zip(self.weak, b[:nw]))
-        if _INT.issuperset(map(type, b)):
-            return Polyhedron(self.dim, strict, weak)
-        return polyhedron(self.dim, strict, weak)
+    def point(self, b):
+        """A rational point of the region, every strict row strict, or None.
+        t = 1/k, the largest such t at most the lifted system's largest t
+        (<= 1), shifts the strict rows' constants so that every row is weak;
+        then level d gives y_d's exact range over the prefix, and y_d is its
+        simplest rational (``_simplest``). b is kept as ints over one den."""
+        den = lcm(*(x.denominator for x in b))
+        b = [x.numerator * (den // x.denominator) for x in b]
+        t_range = _range(self.t_projection, [*b, den, 0])
+        if t_range is None or t_range[1][0] <= 0:
+            return None
+        k = -(-t_range[1][1] * den // t_range[1][0])
+        b = [x * k - s * den for x, s in zip(b, self.shifts)]
+        den *= k
+        point = []
+        for level, col in zip(self.levels, self.cols):
+            p, q = _simplest(*(side and (side[0], side[1] * den) for side in _range(level, b)))
+            point.append(Fraction(p, q))
+            b = [x * q - p * den * a for x, a in zip(b, col)]
+            den *= q
+        return tuple(point)
 
 
 class Selections(dict):

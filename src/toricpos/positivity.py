@@ -29,8 +29,8 @@ region persists for some degree p > q with a bad ray subset S strict, so
 boundary classes are not q-ample. A cone tau escapes the augmented base
 locus B+(D) exactly when the region persists with tau tight.
 
-The simplex runs only where a report prints its witness: ``decide_qample``
-solves the joint LP of its first obstruction for the (eps, y) it prints.
+The (eps, y) point a failure certificate prints is written by the joint
+plan of the first obstruction (``Plan.point``), so no path here solves an LP.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .errors import (
 )
 from .fan import Fan, require_complete, subset_connected
 from .linalg import clear_denominators, content_free
-from .polyhedra import lp_strict_feasible, rhs
+from .polyhedra import rhs
 
 
 _require_complete = partial(require_complete, message="positivity decisions need a complete fan")
@@ -468,16 +468,16 @@ def decide_qample(
     """Authoritative (asymptotic) q-ample decision.
 
     NOT q-ample iff some degree p > q has a bad subset whose perturbed region
-    stays strictly feasible down to eps = 0. Certificates carry (p, S) and a
-    rational (eps, y) sample on failure, the one LP solved here; on success
-    every (p, S) pair ruled out is listed.
+    stays strictly feasible down to eps = 0. Certificates carry (p, S) and,
+    on failure, the rational (eps, y) point the joint plan writes
+    (``Plan.point``); on success every (p, S) pair ruled out is listed.
     """
     d, ample, index = _setup(divisor, q, ample)
     joint = divisor.fan.regions(_joint_picks, ample.plain_coeffs)
     degrees = range(q + 1, divisor.fan.rank + 1)
     for p, subset in _obstructions(d, joint, index, degrees):
         plan, signed = joint[subset, ()]
-        *direction, eps = lp_strict_feasible(plan.polyhedron(rhs(signed, d.plain_coeffs)))
+        *direction, eps = plan.point(rhs(signed, d.plain_coeffs))
         cert = QAmpleCertificate(degree=p, subset=subset, epsilon=eps, direction=tuple(direction))
         return QAmpleResult(verdict=False, q=q, certificate=cert)
     return QAmpleResult(

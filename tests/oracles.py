@@ -181,6 +181,30 @@ def coeff_sign_region(fan, coeffs, strict=(), tight=()) -> Polyhedron:
     return polyhedron(fan.rank, strict=strict_rows, weak=weak)
 
 
+def plan_polyhedron(plan, b) -> Polyhedron:
+    """The region (plan, b) as a ``Polyhedron``, each row normalized by
+    ``polyhedron()``: the closure constants b are in ``Plan.leq`` order, a
+    weak row's -<u, y> <= c read back as <u, y> + c >= 0 and a strict row's
+    <u, y> <= b as <u, y> - b < 0."""
+    nw = len(plan.weak)
+    strict = tuple(zip(plan.strict, (-x for x in b[nw:])))
+    return polyhedron(plan.dim, strict=strict, weak=tuple(zip(plan.weak, b[:nw])))
+
+
+def reference_simplest(lo, hi) -> Fraction:
+    """The integer nearest 0 in [lo, hi] (a side None when unbounded), else
+    p/q for the least q with some p/q in it, found by trying q = 2, 3, ...:
+    the least such p is ceil(lo * q)."""
+    if (lo is None or lo <= 0) and (hi is None or hi >= 0):
+        return Fraction(0)
+    if hi is not None and hi < 0:
+        return -reference_simplest(-hi, None if lo is None else -lo)
+    q = 1
+    while hi is not None and Fraction(ceil(lo * q), q) > hi:
+        q += 1
+    return Fraction(ceil(lo * q), q)
+
+
 def coeff_joint_region(d, ample, strict=(), tight=()) -> Polyhedron:
     """The region of D - eps*H in (y, eps) with eps > 0, the rows in
     ``strict`` strict (< 0), those in ``tight`` tight (= 0) and the rest weak

@@ -3,7 +3,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 import toricpos.polyhedra as polyhedra
 from toricpos import Fan, ToricDivisor, UnboundedRegion, classify_cones, is_qnef
 from toricpos.cohomology import bad_subsets, sign_picks
-from toricpos.positivity import default_ample
+from toricpos.positivity import _big_picks, _joint_picks, default_ample
 from toricpos.polyhedra import (
     Plan,
     Weights,
     _closure_rhs,
     _plan_of,
     _range,
+    _simplest,
     floor_sum,
     folds,
     lattice_points,
@@ -37,6 +38,8 @@ from .oracles import (
     coeff_subset_region,
     coordinate_bounds,
     per_child_count,
+    plan_polyhedron,
+    reference_simplest,
     reference_simplex_max,
 )
 
@@ -413,6 +416,75 @@ def test_fm_decisions_match_the_lp_on_seeded_corpus(totaro):
         assert plan.closure_nonempty(b) == closure_lp, p
         twist_kinds["strictly feasible" if strict_lp else "closure only" if closure_lp else "empty"] += 1
     assert len(twist_kinds) == 3 and min(twist_kinds.values()) >= 15, twist_kinds
+
+
+def test_simplest_matches_the_brute_force_least_denominator():
+    # closed intervals between small rationals, half-unbounded and unbounded
+    # ones, with and without an integer, against every p/q with q <= 5 and
+    # |p/q| <= 4: the integer nearest 0 in it, else the only one of least
+    # denominator; each side is handed over unreduced
+    ends = sorted({Fraction(p, q) for q in range(1, 5) for p in range(-3 * q, 3 * q + 1)})
+    candidates = sorted({Fraction(p, q) for q in range(1, 6) for p in range(-4 * q, 4 * q + 1)})
+    kinds = Counter()
+    for lo in (None, *ends):
+        for hi in (None, *ends):
+            if lo is not None and hi is not None and lo > hi:
+                continue
+            inside = [x for x in candidates if (lo is None or lo <= x) and (hi is None or x <= hi)]
+            integers = [x for x in inside if x.denominator == 1]
+            if integers:
+                want = min(integers, key=abs)
+            else:
+                least = min(x.denominator for x in inside)
+                [want] = [x for x in inside if x.denominator == least]
+            sides = [None if x is None else (2 * x.numerator, 2 * x.denominator) for x in (lo, hi)]
+            p, q = _simplest(*sides)
+            assert q > 0 and gcd(p, q) == 1 and Fraction(p, q) == want, (lo, hi, p, q)
+            assert reference_simplest(lo, hi) == want, (lo, hi)
+            kinds[(lo is None) + (hi is None), bool(integers)] += 1
+    assert len(kinds) == 4, kinds  # every interval unbounded on a side holds an integer
+
+
+def test_point_writes_the_simplest_witness_of_every_region(example_fans):
+    # Plan.point on seeded sign, big and joint regions of the example fans,
+    # with int constants and Fraction ones (D - H/100), and on the slivers:
+    # None exactly where the simplex finds no point; else a point meeting
+    # every row, each strict one strictly, whose coordinates are, one by
+    # one, the simplest rationals in the ranges their levels give over the
+    # prefix, once the strict rows are shifted by t = 1/ceil(1/t_hi)
+    queries = [_query(p) for p, _ in gap_regions()]
+    for fan in example_fans:
+        h = default_ample(fan)
+        signs = [(s, ()) for entries in bad_subsets(fan) for s, _ in entries]
+        signs += [((), tau) for tau in fan.cones]
+        tables = ((fan.regions(sign_picks), signs), (fan.regions(_big_picks), fan.cones),
+                  (fan.regions(_joint_picks, h.plain_coeffs), signs))
+        for d in random_divisors(fan, 4, seed="point"):
+            for coeffs in (d.plain_coeffs, (d - Fraction(1, 100) * h).plain_coeffs):
+                for table, selections in tables:
+                    for selection in selections:
+                        plan, index = table[selection]
+                        queries.append((plan, rhs(index, coeffs)))
+    kinds = Counter()
+    for plan, b in queries:
+        region = plan_polyhedron(plan, b)
+        point = plan.point(b)
+        assert (point is None) == (lp_strict_feasible(region) is None), region
+        kinds["none" if point is None else "point", all(type(x) is int for x in b)] += 1
+        if point is None:
+            continue
+        assert region.satisfied_by(point), (region, point)
+        t_num, t_den = _range(plan.t_projection, [*b, 1, 0])[1]
+        t = Fraction(1, ceil(Fraction(t_den, t_num)))
+        rest = [x - t * s for x, s in zip(b, plan.shifts)]
+        for y, level, col in zip(point, plan.levels, plan.cols):
+            lower, upper = _range(level, rest)
+            lo, hi = (None if side is None else Fraction(*side) for side in (lower, upper))
+            assert y == reference_simplest(lo, hi), (region, point)
+            rest = [x - y * a for x, a in zip(rest, col)]
+        kinds["t < 1"] += t < 1
+        kinds["fraction"] += any(y.denominator > 1 for y in point)
+    assert len(kinds) == 6 and min(kinds.values()) >= 10, kinds
 
 
 def test_stored_rows_are_content_free_integers_on_seeded_corpus():

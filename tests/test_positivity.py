@@ -10,10 +10,12 @@ import toricpos.fan
 import toricpos.polyhedra
 from toricpos import (
     Fan,
+    ModeDisagreement,
     NotComplete,
     NotEffectiveSupport,
     ToricDivisor,
     ToricError,
+    asymptotic_nonvanishing,
     augmented_base_locus,
     augmented_base_locus_exact,
     base_locus,
@@ -56,7 +58,7 @@ from toricpos.positivity import (
     is_big,
 )
 
-from .conftest import product_fan, random_divisors
+from .conftest import product_fan, random_divisors, run_cli
 from .oracles import (
     coeff_big_region,
     coeff_joint_region,
@@ -64,7 +66,9 @@ from .oracles import (
     coeff_sign_region,
     coeff_subset_region,
     lp_persists,
+    plan_polyhedron,
 )
+from .test_golden_cli import CASES as GOLDEN_CASES
 
 
 def test_classify_ample_anticanonical(totaro, totaro_H):
@@ -418,50 +422,40 @@ def test_qample_entry_points_reject_an_incomplete_fan(totaro):
 
 
 def test_decisions_solve_no_lp(monkeypatch, example_fans):
-    # the projections decide every cone question; fan validation's LPs run
-    # before the simplex is taken away
-    for fan in example_fans:
-        assert fan.properties.complete
-
+    # the projections decide every cone question and the chain of levels
+    # writes every witness: no decision, certificate or CLI report, the
+    # golden cases included, reaches the simplex
     def no_lp(*args):
-        raise AssertionError("a decision solved an LP")
+        raise AssertionError("a library path solved an LP")
 
     solve = toricpos.polyhedra.simplex_max
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "toricpos" and getattr(module, "simplex_max", None) is solve:
             monkeypatch.setattr(module, "simplex_max", no_lp)
+    for argv in GOLDEN_CASES.values():
+        assert run_cli(*argv).exit_code == 0, argv
+    witnesses = Counter()
     for fan in example_fans:
+        assert fan.properties.complete
+        h = default_ample(fan)
         divisors = random_divisors(fan, 6, seed="no-lp")
         for d in divisors:
             classify_cones(d)
             for q in range(fan.rank):
                 is_qnef(d, q)
+                witnesses["qample", decide_qample(d, q).certificate is not None] += 1
+                try:
+                    check_mode_agreement(d, q)
+                except ModeDisagreement:
+                    pass  # the scan's known false failures; only LPs are checked here
+            for p in range(fan.rank + 1):
+                for e in (d, d - Fraction(1, 100) * h):
+                    witnesses["nonvanishing", asymptotic_nonvanishing(e, p)[1] is not None] += 1
             augmented_base_locus_exact(d)
             stable_base_locus_exact(d)
             smallest_qample(d)
         chamber_scan(divisors[0], divisors[1], divisors[2], resolution=1)
-
-
-def test_decide_qample_solves_one_lp_per_printed_certificate(monkeypatch, example_fans):
-    for fan in example_fans:
-        assert fan.properties.complete
-    calls = []
-    solve = toricpos.polyhedra.simplex_max
-
-    def counting(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(toricpos.polyhedra, "simplex_max", counting)
-    verdicts = set()
-    for fan in example_fans:
-        for d in random_divisors(fan, 12, seed="one-lp"):
-            for q in range(fan.rank):
-                calls.clear()
-                result = decide_qample(d, q)
-                assert len(calls) == (0 if result.verdict else 1), (fan.name, d.coeffs, q)
-                verdicts.add(result.verdict)
-    assert verdicts == {True, False}
+    assert len(witnesses) == 4, witnesses  # both searches with and without a witness
 
 
 def test_persists_matches_the_lp_on_acceptance_classes(example_fans):
@@ -484,7 +478,7 @@ def test_persists_matches_the_lp_on_acceptance_classes(example_fans):
 def _region(fan, picks, selection, coeffs, ample=None):
     """A selection table's region for the coefficients, as a Polyhedron."""
     plan, index = fan.regions(picks, ample and ample.plain_coeffs)[selection]
-    return plan.polyhedron(rhs(index, coeffs))
+    return plan_polyhedron(plan, rhs(index, coeffs))
 
 
 def test_region_builders_pick_the_rows_polyhedron_stores(example_fans):
@@ -526,10 +520,10 @@ def test_region_builders_pick_the_rows_polyhedron_stores(example_fans):
         twisted = tuple(3 * a - b for a, b in zip(rational[0].plain_coeffs, mixed.plain_coeffs))
         for s in subsets:
             assert _region(fan, sign_picks, (s, ()), twisted) == coeff_subset_region(fan, twisted, s)
-    # int constants on a table's primitive normals are stored as they are,
-    # Fraction constants go through polyhedron(): both give what polyhedron()
-    # stores, for the ray rows and the joint rows, on the built-in fans,
-    # P(1,1,2) and quotient fans whose rays are images of the original rays
+    # int and Fraction constants on a table's primitive normals give what
+    # polyhedron() stores for the coefficients, for the ray rows and the
+    # joint rows, on the built-in fans, P(1,1,2) and quotient fans whose rays
+    # are images of the original rays
     totaro = example_fans[-1]
     quotients = [star_quotient(totaro, tau)[0] for tau in ((0,), (2,), (3, 4))]
     for fan in (*example_fans, P112, *quotients):

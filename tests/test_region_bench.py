@@ -70,10 +70,11 @@ def test_report_names_every_kind_and_count(capsys):
         out = capsys.readouterr().out.splitlines()
         assert "from 2 classes on totaro-x (seed 5)" in out[0]
         assert [line.split()[0] for line in out[1:]] == [
-            "kind", "subset", "face", "joint", "plans", "projections", "count", "totaro-x", "P(1,1,2)"]
+            "kind", "subset", "face", "joint", "witness", "plans", "projections", "count", "totaro-x",
+            "P(1,1,2)"]
         assert out[1].split() == [
             "kind", "queries", "first_us/q", "warm_us/q", "yes", "fallback", "level_rows", "max_level"]
-        for line in out[2:5]:  # one replay has no warm figure
+        for line in out[2:6]:  # one replay has no warm figure
             kind, _, first, warm, yes, fallback, rows, largest = line.split()
             assert float(first) > 0 and (warm == "-" if repeat == 1 else float(warm) > 0), line
             assert int(rows) >= int(largest) > 0, line
