@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Fan-level cost at growing size: building a fan and its bad-subset index.
+"""Fan-level cost at growing size: building a fan, its bad-subset index and
+its base loci.
 
     python scripts/scale_bench.py [--k 3 4 5 6]
 
-For each k, takes P1^k (2k rays, 2^k maximal cones) and one seeded GL(k,Z)
-image of it (the same fan in other coordinates), and times ``Fan(...)`` (ray,
-simpliciality, completeness and fan-condition checks) and
+For each k, takes P1^k (2k rays, 2^k maximal cones, 3^k cones) and one
+seeded GL(k,Z) image of it (the same fan in other coordinates), and times
+``Fan(...)`` (ray, simpliciality, completeness and fan-condition checks) and
 ``cohomology.bad_subsets`` (the 2^(2k)-subset index, its cache bypassed) on a
-fresh fan, each the minimum of three runs. Then it times ``Fan(...)`` alone
-on both fans less their first maximal cone: a fan that is not complete,
-whose condition is checked pair by pair of maximal cones. Prints one JSON
-object: per fan its name, rays, maximal cones, bad subsets (the same for a
-fan and its image; None for a fan that is not complete) and the times in
-seconds.
+fresh fan, each the minimum of three runs. The loci are
+``stable_base_locus_exact`` and ``augmented_base_locus_exact`` of -K (ample)
+and of the first prime divisor (nef, not ample): timed once per fresh fan,
+which builds each region plan they read (``loci_cold_s``), and again on a
+fan whose plans are built (``loci_s``), each the minimum of three runs. Then
+it times ``Fan(...)`` alone on both fans less their first maximal cone: a
+fan that is not complete, whose condition is checked pair by pair of maximal
+cones. Prints one JSON object: per fan its name, rays, maximal cones, bad
+subsets (the same for a fan and its image), the minimal cones of the four
+loci, and the times in seconds; the counts, loci and their times are None
+for a fan that is not complete.
 """
 
 from __future__ import annotations
@@ -27,7 +33,12 @@ from itertools import product
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from toricpos import Fan  # noqa: E402
+from toricpos import (  # noqa: E402
+    Fan,
+    ToricDivisor,
+    augmented_base_locus_exact,
+    stable_base_locus_exact,
+)
 from toricpos.cohomology import bad_subsets  # noqa: E402
 
 SEED = 71
@@ -65,13 +76,40 @@ def best_of(run) -> tuple[float, object]:
     return min(times), out
 
 
+def loci(fan: Fan) -> list:
+    """The minimal cones of B(D) and B+(D), as lists, for D = -K, then D =
+    the first prime divisor."""
+    out = []
+    for coeffs in ((1,) * fan.n_rays, (1,) + (0,) * (fan.n_rays - 1)):
+        d = ToricDivisor(fan, coeffs)
+        for locus in (stable_base_locus_exact, augmented_base_locus_exact):
+            out.append([list(cone) for cone in locus(d).minimal_cones])
+    return out
+
+
+def cold_loci(rank: int, rays, cones) -> tuple[float, list]:
+    """The least time of ``loci`` on REPEAT fresh fans, each built untimed."""
+    times = []
+    for _ in range(REPEAT):
+        fan = Fan(rank, rays, cones)
+        start = time.perf_counter()
+        out = loci(fan)
+        times.append(time.perf_counter() - start)
+    return min(times), out
+
+
 def measure(name: str, rank: int, rays, cones) -> dict:
     fan_s, fan = best_of(lambda: Fan(rank, rays, cones))
     row = {"fan": name, "rays": len(rays), "max_cones": len(cones), "bad_subsets": None,
-           "fan_s": round(fan_s, 6), "bad_subsets_s": None}
+           "loci": None, "fan_s": round(fan_s, 6), "bad_subsets_s": None,
+           "loci_cold_s": None, "loci_s": None}
     if fan.incompleteness is None:
         index_s, index = best_of(lambda: bad_subsets.__wrapped__(fan))
-        row.update(bad_subsets=sum(map(len, index)), bad_subsets_s=round(index_s, 6))
+        cold_s, _ = cold_loci(rank, rays, cones)
+        loci(fan)
+        loci_s, found = best_of(lambda: loci(fan))
+        row.update(bad_subsets=sum(map(len, index)), loci=found, bad_subsets_s=round(index_s, 6),
+                   loci_cold_s=round(cold_s, 6), loci_s=round(loci_s, 6))
     return row
 
 

@@ -29,6 +29,15 @@ region persists for some degree p > q with a bad ray subset S strict, so
 boundary classes are not q-ample. A cone tau escapes the augmented base
 locus B+(D) exactly when the region persists with tau tight.
 
+Each base locus (Bs|D|, B(D), B+(D)) is a union of orbit closures, and
+V(tau') lies in V(tau) when tau is a face of tau', so its cones form an
+up-closed set. The questions agree: a region tight on more rows is a
+subset, so a cone that escapes (its face, lattice face or persisting region
+is nonempty) has every face escape too. ``_locus`` asks in poset order: the
+empty cone first (a "no" puts every cone in the locus), then each maximal
+cone (a "yes" clears all its faces), then the rest by size, where a cone
+with a facet in the locus joins it with no question.
+
 The (eps, y) point a failure certificate prints is written by the joint
 plan of the first obstruction (``Plan.point``), so no path here solves an LP.
 """
@@ -38,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import combinations
 
 from .cohomology import bad_subsets, cohomology_dims, sign_picks
 from .divisor import (
@@ -204,13 +214,18 @@ class BaseLocusReport:
         return frozenset(out)
 
 
+def _has_facet_in(tau, cones) -> bool:
+    return any(tau[:i] + tau[i + 1:] in cones for i in range(len(tau)))
+
+
 def _minimalize(cones) -> tuple[tuple[int, ...], ...]:
-    cones = sorted(set(cones), key=lambda c: (len(c), c))
-    out = []
-    for c in cones:
-        if not any(set(p) <= set(c) for p in out):
-            out.append(c)
-    return tuple(out)
+    """The minimal cones of an up-closed set of cones, by size then rays:
+    those with no facet in the set, since a smaller face in the set would
+    put the facets above it there too."""
+    if () in cones:
+        return ((),)  # the whole variety
+    return tuple(sorted((c for c in cones if not _has_facet_in(c, cones)),
+                        key=lambda c: (len(c), c)))
 
 
 def _face_nonempty(divisor: ToricDivisor, tau) -> bool:
@@ -225,17 +240,22 @@ def _face_has_point(divisor: ToricDivisor, tau) -> bool:
     return plan.has_point(rhs(index, divisor.plain_coeffs))
 
 
-def _base_locus_cone_set(divisor: ToricDivisor) -> tuple[set, bool]:
-    """All cones tau with no section weight tight on tau (Bs of |D|)."""
-    fan = divisor.fan
-    bad = set()
-    no_sections = not _face_has_point(divisor, ())
-    for tau in fan.cones:
-        if no_sections:
-            bad.add(tau)
-        elif tau and not _face_has_point(divisor, tau):
-            bad.add(tau)
-    return bad, no_sections
+def _locus(fan: Fan, escapes) -> set:
+    """The up-closed set of cones tau with ``escapes(tau)`` false, for a
+    question that holds on every face of a cone it holds on; each cone is
+    asked at most once, in the order the module docstring gives."""
+    if not escapes(()):
+        return set(fan.cones)
+    top = {sigma: escapes(sigma) for sigma in fan.max_cones if sigma}
+    clear = {face for sigma, free in top.items() if free
+             for k in range(len(sigma)) for face in combinations(sigma, k)}
+    locus = {sigma for sigma, free in top.items() if not free}
+    for tau in fan.cones[1:]:  # fan.cones[0] is (), asked first
+        if tau in clear or tau in top:
+            continue
+        if _has_facet_in(tau, locus) or not escapes(tau):
+            locus.add(tau)
+    return locus
 
 
 def base_locus(divisor: ToricDivisor) -> BaseLocusReport:
@@ -243,10 +263,8 @@ def base_locus(divisor: ToricDivisor) -> BaseLocusReport:
     P_D cap M is tight on tau."""
     _require_complete(divisor.fan)
     require_integral(divisor, "base locus")
-    bad, no_sections = _base_locus_cone_set(divisor)
-    return BaseLocusReport(
-        minimal_cones=_minimalize(bad), no_sections=no_sections
-    )
+    bad = _locus(divisor.fan, partial(_face_has_point, divisor))
+    return BaseLocusReport(minimal_cones=_minimalize(bad), no_sections=() in bad)
 
 
 def stable_base_locus_exact(divisor: ToricDivisor) -> BaseLocusReport:
@@ -255,7 +273,7 @@ def stable_base_locus_exact(divisor: ToricDivisor) -> BaseLocusReport:
     point scales to a tight integral weight of some multiple)."""
     fan = divisor.fan
     _require_complete(fan)
-    bad = {tau for tau in fan.cones if not _face_nonempty(divisor, tau)}
+    bad = _locus(fan, partial(_face_nonempty, divisor))
     return BaseLocusReport(minimal_cones=_minimalize(bad))
 
 
@@ -279,7 +297,7 @@ def stable_base_locus(divisor: ToricDivisor, horizon: int = 24) -> BaseLocusRepo
     milestones = [m for m in _STABLE_MILESTONES if m <= horizon]
     previous_record = None
     for k in range(1, horizon + 1):
-        bs_k, _ = _base_locus_cone_set(k * divisor)
+        bs_k = _locus(divisor.fan, partial(_face_has_point, k * divisor))
         running = bs_k if running is None else (running & bs_k)
         if k in milestones:
             record = frozenset(running)
@@ -327,12 +345,13 @@ def _persists(d: ToricDivisor, joint, selection) -> bool:
 def augmented_base_locus_exact(
     divisor: ToricDivisor, ample: ToricDivisor | None = None
 ) -> BaseLocusReport:
-    """B+(D) by the parametric eps-LP characterization, one cone at a time."""
+    """B+(D) by the parametric eps characterization (``_persists`` with
+    tau tight), asked on the cone poset (``_locus``)."""
     fan = divisor.fan
     _require_complete(fan)
     ample = _reference_ample(fan, ample, "augmented base locus")
     joint = fan.regions(_joint_picks, ample.plain_coeffs)
-    bad = {tau for tau in fan.cones if not _persists(divisor, joint, ((), tau))}
+    bad = _locus(fan, lambda tau: _persists(divisor, joint, ((), tau)))
     return BaseLocusReport(minimal_cones=_minimalize(bad))
 
 

@@ -5,10 +5,12 @@ explicit box, walk every weight of a certified box and classify its sign
 pattern one weight at a time, decide a cone question by the LP instead of
 the cached projections, run the simplex on ``Fraction`` rows, solve a
 wall's linear system again for every divisor by ``Fraction`` elimination,
-or build every region's rows from the coefficients again, each row
-normalized by ``polyhedron()``.
+build every region's rows from the coefficients again, each row
+normalized by ``polyhedron()``, or ask a base locus's question of every
+cone.
 They share only the exact arithmetic layer with the implementations they
-check.
+check, save the reference base loci: those ask the library's own cone
+questions, and check the order of asking and the chains built on it.
 """
 
 from fractions import Fraction
@@ -27,6 +29,12 @@ from toricpos.polyhedra import (
     lp_optimize,
     lp_strict_feasible,
     polyhedron,
+)
+from toricpos.positivity import (
+    _face_has_point,
+    _face_nonempty,
+    _joint_picks,
+    _persists,
 )
 
 
@@ -127,6 +135,72 @@ def lp_persists(d, ample, strict=(), tight=()) -> bool:
     joint = polyhedron(n + 1, strict=joint_strict, weak=joint_weak)
     closure_status = lp_optimize(polyhedron(n, weak=closure), (0,) * n)[0]
     return lp_strict_feasible(joint) is not None and closure_status == "optimal"
+
+
+# ---------------------------------------------------------------------------
+# base loci cone by cone: every cone asked, none settled by a face or facet
+# ---------------------------------------------------------------------------
+
+
+def reference_minimal(cones) -> tuple:
+    """The inclusion-minimal cones of a set of cones, by size then rays,
+    each compared with every smaller one kept."""
+    out = []
+    for c in sorted(set(cones), key=lambda c: (len(c), c)):
+        if not any(set(p) <= set(c) for p in out):
+            out.append(c)
+    return tuple(out)
+
+
+def reference_base_locus_cones(divisor) -> set:
+    """The cones of Bs|D|: all of them when P_D holds no lattice point,
+    else each nonempty cone whose tight face holds none."""
+    no_sections = not _face_has_point(divisor, ())
+    return {tau for tau in divisor.fan.cones
+            if no_sections or (tau and not _face_has_point(divisor, tau))}
+
+
+def reference_stable_cones(divisor) -> set:
+    """The cones of B(D): each cone whose tight face of P_D is empty."""
+    return {tau for tau in divisor.fan.cones if not _face_nonempty(divisor, tau)}
+
+
+def reference_augmented_cones(divisor, ample) -> set:
+    """The cones of B+(D): each cone tau whose region of D - eps*H with tau
+    tight does not persist as eps -> 0."""
+    joint = divisor.fan.regions(_joint_picks, ample.plain_coeffs)
+    return {tau for tau in divisor.fan.cones if not _persists(divisor, joint, ((), tau))}
+
+
+def reference_stable_chain(divisor, horizon=24):
+    """(minimal cones, multiple) of the chain that intersects Bs|kD| for
+    k = 1..horizon and stops at the first milestone whose intersection
+    equals the previous milestone's and B(D); None when none does and the
+    final intersection is not B(D)."""
+    exact = reference_stable_cones(divisor)
+    running, previous = None, None
+    for k in range(1, horizon + 1):
+        bs_k = reference_base_locus_cones(k * divisor)
+        running = bs_k if running is None else running & bs_k
+        if k in (1, 2, 6, 12, 24):
+            if previous == running == exact:
+                return reference_minimal(running), k
+            previous = set(running)
+    return (reference_minimal(running), horizon) if running == exact else None
+
+
+def reference_augmented_chain(divisor, ample, max_doublings=8):
+    """(minimal cones, multiple) of the chain B(kD - H), k = 2, 4, 8, ...,
+    that stops when two successive loci agree with B+(D); None when the
+    doublings run out."""
+    exact = reference_minimal(reference_augmented_cones(divisor, ample))
+    previous, k = None, 2
+    for _ in range(max_doublings):
+        locus = reference_minimal(reference_stable_cones(k * divisor - ample))
+        if previous == locus == exact:
+            return locus, k
+        previous, k = locus, 2 * k
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 import toricpos.divisor
 import toricpos.fan
 import toricpos.polyhedra
+import toricpos.positivity
 from toricpos import (
     Fan,
     ModeDisagreement,
@@ -39,7 +40,7 @@ from toricpos import (
 
 from toricpos.cohomology import bad_subsets, sign_picks
 from toricpos.divisor import divisor_of_character, section_polyhedron
-from toricpos.errors import UnboundedRegion
+from toricpos.errors import NoStabilizationDetected, UnboundedRegion
 from toricpos.polyhedra import (
     Plan,
     Weights,
@@ -58,7 +59,7 @@ from toricpos.positivity import (
     is_big,
 )
 
-from .conftest import product_fan, random_divisors, run_cli
+from .conftest import product_fan, random_divisors, run_cli, unimodular
 from .oracles import (
     coeff_big_region,
     coeff_joint_region,
@@ -67,6 +68,12 @@ from .oracles import (
     coeff_subset_region,
     lp_persists,
     plan_polyhedron,
+    reference_augmented_chain,
+    reference_augmented_cones,
+    reference_base_locus_cones,
+    reference_minimal,
+    reference_stable_chain,
+    reference_stable_cones,
 )
 from .test_golden_cli import CASES as GOLDEN_CASES
 
@@ -136,6 +143,105 @@ def test_augmented_base_locus_ample_independence(totaro, totaro_L, totaro_H):
     first_locus = augmented_base_locus_exact(d, totaro_H)
     second_locus = augmented_base_locus_exact(d, second)
     assert first_locus.minimal_cones == second_locus.minimal_cones
+
+
+P1 = (((1,), (-1,)), ((0,), (1,)))
+
+
+def _locus_fans(p2, p1xp1, totaro):
+    """The built-in fans of rank 2 and 3, P1^3 and P1^4, and a seeded
+    GL(n,Z) image of each power."""
+    rng = random.Random("locus-fans")
+    powers = [product_fan([P1] * k, matrix) for k in (3, 4)
+              for matrix in (None, unimodular(rng, k))]
+    return (p2, p1xp1, totaro, *powers)
+
+
+def _kind(d) -> str:
+    flags = classify_cones(d)
+    if flags.ample or flags.nef:
+        return "ample" if flags.ample else "nef, not ample"
+    if flags.big:
+        return "big, not nef"
+    return "not big" if flags.pseudoeffective else "not pseudoeffective"
+
+
+def _chain(search, *args):
+    """(minimal cones, multiple) of a chain, or None when it raises
+    NoStabilizationDetected."""
+    try:
+        report = search(*args)
+    except NoStabilizationDetected:
+        return None
+    return report.minimal_cones, report.multiple
+
+
+def test_base_loci_on_the_cone_poset_match_the_cone_by_cone_loops(p2, p1xp1, totaro):
+    # the loci ask only the cones no face or facet settles, yet report what
+    # asking every cone does: the same minimal cones in the same order, the
+    # same no-sections flag, and the chains stop at the same multiple
+    kinds = Counter()
+    for fan in _locus_fans(p2, p1xp1, totaro):
+        h = default_ample(fan)
+        second = 2 * h + prime_divisor(fan, 0)
+        assert classify_cones(second).ample, fan.rays
+        divisors = [h, zero_divisor(fan), prime_divisor(fan, 0), -h,
+                    *random_divisors(fan, 6, -3, 3, seed="poset")]
+        for d in divisors:
+            kinds[_kind(d)] += 1
+            assert stable_base_locus_exact(d).minimal_cones == \
+                reference_minimal(reference_stable_cones(d)), (fan.rays, d.coeffs)
+            for ample in (h, second):
+                assert augmented_base_locus_exact(d, ample).minimal_cones == \
+                    reference_minimal(reference_augmented_cones(d, ample)), (fan.rays, d.coeffs, ample)
+            bs = reference_base_locus_cones(d)
+            report = base_locus(d)
+            assert (report.minimal_cones, report.no_sections) == (reference_minimal(bs), () in bs)
+            assert _chain(stable_base_locus, d) == reference_stable_chain(d), d.coeffs
+            assert _chain(augmented_base_locus, d) == reference_augmented_chain(d, h), d.coeffs
+    assert len(kinds) == 5, kinds
+
+
+def test_the_loci_ask_only_the_cones_no_face_or_facet_settles(monkeypatch, p2, p1xp1, totaro):
+    asked = []
+
+    def counting(name):
+        question = getattr(toricpos.positivity, name)
+
+        def count(d, *args):
+            asked.append((name, args[-1]))
+            return question(d, *args)
+        return count
+
+    for name in ("_face_nonempty", "_face_has_point", "_persists"):
+        monkeypatch.setattr(toricpos.positivity, name, counting(name))
+
+    def questions(locus, d):
+        asked.clear()
+        locus(d)
+        assert len(set(asked)) == len(asked), asked  # no cone is asked twice
+        return len(asked)
+
+    h = default_ample(totaro)
+    # D = 3F1 + 3F2 - F3 - ... is not pseudoeffective, 0 is not big: the
+    # empty cone settles every cone
+    assert not classify_cones(ToricDivisor(totaro, (3, 3, -1, -1, -1, -1))).pseudoeffective
+    assert questions(stable_base_locus_exact, ToricDivisor(totaro, (3, 3, -1, -1, -1, -1))) == 1
+    assert questions(augmented_base_locus_exact, zero_divisor(totaro)) == 1
+    # -K is ample: the empty cone and the 8 maximal cones settle all 27
+    assert len(totaro.cones) == 27 and len(totaro.max_cones) == 8
+    for locus in (stable_base_locus_exact, augmented_base_locus_exact, base_locus):
+        assert questions(locus, h) == 1 + 8, locus.__name__
+    # B(D) = V(f0) + V(f1) holds every maximal cone: the six rays are asked,
+    # and of the 2-cones only the four free of rays 0 and 1, which escape
+    d = ToricDivisor(totaro, (1, 3, 3, -2, -1, 2))
+    assert stable_base_locus_exact(d).minimal_cones == ((0,), (1,))
+    assert questions(stable_base_locus_exact, d) == 1 + 8 + 6 + 4
+    assert [tau for _, tau in asked[-4:]] == [(2, 3), (2, 5), (3, 4), (4, 5)]
+    for fan in _locus_fans(p2, p1xp1, totaro):
+        for d in random_divisors(fan, 6, -3, 3, seed="asked-once"):
+            for locus in (stable_base_locus_exact, augmented_base_locus_exact, base_locus):
+                assert questions(locus, d) <= len(fan.cones), (locus.__name__, d.coeffs)
 
 
 def test_qnef_example_class(totaro, totaro_L):

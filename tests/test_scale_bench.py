@@ -1,5 +1,6 @@
-"""scripts/scale_bench.py times ``Fan(...)`` and ``bad_subsets`` on P1^k and
-a seeded GL(k,Z) image of it, and ``Fan(...)`` on both less a cone."""
+"""scripts/scale_bench.py times ``Fan(...)``, ``bad_subsets`` and four exact
+base loci on P1^k and a seeded GL(k,Z) image of it, and ``Fan(...)`` on both
+less a cone."""
 
 import importlib.util
 import json
@@ -38,8 +39,13 @@ def test_scale_bench_times_p1_cubed_and_its_image(capsys):
         # P1^3's subset index: the empty set, and {e_i, -e_i} in each factor
         # with every union of them
         assert (row["rays"], row["max_cones"], row["bad_subsets"]) == (6, 8, 8), row
+        # -K is ample: B and B+ are empty; the first prime divisor is nef
+        # but not big: B is empty and B+ is everything, the cone ()
+        assert row["loci"] == [[], [], [], [[]]], row
         assert row["fan_s"] > 0 and row["bad_subsets_s"] > 0, row
+        assert row["loci_cold_s"] > 0 and row["loci_s"] > 0, row
     for row in not_complete:
-        assert (row["rays"], row["max_cones"], row["bad_subsets"], row["bad_subsets_s"]) == \
-            (6, 7, None, None), row
+        assert (row["rays"], row["max_cones"]) == (6, 7), row
+        assert row["bad_subsets"] is row["loci"] is None, row
+        assert row["bad_subsets_s"] is row["loci_cold_s"] is row["loci_s"] is None, row
         assert row["fan_s"] > 0, row
