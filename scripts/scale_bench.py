@@ -106,7 +106,7 @@ def measure(name: str, rank: int, rays, cones) -> dict:
     if fan.incompleteness is None:
         index_s, index = best_of(lambda: bad_subsets.__wrapped__(fan))
         cold_s, _ = cold_loci(rank, rays, cones)
-        loci(fan)
+        loci(fan)  # builds the plans, so each timed run reads them
         loci_s, found = best_of(lambda: loci(fan))
         row.update(bad_subsets=sum(map(len, index)), loci=found, bad_subsets_s=round(index_s, 6),
                    loci_cold_s=round(cold_s, 6), loci_s=round(loci_s, 6))
