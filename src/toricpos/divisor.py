@@ -25,7 +25,7 @@ class ToricDivisor:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         if len(coeffs) != self.fan.n_rays:
             raise ValueError(
                 f"{len(coeffs)} coefficients for a fan with {self.fan.n_rays} rays"
@@ -136,6 +136,18 @@ def is_linearly_equivalent(d1: ToricDivisor, d2: ToricDivisor):
     return True, tuple(m), integral
 
 
+def wall_numerator(fan: Fan, a, wall):
+    """den * (D . V(wall)) for a sorted wall and D's plain constants a: the
+    wall's form (sigma, c, other, den) from ``Fan.wall_forms`` read as
+    den * a_other - sum_k c[k] * a_sigma[k], an integer when D is integral.
+    As den > 0 it has the degree's sign, so a sign question builds no Fraction."""
+    form = fan.wall_forms.get(wall)
+    if form is None:
+        raise NotACone(f"{wall} is not a wall of a complete fan")
+    sigma, c, other, den = form
+    return den * a[other] - sum(x * a[i] for x, i in zip(c, sigma))
+
+
 def wall_degree(divisor: ToricDivisor, wall) -> Fraction:
     """Intersection number D . V(wall) for a wall (codimension-1 cone).
 
@@ -144,20 +156,16 @@ def wall_degree(divisor: ToricDivisor, wall) -> Fraction:
     that vanishes on one adjacent maximal cone, a fixed linear form in the
     coefficients, so no system is solved per divisor.
     """
-    wall = tuple(sorted(wall))
-    form = divisor.fan.wall_forms.get(wall)
-    if form is None:
-        raise NotACone(f"{wall} is not a wall of a complete fan")
-    sigma, c, other, den = form
-    a = divisor.plain_coeffs
-    return Fraction(den * a[other] - sum(x * a[i] for x, i in zip(c, sigma)), den)
+    fan, wall = divisor.fan, tuple(sorted(wall))
+    return Fraction(wall_numerator(fan, divisor.plain_coeffs, wall), fan.wall_forms[wall][3])
 
 
 def is_ample(divisor: ToricDivisor) -> bool:
     fan = divisor.fan
     if fan.rank == 0:
         return True
-    return all(wall_degree(divisor, w) > 0 for w in fan.walls)
+    a = divisor.plain_coeffs
+    return all(wall_numerator(fan, a, w) > 0 for w in fan.walls)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ supplies only the constants, and Fourier-Motzkin projections decide it
   so tau's rows are held tight, the other rays of Star(tau) give strict rows
   and rays outside Star(tau) give none. No quotient fan is built (dividing a
   row by a ray image's multiplicity is a positive scaling). For tau = ()
-  this asks whether P_D has interior points.
+  this asks whether P_D has interior points. ``is_qnef`` asks it of -D by
+  reading D's constants negated once, with no new divisor.
 * ``_persists(D, joint, (strict, tight))``: does the region of D - eps*H
   with the rows in ``strict`` strict, those in ``tight`` tight and the rest
   weak stay nonempty for arbitrarily small eps > 0? The feasible eps-set, a
@@ -55,7 +56,7 @@ from .divisor import (
     anticanonical_divisor,
     is_ample,
     require_integral,
-    wall_degree,
+    wall_numerator,
 )
 from .errors import (
     InternalInconsistency,
@@ -118,7 +119,7 @@ class ConeFlags:
 
 
 def classify_cones(divisor: ToricDivisor) -> ConeFlags:
-    """Nef/ample by wall degrees; effective/big/psef by the section polytope.
+    """Nef/ample by wall degree signs; effective/big/psef by the section polytope.
 
     For complete toric X: psef(D) iff P_D has a rational point, big(D) iff
     P_D has interior points, effective(D) iff P_D has a lattice point.
@@ -128,8 +129,9 @@ def classify_cones(divisor: ToricDivisor) -> ConeFlags:
     negative_wall = None
     nef = True
     ample = bool(fan.max_cones)
+    a = divisor.plain_coeffs
     for w in fan.walls:
-        d = wall_degree(divisor, w)
+        d = wall_numerator(fan, a, w)
         if d < 0:
             nef = False
             ample = False
@@ -163,14 +165,18 @@ def _big_picks(fan: Fan, tau):
     return strict, weak
 
 
+def _big(fan: Fan, tau, a) -> bool:
+    """``is_big`` at a sorted cone tau for plain constants a, D's or -D's."""
+    plan, index = fan.regions(_big_picks)[tau]
+    return plan.strictly_feasible(rhs(index, a))
+
+
 def is_big(divisor: ToricDivisor, tau=()) -> bool:
     """Is the restriction of D to the orbit closure V(tau) big? For tau = ()
     this is bigness of D. One strict-feasibility question on the fan's own
     rows, in ray order; the module docstring gives the rows."""
-    fan = divisor.fan
-    _require_complete(fan)
-    plan, index = fan.regions(_big_picks)[tuple(sorted(tau))]
-    return plan.strictly_feasible(rhs(index, divisor.plain_coeffs))
+    _require_complete(divisor.fan)
+    return _big(divisor.fan, tuple(sorted(tau)), divisor.plain_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +408,8 @@ class QnefResult:
 
 def is_qnef(divisor: ToricDivisor, q: int) -> QnefResult:
     """q-nef on torus-invariant geometry: for every orbit closure V(tau) of
-    dimension q+1 the restriction of -D is not big.
+    dimension q+1 the restriction of -D is not big, asked (``_big``) of D's
+    constants negated once, so no divisor -D is built.
 
     The verdict is labelled torus-invariant: the general definition
     quantifies over all subvarieties, and the reduction to invariant ones is
@@ -413,19 +420,10 @@ def is_qnef(divisor: ToricDivisor, q: int) -> QnefResult:
     if not 0 <= q <= fan.rank - 1:
         raise ToricError(f"q = {q} is outside 0..dim X - 1 = 0..{fan.rank - 1}")
     size = fan.rank - q - 1
-    negative = -divisor
-    witness = None
-    rows = []
-    for tau in fan.cones:
-        if len(tau) != size:
-            continue
-        negative_big = is_big(negative, tau)
-        rows.append((tau, negative_big))
-        if negative_big and witness is None:
-            witness = tau
-    return QnefResult(
-        verdict=witness is None, q=q, witness_tau=witness, restrictions=tuple(rows)
-    )
+    negative = tuple(-x for x in divisor.plain_coeffs)  # -D's constants
+    rows = tuple((tau, _big(fan, tau, negative)) for tau in fan.cones if len(tau) == size)
+    witness = next((tau for tau, negative_big in rows if negative_big), None)
+    return QnefResult(verdict=witness is None, q=q, witness_tau=witness, restrictions=rows)
 
 
 # ---------------------------------------------------------------------------
