@@ -1,9 +1,11 @@
 """The benchmark under perfbench/ reaches into the library by name: the
 tracer rebinds (module, attribute) targets and the workloads call
-``toricpos.<name>``. A rename or deletion in the library must fail here,
-not first when the benchmark runs."""
+``toricpos.<name>``, and the gate check rewrites result records with
+``dataclasses.replace``. A rename, a deletion or a change of record type in
+the library must fail here, not first when the benchmark runs."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -24,6 +26,20 @@ def test_tracer_targets_resolve():
             assert hasattr(obj, part), (module_name, attr)
             obj = getattr(obj, part)
         assert callable(obj), (module_name, attr)
+
+
+def test_gate_check_can_replace_fields_of_the_result_records(totaro, totaro_L):
+    # perfbench/gate_check.py injects wrong answers with dataclasses.replace;
+    # these records must stay dataclasses until that script changes
+    qample = toricpos.decide_qample(totaro_L, 1)
+    table = toricpos.cohomology_dims(totaro_L)
+    scan = toricpos.check_mode_agreement(totaro_L, 1, multiples=(1, 2), twists=1)["scan"]
+    flipped = dataclasses.replace(qample, verdict=not qample.verdict)
+    assert flipped.verdict != qample.verdict and flipped.certificate == qample.certificate
+    bumped = dataclasses.replace(table, dims=(table.dims[0] + 1, *table.dims[1:]))
+    assert bumped.dims[0] == table.dims[0] + 1 and bumped.dims[1:] == table.dims[1:]
+    swapped = dataclasses.replace(scan, obstructed=not scan.obstructed)
+    assert swapped.obstructed != scan.obstructed and swapped.nonvanishing == scan.nonvanishing
 
 
 def test_workload_library_names_exist():

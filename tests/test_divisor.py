@@ -12,6 +12,7 @@ from toricpos import (
     anticanonical_divisor,
     canonical_divisor,
     class_of,
+    classify_cones,
     cohomology_dims,
     divisor_of_character,
     is_ample,
@@ -36,6 +37,19 @@ def test_picard_ranks(example_fans):
 
 def test_class_of_zero_divisor(totaro):
     assert class_of(zero_divisor(totaro)).is_zero
+
+
+def test_coefficients_are_exact_fractions_for_every_input_kind(p2):
+    half = Fraction(1, 2)
+    d = ToricDivisor(p2, (3, half, "-2/6"))
+    assert d.coeffs == (Fraction(3), half, Fraction(-1, 3))
+    assert all(type(c) is Fraction for c in d.coeffs)
+    assert d.coeffs[1] is half  # a Fraction is kept, not rebuilt
+    assert d.plain_coeffs == (3, half, Fraction(-1, 3))
+    assert type(d.plain_coeffs[0]) is int
+    for e in (-d, 2 * d, d + d, d - d):
+        assert all(type(c) is Fraction for c in e.coeffs)
+    assert (-d).coeffs == (-3, -half, Fraction(1, 3))
 
 
 def test_character_divisors_have_zero_class(totaro):
@@ -177,6 +191,28 @@ def test_wall_forms_match_the_per_divisor_solve(example_fans):
                 fractional += degree.denominator > 1
         assert is_ample(anticanonical_divisor(fan))
     assert len(fans) == 12 and fractional > 100, fractional
+
+
+def test_ampleness_and_wall_flags_are_the_wall_degree_signs(example_fans):
+    # classify_cones and is_ample read signs from wall_numerator, wall_degree
+    # divides the same numerator; both must tell one story on rational classes
+    rng = random.Random("wall-signs")
+    kinds = set()
+    for fan in example_fans:
+        for k in range(40):
+            den = 1 + k % 3
+            coeffs = [Fraction(rng.randint(-4, 4), den) for _ in range(fan.n_rays)]
+            d = ToricDivisor(fan, coeffs)
+            degrees = [wall_degree(d, w) for w in fan.walls]
+            flags = classify_cones(d)
+            assert flags.nef == all(x >= 0 for x in degrees), (fan.name, coeffs)
+            assert flags.ample == is_ample(d) == all(x > 0 for x in degrees), (fan.name, coeffs)
+            assert flags.negative_wall == next(
+                (w for w, x in zip(fan.walls, degrees) if x < 0), None
+            ), (fan.name, coeffs)
+            kinds.add((flags.nef, flags.ample, any(x.denominator > 1 for x in degrees)))
+    # ample, nef not ample and not nef, each with a fractional degree somewhere
+    assert {(True, True, True), (True, False, True), (False, False, True)} <= kinds, kinds
 
 
 def test_wall_degree_rejects_a_non_wall(p2, totaro, totaro_L):

@@ -304,6 +304,31 @@ def test_qnef_builds_no_quotient_fan(totaro):
     assert answered == expected
 
 
+def test_qnef_and_cone_flags_read_the_constants_alone(example_fans):
+    # is_qnef negates D's plain constants, with no divisor -D, and
+    # classify_cones reads wall signs from their numerators, with no
+    # wall_degree Fraction
+    divisors = [d for fan in example_fans for d in random_divisors(fan, 6, seed="constants")]
+    divisors += [Fraction(1, 1 + k % 3) * d for k, d in enumerate(divisors)]
+
+    def answers():
+        return [
+            (classify_cones(d), [is_qnef(d, q).restrictions for q in range(d.fan.rank)])
+            for d in divisors
+        ]
+
+    expected = answers()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cone question left the constants path")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ToricDivisor, "__neg__", forbidden)
+        mp.setattr(toricpos.divisor, "wall_degree", forbidden)
+        mp.setattr(toricpos.positivity, "wall_degree", forbidden, raising=False)
+        assert answers() == expected
+
+
 def test_qnef_zero_matches_nef(totaro):
     for d in random_divisors(totaro, 20, seed="qnef0"):
         assert is_qnef(d, 0).verdict == classify_cones(d).nef
