@@ -7,10 +7,10 @@ For every workload in ``BENCHMARK.json``, runs ``perfbench/run.py --trace 0``
 of the two checkouts in ten alternating pairs (seeds 71, 72, ...; the first
 run of a pair switches sides every pair, so a slow drift of the machine hits
 both sides alike), then one traced pair (``--trace 1``, seed 71) for the per-layer metrics.
-Run length, metrics and their better direction come from the base
-checkout's ``BENCHMARK.json``. Writes ``BENCH_<NAME>.json`` in the current
-directory: per metric the median and quartiles of each side, and how many
-pairs the change won, plus an ``env`` block (Python version, usable cores,
+Run length, metrics, their better direction and their bound come from
+the base checkout's ``BENCHMARK.json``. Writes ``BENCH_<NAME>.json`` in the current
+directory: per metric the median and quartiles of each side, how many
+pairs the change won and two flags (``compare``), plus an ``env`` block (Python version, usable cores,
 whether ``PYTHONDONTWRITEBYTECODE`` is set, and each checkout's commit), since
 cold-cli figures move with the bytecode flag. A run that fails stops the
 script with exit 1 after printing its argv and the tail of its stderr.
@@ -66,6 +66,28 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def compare(base: list[float], change: list[float], direction: str, bound: float) -> dict:
+    """One metric's paired runs (pair k is base[k], change[k]) summarised,
+    with two flags. ``gain_rule``: the change wins at least nine tenths of
+    the pairs, ties counting for neither side, and its median is better than
+    the base's by more than the base's quartile spread. ``within_bound``: the
+    change's median is worse than the base's by no more than ``bound``, a
+    fraction of the base's median."""
+    higher = direction == "higher"
+    wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+    b, c = summary(base), summary(change)
+    gain = c["median"] - b["median"] if higher else b["median"] - c["median"]
+    return {
+        "better": direction,
+        "base": b,
+        "change": c,
+        "change_wins": f"{wins}/{len(base)}",
+        "median_ratio": c["median"] / b["median"],
+        "gain_rule": 10 * wins >= 9 * len(base) and gain > b["q3"] - b["q1"],
+        "within_bound": -gain <= bound * abs(b["median"]),
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--base", required=True)
@@ -74,7 +96,7 @@ def main() -> None:
     args = parser.parse_args()
     with open(os.path.join(args.base, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     report = {
@@ -93,19 +115,10 @@ def main() -> None:
             "all_correct": all(r["correct"] and r["failed"] == 0 for rs in runs.values() for r in rs),
             "end_to_end": {},
         }
-        for metric, direction in better.items():
+        for metric, (direction, bound) in metrics.items():
             base = [r["metrics"][metric]["value"] for r in runs["base"]]
             change = [r["metrics"][metric]["value"] for r in runs["change"]]
-            wins = sum(
-                (c > b) if direction == "higher" else (c < b) for b, c in zip(base, change)
-            )
-            entry["end_to_end"][metric] = {
-                "better": direction,
-                "base": summary(base),
-                "change": summary(change),
-                "change_wins": f"{wins}/{PAIRS}",
-                "median_ratio": statistics.median(change) / statistics.median(base),
-            }
+            entry["end_to_end"][metric] = compare(base, change, direction, bound)
         traced = {side: run_once(getattr(args, side), workload, SEED0, seconds, 1)
                   for side in ("base", "change")}
         entry["traced_pair"] = {

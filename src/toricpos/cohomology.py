@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
+from typing import NamedTuple
 
 from .divisor import ToricDivisor, require_integral
 from .errors import ToricError, UnboundedRegion
@@ -165,8 +166,7 @@ def cohomology_dims(divisor: ToricDivisor) -> CohomologyTable:
     return CohomologyTable(dims=tuple(dims), witnesses=tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class AsymptoticWitness:
+class AsymptoticWitness(NamedTuple):
     subset: tuple[int, ...]
     direction: tuple[Fraction, ...]
 

@@ -9,9 +9,9 @@ require integrality say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InternalInconsistency, NotACone, NotIntegral, ToricError
 from .fan import Fan, star_quotient
@@ -19,18 +19,30 @@ from .linalg import dot, solve_linear
 from .polyhedra import Polyhedron, polyhedron
 
 
-@dataclass(frozen=True)
 class ToricDivisor:
-    fan: Fan
-    coeffs: tuple[Fraction, ...]
+    """D = sum coeffs[rho] * F_rho on a fan. A value: equal and hashed over
+    (fan, coeffs). A plain class, not a NamedTuple, as ``plain_coeffs`` is
+    cached in the instance ``__dict__``; never mutated after ``__init__``."""
 
-    def __post_init__(self):
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.fan.n_rays:
+    def __init__(self, fan: Fan, coeffs: tuple[Fraction, ...]):
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        if len(coeffs) != fan.n_rays:
             raise ValueError(
-                f"{len(coeffs)} coefficients for a fan with {self.fan.n_rays} rays"
+                f"{len(coeffs)} coefficients for a fan with {fan.n_rays} rays"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        self.fan = fan
+        self.coeffs = coeffs
+
+    def __repr__(self):
+        return f"ToricDivisor(fan={self.fan!r}, coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.fan, self.coeffs) == (other.fan, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.fan, self.coeffs))
 
     @cached_property
     def plain_coeffs(self) -> tuple[int | Fraction, ...]:
@@ -96,8 +108,7 @@ def section_polyhedron(divisor: ToricDivisor) -> Polyhedron:
     return polyhedron(divisor.fan.rank, weak=zip(divisor.fan.rays, divisor.plain_coeffs))
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """Coordinates in N^1(X) x Q with respect to a fixed ray-class basis."""
 
     coords: tuple[Fraction, ...]
@@ -168,8 +179,7 @@ def is_ample(divisor: ToricDivisor) -> bool:
     return all(wall_numerator(fan, a, w) > 0 for w in fan.walls)
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(NamedTuple):
     divisor: ToricDivisor  # on the quotient fan
     witness_m: tuple[Fraction, ...]
     ray_map: dict

@@ -36,10 +36,10 @@ strict-feasibility question decided by Fourier-Motzkin elimination
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from .errors import EmptySet, InvalidFan, NotACone, NotComplete
 from .linalg import (
@@ -53,36 +53,52 @@ from .linalg import (
 from .polyhedra import Plan, Selections
 
 
-@dataclass(frozen=True)
-class FanProperties:
+class FanProperties(NamedTuple):
     simplicial: bool
     complete: bool
     smooth: bool
 
 
-@dataclass(frozen=True)
-class RaySubcomplex:
+class RaySubcomplex(NamedTuple):
     """Full subcomplex of the fan's boundary complex on a ray subset."""
 
     vertices: tuple[int, ...]
     faces: tuple[tuple[int, ...], ...]  # sorted tuples, all dims, no empty face
 
 
-@dataclass(frozen=True)
 class Fan:
-    """Rational simplicial fan in Z^rank given by rays and maximal cones."""
+    """Rational simplicial fan in Z^rank given by rays and maximal cones.
 
-    rank: int
-    rays: tuple[tuple[int, ...], ...]
-    max_cones: tuple[tuple[int, ...], ...]
-    name: str = ""
+    A value: equal over (rank, rays, max_cones, name), hashed over the first
+    three. A plain class, not a NamedTuple, as its cached properties live in
+    the instance ``__dict__``; never mutated after ``__post_init__``."""
+
+    def __init__(self, rank: int, rays: tuple[tuple[int, ...], ...],
+                 max_cones: tuple[tuple[int, ...], ...], name: str = ""):
+        self.rank = rank
+        self.rays = rays
+        self.max_cones = max_cones
+        self.name = name
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in self.rays))
-        object.__setattr__(
-            self, "max_cones", tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones)
-        )
+        # a method of its own, so a tracer can time every build by rebinding it
+        self.rays = tuple(tuple(int(x) for x in r) for r in self.rays)
+        self.max_cones = tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones)
         _check_structure(self)
+
+    def __repr__(self):
+        return (f"Fan(rank={self.rank!r}, rays={self.rays!r}, "
+                f"max_cones={self.max_cones!r}, name={self.name!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rank, self.rays, self.max_cones, self.name)
+                == (other.rank, other.rays, other.max_cones, other.name))
+
+    def __hash__(self):
+        return hash((self.rank, self.rays, self.max_cones))
 
     @property
     def n_rays(self) -> int:
@@ -204,9 +220,6 @@ class Fan:
 
     def ray_name(self, i: int) -> str:
         return f"f{i + 1}"
-
-    def __hash__(self):
-        return hash((self.rank, self.rays, self.max_cones))
 
 
 def _check_structure(fan: Fan) -> None:

@@ -61,12 +61,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, count, islice, repeat
 from math import ceil, floor, gcd, lcm
 from operator import itemgetter, sub
+from typing import NamedTuple
 
 from .errors import UnboundedRegion
 from .linalg import _eliminate, clear_denominators, content_free
@@ -74,8 +74,7 @@ from .linalg import _eliminate, clear_denominators, content_free
 Row = tuple[tuple[int, ...], int]  # integers with content 1, or all zero
 
 
-@dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(NamedTuple):
     """Mixed-row rational polyhedron in Q^dim; build it with ``polyhedron()``,
     which stores each row as content-free integers."""
 

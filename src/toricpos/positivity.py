@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
+from typing import NamedTuple
 
 from .cohomology import bad_subsets, cohomology_dims, sign_picks
 from .divisor import (
@@ -108,8 +109,7 @@ def _reference_ample(fan: Fan, ample: ToricDivisor | None, what: str) -> ToricDi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConeFlags:
+class ConeFlags(NamedTuple):
     nef: bool
     ample: bool
     effective: bool
@@ -184,8 +184,7 @@ def is_big(divisor: ToricDivisor, tau=()) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaseLocusReport:
+class BaseLocusReport(NamedTuple):
     """Union of orbit closures V(tau), minimal cones listed.
 
     The marker cone () stands for the whole variety (no sections / not big).
@@ -397,8 +396,7 @@ def augmented_base_locus(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QnefResult:
+class QnefResult(NamedTuple):
     verdict: bool
     q: int
     witness_tau: tuple[int, ...] | None
@@ -431,8 +429,7 @@ def is_qnef(divisor: ToricDivisor, q: int) -> QnefResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QAmpleCertificate:
+class QAmpleCertificate(NamedTuple):
     degree: int
     subset: tuple[int, ...]
     epsilon: Fraction
@@ -629,8 +626,7 @@ def check_mode_agreement(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DisconnectionResult:
+class DisconnectionResult(NamedTuple):
     applies: bool
     support: tuple[int, ...]
     conclusion: str | None
@@ -666,16 +662,14 @@ def disconnected_section_criterion(divisor: ToricDivisor) -> DisconnectionResult
     )
 
 
-@dataclass(frozen=True)
-class ChamberSample:
+class ChamberSample(NamedTuple):
     coords: tuple[int, int]
     smallest_q: int
     pseudoeffective: bool
     big: bool
 
 
-@dataclass(frozen=True)
-class ChamberMap:
+class ChamberMap(NamedTuple):
     resolution: int
     samples: tuple[ChamberSample, ...]
 

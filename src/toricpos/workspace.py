@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .divisor import ToricDivisor
 from .errors import InvalidFan, WorkspaceError
@@ -26,8 +26,7 @@ _TOP_FIELDS = {"schema", "name", "sign_convention", "fan", "divisors", "queries"
 _QUERY_FIELDS = {"name", "command", "divisor", "q", "cone", "args"}
 
 
-@dataclass(frozen=True)
-class Workspace:
+class Workspace(NamedTuple):
     name: str
     sign_convention: str
     fan: Fan
