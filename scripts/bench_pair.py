@@ -7,11 +7,12 @@ For every workload in ``BENCHMARK.json``, runs ``perfbench/run.py --trace 0``
 of the two checkouts in ten alternating pairs (seeds 71, 72, ...; the first
 run of a pair switches sides every pair, so a slow drift of the machine hits
 both sides alike), then one traced pair (``--trace 1``, seed 71) for the per-layer metrics.
-Run length, metrics, their better direction and their bound come from
-the base checkout's ``BENCHMARK.json``. Writes ``BENCH_<NAME>.json`` in the current
-directory: per metric the median and quartiles of each side, how many
-pairs the change won and two flags (``compare``), plus an ``env`` block (Python version, usable cores,
-whether ``PYTHONDONTWRITEBYTECODE`` is set, and each checkout's commit), since
+Run length, metrics, their better direction and their bound come from the
+base checkout's ``BENCHMARK.json``. Writes ``BENCH_<NAME>.json`` in the
+current directory: per metric the median and quartiles of each side, how
+many pairs the change won and the ``gain_rule`` and ``within_bound`` flags
+(``compare``), plus an ``env`` block (Python version, usable cores, whether
+``PYTHONDONTWRITEBYTECODE`` is set, and each checkout's commit), since
 cold-cli figures move with the bytecode flag. A run that fails stops the
 script with exit 1 after printing its argv and the tail of its stderr.
 """

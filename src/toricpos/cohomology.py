@@ -125,6 +125,7 @@ def sign_picks(fan: Fan, selection):
 _require_complete = partial(require_complete, message="cohomology needs a complete fan")
 
 
+# a dataclass, as perfbench/gate_check.py rewrites it with dataclasses.replace
 @dataclass(frozen=True)
 class CohomologyTable:
     dims: tuple[int, ...]  # h^0 .. h^n

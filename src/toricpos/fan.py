@@ -82,7 +82,7 @@ class Fan:
         self.__post_init__()
 
     def __post_init__(self):
-        # a method of its own, so a tracer can time every build by rebinding it
+        # Fan's own method: perfbench/tracer.py rebinds it here to time each build
         self.rays = tuple(tuple(int(x) for x in r) for r in self.rays)
         self.max_cones = tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones)
         _check_structure(self)

@@ -436,6 +436,7 @@ class QAmpleCertificate(NamedTuple):
     direction: tuple[Fraction, ...]
 
 
+# a dataclass, as perfbench/gate_check.py rewrites it with dataclasses.replace
 @dataclass(frozen=True)
 class QAmpleResult:
     verdict: bool
@@ -511,6 +512,7 @@ def smallest_qample(divisor: ToricDivisor, ample: ToricDivisor | None = None) ->
     return hit[0] if hit is not None else 0
 
 
+# a dataclass, as perfbench/gate_check.py rewrites it with dataclasses.replace
 @dataclass(frozen=True)
 class ScanResult:
     obstructed: bool

@@ -1,8 +1,9 @@
 """The benchmark under perfbench/ reaches into the library by name: the
-tracer rebinds (module, attribute) targets and the workloads call
-``toricpos.<name>``, and the gate check rewrites result records with
-``dataclasses.replace``. A rename, a deletion or a change of record type in
-the library must fail here, not first when the benchmark runs."""
+tracer rebinds (module, attribute) targets, a method in its class's own
+``__dict__``, the workloads call ``toricpos.<name>``, and the gate check
+rewrites result records with ``dataclasses.replace``. A rename, a deletion,
+a method moved to a base class or a change of record type in the library
+must fail here, not first when the benchmark runs."""
 
 import ast
 import dataclasses
@@ -15,17 +16,37 @@ import toricpos
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_tracer_targets_resolve():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    tracer = _tracer_module()
     assert tracer.TARGETS
     for module_name, attr in tracer.TARGETS:
-        obj = importlib.import_module(module_name)
-        for part in attr.split("."):
-            assert hasattr(obj, part), (module_name, attr)
-            obj = getattr(obj, part)
-        assert callable(obj), (module_name, attr)
+        module = importlib.import_module(module_name)
+        if "." in attr:  # Tracer.install reads a method from cls.__dict__
+            cls_name, meth = attr.split(".")
+            target = vars(getattr(module, cls_name)).get(meth)
+        else:
+            target = getattr(module, attr, None)
+        assert callable(target), (module_name, attr)
+
+
+def test_the_tracer_records_one_span_per_fan_build(p2):
+    tracer = _tracer_module()
+    post_init = vars(toricpos.Fan)["__post_init__"]
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        toricpos.Fan(p2.rank, p2.rays, p2.max_cones)
+    finally:
+        recorder.uninstall()
+    assert [span[0] for span in recorder.spans].count("fan.Fan.build") == 1
+    assert vars(toricpos.Fan)["__post_init__"] is post_init
 
 
 def test_gate_check_can_replace_fields_of_the_result_records(totaro, totaro_L):

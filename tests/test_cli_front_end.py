@@ -156,3 +156,18 @@ def test_the_cli_imports_no_click():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")})
     assert out.stdout.strip() == "False", out.stderr
+
+
+def test_the_cli_import_defines_only_the_gate_records_as_dataclasses():
+    # every CLI command is a fresh process that pays for each dataclass it
+    # decorates; only the records perfbench/gate_check.py rewrites with
+    # dataclasses.replace stay dataclasses
+    code = (
+        "import dataclasses, sys, toricpos.cli\n"
+        "print(sorted(v.__name__ for m, mod in list(sys.modules.items())\n"
+        "             if m.split('.')[0] == 'toricpos' for v in vars(mod).values()\n"
+        "             if isinstance(v, type) and v.__module__ == m and dataclasses.is_dataclass(v)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")})
+    assert out.stdout.strip() == "['CohomologyTable', 'QAmpleResult', 'ScanResult']", out.stderr

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,8 +15,10 @@ from toricpos import (
     star_quotient,
     subset_connected,
     load_workspace,
+    ToricDivisor,
     validate,
 )
+from toricpos.cohomology import bad_subsets
 from toricpos.workspace import BUILTIN_WORKSPACES
 
 from .conftest import product_fan, unimodular
@@ -270,3 +273,29 @@ def test_fan_validation_creates_no_plan(monkeypatch):
             assert Fan(k, full.rays, full.max_cones[1:]).incompleteness, (k, matrix)
             pairs = (2**k - 1) * (2**k - 2) // 2
             assert len(built) == pairs, (k, matrix, len(built))
+
+
+def test_fans_and_divisors_are_values(totaro):
+    # a fan rebuilt from the same rays and cones, in either constructor form,
+    # equals the first and hashes alike, so it shares the caches keyed on fans
+    keyword = Fan(rank=3, rays=list(totaro.rays), max_cones=[c[::-1] for c in totaro.max_cones],
+                  name="totaro-x")
+    positional = Fan(3, totaro.rays, totaro.max_cones, "totaro-x")
+    assert keyword == positional == totaro and keyword is not totaro
+    assert hash(keyword) == hash(positional) == hash(totaro)
+    assert repr(keyword) == (f"Fan(rank=3, rays={totaro.rays!r}, "
+                             f"max_cones={totaro.max_cones!r}, name='totaro-x')")
+    unnamed = Fan(3, totaro.rays, totaro.max_cones)
+    assert unnamed != totaro and hash(unnamed) == hash(totaro)  # the name is not hashed
+    assert totaro != (totaro.rank, totaro.rays, totaro.max_cones, totaro.name)
+    index = bad_subsets(totaro)
+    hits = bad_subsets.cache_info().hits
+    assert bad_subsets(keyword) is index and bad_subsets.cache_info().hits == hits + 1
+    # a divisor is its fan and its coefficients
+    d = ToricDivisor(totaro, (3, 3, -1, -1, -1, -1))
+    same = ToricDivisor(keyword, (Fraction(3), 3, -1, -1, -1, -1))
+    assert d == same and hash(d) == hash(same)
+    assert repr(d) == f"ToricDivisor(fan={totaro!r}, coeffs={d.coeffs!r})"
+    assert d != ToricDivisor(totaro, (3, 3, -1, -1, -1, 0))
+    assert d != ToricDivisor(unnamed, d.coeffs) and hash(ToricDivisor(unnamed, d.coeffs)) == hash(d)
+    assert d != (totaro, d.coeffs)
