@@ -5,29 +5,34 @@
 
 Draws ``--classes`` seeded (class, q) pairs on the built-in totaro-x
 workspace and runs ``check_mode_agreement`` on each, recording every region
-query it asks as (plan, b): the scan's existence queries on the subset
-regions of each twist N*D - j*H (``Plan.has_point``), ``_persists``'s
-two questions, the eps = 0 closure of D's subset region
+query it asks: the scan's existence queries on the subset regions of each
+twist N*D - j*H, each a (window read, (N, j)) pair (``Twists.has_point``,
+a region's level 0 read once per search from its per-row sums), split into
+the "reject" kind, those level 0 answers (y_0 holds no integer), and the
+"dive" kind, those that build the constants and dive (``Plan.dive``);
+``_persists``'s two questions, the eps = 0 closure of D's subset region
 (``Plan.closure_nonempty``, kind "face") and the joint system in (y, eps)
 (``Plan.strictly_feasible``), and the (eps, y) point a failure certificate
-prints (``Plan.point``, kind "witness"). It then builds each recorded plan afresh
-(``Plan(...)``), once however many kinds ask it, and replays the queries
-``--repeat`` times, timing each one. The script prints, per kind, the queries,
-microseconds per query on the first replay (which builds each plan's
-projections) and the median over the later replays (warm, "-" under
-``--repeat 1``), and how many answered yes; then the plans built for the
-replay and the projections (``_projection`` calls) it made, each kept by
-the plan that asked for it. The subset line's fallback column reads
-walked/held: how many ``has_point`` dives stopped at an integer gap, a level
-whose range holds no integer, and read the count walk (``Plan.blocks``),
-and how many of those held a point. Each kind's line also gives the size
-of the projections its queries read on its distinct plans: a closure reads
-level 0 (``Plan.top``), a strict-feasibility question the projection onto
-t (``Plan.t_projection``), a walk the chain of levels (``Plan.levels``) and
-a witness both t's projection and the chain. The line sums their rows
-(level_rows) and gives the rows of the largest (max_level). A subset's
-plan answers both its scan queries and its closure, so it counts under
-both the subset and the face kind, with the levels each reads.
+prints (``Plan.point``, kind "witness"), each a (plan, constants) pair. It
+then builds each recorded plan afresh (``Plan(...)``), once however many
+kinds ask it, and each recorded window read afresh on its first query, and
+replays the queries ``--repeat`` times, timing each one. The script prints,
+per kind, the queries, microseconds per query on the first replay (which
+builds each plan's projections and each window read's sums) and the median
+over the later replays (warm, "-" under ``--repeat 1``), and how many
+answered yes; then the plans built for the replay and the projections
+(``_projection`` calls) it made, each kept by the plan that asked for it.
+The dive line's fallback column reads walked/held: how many dives stopped
+at an integer gap, a level whose range holds no integer, and read the count
+walk (``Plan.blocks``), and how many of those held a point. Each kind's line
+also gives the size of the projections its queries read on its distinct
+plans: a rejection reads level 0 (``Plan.top``), as does a closure, a
+strict-feasibility question the projection onto t (``Plan.t_projection``),
+a dive the chain of levels (``Plan.levels``) and a witness both t's
+projection and the chain. The line sums their rows (level_rows) and gives
+the rows of the largest (max_level). A subset's plan answers its scan
+queries and its closure, so it counts under each kind that asks it, with
+the levels each reads.
 
 It then times the walk's counting layer the same way, on two fans:
 ``--classes`` seeded classes, each times a multiple k in 10..20, go through
@@ -50,6 +55,7 @@ import random
 import statistics
 import sys
 import time
+from functools import partial
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -57,14 +63,17 @@ import toricpos.cohomology  # noqa: E402
 import toricpos.polyhedra as polyhedra  # noqa: E402
 import toricpos.positivity  # noqa: E402
 from toricpos import Fan, ModeDisagreement, ToricDivisor, load_workspace  # noqa: E402
-from toricpos.polyhedra import Plan  # noqa: E402
+from toricpos.polyhedra import Plan, Twists  # noqa: E402
 
-# kind -> the Plan method that answers its queries
-KINDS = {"subset": "has_point", "face": "closure_nonempty", "joint": "strictly_feasible",
-         "witness": "point"}
+# kind -> the class and method that answer its queries; a scan query is
+# recorded as "subset" and split into "reject" and "dive" (``scan_queries``)
+ASKS = {"subset": (Twists, "has_point"), "face": (Plan, "closure_nonempty"),
+        "joint": (Plan, "strictly_feasible"), "witness": (Plan, "point")}
+KINDS = ("reject", "dive", "face", "joint", "witness")
 # kind -> the projections of a plan that its queries read
 READS = {
-    "subset": lambda plan: plan.levels,
+    "reject": lambda plan: (plan.top,),
+    "dive": lambda plan: plan.levels,
     "face": lambda plan: (plan.top,),
     "joint": lambda plan: (plan.t_projection,),
     "witness": lambda plan: (plan.t_projection, *plan.levels),
@@ -73,31 +82,39 @@ READS = {
 COUNT_FANS = ("totaro-x", "P(1,1,2)")
 
 
-def recorded(methods, run):
-    """Call run() with the named Plan methods recording each call as
-    (method, plan, b); return the calls in order."""
+def recorded(asks, run):
+    """Call run() with each kind's (class, method) in ``asks`` recording
+    each call as (kind, self, args); return the calls in order."""
     calls = []
-    originals = {name: getattr(Plan, name) for name in methods}
 
-    def recorder(name, method):
-        def recording(plan, b, *args):
-            calls.append((name, plan, b))
-            return method(plan, b, *args)
+    def recorder(kind, method):
+        def recording(self, *args):
+            calls.append((kind, self, args))
+            return method(self, *args)
         return recording
 
-    for name, method in originals.items():
-        setattr(Plan, name, recorder(name, method))
+    originals = [(owner, name, getattr(owner, name)) for owner, name in asks.values()]
+    for kind, (owner, name, method) in zip(asks, originals):
+        setattr(owner, name, recorder(kind, method))
     try:
         run()
     finally:
-        for name, method in originals.items():
-            setattr(Plan, name, method)
+        for owner, name, method in originals:
+            setattr(owner, name, method)
     return calls
 
 
+def plan_of(asked):
+    """The plan a query reads: its own, or its window read's."""
+    return asked.plan if isinstance(asked, Twists) else asked
+
+
 def scan_queries(seed: int, classes: int):
-    """(kind, plan, b) for every region query the mode check of each seeded
-    (class, q) pair asks, in order."""
+    """(kind, asked, args) for every region query the mode check of each
+    seeded (class, q) pair asks, in order: a scan query's window read
+    (``Twists``) with its (N, j), of kind "dive" when it calls ``Plan.dive``
+    and "reject" when level 0 answers it, or the plan of any other query
+    with its constants."""
     fan = load_workspace("totaro-x").fan
     rng = random.Random(f"region-bench:{seed}")
 
@@ -109,19 +126,36 @@ def scan_queries(seed: int, classes: int):
             except ModeDisagreement:
                 pass  # the queries are recorded all the same
 
-    kind_of = {method: kind for kind, method in KINDS.items()}
-    return [(kind_of[name], plan, b) for name, plan, b in recorded(KINDS.values(), run)]
+    queries = []
+    for kind, asked, args in recorded({**ASKS, "dive": (Plan, "dive")}, run):
+        if kind == "dive":  # called by the scan query just recorded: it dives
+            queries[-1] = ("dive", *queries[-1][1:])
+        else:
+            queries.append(("reject" if kind == "subset" else kind, asked, args))
+    return queries
 
 
 def replay(queries, repeat: int):
     """Per kind, [queries, ns of each replay, yes answers] over ``repeat``
-    replays on a fresh copy of each recorded plan, the number of plans built
-    and the ``_projection`` calls of the replay."""
+    replays on a fresh copy of each recorded plan and window read, the
+    number of plans built and the ``_projection`` calls of the replay. A
+    window read is rebuilt on its first query, inside the first replay's
+    timing, as a search reads it on its region's first query."""
     fresh = {}
-    for _, plan, _ in queries:
+    for _, asked, _ in queries:
+        plan = plan_of(asked)
         if id(plan) not in fresh:
             fresh[id(plan)] = Plan(plan.dim, plan.strict, plan.weak)
-    calls = [(kind, getattr(fresh[id(plan)], KINDS[kind]), b) for kind, plan, b in queries]
+    windows = {}  # id of a recorded window read -> its copy on the fresh plan
+
+    def window_query(twists, n, j):
+        copy = windows.get(id(twists))
+        if copy is None:
+            copy = windows[id(twists)] = Twists(fresh[id(twists.plan)], twists.b_d, twists.b_h)
+        return copy.has_point(n, j)
+
+    calls = [(kind, partial(window_query, asked) if isinstance(asked, Twists)
+              else getattr(fresh[id(asked)], ASKS[kind][1]), args) for kind, asked, args in queries]
     totals = {kind: [0, [0] * repeat, 0] for kind in KINDS}
     answers = [None] * len(calls)
     clock = time.perf_counter_ns
@@ -134,9 +168,9 @@ def replay(queries, repeat: int):
     polyhedra._projection = counting
     try:
         for r in range(repeat):
-            for i, (kind, ask, b) in enumerate(calls):
+            for i, (kind, asked, args) in enumerate(calls):
                 start = clock()
-                answers[i] = ask(b)
+                answers[i] = asked(*args)
                 totals[kind][1][r] += clock() - start
     finally:
         polyhedra._projection = project
@@ -147,11 +181,11 @@ def replay(queries, repeat: int):
 
 
 def fallbacks(queries):
-    """(walked, held): how many subset queries' dives dead-ended and read
-    the count walk, and how many of those held a point."""
-    asks = [(plan, b) for kind, plan, b in queries if kind == "subset"]
-    walked = recorded(("blocks",), lambda: [plan.has_point(b) for plan, b in asks])
-    return len(walked), sum(next(plan.blocks(b), None) is not None for _, plan, b in walked)
+    """(walked, held): how many dives dead-ended and read the count walk,
+    and how many of those held a point."""
+    asks = [(asked, args) for kind, asked, args in queries if kind == "dive"]
+    walked = recorded({"blocks": (Plan, "blocks")}, lambda: [asked.has_point(*args) for asked, args in asks])
+    return len(walked), sum(next(plan.blocks(b), None) is not None for _, plan, (b, *_) in walked)
 
 
 def level_sizes(queries):
@@ -159,8 +193,8 @@ def level_sizes(queries):
     read (``READS``) on its distinct plans summed, and the rows of the
     largest of them."""
     plans = {kind: {} for kind in KINDS}
-    for kind, plan, _ in queries:
-        plans[kind][id(plan)] = plan
+    for kind, asked, _ in queries:
+        plans[kind][id(plan_of(asked))] = plan_of(asked)
     sizes = {kind: [sum(map(len, level)) for plan in kept.values() for level in READS[kind](plan)]
              for kind, kept in plans.items()}
     return {kind: (sum(rows), max(rows, default=0)) for kind, rows in sizes.items()}
@@ -184,7 +218,7 @@ def count_queries(seed: int, classes: int, fan_name: str):
             toricpos.cohomology.cohomology_dims(
                 ToricDivisor(fan, tuple(k * rng.randint(-2, 2) for _ in range(fan.n_rays))))
 
-    return [(plan, b) for _, plan, b in recorded(("blocks",), run)]
+    return [(plan, b) for _, plan, (b, *_) in recorded({"blocks": (Plan, "blocks")}, run)]
 
 
 def count_replay(queries, repeat: int):
@@ -226,7 +260,7 @@ def main(argv=None) -> None:
     for kind, (count, ns, yes) in totals.items():
         first = f"{ns[0] / 1000 / count:.1f}" if count else "-"
         warm = f"{statistics.median(ns[1:]) / 1000 / count:.1f}" if count and args.repeat > 1 else "-"
-        fallback = f"{walked}/{held}" if kind == "subset" else "-"
+        fallback = f"{walked}/{held}" if kind == "dive" else "-"
         rows, largest = levels[kind]
         print(f"{kind:<14}{count:>9}{first:>12}{warm:>11}{yes:>7}{fallback:>10}{rows:>12}{largest:>11}")
     print(f"{'plans built':<14}{plans:>9}")

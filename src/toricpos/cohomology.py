@@ -22,7 +22,8 @@ series or a floor sum per binding row). A dimension is a sum of block
 counts. A table's witnesses hold each region's blocks as
 ``polyhedra.Weights``, the blocks' one reader, which folds a block's
 children only when a reader enters it. Whether a region holds a weight at
-all is ``Plan.has_point``, the q-ample scan's query.
+all is ``Plan.has_point``, which the q-ample scan asks over its twists
+through ``polyhedra.Twists``.
 """
 
 from __future__ import annotations

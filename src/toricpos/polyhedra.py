@@ -54,7 +54,14 @@ a reader enters it.
 ``Plan.has_point`` first dives once from the root to a leaf, through the
 middle of each node's interval: every interval is exact, so the dive stops
 short of a point only at an integer gap, a nonempty range that holds no
-integer, and only then falls back to the counts.
+integer, and only then falls back to the counts. ``Plan.start`` sets the
+walk up and ``Plan.dive`` dives from it, so a caller that reads level 0 on
+its own shares the dive: ``Twists`` asks has_point over a window of
+constants n * b_d - j * b_h (the q-ample scan's twists N*D - j*H). Each
+projected row of level 0 reads n * x - j * y - z there (the projection is
+linear in the constants), so a twist whose y_0 holds no integer is answered
+from three multiply-adds per row, and only the others build constants and
+dive.
 """
 
 from __future__ import annotations
@@ -750,6 +757,12 @@ class Plan:
         start = self.start(b)
         if start is None or not self.dim:
             return start is not None
+        return self.dive(b, start)
+
+    def dive(self, b, start) -> bool:
+        """``has_point`` (dim >= 1) past its start, ``self.start(b)`` when
+        that is not None or the same read from level-0 sums (``Twists``):
+        the dive, then the counts from that start at a dead end."""
         v_lo, v_hi, rest = start
         for col, level in zip(self.cols, self.levels[1:]):
             v = (v_lo + v_hi) // 2
@@ -791,6 +804,70 @@ class Plan:
             b = [x * q - p * den * a for x, a in zip(b, col)]
             den *= q
         return tuple(point)
+
+
+class Twists:
+    """``has_point`` of one plan over a window of constants b(n, j) =
+    n * b_d - j * b_h. When b_d and b_h are ints and the plan is bounded of
+    dim >= 1, ``Plan.start`` reads level 0 (``Plan.top``) on b less the
+    shifts, and each projected row's dot product lam . (b - shifts) is
+    n * x - j * y - z with x = lam . b_d, y = lam . b_h and z = lam . shifts,
+    all linear in (n, j). The triples are read here, once, so a twist's
+    integers of y_0 take three multiply-adds per row (``integers``), and b
+    and the walk's constants are built only when y_0 holds one. Otherwise
+    (a Fraction constant, whose rows ``start`` floors one by one, or a plan
+    unbounded or of dim 0) rows is None and each twist asks
+    ``Plan.has_point`` on b."""
+
+    def __init__(self, plan: Plan, b_d, b_h):
+        self.plan, self.b_d, self.b_h = plan, b_d, b_h
+        self.rows = None
+        if plan.dim and _INT.issuperset(map(type, chain(b_d, b_h))) and plan.bounded:
+            shifts = plan.shifts
+
+            def sums(lam):
+                x = y = z = 0
+                for i, l in lam:
+                    x += l * b_d[i]
+                    y += l * b_h[i]
+                    z += l * shifts[i]
+                return x, y, z
+
+            zeros, uppers, lowers = plan.top
+            self.rows = (tuple(map(sums, zeros)), tuple((a, *sums(lam)) for a, lam in uppers),
+                         tuple((a, *sums(lam)) for a, lam in lowers))
+
+    def integers(self, n, j):
+        """y_0's integers (lo, hi) at b(n, j), read from rows (when set):
+        level 0's range on b less the shifts rounded inward, as in
+        ``Plan.start``, or None when it holds no integer."""
+        zeros, uppers, lowers = self.rows
+        for x, y, z in zeros:
+            if n * x - j * y < z:
+                return None
+        hi = None
+        for a, x, y, z in uppers:  # a * y_0 <= n * x - j * y - z
+            v = (n * x - j * y - z) // a
+            if hi is None or v < hi:
+                hi = v
+        lo = None
+        for a, x, y, z in lowers:  # -a * y_0 <= n * x - j * y - z
+            v = -((n * x - j * y - z) // a)
+            if v > hi:
+                return None
+            if lo is None or v > lo:
+                lo = v
+        return lo, hi
+
+    def has_point(self, n, j) -> bool:
+        """``Plan.has_point`` on b(n, j)."""
+        if self.rows is None:
+            return self.plan.has_point([n * x - j * y for x, y in zip(self.b_d, self.b_h)])
+        span = self.integers(n, j)
+        if span is None:
+            return False
+        b = [n * x - j * y for x, y in zip(self.b_d, self.b_h)]
+        return self.plan.dive(b, (*span, list(map(sub, b, self.plan.shifts))))
 
 
 class Selections(dict):

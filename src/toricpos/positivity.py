@@ -41,6 +41,16 @@ with a facet in the locus joins it with no question.
 
 The (eps, y) point a failure certificate prints is written by the joint
 plan of the first obstruction (``Plan.point``), so no path here solves an LP.
+
+The bounded scan (``scan_qample``, ``realization_search``) asks whether the
+bad-subset regions of the twists N*D - j*H hold lattice points. A region's
+constants there are N * b_D - j * b_H, so each search keeps one window
+(``_Window``) that reads a region on its first query into a ``Twists``: a
+twist is answered from level 0's per-row sums, and builds its constants and
+dives only where y_0 holds an integer. ``check_mode_agreement`` takes the
+realized failure from an obstructed scan's first hit, as that scan read
+every multiple, and runs ``realization_search`` only when the scan stopped
+at a clean N.
 """
 
 from __future__ import annotations
@@ -68,7 +78,7 @@ from .errors import (
 )
 from .fan import Fan, require_complete, subset_connected
 from .linalg import clear_denominators, content_free
-from .polyhedra import rhs
+from .polyhedra import Twists, rhs
 
 
 _require_complete = partial(require_complete, message="positivity decisions need a complete fan")
@@ -522,19 +532,29 @@ class ScanResult:
     note: str = "bounded search; cannot certify q-ampleness"
 
 
-def _nonvanishing(
-    d: ToricDivisor, ample: ToricDivisor, index, q: int, n_mult: int, twists: int
-):
+class _Window(dict):
+    """subset -> the ``Twists`` of the bad subset's region over the twists
+    N*D - j*H, its constants N * b_D - j * b_H, read on the subset's first
+    lookup. One search call makes one window and keeps it."""
+
+    def __init__(self, d: ToricDivisor, ample: ToricDivisor):
+        super().__init__()
+        self.regions = d.fan.regions(sign_picks)
+        self.a, self.h = d.plain_coeffs, ample.plain_coeffs
+
+    def __missing__(self, subset):
+        plan, signed = self.regions[subset, ()]
+        twists = self[subset] = Twists(plan, rhs(signed, self.a), rhs(signed, self.h))
+        return twists
+
+
+def _nonvanishing(window: _Window, index, q: int, n_mult: int, twists: int):
     """Yield (N, j, p) for each twist 1 <= j <= twists and degree p > q where
-    some bad subset region of N*D - j*H holds a lattice point. The regions'
-    plans are looked up once; a twist only reads its constants."""
-    fan = d.fan
-    regions = fan.regions(sign_picks)
-    degrees = [(p, [regions[subset, ()] for subset, _ in index[p]]) for p in range(q + 1, fan.rank + 1)]
+    some bad subset region of N*D - j*H holds a lattice point."""
+    degrees = [(p, [subset for subset, _ in index[p]]) for p in range(q + 1, len(index))]
     for j in range(1, twists + 1):
-        twisted = [n_mult * a - j * h for a, h in zip(d.plain_coeffs, ample.plain_coeffs)]
-        for p, queries in degrees:
-            if any(plan.has_point(rhs(signed, twisted)) for plan, signed in queries):
+        for p, subsets in degrees:
+            if any(window[subset].has_point(n_mult, j) for subset in subsets):
                 yield n_mult, j, p
 
 
@@ -560,10 +580,11 @@ def scan_qample(
     """
     d, ample, index = _setup(divisor, q, ample)
     _check_window(multiples, twists)
+    window = _Window(d, ample)
     hits = set()
     clean_n = None
     for n_mult in sorted(multiples, reverse=True):
-        found = list(_nonvanishing(d, ample, index, q, n_mult, twists))
+        found = list(_nonvanishing(window, index, q, n_mult, twists))
         if not found:
             clean_n = n_mult
             break  # one clean window already refutes the obstruction pattern
@@ -586,8 +607,9 @@ def realization_search(
     """First scanned (N, j, p) with H^p(N*D - j*H) nonzero above degree q."""
     d, ample, index = _setup(divisor, q, ample)
     _check_window(multiples, twists)
+    window = _Window(d, ample)
     for n_mult in sorted(multiples):
-        for hit in _nonvanishing(d, ample, index, q, n_mult, twists):
+        for hit in _nonvanishing(window, index, q, n_mult, twists):
             return hit
     return None
 
@@ -602,7 +624,9 @@ def check_mode_agreement(
     """Cross-check the two q-ample modes; raises ModeDisagreement when the
     bounded scan exhibits an obstruction pattern the asymptotic mode missed.
     Also reports whether an asymptotic failure certificate is realized by a
-    scanned nonvanishing group."""
+    scanned nonvanishing group: the scan's first hit in (N, j, p) order when
+    it was obstructed, as it read every multiple, else the first hit of
+    ``realization_search``."""
     asymptotic = decide_qample(divisor, q, ample)
     scan = scan_qample(divisor, q, ample, multiples=multiples, twists=twists)
     if scan.obstructed and asymptotic.verdict:
@@ -612,7 +636,9 @@ def check_mode_agreement(
             f"asymptotic mode declared q = {q} ample for [{coeffs}]"
         )
     realized = None
-    if not asymptotic.verdict:
+    if scan.obstructed:
+        realized = min(scan.nonvanishing)[:3]
+    elif not asymptotic.verdict:
         realized = realization_search(
             divisor, q, ample, multiples=multiples, twists=twists
         )

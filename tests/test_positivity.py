@@ -43,6 +43,7 @@ from toricpos.divisor import divisor_of_character, section_polyhedron
 from toricpos.errors import NoStabilizationDetected, UnboundedRegion
 from toricpos.polyhedra import (
     Plan,
+    Twists,
     Weights,
     _closure_rhs,
     _plan_of,
@@ -54,6 +55,7 @@ from toricpos.positivity import (
     _big_picks,
     _joint_picks,
     _persists,
+    _Window,
     _primitive_integral,
     default_ample,
     is_big,
@@ -508,6 +510,49 @@ def test_scan_twists_match_divisor_arithmetic_on_seeded_corpus(example_fans):
     assert len(outcomes) == 3, outcomes  # obstructed, clean with a hit, clean with none
 
 
+def test_the_window_answers_as_has_point_per_region_on_seeded_corpus(example_fans):
+    # every (N <= 12, j <= 4, p, S): the scan's window for the region of S
+    # against Plan.has_point on the twist's own constants, and where it
+    # reads level 0 from its sums, y_0's integers against Plan.start's.
+    # P(1,1,2) comes in both orders of its coordinates: with y_0 and y_1
+    # swapped its ray (-2, -1) gives level 0 rows with a = 2, so the
+    # rounding of both ends shows. The halved reference class has a
+    # Fraction constant, so its window asks has_point per twist
+    swapped = Fan(2, tuple(ray[::-1] for ray in P112.rays), P112.max_cones, name="P(1,1,2) swapped")
+    outcomes = Counter()
+    wide = set()
+    for fan in (*example_fans, P112, swapped):
+        index = bad_subsets(fan)
+        regions = fan.regions(sign_picks)
+        h = default_ample(fan)
+        halved = h + Fraction(1, 2) * prime_divisor(fan, 0)
+        for ample in (h, halved):
+            for divisor in random_divisors(fan, 4, seed="window"):
+                d = _primitive_integral(divisor)
+                window = _Window(d, ample)
+                for p in range(1, fan.rank + 1):
+                    for subset, _ in index[p]:
+                        plan, signed = regions[subset, ()]
+                        twists = window[subset]
+                        if any(a > 1 for side in plan.top[1:] for a, _ in side):
+                            wide.add(fan.name)
+                        for n_mult in range(1, 13):
+                            for j in range(1, 5):
+                                b = rhs(signed, [n_mult * a - j * x for a, x in zip(d.plain_coeffs, ample.plain_coeffs)])
+                                where = (fan.name, d.coeffs, ample.coeffs, subset, n_mult, j)
+                                found = plan.has_point(b)
+                                assert twists.has_point(n_mult, j) == found, where
+                                if twists.rows is None:
+                                    outcomes["has_point", found] += 1
+                                    continue
+                                start = plan.start(b)
+                                assert twists.integers(n_mult, j) == (start and start[:2]), where
+                                outcomes["dive" if start else "level 0", found] += 1
+    assert set(outcomes) == {("has_point", True), ("has_point", False), ("dive", True),
+                             ("level 0", False)}, outcomes
+    assert wide == {"P(1,1,2) swapped"}
+
+
 def test_qample_entry_points_reject_negative_q(p2):
     h = ToricDivisor(p2, (1, 1, 1))
     for search in (decide_qample, scan_qample, realization_search):
@@ -809,26 +854,30 @@ def test_a_profile_search_and_cohomology_build_one_plan_per_region(totaro):
 def test_the_q_ample_closures_read_the_plans_the_scan_walks(monkeypatch, totaro):
     # decide_qample reads a bad subset's eps = 0 closure from the plan of
     # the subset's own region, the one the scan asks for lattice points: for
-    # the ample -K at q = 0 every subset of degree 1..3 is read both ways
-    read = {"closure_nonempty": [], "has_point": []}
+    # the ample -K at q = 0 every subset of degree 1..3 is read both ways.
+    # The scan reads a region's plan once per search, in its window's
+    # per-region read (``Twists``)
+    closures, walked = [], []
+    closure_nonempty, window_read = Plan.closure_nonempty, Twists.__init__
 
-    def recording(method, calls):
-        def record(plan, b, *rest):
-            calls.append(plan)
-            return method(plan, b, *rest)
-        return record
+    def closure(plan, b):
+        closures.append(plan)
+        return closure_nonempty(plan, b)
 
-    for name, calls in read.items():
-        monkeypatch.setattr(Plan, name, recording(getattr(Plan, name), calls))
+    def read(twists, plan, *constants):
+        walked.append(plan)
+        window_read(twists, plan, *constants)
+
+    monkeypatch.setattr(Plan, "closure_nonempty", closure)
+    monkeypatch.setattr(Twists, "__init__", read)
     for coeffs, q in (((1,) * 6, 0), ((3, 3, -1, -1, -1, -1), 1)):
         fan = Fan(totaro.rank, totaro.rays, totaro.max_cones)
-        for calls in read.values():
-            calls.clear()
+        closures.clear()
+        walked.clear()
         check_mode_agreement(ToricDivisor(fan, coeffs), q)
         table = fan.regions(sign_picks)
         subsets = [s for p in range(q + 1, fan.rank + 1) for s, _ in bad_subsets(fan)[p]]
         shared = [table[s, ()][0] for s in subsets]
-        closures, walked = read["closure_nonempty"], read["has_point"]
         assert closures and all(any(plan is c for plan in shared) for c in closures), coeffs
         assert all(any(c is w for w in walked) for c in closures), coeffs
         if q == 0:

@@ -1,6 +1,7 @@
-"""scripts/region_bench.py records and replays a mode check's (plan, b)
-queries and counts the plans and projections the replay builds, its plans'
-levels and the dives that fell back to the walk, then times the counts of
+"""scripts/region_bench.py records and replays a mode check's region
+queries, the scan's window queries split into level-0 rejections and dives,
+and counts the plans and projections the replay builds, its plans' levels
+and the dives that fell back to the walk, then times the counts of
 cohomology's weight regions on two fans."""
 
 import importlib.util
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import toricpos.polyhedra as polyhedra
 from toricpos.cohomology import bad_subsets
-from toricpos.polyhedra import Plan, _closure_rhs, _plan_of, _range
+from toricpos.polyhedra import Plan, Twists, _closure_rhs, _plan_of, _range
 
 from .conftest import gap_regions
 
@@ -31,18 +32,28 @@ def test_replay_builds_each_recorded_plan_once(monkeypatch):
     totals, plans, projections = bench.replay(queries, repeat=2)
     # a query looks up no plan: the replay builds each recorded plan once,
     # and makes the projections the mode checks made on a fresh fan
-    assert plans == len({id(plan) for _, plan, _ in queries})
+    assert plans == len({id(bench.plan_of(asked)) for _, asked, _ in queries})
     assert projections == len(built) > 0
     assert sum(count for count, _, _ in totals.values()) == len(queries)
     assert all(count for count, _, _ in totals.values()), totals
     # each kind is timed per replay, the first (cold) apart from the later
     assert all(len(ns) == 2 and min(ns) > 0 for _, ns, _ in totals.values()), totals
-    count, _, yes = totals["subset"]
-    assert 0 < yes < count  # the scan finds points in some regions, not all
+    # every scan query is counted once, as a rejection or a dive
+    with monkeypatch.context() as m:
+        asked = []
+        has_point = Twists.has_point
+        m.setattr(Twists, "has_point", lambda *args: asked.append(args) or has_point(*args))
+        bench.scan_queries(seed=5, classes=2)
+    rejected, dived = totals["reject"], totals["dive"]
+    assert rejected[0] + dived[0] == len(asked)
+    count, _, yes = dived
+    assert rejected[2] == 0 < yes  # the scan finds points in some regions, not all
     # a dive reads the walk only where it stops at an integer gap, a level
     # whose nonempty range holds no integer; the slivers (``gap_regions``)
-    # stop at one on regions with and without a point
-    slivers = [("subset", _plan_of(p), _closure_rhs(p)) for p, _ in gap_regions()]
+    # stop at one on regions with and without a point, asked as a window's
+    # twist (1, 0)
+    slivers = [("dive", Twists(_plan_of(p), _closure_rhs(p), [0] * len(p.weak)), (1, 0))
+               for p, _ in gap_regions()]
     stops, last = [], []
     integers, blocks = polyhedra._integers, Plan.blocks
 
@@ -70,15 +81,16 @@ def test_report_names_every_kind_and_count(capsys):
         out = capsys.readouterr().out.splitlines()
         assert "from 2 classes on totaro-x (seed 5)" in out[0]
         assert [line.split()[0] for line in out[1:]] == [
-            "kind", "subset", "face", "joint", "witness", "plans", "projections", "count", "totaro-x",
-            "P(1,1,2)"]
+            "kind", "reject", "dive", "face", "joint", "witness", "plans", "projections", "count",
+            "totaro-x", "P(1,1,2)"]
         assert out[1].split() == [
             "kind", "queries", "first_us/q", "warm_us/q", "yes", "fallback", "level_rows", "max_level"]
-        for line in out[2:6]:  # one replay has no warm figure
+        for line in out[2:7]:  # one replay has no warm figure
             kind, _, first, warm, yes, fallback, rows, largest = line.split()
             assert float(first) > 0 and (warm == "-" if repeat == 1 else float(warm) > 0), line
             assert int(rows) >= int(largest) > 0, line
-            if kind == "subset":
+            assert kind != "reject" or int(yes) == 0, line
+            if kind == "dive":
                 walked, held = map(int, fallback.split("/"))
                 assert 0 <= held <= min(walked, int(yes)), line
             else:
