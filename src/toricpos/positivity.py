@@ -551,7 +551,7 @@ class _Window(dict):
 def _nonvanishing(window: _Window, index, q: int, n_mult: int, twists: int):
     """Yield (N, j, p) for each twist 1 <= j <= twists and degree p > q where
     some bad subset region of N*D - j*H holds a lattice point."""
-    degrees = [(p, [subset for subset, _ in index[p]]) for p in range(q + 1, len(index))]
+    degrees = [(p, [subset for subset, _ in index[p]]) for p in range(q + 1, len(index))]  # p <= n
     for j in range(1, twists + 1):
         for p, subsets in degrees:
             if any(window[subset].has_point(n_mult, j) for subset in subsets):
