@@ -7,9 +7,12 @@ Draws ``--classes`` seeded (class, q) pairs on the built-in totaro-x
 workspace and runs ``check_mode_agreement`` on each, recording every region
 query it asks: the scan's existence queries on the subset regions of each
 twist N*D - j*H, each a (window read, (N, j)) pair (``Twists.has_point``,
-a region's level 0 read once per search from its per-row sums), split into
-the "reject" kind, those level 0 answers (y_0 holds no integer), and the
-"dive" kind, those that build the constants and dive (``Plan.dive``);
+a region's level 0 read once per search from its per-row sums), split three
+ways: the "reject" kind, those level 0 answers no (y_0 holds no integer),
+the "gapless" kind, those level 0 answers yes on a gapless plan
+(``Plan.gapless``: y_0 holds an integer and no level below it has a gap),
+and the "dive" kind, those that build the constants and dive
+(``Plan.dive``), on a plan that is not gapless;
 ``_persists``'s two questions, the eps = 0 closure of D's subset region
 (``Plan.closure_nonempty``, kind "face") and the joint system in (y, eps)
 (``Plan.strictly_feasible``), and the (eps, y) point a failure certificate
@@ -26,7 +29,7 @@ The dive line's fallback column reads walked/held: how many dives stopped
 at an integer gap, a level whose range holds no integer, and read the count
 walk (``Plan.blocks``), and how many of those held a point. Each kind's line
 also gives the size of the projections its queries read on its distinct
-plans: a rejection reads level 0 (``Plan.top``), as does a closure, a
+plans: a rejection or a gapless yes reads level 0 (``Plan.top``), as does a closure, a
 strict-feasibility question the projection onto t (``Plan.t_projection``),
 a dive the chain of levels (``Plan.levels``) and a witness both t's
 projection and the chain. The line sums their rows (level_rows) and gives
@@ -66,13 +69,15 @@ from toricpos import Fan, ModeDisagreement, ToricDivisor, load_workspace  # noqa
 from toricpos.polyhedra import Plan, Twists  # noqa: E402
 
 # kind -> the class and method that answer its queries; a scan query is
-# recorded as "subset" and split into "reject" and "dive" (``scan_queries``)
+# recorded as "subset" and split into "reject", "gapless" and "dive"
+# (``scan_queries``)
 ASKS = {"subset": (Twists, "has_point"), "face": (Plan, "closure_nonempty"),
         "joint": (Plan, "strictly_feasible"), "witness": (Plan, "point")}
-KINDS = ("reject", "dive", "face", "joint", "witness")
+KINDS = ("reject", "gapless", "dive", "face", "joint", "witness")
 # kind -> the projections of a plan that its queries read
 READS = {
     "reject": lambda plan: (plan.top,),
+    "gapless": lambda plan: (plan.top,),
     "dive": lambda plan: plan.levels,
     "face": lambda plan: (plan.top,),
     "joint": lambda plan: (plan.t_projection,),
@@ -84,13 +89,16 @@ COUNT_FANS = ("totaro-x", "P(1,1,2)")
 
 def recorded(asks, run):
     """Call run() with each kind's (class, method) in ``asks`` recording
-    each call as (kind, self, args); return the calls in order."""
+    each call as [kind, self, args, answer]; return the calls in the order
+    they were made (a call made inside another comes after it)."""
     calls = []
 
     def recorder(kind, method):
         def recording(self, *args):
-            calls.append((kind, self, args))
-            return method(self, *args)
+            call = [kind, self, args, None]
+            calls.append(call)
+            call[3] = method(self, *args)
+            return call[3]
         return recording
 
     originals = [(owner, name, getattr(owner, name)) for owner, name in asks.values()]
@@ -112,9 +120,9 @@ def plan_of(asked):
 def scan_queries(seed: int, classes: int):
     """(kind, asked, args) for every region query the mode check of each
     seeded (class, q) pair asks, in order: a scan query's window read
-    (``Twists``) with its (N, j), of kind "dive" when it calls ``Plan.dive``
-    and "reject" when level 0 answers it, or the plan of any other query
-    with its constants."""
+    (``Twists``) with its (N, j), of kind "dive" when it calls ``Plan.dive``,
+    else "gapless" when level 0 answers yes and "reject" when it answers
+    no, or the plan of any other query with its constants."""
     fan = load_workspace("totaro-x").fan
     rng = random.Random(f"region-bench:{seed}")
 
@@ -127,11 +135,13 @@ def scan_queries(seed: int, classes: int):
                 pass  # the queries are recorded all the same
 
     queries = []
-    for kind, asked, args in recorded({**ASKS, "dive": (Plan, "dive")}, run):
+    for kind, asked, args, answer in recorded({**ASKS, "dive": (Plan, "dive")}, run):
         if kind == "dive":  # called by the scan query just recorded: it dives
             queries[-1] = ("dive", *queries[-1][1:])
+        elif kind == "subset":
+            queries.append(("gapless" if answer else "reject", asked, args))
         else:
-            queries.append(("reject" if kind == "subset" else kind, asked, args))
+            queries.append((kind, asked, args))
     return queries
 
 
@@ -185,7 +195,7 @@ def fallbacks(queries):
     and how many of those held a point."""
     asks = [(asked, args) for kind, asked, args in queries if kind == "dive"]
     walked = recorded({"blocks": (Plan, "blocks")}, lambda: [asked.has_point(*args) for asked, args in asks])
-    return len(walked), sum(next(plan.blocks(b), None) is not None for _, plan, (b, *_) in walked)
+    return len(walked), sum(next(plan.blocks(b), None) is not None for _, plan, (b, *_), _ in walked)
 
 
 def level_sizes(queries):
@@ -218,7 +228,7 @@ def count_queries(seed: int, classes: int, fan_name: str):
             toricpos.cohomology.cohomology_dims(
                 ToricDivisor(fan, tuple(k * rng.randint(-2, 2) for _ in range(fan.n_rays))))
 
-    return [(plan, b) for _, plan, (b, *_) in recorded({"blocks": (Plan, "blocks")}, run)]
+    return [(plan, b) for _, plan, (b, *_), _ in recorded({"blocks": (Plan, "blocks")}, run)]
 
 
 def count_replay(queries, repeat: int):

@@ -16,9 +16,12 @@ fan whose plans are built (``loci_s``), each the minimum of three runs. Then
 it times ``Fan(...)`` alone on both fans less their first maximal cone: a
 fan that is not complete, whose condition is checked pair by pair of maximal
 cones. Prints one JSON object: per fan its name, rays, maximal cones, bad
-subsets (the same for a fan and its image), the minimal cones of the four
-loci, and the times in seconds; the counts, loci and their times are None
-for a fan that is not complete.
+subsets (the same for a fan and its image), the share of bad-subset region
+plans that are gapless (``Plan.gapless``: every row of their levels 1.. has
+coefficient 1, so an existence query needs no dive; read after the
+timings), the minimal cones of the four loci, and the times in seconds; the
+counts, share, loci and their times are None for a fan that is not
+complete.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from toricpos import (  # noqa: E402
     augmented_base_locus_exact,
     stable_base_locus_exact,
 )
-from toricpos.cohomology import bad_subsets  # noqa: E402
+from toricpos.cohomology import bad_subsets, sign_picks  # noqa: E402
 
 SEED = 71
 REPEAT = 3  # each time is the minimum over this many runs
@@ -101,14 +104,16 @@ def cold_loci(rank: int, rays, cones) -> tuple[float, list]:
 def measure(name: str, rank: int, rays, cones) -> dict:
     fan_s, fan = best_of(lambda: Fan(rank, rays, cones))
     row = {"fan": name, "rays": len(rays), "max_cones": len(cones), "bad_subsets": None,
-           "loci": None, "fan_s": round(fan_s, 6), "bad_subsets_s": None,
+           "gapless_share": None, "loci": None, "fan_s": round(fan_s, 6), "bad_subsets_s": None,
            "loci_cold_s": None, "loci_s": None}
     if fan.incompleteness is None:
         index_s, index = best_of(lambda: bad_subsets.__wrapped__(fan))
         cold_s, _ = cold_loci(rank, rays, cones)
         loci(fan)  # builds the plans, so each timed run reads them
         loci_s, found = best_of(lambda: loci(fan))
-        row.update(bad_subsets=sum(map(len, index)), loci=found, bad_subsets_s=round(index_s, 6),
+        regions = fan.regions(sign_picks)
+        gapless = [regions[subset, ()][0].gapless for entries in index for subset, _ in entries]
+        row.update(bad_subsets=len(gapless), gapless_share=round(sum(gapless) / len(gapless), 3), loci=found, bad_subsets_s=round(index_s, 6),
                    loci_cold_s=round(cold_s, 6), loci_s=round(loci_s, 6))
     return row
 

@@ -51,17 +51,17 @@ whatever its width, and ``Plan.blocks``, the walk's one output, yields the
 parents with a point. ``Weights`` is their one reader: a sequence of the
 points, which builds a block's children's ends as lazy ``folds`` only when
 a reader enters it.
-``Plan.has_point`` first dives once from the root to a leaf, through the
-middle of each node's interval: every interval is exact, so the dive stops
-short of a point only at an integer gap, a nonempty range that holds no
-integer, and only then falls back to the counts. ``Plan.start`` sets the
-walk up and ``Plan.dive`` dives from it, so a caller that reads level 0 on
-its own shares the dive: ``Twists`` asks has_point over a window of
-constants n * b_d - j * b_h (the q-ample scan's twists N*D - j*H). Each
+``Plan.has_point`` reads y_0's integers (``Plan.start``). Every interval is
+exact, so a walk stops short of a point only at an integer gap, a nonempty
+range that holds no integer, and a level can hold one only if a row's y_d
+coefficient is a > 1. A gapless plan (a = 1 on levels 1.., every bad-subset
+plan of the built-in fans) answers there; another dives once from the root
+to a leaf (``Plan.dive``), through the middle of each node's interval, and
+falls back to the counts at a gap. ``Twists`` asks has_point over a window
+of constants n * b_d - j * b_h (the q-ample scan's twists N*D - j*H): each
 projected row of level 0 reads n * x - j * y - z there (the projection is
-linear in the constants), so a twist whose y_0 holds no integer is answered
-from three multiply-adds per row, and only the others build constants and
-dive.
+linear in the constants), so y_0's integers take three multiply-adds per
+row, and only a plan that is not gapless builds constants and dives.
 """
 
 from __future__ import annotations
@@ -466,6 +466,21 @@ def _side_sum(side, lo, hi):
     return total
 
 
+def pair_cut(terms, v_lo, v_hi):
+    """The v in [v_lo, v_hi] with g_U + g_L >= 0 (``parent_count``)."""
+    upper, lower = terms
+    for a, p, d in upper:
+        for c, q, e in lower:  # (a - p * v) / d + (c - q * v) / e >= 0
+            v_lo, v_hi = _cut(v_lo, v_hi, e * p + d * q, e * a + d * c)
+    return v_lo, v_hi
+
+
+def parent_sum(terms, lo, hi):
+    """Sum of U(v) + L(v) + 1 over v in [lo, hi], unclipped (``parent_count``)."""
+    upper, lower = terms
+    return hi - lo + 1 + _side_sum(upper, lo, hi) + _side_sum(lower, lo, hi) if lo <= hi else 0
+
+
 def parent_count(terms, v_lo, v_hi):
     """The points under one parent: sum over v in [v_lo, v_hi] of the
     child's width max(U(v) + L(v) + 1, 0), where U and L are the mins of
@@ -474,19 +489,12 @@ def parent_count(terms, v_lo, v_hi):
     Let g_U and g_L be the real mins, so U = floor(g_U) and L = floor(g_L).
     Where g_U + g_L >= 0, U + L > g_U + g_L - 2 >= -2, so U + L + 1 >= 0;
     where g_U + g_L < 0, U + L <= g_U + g_L < 0, so U + L + 1 <= 0. Thus the
-    count is the sum of U + L + 1, unclipped, over the v with g_U + g_L >=
-    0: g_U + g_L is the min of t_i + s_j over pairs of terms, so that set is
+    count is ``parent_sum`` over the v with g_U + g_L >= 0 (``pair_cut``):
+    g_U + g_L is the min of t_i + s_j over pairs of terms, so that set is
     the interval where each pair's sum, linear in v, is >= 0. Each side's
     sum over it then splits at the binding terms (``_side_sum``).
     """
-    upper, lower = terms
-    lo, hi = v_lo, v_hi
-    for a, p, d in upper:
-        for c, q, e in lower:  # (a - p * v) / d + (c - q * v) / e >= 0
-            lo, hi = _cut(lo, hi, e * p + d * q, e * a + d * c)
-    if lo > hi:
-        return 0
-    return hi - lo + 1 + _side_sum(upper, lo, hi) + _side_sum(lower, lo, hi)
+    return parent_sum(terms, *pair_cut(terms, v_lo, v_hi))
 
 
 def folds(terms, v_lo, v_hi):
@@ -623,6 +631,14 @@ class Plan:
         return all(uppers and lowers for _, uppers, lowers in self.levels)
 
     @cached_property
+    def gapless(self):
+        """Has every row of levels 1.. y_d coefficient a = 1? On integer
+        constants their ranges then have integer ends, and each level is
+        exact, so an integer y_0 in level 0's range leads to a point and
+        every child of a parent is nonempty."""
+        return all(a == 1 for _, *sides in self.levels[1:] for side in sides for a, _ in side)
+
+    @cached_property
     def shifts(self):
         """1 per strict row of ``leq`` and 0 per weak one."""
         return (0,) * len(self.weak) + (1,) * len(self.strict)
@@ -745,23 +761,23 @@ class Plan:
             yield prefix, v_lo, v_hi, terms
 
     def has_point(self, b) -> bool:
-        """Does the region hold an integer point? One dive first (Berthold,
-        Primal Heuristics for Mixed Integer Programs, 2006): each depth takes
-        the middle integer of its node's interval. The levels give each
-        coordinate's exact range over the prefix's fiber, so a dive that
-        reaches the last level holds a point, and one that stops short of it
-        stops at an integer gap. Only then are the parents counted
-        (``blocks``, from the dive's own start), so every "no" comes from
-        the walk. A dim-0 region holds () iff its floored constants satisfy
-        every row. Raises UnboundedRegion as ``start`` does."""
+        """Does the region hold an integer point? On a gapless plan, dim 0
+        included, iff y_0 holds an integer (``start``). On another, one dive
+        first (Berthold, Primal Heuristics for Mixed Integer Programs, 2006):
+        each depth takes the middle integer of its node's interval. The
+        levels give each coordinate's exact range over the prefix's fiber,
+        so a dive stops short of the last level only at an integer gap, and
+        only then are the parents counted (``blocks``, from its start). A
+        dim-0 region holds () iff its floored constants satisfy every row.
+        Raises UnboundedRegion as ``start`` does."""
         start = self.start(b)
-        if start is None or not self.dim:
+        if start is None or self.gapless:
             return start is not None
         return self.dive(b, start)
 
     def dive(self, b, start) -> bool:
-        """``has_point`` (dim >= 1) past its start, ``self.start(b)`` when
-        that is not None or the same read from level-0 sums (``Twists``):
+        """``has_point`` past its start on a plan that is not gapless,
+        ``self.start(b)`` or the same read from level-0 sums (``Twists``):
         the dive, then the counts from that start at a dead end."""
         v_lo, v_hi, rest = start
         for col, level in zip(self.cols, self.levels[1:]):
@@ -775,11 +791,13 @@ class Plan:
     def blocks(self, b, start=None):
         """The integer points (dim >= 1) counted per parent node, in
         lexicographic order: (prefix, v_lo, v_hi, terms, count) per parent
-        with count > 0, counted in closed form (``parent_count``). In dimension 1
-        the one block stands for the points (w,), not (0, w). start as in
+        with count > 0, counted in closed form (``parent_count``, uncut on a
+        gapless plan). In dimension 1 the one block stands for the points
+        (w,), not (0, w). start as in
         ``parent_terms``. ``Weights`` reads the blocks as points."""
+        count = parent_sum if self.gapless else parent_count
         for prefix, v_lo, v_hi, terms in self.parent_terms(b, start):
-            n = parent_count(terms, v_lo, v_hi)
+            n = count(terms, v_lo, v_hi)
             if n:
                 yield prefix, v_lo, v_hi, terms, n
 
@@ -813,8 +831,9 @@ class Twists:
     shifts, and each projected row's dot product lam . (b - shifts) is
     n * x - j * y - z with x = lam . b_d, y = lam . b_h and z = lam . shifts,
     all linear in (n, j). The triples are read here, once, so a twist's
-    integers of y_0 take three multiply-adds per row (``integers``), and b
-    and the walk's constants are built only when y_0 holds one. Otherwise
+    integers of y_0 take three multiply-adds per row (``integers``): they
+    answer on a gapless plan, and on another b and the walk's constants are
+    built to dive only when y_0 holds one. Otherwise
     (a Fraction constant, whose rows ``start`` floors one by one, or a plan
     unbounded or of dim 0) rows is None and each twist asks
     ``Plan.has_point`` on b."""
@@ -864,8 +883,8 @@ class Twists:
         if self.rows is None:
             return self.plan.has_point([n * x - j * y for x, y in zip(self.b_d, self.b_h)])
         span = self.integers(n, j)
-        if span is None:
-            return False
+        if span is None or self.plan.gapless:
+            return span is not None
         b = [n * x - j * y for x, y in zip(self.b_d, self.b_h)]
         return self.plan.dive(b, (*span, list(map(sub, b, self.plan.shifts))))
 

@@ -15,6 +15,7 @@ from toricpos.cohomology import bad_subsets, sign_picks
 from toricpos.positivity import _big_picks, _joint_picks, default_ample
 from toricpos.polyhedra import (
     Plan,
+    Twists,
     Weights,
     _closure_rhs,
     _plan_of,
@@ -26,12 +27,13 @@ from toricpos.polyhedra import (
     lp_optimize,
     lp_strict_feasible,
     parent_count,
+    parent_sum,
     polyhedron,
     rhs,
     simplex_max,
 )
 
-from .conftest import gap_regions, product_fan, random_divisors
+from .conftest import gap_regions, product_fan, random_divisors, unimodular
 from .oracles import (
     box_filter_lattice_points,
     certified_weight_box,
@@ -740,29 +742,79 @@ def _scan_regions(example_fans, p1, p2, count=4, multiples=(1, 2, 12)):
 
 def test_has_point_dives_and_walks_only_at_a_dead_end(monkeypatch, example_fans, p1, p2):
     # has_point against "the count walk yields a block" on the scan regions.
-    # The dive answers yes at a leaf and reads blocks only at a dead end, an
-    # integer gap; the slivers reach a dead end on a region with a point and
-    # a dead end on an empty one
-    walked = []
-    blocks = Plan.blocks
+    # A gapless plan answers at level 0 and never dives. Any other dives
+    # once from a nonempty start: the dive answers yes at a leaf and reads
+    # blocks only at a dead end, an integer gap; P(1,1,2), the GL(3,Z) image
+    # and the slivers dive, and the slivers reach a dead end on a region
+    # with a point and a dead end on an empty one
+    walked, dived = [], []
+    blocks, dive = Plan.blocks, Plan.dive
 
     def counting(plan, b, *start):
         walked.append(b)
         return blocks(plan, b, *start)
 
+    def diving(plan, b, start):
+        dived.append(b)
+        return dive(plan, b, start)
+
     monkeypatch.setattr(Plan, "blocks", counting)
+    monkeypatch.setattr(Plan, "dive", diving)
     outcomes = Counter()
     for where, p in _scan_regions(example_fans, p1, p2):
         plan, b = _plan_of(p), _closure_rhs(p)
         walked.clear()
+        dived.clear()
         found = plan.has_point(b)
         assert found == (next(blocks(plan, b), None) is not None), (where, p)
-        assert len(walked) <= 1, (where, p)
+        assert len(walked) <= len(dived) == (not plan.gapless and plan.start(b) is not None), (where, p)
         if walked:
             outcomes["dead end, point" if found else "dead end, empty"] += 1
+        elif dived:
+            outcomes["leaf"] += 1
         else:
-            outcomes["leaf" if found else "no start"] += 1
-    assert len(outcomes) == 4 and min(outcomes.values()) >= 5, outcomes
+            outcomes["level 0, point" if found else "no start"] += 1
+    assert len(outcomes) == 5 and min(outcomes.values()) >= 5, outcomes
+
+
+def test_gapless_plans_answer_at_level_0_and_count_every_child(example_fans, totaro):
+    # a plan is gapless when every row of its levels 1.. has a = 1. Every
+    # bad-subset and cone-face plan of the built-in fans is; none of
+    # P(1,1,2) (its ray (-1, -2)) or of a fixed GL(3,Z) image of totaro-x
+    # is. On a gapless plan has_point is "y_0 holds an integer", and each
+    # parent's children are all nonempty, so its sum needs no pair cut;
+    # every plan answers has_point as the count walk does, and a window
+    # (``Twists``, int and Fraction constants) as has_point does
+    p112 = Fan(2, ((1, 0), (-1, -2), (0, 1)), ((0, 1), (1, 2), (0, 2)), name="P(1,1,2)")
+    matrix = unimodular(random.Random("gapless"), 3)
+    image = Fan(3, tuple(tuple(sum(a * x for a, x in zip(row, r)) for row in matrix) for r in totaro.rays),
+                totaro.max_cones, name="GL.totaro-x")
+    outcomes = Counter()
+    for fan in (*example_fans, p112, image):
+        regions = fan.regions(sign_picks)
+        plans = [regions[s, ()] for entries in bad_subsets(fan) for s, _ in entries]
+        plans += [regions[(), tau] for tau in fan.cones]
+        gapless = {plan.gapless for plan, _ in plans}
+        assert gapless == ({True} if fan in example_fans else {False}), fan.name
+        h = default_ample(fan).plain_coeffs
+        for d in random_divisors(fan, 4, lo=-4, hi=4, seed="gapless"):
+            for a in (d.plain_coeffs, [Fraction(x, 3) for x in d.coeffs]):
+                for plan, index in plans:
+                    b = rhs(index, a)
+                    found = plan.has_point(b)
+                    assert found == (next(plan.blocks(b), None) is not None), (fan.name, a, plan.leq)
+                    window, b_h = Twists(plan, b, rhs(index, h)), rhs(index, h)
+                    for n, j in ((1, 1), (2, 1), (3, 2)):
+                        twist = [n * x - j * y for x, y in zip(b, b_h)]
+                        assert window.has_point(n, j) == plan.has_point(twist), (fan.name, a, plan.leq)
+                    if not plan.gapless:
+                        continue
+                    assert found == (plan.start(b) is not None), (fan.name, a, plan.leq)
+                    for _, v_lo, v_hi, terms in plan.parent_terms(b):
+                        assert parent_sum(terms, v_lo, v_hi) == per_child_count(terms, v_lo, v_hi)
+                        outcomes["parents"] += 1
+                    outcomes[type(a[0]), found] += 1
+    assert len(outcomes) == 5 and min(outcomes.values()) >= 5, outcomes
 
 
 def test_has_point_sets_the_walk_up_once(monkeypatch, example_fans, p1, p2):

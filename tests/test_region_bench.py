@@ -1,5 +1,6 @@
 """scripts/region_bench.py records and replays a mode check's region
-queries, the scan's window queries split into level-0 rejections and dives,
+queries, the scan's window queries split into level-0 rejections, level-0
+yes answers on gapless plans and dives,
 and counts the plans and projections the replay builds, its plans' levels
 and the dives that fell back to the walk, then times the counts of
 cohomology's weight regions on two fans."""
@@ -35,25 +36,29 @@ def test_replay_builds_each_recorded_plan_once(monkeypatch):
     assert plans == len({id(bench.plan_of(asked)) for _, asked, _ in queries})
     assert projections == len(built) > 0
     assert sum(count for count, _, _ in totals.values()) == len(queries)
-    assert all(count for count, _, _ in totals.values()), totals
+    assert all(count for kind, (count, _, _) in totals.items() if kind != "dive"), totals
     # each kind is timed per replay, the first (cold) apart from the later
-    assert all(len(ns) == 2 and min(ns) > 0 for _, ns, _ in totals.values()), totals
-    # every scan query is counted once, as a rejection or a dive
+    assert all(len(ns) == 2 and min(ns) > 0 for count, ns, _ in totals.values() if count), totals
+    # every scan query is counted once, as a rejection, a yes at level 0 or
+    # a dive; totaro-x's bad-subset plans are all gapless, so none dives
     with monkeypatch.context() as m:
         asked = []
         has_point = Twists.has_point
         m.setattr(Twists, "has_point", lambda *args: asked.append(args) or has_point(*args))
         bench.scan_queries(seed=5, classes=2)
-    rejected, dived = totals["reject"], totals["dive"]
-    assert rejected[0] + dived[0] == len(asked)
-    count, _, yes = dived
-    assert rejected[2] == 0 < yes  # the scan finds points in some regions, not all
+    rejected, gapless = totals["reject"], totals["gapless"]
+    assert rejected[0] + gapless[0] == len(asked) and totals["dive"] == [0, [0, 0], 0]
+    assert rejected[2] == 0 < gapless[2] == gapless[0]  # the scan finds points in some regions, not all
+    assert all(bench.plan_of(asked).gapless for kind, asked, _ in queries if kind == "gapless")
     # a dive reads the walk only where it stops at an integer gap, a level
-    # whose nonempty range holds no integer; the slivers (``gap_regions``)
-    # stop at one on regions with and without a point, asked as a window's
-    # twist (1, 0)
-    slivers = [("dive", Twists(_plan_of(p), _closure_rhs(p), [0] * len(p.weak)), (1, 0))
+    # whose nonempty range holds no integer; the slivers (``gap_regions``),
+    # not gapless, dive and stop at one on regions with and without a
+    # point, asked as a window's twist (1, 0)
+    slivers = [("subset", Twists(_plan_of(p), _closure_rhs(p), [0] * len(p.weak)), (1, 0))
                for p, _ in gap_regions()]
+    slivers = [("dive", asked, args) for _, asked, args in slivers if not asked.plan.gapless]
+    assert len(slivers) == len(list(gap_regions()))
+    count, _, yes = bench.replay(slivers, repeat=1)[0]["dive"]
     stops, last = [], []
     integers, blocks = polyhedra._integers, Plan.blocks
 
@@ -81,20 +86,20 @@ def test_report_names_every_kind_and_count(capsys):
         out = capsys.readouterr().out.splitlines()
         assert "from 2 classes on totaro-x (seed 5)" in out[0]
         assert [line.split()[0] for line in out[1:]] == [
-            "kind", "reject", "dive", "face", "joint", "witness", "plans", "projections", "count",
+            "kind", "reject", "gapless", "dive", "face", "joint", "witness", "plans", "projections", "count",
             "totaro-x", "P(1,1,2)"]
         assert out[1].split() == [
             "kind", "queries", "first_us/q", "warm_us/q", "yes", "fallback", "level_rows", "max_level"]
-        for line in out[2:7]:  # one replay has no warm figure
-            kind, _, first, warm, yes, fallback, rows, largest = line.split()
+        for line in out[2:8]:  # one replay has no warm figure
+            kind, count, first, warm, yes, fallback, rows, largest = line.split()
+            if kind == "dive":  # totaro-x's plans are gapless: no scan query dives
+                assert line.split()[1:] == ["0", "-", "-", "0", "0/0", "0", "0"], line
+                continue
             assert float(first) > 0 and (warm == "-" if repeat == 1 else float(warm) > 0), line
             assert int(rows) >= int(largest) > 0, line
             assert kind != "reject" or int(yes) == 0, line
-            if kind == "dive":
-                walked, held = map(int, fallback.split("/"))
-                assert 0 <= held <= min(walked, int(yes)), line
-            else:
-                assert fallback == "-", line
+            assert kind != "gapless" or int(yes) == int(count) > 0, line
+            assert fallback == "-", line
         assert out[-3].split()[1:] == [
             "regions", "us/region", "parents", "children/parent", "|a|>1_share", "blocks/region"]
         # each class counts the region of every bad subset: 8 on totaro-x, 2 on

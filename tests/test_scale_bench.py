@@ -1,6 +1,6 @@
 """scripts/scale_bench.py times ``Fan(...)``, ``bad_subsets`` and four exact
 base loci on P1^k and a seeded GL(k,Z) image of it, and ``Fan(...)`` on both
-less a cone."""
+less a cone, and reads the share of gapless bad-subset plans."""
 
 import importlib.util
 import json
@@ -35,10 +35,13 @@ def test_scale_bench_times_p1_cubed_and_its_image(capsys):
     assert [row["fan"] for row in report["rows"]] == \
         ["P1^3", "GL.P1^3", "P1^3 less a cone", "GL.P1^3 less a cone"]
     complete, not_complete = report["rows"][:2], report["rows"][2:]
+    # in standard coordinates every bad-subset plan is gapless
+    assert complete[0]["gapless_share"] == 1, complete[0]
     for row in complete:
         # P1^3's subset index: the empty set, and {e_i, -e_i} in each factor
         # with every union of them
         assert (row["rays"], row["max_cones"], row["bad_subsets"]) == (6, 8, 8), row
+        assert 0 <= row["gapless_share"] <= 1, row
         # -K is ample: B and B+ are empty; the first prime divisor is nef
         # but not big: B is empty and B+ is everything, the cone ()
         assert row["loci"] == [[], [], [], [[]]], row
@@ -46,6 +49,6 @@ def test_scale_bench_times_p1_cubed_and_its_image(capsys):
         assert row["loci_cold_s"] > 0 and row["loci_s"] > 0, row
     for row in not_complete:
         assert (row["rays"], row["max_cones"]) == (6, 7), row
-        assert row["bad_subsets"] is row["loci"] is None, row
+        assert row["bad_subsets"] is row["gapless_share"] is row["loci"] is None, row
         assert row["bad_subsets_s"] is row["loci_cold_s"] is row["loci_s"] is None, row
         assert row["fan_s"] > 0, row
