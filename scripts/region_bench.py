@@ -29,10 +29,10 @@ The dive line's fallback column reads walked/held: how many dives stopped
 at an integer gap, a level whose range holds no integer, and read the count
 walk (``Plan.blocks``), and how many of those held a point. Each kind's line
 also gives the size of the projections its queries read on its distinct
-plans: a rejection or a gapless yes reads level 0 (``Plan.top``), as does a closure, a
-strict-feasibility question the projection onto t (``Plan.t_projection``),
-a dive the chain of levels (``Plan.levels``) and a witness both t's
-projection and the chain. The line sums their rows (level_rows) and gives
+plans: a rejection or a gapless yes reads level 0 (``Plan.top``), as does
+a closure, a strict-feasibility question the projection onto t
+(``Plan.t_projection``), a dive the chain of levels (``Plan.levels``) and a
+witness both t's projection and the chain. The line sums their rows (level_rows) and gives
 the rows of the largest (max_level). A subset's plan answers its scan
 queries and its closure, so it counts under each kind that asks it, with
 the levels each reads.

@@ -113,8 +113,9 @@ def measure(name: str, rank: int, rays, cones) -> dict:
         loci_s, found = best_of(lambda: loci(fan))
         regions = fan.regions(sign_picks)
         gapless = [regions[subset, ()][0].gapless for entries in index for subset, _ in entries]
-        row.update(bad_subsets=len(gapless), gapless_share=round(sum(gapless) / len(gapless), 3), loci=found, bad_subsets_s=round(index_s, 6),
-                   loci_cold_s=round(cold_s, 6), loci_s=round(loci_s, 6))
+        row.update(bad_subsets=len(gapless), gapless_share=round(sum(gapless) / len(gapless), 3),
+                   loci=found, bad_subsets_s=round(index_s, 6), loci_cold_s=round(cold_s, 6),
+                   loci_s=round(loci_s, 6))
     return row
 
 

@@ -793,8 +793,8 @@ class Plan:
         lexicographic order: (prefix, v_lo, v_hi, terms, count) per parent
         with count > 0, counted in closed form (``parent_count``, uncut on a
         gapless plan). In dimension 1 the one block stands for the points
-        (w,), not (0, w). start as in
-        ``parent_terms``. ``Weights`` reads the blocks as points."""
+        (w,), not (0, w). start as in ``parent_terms``. ``Weights`` reads
+        the blocks as points."""
         count = parent_sum if self.gapless else parent_count
         for prefix, v_lo, v_hi, terms in self.parent_terms(b, start):
             n = count(terms, v_lo, v_hi)

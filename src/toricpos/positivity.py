@@ -46,8 +46,8 @@ The bounded scan (``scan_qample``, ``realization_search``) asks whether the
 bad-subset regions of the twists N*D - j*H hold lattice points. A region's
 constants there are N * b_D - j * b_H, so each search keeps one window
 (``_Window``) that reads a region on its first query into a ``Twists``: a
-twist is answered from level 0's per-row sums, and builds its constants and
-dives only where y_0 holds an integer. ``check_mode_agreement`` takes the
+twist is answered from level 0's per-row sums, and on a plan that is not
+gapless builds its constants and dives where y_0 holds an integer. ``check_mode_agreement`` takes the
 realized failure from an obstructed scan's first hit, as that scan read
 every multiple, and runs ``realization_search`` only when the scan stopped
 at a clean N.

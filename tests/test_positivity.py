@@ -547,8 +547,8 @@ def test_the_window_answers_as_has_point_per_region_on_seeded_corpus(example_fan
                                     continue
                                 start = plan.start(b)
                                 assert twists.integers(n_mult, j) == (start and start[:2]), where
-                                outcomes["dive" if start else "level 0", found] += 1
-    assert set(outcomes) == {("has_point", True), ("has_point", False), ("dive", True),
+                                outcomes["y_0 integer" if start else "level 0", found] += 1
+    assert set(outcomes) == {("has_point", True), ("has_point", False), ("y_0 integer", True),
                              ("level 0", False)}, outcomes
     assert wide == {"P(1,1,2) swapped"}
 

@@ -54,10 +54,9 @@ def test_replay_builds_each_recorded_plan_once(monkeypatch):
     # whose nonempty range holds no integer; the slivers (``gap_regions``),
     # not gapless, dive and stop at one on regions with and without a
     # point, asked as a window's twist (1, 0)
-    slivers = [("subset", Twists(_plan_of(p), _closure_rhs(p), [0] * len(p.weak)), (1, 0))
+    slivers = [("dive", Twists(_plan_of(p), _closure_rhs(p), [0] * len(p.weak)), (1, 0))
                for p, _ in gap_regions()]
-    slivers = [("dive", asked, args) for _, asked, args in slivers if not asked.plan.gapless]
-    assert len(slivers) == len(list(gap_regions()))
+    assert not any(asked.plan.gapless for _, asked, _ in slivers)
     count, _, yes = bench.replay(slivers, repeat=1)[0]["dive"]
     stops, last = [], []
     integers, blocks = polyhedra._integers, Plan.blocks
