@@ -46,7 +46,7 @@ totaro-x is the fan the perfbench workloads run, and P(1,1,2), whose ray
 line per fan gives microseconds per counted region, the parent nodes (depth
 n - 2) the walk reaches per pass, the children per parent (v_hi - v_lo + 1
 of each parent), the share of parents with a term whose row has a last
-coefficient |a| > 1 (one that ``parent_count`` reads with a floor sum, not
+coefficient |a| > 1 (one that ``parent_sum`` reads with a floor sum, not
 an arithmetic series), and the blocks (parents holding a weight) per region.
 """
 

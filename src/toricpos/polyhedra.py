@@ -46,7 +46,7 @@ by its prefix and rounds y_d's exact range inward, and a node is built only
 when the walk visits it. It stops at the parent nodes (depth n - 2), where
 each end of a child's last-coordinate interval is a min of terms
 floor((A - p * v) / d) in the child's coordinate v (``Plan.parent_terms``).
-``parent_count`` counts a parent's points from its terms in closed form,
+``parent_sum`` counts a parent's points from its terms in closed form,
 whatever its width, and ``Plan.blocks``, the walk's one output, yields the
 parents with a point. ``Weights`` is their one reader: a sequence of the
 points, which builds a block's children's ends as lazy ``folds`` only when
@@ -466,35 +466,21 @@ def _side_sum(side, lo, hi):
     return total
 
 
-def pair_cut(terms, v_lo, v_hi):
-    """The v in [v_lo, v_hi] with g_U + g_L >= 0 (``parent_count``)."""
-    upper, lower = terms
-    for a, p, d in upper:
-        for c, q, e in lower:  # (a - p * v) / d + (c - q * v) / e >= 0
-            v_lo, v_hi = _cut(v_lo, v_hi, e * p + d * q, e * a + d * c)
-    return v_lo, v_hi
-
-
-def parent_sum(terms, lo, hi):
-    """Sum of U(v) + L(v) + 1 over v in [lo, hi], unclipped (``parent_count``)."""
-    upper, lower = terms
-    return hi - lo + 1 + _side_sum(upper, lo, hi) + _side_sum(lower, lo, hi) if lo <= hi else 0
-
-
-def parent_count(terms, v_lo, v_hi):
+def parent_sum(terms, v_lo, v_hi):
     """The points under one parent: sum over v in [v_lo, v_hi] of the
-    child's width max(U(v) + L(v) + 1, 0), where U and L are the mins of
+    child's width U(v) + L(v) + 1, where U and L are the mins of
     floor((A - p * v) / d) over the upper and the lower side's terms.
 
-    Let g_U and g_L be the real mins, so U = floor(g_U) and L = floor(g_L).
-    Where g_U + g_L >= 0, U + L > g_U + g_L - 2 >= -2, so U + L + 1 >= 0;
-    where g_U + g_L < 0, U + L <= g_U + g_L < 0, so U + L + 1 <= 0. Thus the
-    count is ``parent_sum`` over the v with g_U + g_L >= 0 (``pair_cut``):
-    g_U + g_L is the min of t_i + s_j over pairs of terms, so that set is
-    the interval where each pair's sum, linear in v, is >= 0. Each side's
-    sum over it then splits at the binding terms (``_side_sum``).
+    No width is negative on a parent the walk yields. Its v lie in level
+    n - 2's exact range on the floored constants (in dimension 1 the one
+    virtual parent exists only when y_0 holds an integer), so each child's
+    real fiber is nonempty: the real mins g_U and g_L, with U = floor(g_U)
+    and L = floor(g_L), satisfy g_U + g_L >= 0, and then
+    U + L + 1 >= floor(g_U + g_L) >= 0. Each side's sum splits at its
+    binding terms (``_side_sum``).
     """
-    return parent_sum(terms, *pair_cut(terms, v_lo, v_hi))
+    upper, lower = terms
+    return v_hi - v_lo + 1 + _side_sum(upper, v_lo, v_hi) + _side_sum(lower, v_lo, v_hi) if v_lo <= v_hi else 0
 
 
 def folds(terms, v_lo, v_hi):
@@ -634,8 +620,7 @@ class Plan:
     def gapless(self):
         """Has every row of levels 1.. y_d coefficient a = 1? On integer
         constants their ranges then have integer ends, and each level is
-        exact, so an integer y_0 in level 0's range leads to a point and
-        every child of a parent is nonempty."""
+        exact, so an integer y_0 in level 0's range leads to a point."""
         return all(a == 1 for _, *sides in self.levels[1:] for side in sides for a, _ in side)
 
     @cached_property
@@ -791,13 +776,12 @@ class Plan:
     def blocks(self, b, start=None):
         """The integer points (dim >= 1) counted per parent node, in
         lexicographic order: (prefix, v_lo, v_hi, terms, count) per parent
-        with count > 0, counted in closed form (``parent_count``, uncut on a
-        gapless plan). In dimension 1 the one block stands for the points
-        (w,), not (0, w). start as in ``parent_terms``. ``Weights`` reads
-        the blocks as points."""
-        count = parent_sum if self.gapless else parent_count
+        with count > 0, counted in closed form (``parent_sum``). In
+        dimension 1 the one block stands for the points (w,), not (0, w).
+        start as in ``parent_terms``. ``Weights`` reads the blocks as
+        points."""
         for prefix, v_lo, v_hi, terms in self.parent_terms(b, start):
-            n = count(terms, v_lo, v_hi)
+            n = parent_sum(terms, v_lo, v_hi)
             if n:
                 yield prefix, v_lo, v_hi, terms, n
 

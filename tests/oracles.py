@@ -75,7 +75,7 @@ def coordinate_bounds(poly: Polyhedron):
 
 
 def per_child_count(terms, v_lo, v_hi):
-    """A parent's count (``polyhedra.parent_count``) child by child: each
+    """A parent's count (``polyhedra.parent_sum``) child by child: each
     child's ends read as the mins of its terms' floors, its width clipped at
     0, the widths summed."""
     def end(side, v):

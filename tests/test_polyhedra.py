@@ -26,7 +26,6 @@ from toricpos.polyhedra import (
     lattice_points,
     lp_optimize,
     lp_strict_feasible,
-    parent_count,
     parent_sum,
     polyhedron,
     rhs,
@@ -691,10 +690,11 @@ def test_floor_sum_matches_the_brute_force_sum():
 def test_parent_counts_match_the_per_child_sum_on_seeded_corpus(p1, p2, totaro):
     # every parent the walk reaches on the subset regions of integral classes,
     # their multiples and their halves: the closed-form count against the
-    # children's widths summed one by one, and the folds against the
-    # children's ends. The corpus reaches terms with d > 1, a side with two
-    # moving rows, moving rows on both sides, and a nonempty real interval
-    # where the sides meet whose children all have width 0
+    # children's widths clipped at 0 and summed one by one, no width
+    # negative, and the folds against the children's ends. The corpus
+    # reaches terms with d > 1, a side with two moving rows, moving rows on
+    # both sides, and a nonempty real interval where the sides meet whose
+    # children all have width 0
     p112 = Fan(2, ((1, 0), (-1, -2), (0, 1)), ((0, 1), (1, 2), (0, 2)), name="P(1,1,2)")
     p1xp2 = [(p1.rays, p1.max_cones), (p2.rays, p2.max_cones)]
     fans = (p112, product_fan(p1xp2, ((1, 1, 0), (0, 1, 1), (0, 0, 1))),
@@ -709,10 +709,11 @@ def test_parent_counts_match_the_per_child_sum_on_seeded_corpus(p1, p2, totaro):
                 for subset in subsets:
                     plan, index = regions[subset, ()]
                     for _, v_lo, v_hi, terms in plan.parent_terms(rhs(index, a)):
-                        count = parent_count(terms, v_lo, v_hi)
+                        count = parent_sum(terms, v_lo, v_hi)
                         assert count == per_child_count(terms, v_lo, v_hi), (fan.rays, a, subset, terms)
                         ends = [tuple(min((x - p * v) // e for x, p, e in side) for side in terms)
                                 for v in range(v_lo, v_hi + 1)]
+                        assert all(u + l + 1 >= 0 for u, l in ends), (fan.rays, a, subset, terms)
                         assert list(zip(*folds(terms, v_lo, v_hi))) == ends, (fan.rays, a, subset, terms)
                         upper, lower = terms
                         shapes["d > 1"] += any(e > 1 for side in terms for _, _, e in side)
@@ -782,7 +783,7 @@ def test_gapless_plans_answer_at_level_0_and_count_every_child(example_fans, tot
     # bad-subset and cone-face plan of the built-in fans is; none of
     # P(1,1,2) (its ray (-1, -2)) or of a fixed GL(3,Z) image of totaro-x
     # is. On a gapless plan has_point is "y_0 holds an integer", and each
-    # parent's children are all nonempty, so its sum needs no pair cut;
+    # parent's children are all nonempty;
     # every plan answers has_point as the count walk does, and a window
     # (``Twists``, int and Fraction constants) as has_point does
     p112 = Fan(2, ((1, 0), (-1, -2), (0, 1)), ((0, 1), (1, 2), (0, 2)), name="P(1,1,2)")
@@ -812,6 +813,7 @@ def test_gapless_plans_answer_at_level_0_and_count_every_child(example_fans, tot
                     assert found == (plan.start(b) is not None), (fan.name, a, plan.leq)
                     for _, v_lo, v_hi, terms in plan.parent_terms(b):
                         assert parent_sum(terms, v_lo, v_hi) == per_child_count(terms, v_lo, v_hi)
+                        assert all(u + l >= 0 for u, l in zip(*folds(terms, v_lo, v_hi))), (fan.name, a, terms)
                         outcomes["parents"] += 1
                     outcomes[type(a[0]), found] += 1
     assert len(outcomes) == 5 and min(outcomes.values()) >= 5, outcomes
