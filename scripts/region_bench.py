@@ -37,17 +37,20 @@ the rows of the largest (max_level). A subset's plan answers its scan
 queries and its closure, so it counts under each kind that asks it, with
 the levels each reads.
 
-It then times the walk's counting layer the same way, on two fans:
+It then times the walk's counting layer the same way, on four fans:
 ``--classes`` seeded classes, each times a multiple k in 10..20, go through
 ``cohomology_dims``, which counts each bad subset's weight region
 (``Plan.blocks``); the recorded queries are replayed ``--repeat`` times.
-totaro-x is the fan the perfbench workloads run, and P(1,1,2), whose ray
-(-1, -2) gives a row with last coefficient -2, times the floor sums. A count
-line per fan gives microseconds per counted region, the parent nodes (depth
-n - 2) the walk reaches per pass, the children per parent (v_hi - v_lo + 1
-of each parent), the share of parents with a term whose row has a last
-coefficient |a| > 1 (one that ``parent_sum`` reads with a floor sum, not
-an arithmetic series), and the blocks (parents holding a weight) per region.
+totaro-x is the fan the perfbench workloads run; P(1,1,2), whose ray
+(-1, -2) gives a row with last coefficient -2, times the floor sums; P1^4
+(dimension 4) has grandparents below the root, so its parents come from
+many nodes' progressions; and a fixed GL(3,Z) image of totaro-x has plans
+that are not gapless. A count line per fan gives microseconds per counted
+region and per parent, the parent nodes (depth n - 2) the walk reaches per
+pass, the children per parent (v_hi - v_lo + 1 of each parent), the share
+of parents with a term whose row has a last coefficient |a| > 1 (one that
+``parent_sum`` reads with a floor sum, not an arithmetic series), and the
+blocks (parents holding a weight) per region.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ import statistics
 import sys
 import time
 from functools import partial
+from itertools import product
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -83,8 +87,10 @@ READS = {
     "joint": lambda plan: (plan.t_projection,),
     "witness": lambda plan: (plan.t_projection, *plan.levels),
 }
-# the count lines' fans; a row of P(1,1,2) has a last coefficient -2
-COUNT_FANS = ("totaro-x", "P(1,1,2)")
+# the count lines' fans; a row of P(1,1,2) has a last coefficient -2, and
+# GL.totaro-x is totaro-x's rays moved by GL_MATRIX
+COUNT_FANS = ("totaro-x", "P(1,1,2)", "P1^4", "GL.totaro-x")
+GL_MATRIX = ((0, 1, 2), (1, -1, 0), (0, 2, 3))
 
 
 def recorded(asks, run):
@@ -213,7 +219,15 @@ def level_sizes(queries):
 def count_fan(name: str) -> Fan:
     if name == "P(1,1,2)":
         return Fan(2, ((1, 0), (-1, -2), (0, 1)), ((0, 1), (1, 2), (0, 2)), name=name)
-    return load_workspace(name).fan
+    if name == "P1^4":  # rays e_1, -e_1, e_2, ...; a maximal cone per choice of sign in each factor
+        rays = tuple(tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1))
+        return Fan(4, rays, tuple(tuple(2 * i + s for i, s in enumerate(signs))
+                                  for signs in product((0, 1), repeat=4)), name=name)
+    fan = load_workspace("totaro-x").fan
+    if name == "GL.totaro-x":
+        rays = tuple(tuple(sum(a * x for a, x in zip(row, r)) for row in GL_MATRIX) for r in fan.rays)
+        return Fan(fan.rank, rays, fan.max_cones, name=name)
+    return fan
 
 
 def count_queries(seed: int, classes: int, fan_name: str):
@@ -275,12 +289,13 @@ def main(argv=None) -> None:
         print(f"{kind:<14}{count:>9}{first:>12}{warm:>11}{yes:>7}{fallback:>10}{rows:>12}{largest:>11}")
     print(f"{'plans built':<14}{plans:>9}")
     print(f"{'projections':<14}{projections:>9}")
-    print(f"{'count':<14}{'regions':>9}{'us/region':>11}{'parents':>9}"
+    print(f"{'count':<14}{'regions':>9}{'us/region':>11}{'us/parent':>11}{'parents':>9}"
           f"{'children/parent':>17}{'|a|>1_share':>13}{'blocks/region':>15}")
     for fan_name in COUNT_FANS:
         counted = count_queries(args.seed, args.classes, fan_name)
         spent, parents, children, wide, blocks = count_replay(counted, args.repeat)
-        print(f"{fan_name:<14}{len(counted):>9}{spent / 1000 / (len(counted) * args.repeat):>11.1f}"
+        us = spent / 1000 / args.repeat
+        print(f"{fan_name:<14}{len(counted):>9}{us / len(counted):>11.1f}{us / max(parents, 1):>11.2f}"
               f"{parents:>9}{children / max(parents, 1):>17.1f}{wide / max(parents, 1):>13.3f}"
               f"{blocks / len(counted):>15.1f}")
 

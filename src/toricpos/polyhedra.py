@@ -46,11 +46,15 @@ by its prefix and rounds y_d's exact range inward, and a node is built only
 when the walk visits it. It stops at the parent nodes (depth n - 2), where
 each end of a child's last-coordinate interval is a min of terms
 floor((A - p * v) / d) in the child's coordinate v (``Plan.parent_terms``).
+The parents under one grandparent (depth n - 3) are read together: fixing
+its coordinate u takes u * cols[n - 3] off the constants, so each row a
+parent reads is an arithmetic progression in u, and a parent's range and
+terms are progressions folded with min, drawn one parent at a time.
 ``parent_sum`` counts a parent's points from its terms in closed form,
-whatever its width, and ``Plan.blocks``, the walk's one output, yields the
-parents with a point. ``Weights`` is their one reader: a sequence of the
-points, which builds a block's children's ends as lazy ``folds`` only when
-a reader enters it.
+whatever its width, one pass over each side's terms in slope order, and
+``Plan.blocks``, the walk's one output, yields the parents with a point.
+``Weights`` is their one reader: a sequence of the points, which builds a
+block's children's ends as lazy ``folds`` only when a reader enters it.
 ``Plan.has_point`` reads y_0's integers (``Plan.start``). Every interval is
 exact, so a walk stops short of a point only at an integer gap, a nonempty
 range that holds no integer, and a level can hold one only if a row's y_d
@@ -393,15 +397,16 @@ def _integers(level, rest):
 
 
 def _parents(cols, levels, v_lo, v_hi, rest):
-    """The walk down to depth n - 2 (n >= 2) from the root's interval
-    [v_lo, v_hi], in lexicographic order: yields (prefix, constants, v_lo,
-    v_hi) per node whose coordinate takes v in [v_lo, v_hi]. A child's
-    constants are its parent's less v * cols[d], and it reads level d + 1 on
-    them. The stack holds one range of v per depth above the node, and a
-    child is built only when the walk visits it, so a caller that stops early
-    has built no node it did not visit. The stack is explicit because a recursive closure forms a cycle
+    """The walk from the root's interval [v_lo, v_hi] down to depth
+    len(cols), fixing y_d by cols[d], in lexicographic order: yields
+    (prefix, constants, v_lo, v_hi) per node at that depth whose coordinate
+    takes v in [v_lo, v_hi]. A child's constants are its parent's less
+    v * cols[d], and it reads level d + 1 on them. The stack holds one range
+    of v per depth above the node, and a child is built only when the walk
+    visits it, so a caller that stops early has built no node it did not
+    visit. The stack is explicit because a recursive closure forms a cycle
     that keeps the answer alive."""
-    last = len(cols) - 2
+    last = len(cols)
     stack = []
     prefix = ()
     while True:
@@ -440,29 +445,37 @@ def floor_sum(n, m, a, b):
     return total
 
 
-def _cut(lo, hi, P, R):
-    """The v in [lo, hi] with P * v <= R; empty when lo > hi."""
-    if P > 0:
-        return lo, min(hi, R // P)
-    if P < 0:
-        return max(lo, -(R // -P)), hi
-    return (lo, hi) if R >= 0 else (lo, lo - 1)
-
-
 def _side_sum(side, lo, hi):
     """Sum over v in [lo, hi] of the min of floor((A - p * v) / d) over the
-    side's terms: term i binds where it is below each earlier term and at
-    most each later one, an interval, so the sum is one arithmetic series
-    (d = 1) or one floor_sum per binding term."""
-    total = 0
+    side's terms: the constant (A, 0, d) first, then the moving terms in
+    slope order, p / d ascending (``Plan.sides``). The min of the lines
+    (A - p * v) / d is concave, so in slope order, the constant in its place
+    among them, each term binds on one interval, each after the earlier
+    terms' intervals, and one pass reads them from lo up. At x, a term
+    that a later term is already below never binds again, as the later
+    term falls at least as fast; otherwise it binds from x for as long as
+    it is at most each later term. Each interval is one arithmetic series
+    (d = 1) or one floor_sum."""
+    if len(side) > 1 and side[1][1] < 0:  # the constant's place: after the moving terms with p < 0
+        k = 2
+        while k < len(side) and side[k][1] < 0:
+            k += 1
+        side = side[1:k] + side[:1] + side[k:]
+    total, x = 0, lo
     for i, (a, p, d) in enumerate(side):
-        x, y = lo, hi
-        for k, (c, q, e) in enumerate(side):
-            if k != i:  # (a - p * v) / d <= (c - q * v) / e, strictly for k < i
-                x, y = _cut(x, y, d * q - e * p, d * c - e * a - (k < i))
-        if x <= y:
+        if x > hi:
+            break
+        y = hi
+        for c, q, e in side[i + 1 :]:  # (a - p * v) / d <= (c - q * v) / e iff P * v <= R, P >= 0
+            P, R = d * q - e * p, d * c - e * a
+            if P * x > R:
+                break
+            if P and R // P < y:
+                y = R // P
+        else:
             n = y - x + 1
             total += n * (a - p * x) - p * (n * (n - 1) // 2) if d == 1 else floor_sum(n, d, -p, a - p * x)
+            x = y + 1
     return total
 
 
@@ -483,18 +496,30 @@ def parent_sum(terms, v_lo, v_hi):
     return v_hi - v_lo + 1 + _side_sum(upper, v_lo, v_hi) + _side_sum(lower, v_lo, v_hi) if v_lo <= v_hi else 0
 
 
+def _floors(a, p, d, lo, n):
+    """floor((a - p * v) / d) for v = lo, ..., lo + n - 1, lazily: the range
+    itself for d = 1, a repeat for p = 0."""
+    if not p:
+        return repeat(a // d, n)
+    rooms = range(a - p * lo, a - p * (lo + n), -p)
+    return rooms if d == 1 else map(d.__rfloordiv__, rooms)
+
+
+def _min(floors):
+    """The termwise min of one or more lazy sequences."""
+    return map(min, *floors) if len(floors) > 1 else floors[0]
+
+
 def folds(terms, v_lo, v_hi):
     """A parent's (his, neg_los): per child v = v_lo, ..., v_hi, the upper
     end and the negated lower end of its last coordinate's interval, each a
-    lazy map of floor divisions (for d = 1 the range itself) folded with
-    min, or a list when no term on its side moves with v."""
+    lazy map of floor divisions (``_floors``) folded with min, or a list
+    when no term on its side moves with v."""
+    n = v_hi - v_lo + 1
     out = []
     for (const, _, _), *moving in terms:
-        floors = []
-        for a, p, d in moving:
-            rooms = range(a - p * v_lo, a - p * (v_hi + 1), -p)
-            floors.append(rooms if d == 1 else map(d.__rfloordiv__, rooms))
-        out.append(map(min, repeat(const), *floors) if floors else [const] * (v_hi - v_lo + 1))
+        floors = [_floors(a, p, d, v_lo, n) for a, p, d in moving]
+        out.append(map(min, repeat(const), *floors) if floors else [const] * n)
     return out
 
 
@@ -649,15 +674,27 @@ class Plan:
     def sides(self):
         """Per side of the last coordinate (dim >= 1), upper then lower, the
         rows with a parent coefficient p = 0 as (row, |a|) and the others as
-        (row, |a|, p), where a is the row's last coefficient; in dimension 1
-        every p is 0."""
+        (row, |a|, p) in slope order, p / |a| ascending (``_side_sum``), where
+        a is the row's last coefficient; in dimension 1 every p is 0."""
         pen = self.cols[-2] if self.dim > 1 else (0,) * len(self.leq)
         sides = []
         for sign in (1, -1):
             side = [(r, sign * a) for r, a in enumerate(self.cols[-1]) if sign * a > 0]
-            sides.append(([(r, d) for r, d in side if not pen[r]],
-                          [(r, d, pen[r]) for r, d in side if pen[r]]))
+            moving = [(r, d, pen[r]) for r, d in side if pen[r]]
+            moving.sort(key=lambda row: Fraction(row[2], row[1]))
+            sides.append(([(r, d) for r, d in side if not pen[r]], moving))
         return tuple(sides)
+
+    @cached_property
+    def steps(self):
+        """Per side of level n - 2 (dim >= 3), upper then lower, its rows as
+        (a, lam, T) with T = lam . cols[n - 3]: under a grandparent (depth
+        n - 3) with constants rest, the row reads S - u * T at the parent
+        whose coordinate is u, S = lam . rest, so each end of the parents'
+        intervals is a min of floors of arithmetic progressions in u."""
+        col = self.cols[-3]
+        return tuple(tuple((a, lam, sum(l * col[i] for i, l in lam)) for a, lam in side)
+                     for side in self.levels[-2][1:])
 
     def closure_nonempty(self, b) -> bool:
         """Is the closure (strict rows relaxed to weak) nonempty? Its
@@ -708,12 +745,20 @@ class Plan:
         end and the negated lower end of the last coordinate, the terms
         (A, p, d) whose min over floor((A - p * v) / d) is that end at child
         v: first the side's constant (A, 0, 1), then one per row that moves
-        with v. In dimension 1 the one virtual parent has prefix () and
-        v_lo = v_hi = 0. Raises UnboundedRegion as ``start`` does, and
-        ValueError in dimension 0.
+        with v, in slope order. In dimension 1 the one virtual parent has
+        prefix () and v_lo = v_hi = 0, and in dimension 2 the root is the one
+        parent. Raises UnboundedRegion as ``start`` does, and ValueError in
+        dimension 0.
 
         The walk starts from ``start``'s interval and constants (pass them as
-        start when ``self.start(b)`` has run already). On the last
+        start when ``self.start(b)`` has run already) and goes down to the
+        grandparents (depth n - 3, ``_parents``); the parents under one are
+        read as arithmetic progressions in its coordinate u, lazily, one
+        parent at a time. A parent's constants are the grandparent's less
+        u * cols[n - 3], so each row of level n - 2 reads S - u * T
+        (``steps``), and [v_lo, v_hi] is the min of their floors. A zero row
+        of level n - 2 holds at every u of the grandparent's range, which is
+        level n - 3's exact projection, so it is not read. On the last
         coordinate a row with coefficient a, parent coefficient p and
         constant A at the parent bounds the child at v by (A - p * v) // |a|,
         from above when a > 0 and, negated, from below when a < 0: the term
@@ -729,21 +774,48 @@ class Plan:
         if start is None:
             return
         v_lo, v_hi, rest = start
-        if self.dim == 1:  # one virtual parent, its coordinate fixed at 0
-            parents = [((), rest, 0, 0)]
-        else:
-            parents = _parents(self.cols, self.levels, v_lo, v_hi, rest)
-        for prefix, rest, v_lo, v_hi in parents:
-            terms = []
-            for fixed, moving in self.sides:  # the lower side is kept negated, so both are mins
-                moves = [(rest[r], p, d) for r, d, p in moving]
-                if fixed:
-                    bound = min(rest[r] // d for r, d in fixed)
-                else:
-                    a, p, d = moves[0]
-                    bound = (a - p * (v_lo if p > 0 else v_hi)) // d
-                terms.append(((bound, 0, 1), *moves))
-            yield prefix, v_lo, v_hi, terms
+        if self.dim < 3:  # one parent: the root, or a virtual one at 0 in dimension 1
+            if self.dim == 1:
+                v_lo = v_hi = 0
+            yield from self._parents_under(((),), (v_hi,), (-v_lo,), rest, (0,) * len(rest), 0, 1)
+            return
+        col = self.cols[-3]
+        for prefix, rest, u_lo, u_hi in _parents(self.cols[:-3], self.levels, v_lo, v_hi, rest):
+            n = u_hi - u_lo + 1
+            ends = []
+            for rows in self.steps:  # the upper ends, then the negated lower ends
+                floors = []
+                for a, lam, t in rows:
+                    s = 0
+                    for i, l in lam:
+                        s += l * rest[i]
+                    floors.append(_floors(s, t, a, u_lo, n))
+                ends.append(_min(floors))
+            prefixes = map(prefix.__add__, zip(range(u_lo, u_hi + 1)))
+            yield from self._parents_under(prefixes, *ends, rest, col, u_lo, n)
+
+    def _parents_under(self, prefixes, his, neg_los, rest, col, u_lo, n):
+        """``parent_terms`` over the n parents u = u_lo, ... under one node
+        with constants rest, a parent's constants being rest less u * col:
+        given each parent's prefix, v_hi and -v_lo, lazily, it reads each
+        side's constant and its moving terms' A from arithmetic
+        progressions in u (``_floors``) and builds each parent's terms as
+        the walk draws it."""
+        sides, bare = [], []
+        for k, (fixed, moving) in enumerate(self.sides):
+            moves = [zip(_floors(rest[r], col[r], 1, u_lo, n), repeat(p), repeat(d)) for r, d, p in moving]
+            if fixed:
+                const = _min([_floors(rest[r], col[r], d, u_lo, n) for r, d in fixed])
+                moves.insert(0, zip(const, repeat(0), repeat(1)))
+            else:
+                bare.append(k)
+            sides.append(zip(*moves))
+        for prefix, v_hi, neg_lo, *terms in zip(prefixes, his, neg_los, *sides):
+            if v_hi + neg_lo >= 0:
+                for k in bare:  # the side's constant: its first moving term's larger end
+                    (a, p, d), *_ = side = terms[k]
+                    terms[k] = ((a - p * (v_hi if p < 0 else -neg_lo)) // d, 0, 1), *side
+                yield prefix, -neg_lo, v_hi, terms
 
     def has_point(self, b) -> bool:
         """Does the region hold an integer point? On a gapless plan, dim 0

@@ -9,8 +9,11 @@ build every region's rows from the coefficients again, each row
 normalized by ``polyhedron()``, or ask a base locus's question of every
 cone.
 They share only the exact arithmetic layer with the implementations they
-check, save the reference base loci: those ask the library's own cone
-questions, and check the order of asking and the chains built on it.
+check, save the reference base loci and the reference parent walk: the
+loci ask the library's own cone questions, and check the order of asking
+and the chains built on it; the walk reads each parent's level with the
+library's ``_integers``, and checks the progressions the count walk reads
+instead.
 """
 
 from fractions import Fraction
@@ -23,6 +26,8 @@ from toricpos.linalg import dot
 from toricpos.polyhedra import (
     Polyhedron,
     _closure_rhs,
+    _integers,
+    _parents,
     _plan_of,
     _projection,
     _range,
@@ -83,6 +88,32 @@ def per_child_count(terms, v_lo, v_hi):
 
     upper, lower = terms
     return sum(max(end(upper, v) + end(lower, v) + 1, 0) for v in range(v_lo, v_hi + 1))
+
+
+def reference_parent_terms(plan, b):
+    """``Plan.parent_terms`` node by node: the walk (``polyhedra._parents``)
+    down to the parents, depth n - 2, each parent's constants built as a
+    list and its level read (``polyhedra._integers``), then its terms built
+    from those constants by the rule ``parent_terms`` states."""
+    start = plan.start(b)
+    if start is None:
+        return
+    v_lo, v_hi, rest = start
+    if plan.dim == 1:  # one virtual parent, its coordinate fixed at 0
+        parents = [((), rest, 0, 0)]
+    else:
+        parents = _parents(plan.cols[:-2], plan.levels, v_lo, v_hi, rest)
+    for prefix, rest, v_lo, v_hi in parents:
+        terms = []
+        for fixed, moving in plan.sides:  # the lower side is kept negated, so both are mins
+            moves = [(rest[r], p, d) for r, d, p in moving]
+            if fixed:
+                bound = min(rest[r] // d for r, d in fixed)
+            else:
+                a, p, d = moves[0]
+                bound = (a - p * (v_lo if p > 0 else v_hi)) // d
+            terms.append(((bound, 0, 1), *moves))
+        yield prefix, v_lo, v_hi, terms
 
 
 def certified_weight_box(fan, coeffs):

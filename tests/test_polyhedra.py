@@ -3,7 +3,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from toricpos.polyhedra import (
     _closure_rhs,
     _plan_of,
     _range,
+    _side_sum,
     _simplest,
     floor_sum,
     folds,
@@ -40,6 +41,7 @@ from .oracles import (
     coordinate_bounds,
     per_child_count,
     plan_polyhedron,
+    reference_parent_terms,
     reference_simplest,
     reference_simplex_max,
 )
@@ -687,17 +689,42 @@ def test_floor_sum_matches_the_brute_force_sum():
                     assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n)), (n, m, a, b)
 
 
+def test_side_sum_matches_the_brute_force_sum():
+    # seeded sides of 1-4 terms, a constant (A, 0, d) and then moving terms
+    # in slope order (p / d ascending, the order Plan.sides keeps), p in
+    # -4..4 with 0 included and d in 1..4, over empty, one-point and wider
+    # intervals: the one-pass sum of the envelope against the min summed
+    # child by child. The draws reach ties in slope and a constant whose
+    # place is between terms that rise and terms that fall
+    rng = random.Random("side-sum")
+    shapes = Counter()
+    for _ in range(20000):
+        moving = [(rng.randint(-12, 12), rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+        side = ((rng.randint(-12, 12), 0, rng.randint(1, 4)), *sorted(moving, key=lambda t: Fraction(t[1], t[2])))
+        lo = rng.randint(-6, 6)
+        hi = lo + rng.randint(-2, 8)
+        brute = sum(min((a - p * v) // d for a, p, d in side) for v in range(lo, hi + 1))
+        assert _side_sum(side, lo, hi) == brute, (side, lo, hi)
+        slopes = [Fraction(p, d) for _, p, d in side]
+        shapes["empty" if hi < lo else "one point" if hi == lo else "wider"] += 1
+        shapes["tie in slope"] += len(set(slopes)) < len(slopes)
+        shapes["constant between"] += min(slopes) < 0 < max(slopes)
+        shapes["4 terms"] += len(side) == 4
+    assert len(shapes) == 6 and min(shapes.values()) > 500, shapes
+
+
 def test_parent_counts_match_the_per_child_sum_on_seeded_corpus(p1, p2, totaro):
     # every parent the walk reaches on the subset regions of integral classes,
-    # their multiples and their halves: the closed-form count against the
-    # children's widths clipped at 0 and summed one by one, no width
-    # negative, and the folds against the children's ends. The corpus
-    # reaches terms with d > 1, a side with two moving rows, moving rows on
-    # both sides, and a nonempty real interval where the sides meet whose
-    # children all have width 0
+    # their multiples and their halves: the parents read from progressions
+    # against the reference walk's, node by node; the closed-form count
+    # against the children's widths clipped at 0 and summed one by one, no
+    # width negative, and the folds against the children's ends. The corpus
+    # runs dimensions 1 to 4 and reaches terms with d > 1, a side with two
+    # moving rows, moving rows on both sides, and a nonempty real interval
+    # where the sides meet whose children all have width 0
     p112 = Fan(2, ((1, 0), (-1, -2), (0, 1)), ((0, 1), (1, 2), (0, 2)), name="P(1,1,2)")
     p1xp2 = [(p1.rays, p1.max_cones), (p2.rays, p2.max_cones)]
-    fans = (p112, product_fan(p1xp2, ((1, 1, 0), (0, 1, 1), (0, 0, 1))),
+    fans = (p1, p2, p112, product_fan(p1xp2, ((1, 1, 0), (0, 1, 1), (0, 0, 1))),
             product_fan(p1xp2, ((1, 0, 0), (2, 1, 0), (3, -2, 1))),
             product_fan([(p1.rays, p1.max_cones)] * 4), totaro)
     shapes = Counter()
@@ -708,7 +735,11 @@ def test_parent_counts_match_the_per_child_sum_on_seeded_corpus(p1, p2, totaro):
             for a in (d.plain_coeffs, (3 * d).plain_coeffs, [Fraction(x, 2) for x in d.coeffs]):
                 for subset in subsets:
                     plan, index = regions[subset, ()]
-                    for _, v_lo, v_hi, terms in plan.parent_terms(rhs(index, a)):
+                    b = rhs(index, a)
+                    parents = list(plan.parent_terms(b))
+                    assert parents == list(reference_parent_terms(plan, b)), (fan.rays, a, subset)
+                    shapes[f"dim {plan.dim}"] += bool(parents)
+                    for _, v_lo, v_hi, terms in parents:
                         count = parent_sum(terms, v_lo, v_hi)
                         assert count == per_child_count(terms, v_lo, v_hi), (fan.rays, a, subset, terms)
                         ends = [tuple(min((x - p * v) // e for x, p, e in side) for side in terms)
@@ -724,7 +755,7 @@ def test_parent_counts_match_the_per_child_sum_on_seeded_corpus(p1, p2, totaro):
                                 + min(Fraction(x - p * v, e) for x, p, e in lower) >= 0]
                         shapes["met, all widths 0"] += bool(meet) and not count
                         shapes["parents"] += 1
-    assert len(shapes) == 5 and min(shapes.values()) >= 5, shapes
+    assert len(shapes) == 9 and min(shapes.values()) >= 5, shapes
 
 
 def _scan_regions(example_fans, p1, p2, count=4, multiples=(1, 2, 12)):
@@ -881,8 +912,10 @@ def _random_polytopes(count):
 def test_levels_give_every_visited_node_its_exact_range(monkeypatch, example_fans, p1, p2):
     # at every node the count walk and the dive visit (the root in
     # Plan.start), the level's range on the node's constants is y_d's range
-    # over the closure with the prefix fixed, by the reference simplex; and
-    # every dive dead end is an integer gap, a nonempty range that holds no
+    # over the closure with the prefix fixed, by the reference simplex; each
+    # parent the count walk yields, read from its grandparent's arithmetic
+    # progressions, has that range rounded inward as [v_lo, v_hi]; and every
+    # dive dead end is an integer gap, a nonempty range that holds no
     # integer
     import toricpos.polyhedra as polyhedra
 
@@ -905,7 +938,7 @@ def test_levels_give_every_visited_node_its_exact_range(monkeypatch, example_fan
         plan, b = _plan_of(p), _closure_rhs(p)
         visited.clear()
         dead_ends.clear()
-        list(plan.parent_terms(b))
+        parents = list(plan.parent_terms(b))
         plan.has_point(b)
         depth = {id(level): d for d, level in enumerate(plan.levels)}
         for level, rest in visited:
@@ -913,6 +946,11 @@ def test_levels_give_every_visited_node_its_exact_range(monkeypatch, example_fan
             got = None if span is None else tuple(None if x is None else Fraction(*x) for x in span)
             assert got == _range_by_lp(plan.leq, rest, depth[id(level)]), (p, rest)
             seen["empty" if got is None else "node"] += 1
+        for prefix, v_lo, v_hi, _ in parents if p.dim > 1 else ():
+            rest = [x - sum(v * col[i] for v, col in zip(prefix, plan.cols)) for i, x in enumerate(plan.start(b)[2])]
+            lower, upper = _range_by_lp(plan.leq, rest, p.dim - 2)
+            assert (ceil(lower), floor(upper)) == (v_lo, v_hi), (p, prefix)
+            seen["node"] += 1
         for level, rest in dead_ends:
             (lower, upper) = _range(level, rest)
             assert -(-lower[0] // lower[1]) > upper[0] // upper[1], (p, rest)
@@ -1020,13 +1058,14 @@ def test_simplex_drives_a_degenerate_artificial_out():
 
 
 def test_first_only_walk_builds_only_the_nodes_it_visits(monkeypatch):
-    # a node's constants are built from its parent's column, and each visit
-    # reads the node's level once (the root's in Plan.start), so the column
-    # reads count the built nodes and the level reads the visits; every built
-    # node is visited, so a walk that stops at its first block, as the
-    # fallback of has_point does, has built one node per visit but the root.
-    # Every parent it reaches before that block is empty, and the block is
-    # the parent of the first point
+    # a node above the parents (``_parents``) gets its constants from its
+    # parent's column, and each visit reads the node's level once (the
+    # root's in Plan.start), so the column reads count the built nodes and
+    # the level reads the visits; every built node is visited. The parents
+    # are drawn one at a time from their grandparent's progressions, so a
+    # walk that stops at its first block, as the fallback of has_point
+    # does, has drawn no parent past it. Every parent it draws before that
+    # block is empty, and the block is the parent of the first point
     import toricpos.polyhedra as polyhedra
 
     reads, visits, drawn = [0], [0], []
@@ -1036,19 +1075,26 @@ def test_first_only_walk_builds_only_the_nodes_it_visits(monkeypatch):
             reads[0] += 1
             return super().__iter__()
 
-    walk, integers = polyhedra._parents, polyhedra._integers
+    walk, integers, under = polyhedra._parents, polyhedra._integers, Plan._parents_under
 
     def counted_integers(*args):
         visits[0] += 1
         return integers(*args)
 
     def counted_parents(cols, *args):
-        for prefix, vals, v_lo, v_hi in walk([Column(c) for c in cols], *args):
+        return walk([Column(c) for c in cols], *args)
+
+    def drawing(prefixes):
+        for prefix in prefixes:
             drawn.append(prefix)
-            yield prefix, vals, v_lo, v_hi
+            yield prefix
+
+    def counted_under(plan, prefixes, *args):
+        return under(plan, drawing(prefixes), *args)
 
     monkeypatch.setattr(polyhedra, "_parents", counted_parents)
     monkeypatch.setattr(polyhedra, "_integers", counted_integers)
+    monkeypatch.setattr(Plan, "_parents_under", counted_under)
     rng = random.Random(20266)
     stopped_early = 0
     for _ in range(300):
@@ -1074,11 +1120,11 @@ def test_first_only_walk_builds_only_the_nodes_it_visits(monkeypatch):
             drawn.clear()
             got = read()
             assert reads[0] == max(visits[0] - 1, 0), (p, reads[0], visits[0])
-            walked.append((got, list(drawn), visits[0]))
-        (first, reached, first_visits), (blocks, _, all_visits) = walked
+            walked.append((got, list(drawn)))
+        (first, reached), (blocks, every) = walked
         assert list(Weights(blocks, n)) == points
         assert first == (blocks[0] if blocks else None), p
         assert not {q[: n - 2] for q in points} & set(reached[:-1] if points else reached), (p, reached)
         assert not points or reached[-1] == points[0][: n - 2], (p, reached)
-        stopped_early += first_visits < all_visits
+        stopped_early += len(reached) < len(every)
     assert stopped_early > 100, stopped_early

@@ -3,7 +3,7 @@ queries, the scan's window queries split into level-0 rejections, level-0
 yes answers on gapless plans and dives,
 and counts the plans and projections the replay builds, its plans' levels
 and the dives that fell back to the walk, then times the counts of
-cohomology's weight regions on two fans."""
+cohomology's weight regions on four fans, per region and per parent."""
 
 import importlib.util
 from pathlib import Path
@@ -86,7 +86,7 @@ def test_report_names_every_kind_and_count(capsys):
         assert "from 2 classes on totaro-x (seed 5)" in out[0]
         assert [line.split()[0] for line in out[1:]] == [
             "kind", "reject", "gapless", "dive", "face", "joint", "witness", "plans", "projections", "count",
-            "totaro-x", "P(1,1,2)"]
+            *bench.COUNT_FANS]
         assert out[1].split() == [
             "kind", "queries", "first_us/q", "warm_us/q", "yes", "fallback", "level_rows", "max_level"]
         for line in out[2:8]:  # one replay has no warm figure
@@ -99,15 +99,20 @@ def test_report_names_every_kind_and_count(capsys):
             assert kind != "reject" or int(yes) == 0, line
             assert kind != "gapless" or int(yes) == int(count) > 0, line
             assert fallback == "-", line
-        assert out[-3].split()[1:] == [
-            "regions", "us/region", "parents", "children/parent", "|a|>1_share", "blocks/region"]
-        # each class counts the region of every bad subset: 8 on totaro-x, 2 on
-        # P(1,1,2), where every parent has a term with |a| > 1
-        for line, subsets in zip(out[-2:], (8, 2)):
-            regions, _, parents, per_parent, share, per_region = line.split()[1:]
+        assert out[-5].split()[1:] == [
+            "regions", "us/region", "us/parent", "parents", "children/parent", "|a|>1_share", "blocks/region"]
+        # each class counts the region of every bad subset: 8 on totaro-x and
+        # its GL(3,Z) image, 2 on P(1,1,2) and 16 on P1^4. Every parent of
+        # P(1,1,2) has a term with |a| > 1, as has every parent the seed
+        # reaches on the image, and none of totaro-x or P1^4
+        shares = []
+        for line, subsets in zip(out[-4:], (8, 2, 16, 8)):
+            regions, us_region, us_parent, parents, per_parent, share, per_region = line.split()[1:]
             assert int(regions) == 2 * subsets and int(parents) > 0 and 0 <= float(share) <= 1
+            assert float(us_region) > 0 and float(us_parent) > 0, line
             assert float(per_parent) >= 1 and 0 < float(per_region) <= round(int(parents) / int(regions), 1)
-        assert float(out[-2].split()[5]) == 0 and float(out[-1].split()[5]) == 1
+            shares.append(float(share))
+        assert shares == [0, 1, 0, 1], shares
 
 
 def test_count_replay_walks_every_bad_subset_region():
