@@ -782,17 +782,10 @@ class Plan:
         col = self.cols[-3]
         for prefix, rest, u_lo, u_hi in _parents(self.cols[:-3], self.levels, v_lo, v_hi, rest):
             n = u_hi - u_lo + 1
-            ends = []
-            for rows in self.steps:  # the upper ends, then the negated lower ends
-                floors = []
-                for a, lam, t in rows:
-                    s = 0
-                    for i, l in lam:
-                        s += l * rest[i]
-                    floors.append(_floors(s, t, a, u_lo, n))
-                ends.append(_min(floors))
+            his, neg_los = (_min([_floors(sum(l * rest[i] for i, l in lam), t, a, u_lo, n) for a, lam, t in rows])
+                            for rows in self.steps)
             prefixes = map(prefix.__add__, zip(range(u_lo, u_hi + 1)))
-            yield from self._parents_under(prefixes, *ends, rest, col, u_lo, n)
+            yield from self._parents_under(prefixes, his, neg_los, rest, col, u_lo, n)
 
     def _parents_under(self, prefixes, his, neg_los, rest, col, u_lo, n):
         """``parent_terms`` over the n parents u = u_lo, ... under one node
