@@ -26,7 +26,6 @@ from toricpos.linalg import dot
 from toricpos.polyhedra import (
     Polyhedron,
     _closure_rhs,
-    _integers,
     _parents,
     _plan_of,
     _projection,
